@@ -197,13 +197,6 @@ class MonomialForm:
     left_limit: Optional[complex] = None
     right_limit: Optional[complex] = None
 
-    def product_abs(self, j: int, n: int) -> float:
-        """|coeff(j)| * |coeff(j + shift)| * ... over n factors."""
-        p = 1.0
-        for i in range(n):
-            p *= abs(self.coeff(j + i * self.shift))
-        return p
-
 
 def _rule_limit_value(rule, side: str) -> Optional[complex]:
     tail = rule.left_tail if side == "left" else rule.right_tail
@@ -304,10 +297,9 @@ def _candidate_anchors(
     feats = mono.features or (0,)
     span_lo = min(feats) - reach - 1
     span_hi = max(feats) + reach + 1
-    cands = []
-    for j in range(span_lo, span_hi + 1):
-        if (lo is None or j >= lo) and (hi is None or j <= hi):
-            cands.append(j)
+    first = span_lo if lo is None else max(span_lo, lo)
+    last = span_hi if hi is None else min(span_hi, hi)
+    cands = list(range(first, last + 1))
     for e in (lo, hi):
         if e is not None and e not in cands:
             cands.append(e)
@@ -316,41 +308,81 @@ def _candidate_anchors(
     return cands, into_left, into_right
 
 
+class MonomialPowers:
+    """n-step weight products of a monomial over the anchors in [lo, hi].
+
+    Each anchor keeps its running product and each |coeff(j)| is read once,
+    so power n costs one factor per anchor that power n - 1 had. Products
+    run left to right, |c(j)| * |c(j + s)| * ..., in any order of n.
+    """
+
+    def __init__(self, mono: MonomialForm, lo: Optional[int] = None, hi: Optional[int] = None):
+        self.mono, self.lo, self.hi = mono, lo, hi
+        self._abs: dict[int, float] = {}
+        # anchor -> (factors taken, their product)
+        self._runs: dict[int, tuple[int, float]] = {}
+
+    def products(self, n: int) -> list[float]:
+        """The n-step product of every candidate anchor, in candidate order,
+        then |limit|^n of each tail that [lo, hi] sticks out into."""
+        mono, absc, runs = self.mono, self._abs, self._runs
+        cands, into_left, into_right = _candidate_anchors(mono, n, self.lo, self.hi)
+        out = []
+        for j in cands:
+            m, p = runs.get(j, (0, 1.0))
+            if m > n:
+                m, p = 0, 1.0
+            for i in range(m, n):
+                idx = j + i * mono.shift
+                c = absc.get(idx)
+                if c is None:
+                    c = absc[idx] = abs(mono.coeff(idx))
+                p *= c
+            runs[j] = (n, p)
+            out.append(p)
+        if into_left:
+            out.append(mono.left_limit_abs**n)
+        if into_right:
+            out.append(mono.right_limit_abs**n)
+        return out
+
+    def sup(self, n: int) -> float:
+        """Operator norm of the n-th power restricted to the span of the basis
+        vectors indexed by [lo, hi], under any of the three norm tags."""
+        return 1.0 if n == 0 else max([0.0, *self.products(n)])
+
+
 def monomial_power_sup(
     mono: MonomialForm, n: int, lo: Optional[int] = None, hi: Optional[int] = None
 ) -> float:
     """sup over anchors j in [lo, hi] of the n-step weight product modulus.
 
-    Equals the operator norm of the n-th power restricted to the span of
-    basis vectors indexed by [lo, hi], under any of the three norm tags.
+    One term of MonomialPowers(mono, lo, hi).sup; hold that object instead
+    when many powers of one monomial are needed.
     """
-    if n == 0:
-        return 1.0
-    cands, into_left, into_right = _candidate_anchors(mono, n, lo, hi)
-    best = 0.0
-    for j in cands:
-        best = max(best, mono.product_abs(j, n))
-    if into_left:
-        best = max(best, mono.left_limit_abs**n)
-    if into_right:
-        best = max(best, mono.right_limit_abs**n)
-    return best
+    return MonomialPowers(mono, lo, hi).sup(n)
 
 
 def monomial_power_inf(
     mono: MonomialForm, n: int, lo: Optional[int] = None, hi: Optional[int] = None
 ) -> float:
-    if n == 0:
-        return 1.0
-    cands, into_left, into_right = _candidate_anchors(mono, n, lo, hi)
+    return 1.0 if n == 0 else min([math.inf, *MonomialPowers(mono, lo, hi).products(n)])
+
+
+def gelfand_envelope(power_fn, horizon: int) -> tuple[float, int]:
+    """min over n <= horizon of power_fn(n)^(1/n), with stagnation cutoff."""
     best = math.inf
-    for j in cands:
-        best = min(best, mono.product_abs(j, n))
-    if into_left:
-        best = min(best, mono.left_limit_abs**n)
-    if into_right:
-        best = min(best, mono.right_limit_abs**n)
-    return best
+    used = 0
+    stagnant = 0
+    for n in range(1, max(horizon, 1) + 1):
+        used = n
+        p = power_fn(n)
+        est = p ** (1.0 / n) if p > 0 else 0.0
+        stagnant = 0 if est < best - 1e-12 else stagnant + 1
+        best = min(best, est)
+        if stagnant >= 8:
+            break
+    return best, used
 
 
 # ---------------------------------------------------------------------------
@@ -411,22 +443,7 @@ class LinOp:
             m = self.dense_matrix()
             vals = [abs(lam) for lam, _ in dense_eig(m)]
             return (max(vals), 0)
-        best = math.inf
-        used = 0
-        stagnant = 0
-        for n in range(1, iters + 1):
-            used = n
-            p = monomial_power_sup(mono, n)
-            est = p ** (1.0 / n) if p > 0 else 0.0
-            if est < best - 1e-12:
-                best = min(best, est)
-                stagnant = 0
-            else:
-                best = min(best, est)
-                stagnant += 1
-                if stagnant >= 8:
-                    break
-        return (best, used)
+        return gelfand_envelope(MonomialPowers(mono).sup, iters)
 
     def dense_matrix(self) -> np.ndarray:
         raise KindMismatch(f"{self.kind} operator has no dense matrix")

@@ -31,13 +31,11 @@ from .sampling import rng_from_seed, unit_dense_samples, unit_dense_rows, unit_s
 from .splitting import (
     GENERALIZED,
     HYPERBOLIC,
-    CoordinateSplit,
     HyperbolicityReport,
+    RestrictedPowers,
     SpectralSplit,
     Splitting,
     classify,
-    power_norm_S,
-    power_norm_U_inv,
     resolvent_norm_S,
     resolvent_norm_U_inv,
     restricted_radius_S,
@@ -249,37 +247,26 @@ def series_constants(
     """Certified sums A = sum ||L^k|_S|| and B = sum ||L^-k|_U||.
 
     Remainders are bounded by the certified side rate when one is available
-    (spectral splits) and otherwise by the observed decay after onset.
+    (spectral splits) and otherwise by the observed decay after onset. Each
+    side's power norms form one sequence, shared by the radius envelope and
+    the sum, so every power is computed once.
     """
-    r_s = restricted_radius_S(op, split)
-    r_u = restricted_radius_U_inv(op, split)
+    powers_S = RestrictedPowers(op, split, "S")
+    r_s = restricted_radius_S(op, split, powers=powers_S)
+    powers_U = RestrictedPowers(op, split, "U")
+    r_u = restricted_radius_U_inv(op, split, powers=powers_U)
     for r, side in ((r_s, "S"), (r_u, "U")):
         if r >= 1.0:
             raise NotCertified(
                 f"restricted radius on {side} is {r:.6g} >= 1; series cannot converge",
             )
-    A, a_terms = _sum_until_tail(
-        lambda k: power_norm_S(op, split, k),
-        0,
-        tail,
-        cap,
-        r_s if r_s < 1.0 else None,
-    )
-    B, b_terms = _sum_until_tail(
-        lambda k: power_norm_U_inv(op, split, k),
-        1,
-        tail,
-        cap,
-        r_u if r_u < 1.0 else None,
-    )
-    if isinstance(split, CoordinateSplit):
-        p_s, p_u = 1.0, 1.0
-    else:
-        p_s, p_u = split.proj_S_norm, split.proj_U_norm
+    # both radii are below 1 here, or NaN, which _sum_until_tail ignores
+    A, a_terms = _sum_until_tail(powers_S, 0, tail, cap, r_s)
+    B, b_terms = _sum_until_tail(powers_U, 1, tail, cap, r_u)
     return SeriesConstants(
-        proj_S_norm=p_s,
+        proj_S_norm=split.proj_S_norm,
         series_A=A,
-        proj_U_norm=p_u,
+        proj_U_norm=split.proj_U_norm,
         series_B=B,
         a_terms=a_terms,
         b_terms=b_terms,
@@ -560,6 +547,10 @@ def shadow_window_solve(op: LinOp, po: PseudoOrbit) -> ShadowResult:
         constant = 0.0
     elif po.delta > 0.0:
         constant = sup_error / po.delta
+        # the quotient can round low (by an ulp of 1e48 at sup 1e64), which
+        # verify_shadow's absolute slack cannot absorb
+        while constant * po.delta < sup_error:
+            constant = math.nextafter(constant, math.inf)
     else:
         constant = math.inf
     result = ShadowResult(

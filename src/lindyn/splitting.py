@@ -29,6 +29,7 @@ from .linalg import (
     L2,
     DenseVector,
     SparseBiSeq,
+    array_norm,
     check_norm_tag,
     dense_eig,
     mat_norm,
@@ -38,6 +39,9 @@ from .operators import (
     DenseOp,
     LinOp,
     MonomialForm,
+    MonomialPowers,
+    _candidate_anchors,
+    gelfand_envelope,
     monomial_form,
     monomial_power_sup,
 )
@@ -92,8 +96,6 @@ class SpectralSplit:
         "proj_U_norm",
         "axes_S",
         "axes_U",
-        "_pinv_norm_S",
-        "_pinv_norm_U",
     )
 
     def __init__(self, norm_tag, P_S, P_U, V_S, lam_S, V_U, lam_U, cond):
@@ -109,8 +111,6 @@ class SpectralSplit:
         self.proj_U_norm = mat_norm(P_U, norm_tag)
         self.axes_S = _coordinate_axes(V_S)
         self.axes_U = _coordinate_axes(V_U)
-        self._pinv_norm_S = None
-        self._pinv_norm_U = None
 
     @property
     def dim(self) -> int:
@@ -123,15 +123,9 @@ class SpectralSplit:
         return DenseVector(self.P_U @ v.coords, self.norm_tag)
 
     def pinv_norm(self, side: str) -> float:
-        cached = self._pinv_norm_S if side == "S" else self._pinv_norm_U
-        if cached is None:
-            V = self.V_S if side == "S" else self.V_U
-            cached = mat_norm(np.linalg.pinv(V), self.norm_tag) if V.shape[1] else 0.0
-            if side == "S":
-                self._pinv_norm_S = cached
-            else:
-                self._pinv_norm_U = cached
-        return cached
+        """Norm of the side's coordinate map pinv(V); RestrictedPowers keeps it."""
+        V = self.V_S if side == "S" else self.V_U
+        return mat_norm(np.linalg.pinv(V), self.norm_tag) if V.shape[1] else 0.0
 
 
 Splitting = CoordinateSplit | SpectralSplit
@@ -227,86 +221,92 @@ def _check_projection_identities(split: SpectralSplit, tol: float = 1e-10) -> No
 # ---------------------------------------------------------------------------
 
 
+def _coordinate_monomial(op: LinOp) -> MonomialForm:
+    mono = monomial_form(op)
+    if mono is None:
+        raise KindMismatch("coordinate splitting needs a weighted-shift-family operator")
+    return mono
+
+
+class RestrictedPowers:
+    """The sequence n -> ||L^n|_S|| (side "S") or n -> ||L^{-n}|_U|| (side "U").
+
+    Exact for coordinate cases, else a certified upper bound through the
+    eigenbasis. Values are memoized per n, and the side's invariants (the
+    monomial form, the inverse matrix, the l2 basis change, the pinv norm)
+    are computed once, at the first n >= 1 on a nonempty side.
+    """
+
+    def __init__(self, op: LinOp, split: Splitting, side: str):
+        self.op, self.split, self.side = op, split, side
+        self._values, self._term = {0: 1.0}, None
+        if isinstance(split, SpectralSplit) and (split.V_S if side == "S" else split.V_U).size == 0:
+            # an empty side has norm 0 at every n, n = 0 included
+            self._values, self._term = {}, lambda n: 0.0
+
+    def __call__(self, n: int) -> float:
+        val = self._values.get(n)
+        if val is None:
+            if self._term is None:
+                self._term = self._build_term()
+            val = self._values[n] = self._term(n)
+        return val
+
+    def _build_term(self):
+        op, split, side = self.op, self.split, self.side
+        if isinstance(split, CoordinateSplit):
+            mono = _coordinate_monomial(op.inverse() if side == "U" else op)
+            lo, hi = (None, split.cutoff) if side == "S" else (split.cutoff + 1, None)
+            return MonomialPowers(mono, lo, hi).sup
+        if side == "S":
+            V, lam, axes = split.V_S, split.lam_S, split.axes_S
+            matrix = op.dense_matrix()
+        else:
+            V, lam, axes = split.V_U, 1.0 / split.lam_U, split.axes_U
+            matrix = np.linalg.inv(op.dense_matrix())
+        tag = split.norm_tag
+        # matrix_power, not a running product: M^(n-1) @ M rounds differently
+        if V.shape[1] == matrix.shape[0]:
+            # the side spans everything, so the restriction is the operator
+            return lambda n: mat_norm(np.linalg.matrix_power(matrix, n), tag)
+        if axes is not None:
+            sub = matrix[np.ix_(axes, axes)]
+            return lambda n: mat_norm(np.linalg.matrix_power(sub, n), tag)
+        if tag == L2:
+            # Exact under l2: express the power through an orthonormal basis.
+            C = np.linalg.pinv(V) @ np.linalg.qr(V)[0]
+            return lambda n: float(np.linalg.norm((V * (lam**n)[None, :]) @ C, 2))
+        pinv_norm = split.pinv_norm(side)
+        return lambda n: mat_norm(V * (lam**n)[None, :], tag) * pinv_norm
+
+
 def power_norm_S(op: LinOp, split: Splitting, n: int) -> float:
-    """||L^n restricted to S||; exact for coordinate cases, else a certified
-    upper bound through the eigenbasis."""
-    return _restricted_power(op, split, n, side="S", inverse=False)
+    """||L^n restricted to S||, one term of RestrictedPowers(op, split, "S");
+    hold that sequence instead when many n are needed."""
+    return RestrictedPowers(op, split, "S")(n)
 
 
 def power_norm_U_inv(op: LinOp, split: Splitting, n: int) -> float:
-    """||L^{-n} restricted to U||, same exactness contract."""
-    return _restricted_power(op, split, n, side="U", inverse=True)
+    """||L^{-n} restricted to U||, one term of RestrictedPowers(op, split, "U")."""
+    return RestrictedPowers(op, split, "U")(n)
 
 
-def _restricted_power(op: LinOp, split: Splitting, n: int, side: str, inverse: bool) -> float:
-    if isinstance(split, SpectralSplit):
-        V_probe = split.V_S if side == "S" else split.V_U
-        if V_probe.shape[1] == 0:
-            return 0.0
-    if n == 0:
-        return 1.0
-    if isinstance(split, CoordinateSplit):
-        base = op.inverse() if inverse else op
-        mono = monomial_form(base)
-        if mono is None:
-            raise KindMismatch("coordinate splitting needs a weighted-shift-family operator")
-        if side == "S":
-            return monomial_power_sup(mono, n, None, split.cutoff)
-        return monomial_power_sup(mono, n, split.cutoff + 1, None)
-
-    V = split.V_S if side == "S" else split.V_U
-    lam = split.lam_S if side == "S" else split.lam_U
-    if V.shape[1] == 0:
-        return 0.0
-    axes = split.axes_S if side == "S" else split.axes_U
-    matrix = op.dense_matrix()
-    if inverse:
-        matrix = np.linalg.inv(matrix)
-        lam = 1.0 / lam
-    if V.shape[1] == matrix.shape[0]:
-        # the side spans everything, so the restriction is the operator
-        return mat_norm(np.linalg.matrix_power(matrix, n), split.norm_tag)
-    if axes is not None:
-        sub = matrix[np.ix_(axes, axes)]
-        return mat_norm(np.linalg.matrix_power(sub, n), split.norm_tag)
-    scaled = V * (lam**n)[None, :]
-    if split.norm_tag == L2:
-        # Exact under l2: express the power through an orthonormal basis.
-        C = np.linalg.pinv(V) @ np.linalg.qr(V)[0]
-        return float(np.linalg.norm(scaled @ C, 2))
-    return mat_norm(scaled, split.norm_tag) * split.pinv_norm(side)
-
-
-def gelfand_envelope(power_fn, horizon: int) -> tuple[float, int]:
-    """min over n <= horizon of power_fn(n)^(1/n), with stagnation cutoff."""
-    best = math.inf
-    used = 0
-    stagnant = 0
-    for n in range(1, max(horizon, 1) + 1):
-        used = n
-        p = power_fn(n)
-        est = p ** (1.0 / n) if p > 0 else 0.0
-        if est < best - 1e-12:
-            best = min(best, est)
-            stagnant = 0
-        else:
-            best = min(best, est)
-            stagnant += 1
-            if stagnant >= 8:
-                break
-    return best, used
-
-
-def restricted_radius_S(op: LinOp, split: Splitting, horizon: int = 64) -> float:
+def restricted_radius_S(
+    op: LinOp, split: Splitting, horizon: int = 64, powers: Optional[RestrictedPowers] = None
+) -> float:
+    """Spectral radius of L on S; powers, when given, is the side's sequence."""
     if isinstance(split, SpectralSplit):
         return float(np.abs(split.lam_S).max()) if split.lam_S.size else 0.0
-    return gelfand_envelope(lambda n: power_norm_S(op, split, n), horizon)[0]
+    return gelfand_envelope(powers or RestrictedPowers(op, split, "S"), horizon)[0]
 
 
-def restricted_radius_U_inv(op: LinOp, split: Splitting, horizon: int = 64) -> float:
+def restricted_radius_U_inv(
+    op: LinOp, split: Splitting, horizon: int = 64, powers: Optional[RestrictedPowers] = None
+) -> float:
+    """Spectral radius of L^{-1} on U; powers, when given, is the side's sequence."""
     if isinstance(split, SpectralSplit):
         return float(np.abs(1.0 / split.lam_U).max()) if split.lam_U.size else 0.0
-    return gelfand_envelope(lambda n: power_norm_U_inv(op, split, n), horizon)[0]
+    return gelfand_envelope(powers or RestrictedPowers(op, split, "U"), horizon)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -349,7 +349,7 @@ def _monomial_geom_sum(
     best = 0.0
     k_cap = 10_000
     if shift == 0:
-        cands, into_left, into_right = _monomial_candidates(mono, 1, lo, hi)
+        cands, into_left, into_right = _candidate_anchors(mono, 1, lo, hi)
         vals = []
         for j in cands:
             c = mono.coeff(j)
@@ -363,17 +363,23 @@ def _monomial_geom_sum(
         return max(vals) if vals else 0.0
 
     # Window wide enough that any orbit leaving it has decayed below cutoff.
+    powers = MonomialPowers(mono, lo, hi)
     probe_n = 1
-    while monomial_power_sup(mono, probe_n, lo, hi) > 1e-16 and probe_n < 512:
+    while powers.sup(probe_n) > 1e-16 and probe_n < 512:
         probe_n += 1
-    cands, into_left, into_right = _monomial_candidates(mono, probe_n, lo, hi)
+    cands, into_left, into_right = _candidate_anchors(mono, probe_n, lo, hi)
     for anchor in cands:
         # Column sums accumulate forward products p_k = |c(j)...c(j+(k-1)s)|;
         # row sums accumulate backward products over c(r - s), c(r - 2s), ...
+        # Term k lands on index anchor + k * shift, and the walk ends where
+        # that index leaves [lo, hi]: the restriction has no entry there.
         total = 0.0
         term = 1.0
         k = 0
         while term > 1e-16 * max(1.0, total) and k < k_cap:
+            landing = anchor + k * shift
+            if (lo is not None and landing < lo) or (hi is not None and landing > hi):
+                break
             if k > 0 or not from_one:
                 total += term if tag != L2 else term * term
             term = term * abs(mono.coeff(anchor + k * shift))
@@ -390,19 +396,10 @@ def _monomial_geom_sum(
     return best
 
 
-def _monomial_candidates(mono: MonomialForm, n: int, lo, hi):
-    from .operators import _candidate_anchors
-
-    return _candidate_anchors(mono, n, lo, hi)
-
-
 def resolvent_norm_S(op: LinOp, split: Splitting) -> float:
     """|| (I - L|_S)^{-1} || for a splitting already certified contracting on S."""
     if isinstance(split, CoordinateSplit):
-        mono = monomial_form(op)
-        if mono is None:
-            raise KindMismatch("coordinate splitting needs a weighted-shift-family operator")
-        rows = split.norm_tag == "linf"
+        mono, rows = _coordinate_monomial(op), split.norm_tag == "linf"
         return _monomial_geom_sum(mono, None, split.cutoff, split.norm_tag, rows)
     return _spectral_resolvent(op, split, side="S")
 
@@ -410,13 +407,9 @@ def resolvent_norm_S(op: LinOp, split: Splitting) -> float:
 def resolvent_norm_U_inv(op: LinOp, split: Splitting) -> float:
     """|| (L|_U - I)^{-1} || = || sum_{k>=1} L^{-k}|_U || on the unstable side."""
     if isinstance(split, CoordinateSplit):
-        mono = monomial_form(op.inverse())
-        if mono is None:
-            raise KindMismatch("coordinate splitting needs a weighted-shift-family operator")
+        mono = _coordinate_monomial(op.inverse())
         rows = split.norm_tag == "linf"
-        return _monomial_geom_sum(
-            mono, split.cutoff + 1, None, split.norm_tag, rows, from_one=True
-        )
+        return _monomial_geom_sum(mono, split.cutoff + 1, None, split.norm_tag, rows, from_one=True)
     return _spectral_resolvent(op, split, side="U")
 
 
@@ -441,21 +434,12 @@ def _spectral_resolvent(op: LinOp, split: SpectralSplit, side: str) -> float:
         probes.append(V @ np.cos(np.arange(V.shape[1])))
     best = 0.0
     for v in probes:
-        vn = _vec_tag_norm(v, split.norm_tag)
+        vn = array_norm(v, split.norm_tag)
         if vn < 1e-14:
             continue
         x = np.linalg.solve(system, v)
-        best = max(best, _vec_tag_norm(x, split.norm_tag) / vn)
+        best = max(best, array_norm(x, split.norm_tag) / vn)
     return best
-
-
-def _vec_tag_norm(v: np.ndarray, tag: str) -> float:
-    mags = np.abs(v)
-    if tag == "l1":
-        return float(mags.sum())
-    if tag == "l2":
-        return float(np.sqrt((mags * mags).sum()))
-    return float(mags.max())
 
 
 # ---------------------------------------------------------------------------
@@ -496,9 +480,7 @@ def classify(op: LinOp, split: Splitting, horizon: int = 64) -> HyperbolicityRep
 
 
 def _classify_coordinate(op: LinOp, split: CoordinateSplit, horizon: int) -> HyperbolicityReport:
-    mono = monomial_form(op)
-    if mono is None:
-        raise KindMismatch("coordinate splitting needs a weighted-shift-family operator")
+    mono = _coordinate_monomial(op)
     if op.norm_tag != split.norm_tag:
         raise KindMismatch("operator and splitting disagree in norm tag")
     if not op.invertible():

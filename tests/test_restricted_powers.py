@@ -1,0 +1,230 @@
+"""The memoized power-norm sequences against the per-n formulas they replace.
+
+The reference functions below are the former per-n code: every power
+rebuilt its invariants and every weight product ran from scratch. The
+sequences must give the same floats, bit for bit, whatever order n comes in.
+"""
+
+import numpy as np
+import pytest
+
+from lindyn import (
+    L1,
+    L2,
+    LINF,
+    BackwardScaledOp,
+    CompositionOp,
+    CoordinateSplit,
+    DenseOp,
+    DiagonalOp,
+    KindMismatch,
+    ShiftOp,
+    shad_bounds,
+    spectral_split,
+)
+from lindyn.linalg import mat_norm
+from lindyn.operators import (
+    ApproachOneWeights,
+    InverseWeights,
+    MonomialPowers,
+    SignWeights,
+    TableWeights,
+    _candidate_anchors,
+    monomial_form,
+    monomial_power_inf,
+    monomial_power_sup,
+)
+from lindyn.splitting import (
+    RestrictedPowers,
+    SpectralSplit,
+    power_norm_S,
+    power_norm_U_inv,
+    resolvent_norm_S,
+    resolvent_norm_U_inv,
+)
+
+N = 24
+
+
+def check_orders(make_sequence, want):
+    """A fresh sequence per order, asked for n = 0..N rising, rising twice
+    over one object, and falling, against want[n]."""
+    ns = range(len(want))
+    rising = make_sequence()
+    assert_same_floats([rising(n) for n in ns], want)
+    assert_same_floats([rising(n) for n in ns], want)
+    falling = make_sequence()
+    assert_same_floats([falling(n) for n in reversed(ns)], want[::-1])
+
+
+def ref_product_abs(mono, j, n):
+    p = 1.0
+    for i in range(n):
+        p *= abs(mono.coeff(j + i * mono.shift))
+    return p
+
+
+def ref_power_sup(mono, n, lo=None, hi=None):
+    if n == 0:
+        return 1.0
+    cands, into_left, into_right = _candidate_anchors(mono, n, lo, hi)
+    best = 0.0
+    for j in cands:
+        best = max(best, ref_product_abs(mono, j, n))
+    if into_left:
+        best = max(best, mono.left_limit_abs**n)
+    if into_right:
+        best = max(best, mono.right_limit_abs**n)
+    return best
+
+
+def ref_restricted_power(op, split, n, side, inverse):
+    if isinstance(split, SpectralSplit):
+        V_probe = split.V_S if side == "S" else split.V_U
+        if V_probe.shape[1] == 0:
+            return 0.0
+    if n == 0:
+        return 1.0
+    if isinstance(split, CoordinateSplit):
+        base = op.inverse() if inverse else op
+        mono = monomial_form(base)
+        if side == "S":
+            return ref_power_sup(mono, n, None, split.cutoff)
+        return ref_power_sup(mono, n, split.cutoff + 1, None)
+    V = split.V_S if side == "S" else split.V_U
+    lam = split.lam_S if side == "S" else split.lam_U
+    axes = split.axes_S if side == "S" else split.axes_U
+    matrix = op.dense_matrix()
+    if inverse:
+        matrix = np.linalg.inv(matrix)
+        lam = 1.0 / lam
+    if V.shape[1] == matrix.shape[0]:
+        return mat_norm(np.linalg.matrix_power(matrix, n), split.norm_tag)
+    if axes is not None:
+        sub = matrix[np.ix_(axes, axes)]
+        return mat_norm(np.linalg.matrix_power(sub, n), split.norm_tag)
+    scaled = V * (lam**n)[None, :]
+    if split.norm_tag == L2:
+        C = np.linalg.pinv(V) @ np.linalg.qr(V)[0]
+        return float(np.linalg.norm(scaled @ C, 2))
+    return mat_norm(scaled, split.norm_tag) * split.pinv_norm(side)
+
+
+def assert_same_floats(got, want):
+    assert [x.hex() for x in got] == [x.hex() for x in want]
+
+
+RULES = {
+    "sign": SignWeights(neg_and_zero=0.5, pos=3.0),
+    "sign_complex": SignWeights(neg_and_zero=0.4j, pos=-2.5),
+    "table": TableWeights.from_mapping({-2: 3.0, 0: 0.1, 4: 2.0}, 0.7),
+    "approach_one": ApproachOneWeights(),
+    "inverse": InverseWeights(TableWeights.from_mapping({-1: 0.3, 3: 4.0}, 1.25)),
+}
+
+
+def sequence_ops(rule, tag):
+    d = DiagonalOp(rule, tag)
+    return {
+        "diag": d,
+        "shift1": CompositionOp([ShiftOp(1, tag), d]),
+        "shift2": CompositionOp([ShiftOp(2, tag), d]),
+        "composition": CompositionOp([ShiftOp(1, tag), d, ShiftOp(-2, tag), d, ShiftOp(2, tag)]),
+        "backward_scaled": CompositionOp([BackwardScaledOp(0.6, tag), d]),
+    }
+
+
+@pytest.mark.parametrize("rule", RULES)
+def test_monomial_powers_match_per_n_products(rule):
+    for op in sequence_ops(RULES[rule], L1).values():
+        mono = monomial_form(op)
+        for lo, hi in ((None, None), (None, 0), (1, None), (-3, 5)):
+            want = [ref_power_sup(mono, n, lo, hi) for n in range(N + 1)]
+            check_orders(lambda: MonomialPowers(mono, lo, hi).sup, want)
+            # the per-n API builds a fresh evaluator for every n
+            assert_same_floats([monomial_power_sup(mono, n, lo, hi) for n in range(N + 1)], want)
+
+
+def test_monomial_power_inf_matches_per_n_products():
+    for rule in RULES.values():
+        for op in sequence_ops(rule, L1).values():
+            mono = monomial_form(op)
+            for n in (0, 1, 2, 7):
+                cands, into_left, into_right = _candidate_anchors(mono, n, None, None)
+                want = min(ref_product_abs(mono, j, n) for j in cands) if n else 1.0
+                if n:
+                    if into_left:
+                        want = min(want, mono.left_limit_abs**n)
+                    if into_right:
+                        want = min(want, mono.right_limit_abs**n)
+                assert monomial_power_inf(mono, n) == want
+
+
+@pytest.mark.parametrize("tag", [L1, LINF])
+@pytest.mark.parametrize("rule", RULES)
+def test_coordinate_sequences_match_old_formula(rule, tag):
+    for op in sequence_ops(RULES[rule], tag).values():
+        for cutoff in (-1, 2):
+            split = CoordinateSplit(cutoff=cutoff, norm_tag=tag)
+            sides = (("S", False), ("U", True)) if op.invertible() else (("S", False),)
+            for side, inverse in sides:
+                want = [ref_restricted_power(op, split, n, side, inverse) for n in range(N + 1)]
+                check_orders(lambda: RestrictedPowers(op, split, side), want)
+
+
+def dense_cases():
+    skew = [[1.5, 1.0, 0.2], [0.0, 1.0 / 3.0, 0.4], [0.1, 0.0, 0.6]]
+    return {
+        # every eigenvalue stable: the S side spans the space, U is empty
+        "full_side": DenseOp([[0.5, 0.3], [0.0, 0.25]], L1),
+        "axes": DenseOp([[0.5, 0.0, 0.0], [0.0, 2.0, 0.0], [0.0, 0.0, 0.25]], LINF),
+        "l2_basis": DenseOp(skew, L2),
+        "pinv_l1": DenseOp(skew, L1),
+        "pinv_linf": DenseOp(skew, LINF),
+    }
+
+
+@pytest.mark.parametrize("case", ["full_side", "axes", "l2_basis", "pinv_l1", "pinv_linf"])
+def test_dense_sequences_match_old_formula(case):
+    op = dense_cases()[case]
+    split = spectral_split(op)
+    for side, inverse in (("S", False), ("U", True)):
+        want = [ref_restricted_power(op, split, n, side, inverse) for n in range(N + 1)]
+        check_orders(lambda: RestrictedPowers(op, split, side), want)
+        # the per-n API is one term of the same sequence
+        per_n = power_norm_S if side == "S" else power_norm_U_inv
+        assert_same_floats([per_n(op, split, n) for n in range(N + 1)], want)
+
+
+def test_dense_branches_are_the_ones_named():
+    cases = dense_cases()
+    full = spectral_split(cases["full_side"])
+    assert full.V_S.shape[1] == full.dim and full.V_U.shape[1] == 0
+    assert sorted(spectral_split(cases["axes"]).axes_S) == [0, 2]
+    for name in ("l2_basis", "pinv_l1", "pinv_linf"):
+        split = spectral_split(cases[name])
+        assert split.axes_S is None and split.axes_U is None
+
+
+def test_sequence_refuses_a_non_monomial_operator_only_past_n0():
+    split = CoordinateSplit(cutoff=0, norm_tag=L1)
+    powers = RestrictedPowers(DenseOp([[0.5]], L1), split, "S")
+    assert powers(0) == 1.0
+    with pytest.raises(KindMismatch):
+        powers(1)
+
+
+@pytest.mark.parametrize("tag", [L1, LINF])
+@pytest.mark.parametrize("a, b", [(0.5, 3.0), (0.2, 1.6), (0.65, 4.0)])
+def test_weighted_shift_bounds_match_closed_forms(tag, a, b):
+    # R o W with W = diag(a on k <= 0, b on k >= 1) and R the unit left
+    # shift: the stable series sums a^k, the unstable one b^-k, and the
+    # resolvents on the two sides attain 1/(1-a) and 1/(b-1) under l1 and
+    # linf alike
+    op = CompositionOp([ShiftOp(1, tag), DiagonalOp(SignWeights(neg_and_zero=a, pos=b), tag)])
+    split = CoordinateSplit(cutoff=0, norm_tag=tag)
+    bounds = shad_bounds(op, split)
+    assert bounds.upper == pytest.approx(1.0 / (1.0 - a) + 1.0 / (b - 1.0), rel=1e-9)
+    assert bounds.lower == pytest.approx(max(1.0 / (1.0 - a), 1.0 / (b - 1.0)), rel=1e-9)
+    assert resolvent_norm_S(op, split) == pytest.approx(1.0 / (1.0 - a), rel=1e-9)
+    assert resolvent_norm_U_inv(op, split) == pytest.approx(1.0 / (b - 1.0), rel=1e-9)

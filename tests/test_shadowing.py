@@ -166,6 +166,19 @@ def test_window_solve_matches_series():
     assert window.sup_error <= series.sup_error + 1e-6
 
 
+def test_window_solve_accepts_its_own_fast_growing_orbit():
+    # sup error about 1.4e64: sup_error / delta rounds one ulp low, and that
+    # ulp times delta (about 3e48) is far beyond verify_shadow's 1e-9 slack
+    rng = rng_from_seed(20)
+    op = DenseOp(random_margin_matrix(3, rng, margin=0.2), LINF)
+    po = generate_pseudo_orbit(op, DenseVector(rng.standard_normal(3), LINF), (0, 200), 1e-3, 20)
+    res = shadow_window_solve(op, po)
+    assert res.sup_error > 1e60
+    assert res.constant_used * po.delta >= res.sup_error
+    assert res.constant_used == pytest.approx(res.sup_error / po.delta, rel=1e-15)
+    verify_shadow(op, po, res)
+
+
 def test_shadow_contraction_constant():
     op = contraction_half()
     po = orbit_of(op, DenseVector([1.0, -1.0], LINF), 100, 1e-3, rng_seed=3)
