@@ -14,7 +14,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import KindMismatch, NotCertified
-from .linalg import DenseVector, array_norm
+from .linalg import DenseVector, array_norm, max_row_norm
 from .operators import LinOp
 from .optim import coordinate_directions, descend, diagonal_directions
 from .sampling import dense_basis, rng_from_seed, unit_dense_samples, unit_seq_samples
@@ -156,9 +156,7 @@ def central_window_growth(
             nv = array_norm(v, op.norm_tag)
             if nv < 1e-12:
                 return np.inf
-            images = stack @ v
-            vals = [array_norm(images[i], op.norm_tag) for i in range(images.shape[0])]
-            return max(vals) / nv
+            return max_row_norm(stack @ v, op.norm_tag) / nv
 
         seeds = [b.coords for b in dense_basis(dim, op.norm_tag)]
         seeds += [s.coords for s in unit_dense_samples(dim, op.norm_tag, seeds_per_n, rng)]

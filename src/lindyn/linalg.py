@@ -239,6 +239,23 @@ def row_norms(rows: np.ndarray, tag: str) -> np.ndarray:
     return mags.max(axis=1)
 
 
+def max_row_norm(rows: np.ndarray, tag: str) -> float:
+    """The largest row norm of an (n, d) array, 0.0 when n = 0.
+
+    Bit for bit float(row_norms(rows, tag).max(initial=0.0)), but cheaper:
+    under linf one flat max replaces n row maxima, and under l2 one square
+    root of the largest sum of squares replaces n (the square root is
+    monotone and correctly rounded, so it commutes with the max).
+    """
+    mags = np.abs(rows)
+    if tag == LINF:
+        return float(mags.max(initial=0.0))
+    if tag == L1:
+        return float(mags.sum(axis=1).max(initial=0.0))
+    check_norm_tag(tag)
+    return math.sqrt(float((mags * mags).sum(axis=1).max(initial=0.0)))
+
+
 def as_square_matrix(rows) -> np.ndarray:
     m = np.array(rows, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:

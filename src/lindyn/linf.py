@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import KindMismatch, LindynError, NotCertified
-from .linalg import DenseVector, dense_eig, mat_norm, row_norms
+from .linalg import DenseVector, dense_eig, mat_norm, max_row_norm, row_norms
 from .operators import DenseOp, LinOp
 from .optim import descend
 from .sampling import rng_from_seed
@@ -70,11 +70,11 @@ def _margin_objective(w: WindowedLinf):
 
     def value(flat: np.ndarray) -> float:
         xs = flat.reshape(w.window_length, w.dim)
-        sup_in = row_norms(xs, tag).max()
+        sup_in = max_row_norm(xs, tag)
         if sup_in < 1e-14:
             return math.inf
         interior = xs[1:] - xs[:-1] @ matrix.T
-        out = row_norms(interior, tag).max()
+        out = max_row_norm(interior, tag)
         # zero extension outside the window adds both boundary outputs
         out = max(out, row_norms(xs[:1], tag)[0])
         out = max(out, row_norms(xs[-1:] @ matrix.T, tag)[0])
@@ -102,7 +102,7 @@ def _taper_profile_seeds(w: WindowedLinf) -> list[np.ndarray]:
             taper = 1.0 + n / N
             profile[N + n] = coeff * taper * vec
             coeff *= scale_back
-        sup = row_norms(profile, w.base.norm_tag).max()
+        sup = max_row_norm(profile, w.base.norm_tag)
         if sup > 0 and np.isfinite(sup):
             seeds.append(profile.reshape(-1) / sup)
         if abs(lam) < 1.0 - 1e-12:
@@ -112,7 +112,7 @@ def _taper_profile_seeds(w: WindowedLinf) -> list[np.ndarray]:
             powers = complex(lam) ** np.arange(w.window_length)
             ramp = np.cumsum(powers)
             profile = np.outer(ramp, vec)
-            sup = row_norms(profile, w.base.norm_tag).max()
+            sup = max_row_norm(profile, w.base.norm_tag)
             if sup > 0 and np.isfinite(sup):
                 seeds.append(profile.reshape(-1) / sup)
     return seeds
@@ -140,7 +140,7 @@ def linf_injectivity_margin(
         raw = rng.standard_normal((w.window_length, w.dim)) + 1j * rng.standard_normal(
             (w.window_length, w.dim)
         )
-        sup = row_norms(raw, w.base.norm_tag).max()
+        sup = max_row_norm(raw, w.base.norm_tag)
         seeds.append((raw / sup).reshape(-1))
     spike = np.zeros((w.window_length, w.dim), dtype=complex)
     spike[w.window_N, 0] = 1.0

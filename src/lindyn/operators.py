@@ -322,11 +322,20 @@ class MonomialPowers:
         # anchor -> (factors taken, their product)
         self._runs: dict[int, tuple[int, float]] = {}
 
-    def products(self, n: int) -> list[float]:
+    def products(self, n: int, stay: bool = False) -> list[float]:
         """The n-step product of every candidate anchor, in candidate order,
-        then |limit|^n of each tail that [lo, hi] sticks out into."""
+        then |limit|^n of each tail that [lo, hi] sticks out into. With stay,
+        anchors whose walk lands outside [lo, hi] after n steps are left out."""
         mono, absc, runs = self.mono, self._abs, self._runs
-        cands, into_left, into_right = _candidate_anchors(mono, n, self.lo, self.hi)
+        lo, hi = self.lo, self.hi
+        cands, into_left, into_right = _candidate_anchors(mono, n, lo, hi)
+        reach = n * mono.shift
+        # only a walk heading for a finite end of [lo, hi] can leave it
+        if stay and ((reach < 0 and lo is not None) or (reach > 0 and hi is not None)):
+            cands = [
+                j for j in cands
+                if (lo is None or j + reach >= lo) and (hi is None or j + reach <= hi)
+            ]
         out = []
         for j in cands:
             m, p = runs.get(j, (0, 1.0))
@@ -346,10 +355,12 @@ class MonomialPowers:
             out.append(mono.right_limit_abs**n)
         return out
 
-    def sup(self, n: int) -> float:
+    def sup(self, n: int, stay: bool = False) -> float:
         """Operator norm of the n-th power restricted to the span of the basis
-        vectors indexed by [lo, hi], under any of the three norm tags."""
-        return 1.0 if n == 0 else max([0.0, *self.products(n)])
+        vectors indexed by [lo, hi], under any of the three norm tags; with
+        stay, of its compression to that span (columns mapped out of it are
+        dropped)."""
+        return 1.0 if n == 0 else max([0.0, *self.products(n, stay)])
 
 
 def monomial_power_sup(
@@ -466,7 +477,7 @@ class DenseOp(LinOp):
     kind = "dense"
     vector_kind = "dense"
 
-    __slots__ = ("matrix", "norm_tag", "_invertible", "_inv_matrix")
+    __slots__ = ("matrix", "norm_tag", "_invertible", "_inverse")
 
     def __init__(self, matrix, norm_tag: str, invertible: Optional[bool] = None):
         self.matrix = as_square_matrix(matrix)
@@ -481,7 +492,7 @@ class DenseOp(LinOp):
             )
         else:
             self._invertible = bool(invertible)
-        self._inv_matrix = None
+        self._inverse = None
 
     @property
     def dim(self) -> int:
@@ -503,9 +514,9 @@ class DenseOp(LinOp):
     def inverse(self) -> "DenseOp":
         if not self._invertible:
             raise NotInvertible("dense operator is not invertible")
-        if self._inv_matrix is None:
-            self._inv_matrix = np.linalg.inv(self.matrix)
-        return DenseOp(self._inv_matrix, self.norm_tag, invertible=True)
+        if self._inverse is None:
+            self._inverse = DenseOp(np.linalg.inv(self.matrix), self.norm_tag, invertible=True)
+        return self._inverse
 
     def operator_norm(self) -> float:
         return mat_norm(self.matrix, self.norm_tag)

@@ -14,7 +14,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .linalg import L1, L2, LINF
+from .linalg import max_row_norm
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -139,18 +139,8 @@ class AffineSupProblem:
         self.tag = tag
         self.m = self.mats.shape[2]
 
-    def _sup(self, E: np.ndarray) -> float:
-        mags = np.abs(E)
-        if self.tag == L1:
-            return float(mags.sum(axis=1).max())
-        if self.tag == L2:
-            return float(np.sqrt((mags * mags).sum(axis=1)).max())
-        if self.tag == LINF:
-            return float(mags.max())
-        raise ValueError(self.tag)
-
     def value(self, s: np.ndarray) -> float:
-        return self._sup(self.mats @ s + self.offs)
+        return max_row_norm(self.mats @ s + self.offs, self.tag)
 
     def minimize(
         self,
@@ -191,7 +181,7 @@ class AffineSupProblem:
                         A_dir = self.mats @ u
 
                         def phi(t: float) -> float:
-                            return self._sup(A_pt + t * A_dir)
+                            return max_row_norm(A_pt + t * A_dir, self.tag)
 
                         t, ft = line_minimize(phi, fs, scale)
                         if ft < fs - 1e-16:

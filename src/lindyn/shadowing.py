@@ -21,8 +21,8 @@ from .linalg import (
     DenseVector,
     SparseBiSeq,
     array_norm,
-    banach_fixed_point,
     check_finite,
+    max_row_norm,
     row_norms,
 )
 from .operators import DenseOp, LinOp
@@ -91,7 +91,7 @@ def max_defect(op: LinOp, points: Sequence) -> float:
     rows = _dense_rows(op, points)
     if rows is not None:
         diffs = check_finite(rows[1:] - _images(op.matrix, rows[:-1]))
-        return float(row_norms(diffs, op.norm_tag).max(initial=0.0))
+        return max_row_norm(diffs, op.norm_tag)
     worst = 0.0
     for cur, nxt in zip(points, points[1:]):
         worst = max(worst, (nxt - op.apply(cur)).norm())
@@ -363,7 +363,7 @@ def _exact_sup_rows(op: DenseOp, rows: np.ndarray, points: np.ndarray) -> float:
         raise NotCertified(
             f"trajectory defect {defects[k]:.3g} at offset {k} breaks orbit exactness"
         )
-    return float(row_norms(check_finite(rows - points), tag).max())
+    return max_row_norm(check_finite(rows - points), tag)
 
 
 def shadow_splitting_series(
@@ -445,33 +445,20 @@ def _series_rows(op: DenseOp, split: SpectralSplit, rows: np.ndarray) -> tuple[t
     # from_rows refuses
     corrections = F - Bwd
     trajectory = DenseVector.from_rows(rows + corrections, op.norm_tag)
-    return trajectory, float(row_norms(corrections, op.norm_tag).max())
+    return trajectory, max_row_norm(corrections, op.norm_tag)
 
 
 def shadow_contraction(op: LinOp, po: PseudoOrbit, tol: float = 1e-10) -> ShadowResult:
-    """Shadow a pseudo-orbit of a norm contraction via the fixed point of the
-    anchored sequence map; the error never exceeds delta / (1 - lambda)."""
+    """Shadow a pseudo-orbit of a norm contraction by the exact orbit of its
+    first point, the fixed point of the anchored sequence map
+    (x_n) -> (x_0, L x_0, L x_1, ...); the error never exceeds
+    delta / (1 - lambda)."""
     lam = op.operator_norm()
     if lam >= 1.0:
         raise NonContracting(
             f"operator norm {lam:.6g} is not below 1", ratio=lam, bound=1.0
         )
     anchor = po.points[0]
-
-    def seq_map(xs):
-        return (anchor,) + tuple(op.apply(x) for x in xs[:-1])
-
-    def seq_dist(a, b) -> float:
-        return max(((x - y).norm() for x, y in zip(a, b)), default=0.0)
-
-    if lam <= 0.0:
-        fixed_point = seq_map(tuple(po.points))
-    else:
-        fixed_point = banach_fixed_point(
-            seq_map, tuple(po.points), lam, tol, distance=seq_dist
-        ).point
-    # The fixed point is the exact orbit of the anchor; regenerate it in one
-    # clean forward pass so the returned trajectory satisfies orbit exactness.
     traj = [anchor]
     for _ in range(len(po.points) - 1):
         traj.append(op.apply(traj[-1]))
@@ -542,7 +529,7 @@ def shadow_window_solve(op: LinOp, po: PseudoOrbit) -> ShadowResult:
         x = matrix @ x if dense else op.apply(DenseVector(x, tag)).coords
         rows[k] = x
     traj = DenseVector.from_rows(rows, tag)
-    sup_error = float(row_norms(check_finite(rows - points), tag).max())
+    sup_error = max_row_norm(check_finite(rows - points), tag)
     if sup_error == 0.0:
         constant = 0.0
     elif po.delta > 0.0:

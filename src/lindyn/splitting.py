@@ -362,10 +362,11 @@ def _monomial_geom_sum(
             vals.append((abs(lim) if from_one else 1.0) / abs(1.0 - lim))
         return max(vals) if vals else 0.0
 
-    # Window wide enough that any orbit leaving it has decayed below cutoff.
+    # Window wide enough that any orbit leaving it has decayed below cutoff;
+    # a walk that leaves [lo, hi] ends there (see below), so it is not probed.
     powers = MonomialPowers(mono, lo, hi)
     probe_n = 1
-    while powers.sup(probe_n) > 1e-16 and probe_n < 512:
+    while powers.sup(probe_n, stay=True) > 1e-16 and probe_n < 512:
         probe_n += 1
     cands, into_left, into_right = _candidate_anchors(mono, probe_n, lo, hi)
     for anchor in cands:

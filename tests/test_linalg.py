@@ -15,7 +15,7 @@ from lindyn import (
     banach_fixed_point,
     dense_eig,
 )
-from lindyn.linalg import array_norm, mat_norm, row_norms
+from lindyn.linalg import array_norm, mat_norm, max_row_norm, row_norms
 
 SQRT2 = math.sqrt(2.0)
 # roots of z^2 - z - 1, the characteristic polynomial of [[0, 1], [1, 1]]
@@ -161,8 +161,14 @@ def test_row_norms_agree_with_array_norm_bit_for_bit(tag):
         rows *= 10.0 ** rng.uniform(-30, 30, size=(40, 1))
         norms = row_norms(rows, tag)
         assert norms.tolist() == [array_norm(r, tag) for r in rows]
+        for n in (1, 2, 7, 40):
+            assert max_row_norm(rows[:n], tag) == float(norms[:n].max())
+            assert max_row_norm(rows[:n] * 1e-150, tag) == float(row_norms(rows[:n] * 1e-150, tag).max())
     with pytest.raises(ValueError):
         row_norms(rows, "l3")
+    assert max_row_norm(rows[:0], tag) == 0.0
+    with pytest.raises(ValueError):
+        max_row_norm(rows, "l3")
 
 
 def test_dense_vectors_from_rows_share_one_checked_array():

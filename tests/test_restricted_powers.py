@@ -228,3 +228,33 @@ def test_weighted_shift_bounds_match_closed_forms(tag, a, b):
     assert bounds.lower == pytest.approx(max(1.0 / (1.0 - a), 1.0 / (b - 1.0)), rel=1e-9)
     assert resolvent_norm_S(op, split) == pytest.approx(1.0 / (1.0 - a), rel=1e-9)
     assert resolvent_norm_U_inv(op, split) == pytest.approx(1.0 / (b - 1.0), rel=1e-9)
+
+
+class CountingWeights:
+    """A weight rule that counts how often its weights are read."""
+
+    def __init__(self, base):
+        self.base = base
+        self.reads = 0
+
+    def value(self, k):
+        self.reads += 1
+        return self.base.value(k)
+
+    features = property(lambda self: self.base.features)
+    left_tail = property(lambda self: self.base.left_tail)
+    right_tail = property(lambda self: self.base.right_tail)
+
+
+def test_linf_probe_walks_only_inside_the_side():
+    # under linf the window probe once walked anchors out of their side, into
+    # the other side's weights, and so ran to its 512 cap: about ten times
+    # the weight reads of l1 for the same bounds
+    reads = {}
+    for tag in (L1, LINF):
+        rule = CountingWeights(SignWeights(neg_and_zero=0.5, pos=3.0))
+        op = CompositionOp([ShiftOp(1, tag), DiagonalOp(rule, tag)])
+        bounds = shad_bounds(op, CoordinateSplit(cutoff=0, norm_tag=tag))
+        assert (bounds.lower, bounds.upper) == (2.0, 2.5)
+        reads[tag] = rule.reads
+    assert 0 < reads[LINF] <= reads[L1]

@@ -4,9 +4,12 @@ import numpy as np
 import pytest
 
 from lindyn import (
+    L1,
+    L2,
     LINF,
     BumpPerturbation,
     ConstantField,
+    DenseOp,
     DenseVector,
     NotCertified,
     NotContraction,
@@ -27,8 +30,15 @@ from lindyn.gallery import (
     saddle,
     saddle_cubic_map,
 )
-from lindyn.sampling import rng_from_seed, unit_dense_samples
-from lindyn.stability import PHI_LIP_MAX, perturbed_backward_map
+from lindyn.operators import CompositionOp
+from lindyn.sampling import random_margin_matrix, rng_from_seed, unit_dense_samples
+from lindyn.stability import (
+    PHI_LIP_MAX,
+    ConjugacyField,
+    GammaField,
+    compute_horizons,
+    perturbed_backward_map,
+)
 
 SADDLE = saddle()
 SPLIT = spectral_split(SADDLE)
@@ -89,6 +99,101 @@ def test_gamma_functional_equation():
         lhs = gamma_eval(SADDLE, SPLIT, BUMP, SADDLE.apply(x))
         rhs = SADDLE.apply(gamma_eval(SADDLE, SPLIT, BUMP, x)) + BUMP(x)
         assert (lhs - rhs).norm() < 1e-9
+
+
+class RecordingField:
+    """A field that logs the coords of every point it is evaluated at."""
+
+    def __init__(self, base):
+        self.base = base
+        self.norm_tag = base.norm_tag
+        self.sup_norm = base.sup_norm
+        self.support_radius = base.support_radius
+        self.seen = []
+
+    def __call__(self, x):
+        self.seen.append(x.coords.tobytes())
+        return self.base(x)
+
+
+def dense_case(name, tag):
+    """An operator, its splitting, a bump of norm tag tag and query points
+    inside, around and far outside the bump's support."""
+    if name == "saddle":
+        op = DenseOp(SADDLE.matrix, tag)
+        rng = rng_from_seed(3)
+    else:
+        rng = rng_from_seed(int(name[-1]))
+        dim = 2 if name.startswith("random2") else 3
+        op = DenseOp(random_margin_matrix(dim, rng, margin=0.2), tag)
+    dim = op.dim
+    raw = rng.standard_normal(dim) + 0.5
+    bump = BumpPerturbation(
+        center=DenseVector(0.3 * rng.standard_normal(dim), tag),
+        radius=1.5,
+        amplitude=0.01,
+        direction=DenseVector(raw, tag) * (1.0 / DenseVector(raw, tag).norm()),
+    )
+    points = [u * (3.0 * rng.uniform(0.0, 1.0)) for u in unit_dense_samples(dim, tag, 4, rng)]
+    points += [DenseVector(np.zeros(dim), tag), DenseVector(np.full(dim, 40.0), tag)]
+    return op, spectral_split(op), bump, points
+
+
+DENSE_CASES = ["saddle", "random2_1", "random2_2", "random3_1", "random3_4"]
+
+
+def raw(v):
+    return v.coords.tobytes()
+
+
+@pytest.mark.parametrize("tag", [L1, L2, LINF])
+@pytest.mark.parametrize("name", DENSE_CASES)
+def test_gamma_array_path_matches_per_vector_path_bit_for_bit(name, tag):
+    # a one-factor composition applies the DenseOp vector by vector, so it
+    # takes gamma_eval's per-vector loop with the same arithmetic
+    op, split, bump, points = dense_case(name, tag)
+    ref = CompositionOp([op])
+    horizons = compute_horizons(op, split, bump.sup_norm)
+    const = ConstantField(bump.direction * 0.01)
+    for field in (const, bump):
+        fast, slow = RecordingField(field), RecordingField(field)
+        for x in points:
+            assert raw(gamma_eval(op, split, fast, x, horizons)) == raw(
+                gamma_eval(ref, split, slow, x, horizons)
+            )
+        # the field sees the same points in the same order
+        assert fast.seen == slow.seen
+    assert len(fast.seen) > 0
+
+
+@pytest.mark.parametrize("tag", [L1, L2, LINF])
+@pytest.mark.parametrize("name", DENSE_CASES)
+def test_conjugacy_fields_on_array_path_match_bit_for_bit(name, tag):
+    op, split, bump, points = dense_case(name, tag)
+    ref = CompositionOp([op])
+    horizons = compute_horizons(op, split, bump.sup_norm, tail_tol=1e-8)
+    fast = ConjugacyField(op, split, bump, 2, horizons)
+    slow = ConjugacyField(ref, split, bump, 2, horizons)
+    inv = inverse_conjugacy(op, split, bump, tol=1e-6).field
+    inv_fast = GammaField(op, split, inv.alpha, inv.horizons, inv.traj_forward, inv.traj_backward)
+    inv_slow = GammaField(ref, split, inv.alpha, inv.horizons, inv.traj_forward, inv.traj_backward)
+    for x in points:
+        hx = fast(x)
+        assert raw(hx) == raw(slow(x))
+        assert raw(fast(op.apply(x))) == raw(slow(op.apply(x)))
+        assert raw(inv_fast(x + hx)) == raw(inv_slow(x + hx))
+    # the memos hold the same keys, inserted in the same order
+    for a, b in ((fast, slow), (inv_fast, inv_slow)):
+        assert list(a._memo) == list(b._memo)
+        assert [raw(v) for v in a._memo.values()] == [raw(v) for v in b._memo.values()]
+    assert any(key[0] == 1 for key in fast._memo)
+
+
+def test_gamma_array_path_refuses_overflow():
+    huge = DenseVector([1e306, 1e306], LINF)
+    for op in (SADDLE, CompositionOp([SADDLE])):
+        with pytest.raises(ValueError, match="coordinates must be finite"):
+            gamma_eval(op, SPLIT, BUMP, huge)
 
 
 def test_conjugacy_solution_certificates():
