@@ -19,6 +19,7 @@ from .errors import (
     LindynError,
     NoConvergence,
     NonContracting,
+    NonFinite,
     NotAChain,
     NotCertified,
     NotContraction,

@@ -31,6 +31,8 @@ from .sampling import (
     unit_dense_samples,
 )
 from .shadowing import (
+    WINDOW_SOLVE_MAX_DIM,
+    WINDOW_SOLVE_MAX_LEN,
     ShadInterval,
     generate_pseudo_orbit,
     shad_bounds,
@@ -91,6 +93,28 @@ def _vec(v) -> dict:
 def _require(cond: bool, message: str, path: str):
     if not cond:
         raise ConfigInvalid(f"{message} (at {path})", location=path)
+
+
+def _number(params: dict, name: str, default: float, positive: bool = True) -> float:
+    """A finite real parameter, above zero, or at least zero when not positive."""
+    val = params.get(name, default)
+    real = isinstance(val, (int, float)) and not isinstance(val, bool)
+    _require(
+        real and abs(val) <= sys.float_info.max and (val > 0 if positive else val >= 0),
+        f"{name} must be a finite {'positive' if positive else 'nonnegative'} number",
+        f"$.parameters.{name}",
+    )
+    return float(val)
+
+
+def _count(params: dict, name: str, default: int) -> int:
+    val = params.get(name, default)
+    _require(
+        isinstance(val, int) and not isinstance(val, bool) and val >= 1,
+        f"{name} must be a positive integer",
+        f"$.parameters.{name}",
+    )
+    return val
 
 
 def vector_from_config(cfg, tag: str, path: str):
@@ -214,11 +238,14 @@ def _task_bounds(sc: Scenario) -> dict:
 
 def _task_shadow(sc: Scenario) -> dict:
     params = sc.parameters
-    delta = float(params.get("delta", 1e-3))
+    delta = _number(params, "delta", 1e-3, positive=False)
     window = params.get("window", [0, 60])
     _require(
-        isinstance(window, list) and len(window) == 2 and all(isinstance(w, int) for w in window),
-        "window must be [n0, n1]",
+        isinstance(window, list)
+        and len(window) == 2
+        and all(isinstance(w, int) and not isinstance(w, bool) for w in window)
+        and window[0] <= window[1],
+        "window must be [n0, n1] with integers n0 <= n1",
         "$.parameters.window",
     )
     seed_cfg = params.get("seed_vector")
@@ -249,7 +276,11 @@ def _task_shadow(sc: Scenario) -> dict:
             "sup_error": _num(res.sup_error),
             "constant_used": _num(res.constant_used),
         }
-    if sc.op.vector_kind == "dense" and sc.op.dense_matrix().shape[0] <= 8 and len(po.points) <= 512:
+    if (
+        sc.op.vector_kind == "dense"
+        and sc.op.dense_matrix().shape[0] <= WINDOW_SOLVE_MAX_DIM
+        and len(po.points) <= WINDOW_SOLVE_MAX_LEN
+    ):
         res = shadow_window_solve(sc.op, po)
         methods["window_solve"] = {
             "sup_error": _num(res.sup_error),
@@ -263,14 +294,12 @@ def _task_shadow(sc: Scenario) -> dict:
 
 def _task_linf(sc: Scenario) -> dict:
     params = sc.parameters
-    n = params.get("linf_N", 16)
-    _require(
-        isinstance(n, int) and not isinstance(n, bool) and n >= 1,
-        "linf_N must be a positive integer",
-        "$.parameters.linf_N",
-    )
-    samples = params.get("linf_samples", 24)
-    w = WindowedLinf(sc.op, n)
+    n = _count(params, "linf_N", 16)
+    samples = _count(params, "linf_samples", 24)
+    try:
+        w = WindowedLinf(sc.op, n)
+    except ValueError as exc:
+        raise ConfigInvalid(f"{exc} (at $.parameters.linf_N)", location="$.parameters.linf_N")
     return {
         "window_N": n,
         "injectivity_margin": _num(float(linf_injectivity_margin(w, rng_seed=sc.rng_seed))),
@@ -295,7 +324,7 @@ def _task_expansivity(sc: Scenario) -> dict:
 def _task_hypercyclic(sc: Scenario) -> dict:
     out: dict = {}
     if isinstance(sc.op, BackwardScaledOp):
-        eps = float(sc.parameters.get("eps", 1e-6))
+        eps = _number(sc.parameters, "eps", 1e-6)
         cd = rolewicz(sc.op.factor)
         targets = [
             SparseBiSeq.basis(0, sc.op.norm_tag),
@@ -331,8 +360,8 @@ def _task_conjugacy(sc: Scenario) -> dict:
         )
         lin = grobman_hartman_local(
             NAMED_MAPS[map_name](),
-            box_radius=float(params.get("box_radius", 1.0)),
-            tol=float(params.get("tol", 1e-6)),
+            box_radius=_number(params, "box_radius", 1.0),
+            tol=_number(params, "tol", 1e-6),
             rng_seed=sc.rng_seed,
         )
         rng = rng_from_seed(sc.rng_seed)
@@ -350,8 +379,8 @@ def _task_conjugacy(sc: Scenario) -> dict:
     _require(sc.op.vector_kind == "dense", "bump conjugacy needs a dense operator", "$.operator")
     dim = sc.op.dense_matrix().shape[0]
     tag = sc.op.norm_tag
-    amplitude = float(params.get("amplitude", 0.01))
-    radius = float(params.get("radius", 1.6))
+    amplitude = _number(params, "amplitude", 0.01, positive=False)
+    radius = _number(params, "radius", 1.6)
     direction = DenseVector(np.eye(dim)[0], tag)
     bump = BumpPerturbation(
         center=DenseVector(np.zeros(dim), tag),

@@ -24,6 +24,12 @@ class KindMismatch(LindynError):
     code = "KIND_MISMATCH"
 
 
+class NonFinite(LindynError, ValueError):
+    """Coordinates are inf or nan, as an overflowing orbit leaves them."""
+
+    code = "NON_FINITE"
+
+
 class NotInvertible(LindynError):
     code = "NOT_INVERTIBLE"
 

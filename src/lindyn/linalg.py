@@ -16,7 +16,7 @@ from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
-from .errors import KindMismatch, NoConvergence, NonContracting
+from .errors import KindMismatch, NoConvergence, NonContracting, NonFinite
 
 L1 = "l1"
 L2 = "l2"
@@ -38,7 +38,7 @@ def check_norm_tag(tag: str) -> str:
 
 def check_finite(arr: np.ndarray) -> np.ndarray:
     if not np.isfinite(arr).all():
-        raise ValueError("coordinates must be finite")
+        raise NonFinite("coordinates must be finite")
     return arr
 
 
@@ -60,8 +60,7 @@ class DenseVector:
             raise ValueError("coords must be one-dimensional")
         if not 1 <= arr.size <= MAX_DENSE_DIM:
             raise ValueError(f"dimension must be in 1..{MAX_DENSE_DIM}, got {arr.size}")
-        if not (np.all(np.isfinite(arr.real)) and np.all(np.isfinite(arr.imag))):
-            raise ValueError("coordinates must be finite")
+        check_finite(arr)
         arr.setflags(write=False)
         self.coords = arr
         self.norm_tag = check_norm_tag(norm_tag)
@@ -207,15 +206,6 @@ class SparseBiSeq:
         return f"SparseBiSeq({{{items}}}, {self.norm_tag!r})"
 
 
-Vector = DenseVector | SparseBiSeq
-
-
-def vec_norm(v: Vector) -> float:
-    if not isinstance(v, (DenseVector, SparseBiSeq)):
-        raise KindMismatch(f"not a vector: {type(v).__name__}")
-    return v.norm()
-
-
 def array_norm(arr: np.ndarray, tag: str) -> float:
     check_norm_tag(tag)
     if arr.size == 0:
@@ -262,7 +252,7 @@ def as_square_matrix(rows) -> np.ndarray:
         raise ValueError("matrix must be square")
     if not 1 <= m.shape[0] <= MAX_DENSE_DIM:
         raise ValueError(f"matrix side must be in 1..{MAX_DENSE_DIM}")
-    if not (np.all(np.isfinite(m.real)) and np.all(np.isfinite(m.imag))):
+    if not np.isfinite(m).all():
         raise ValueError("matrix entries must be finite")
     return m
 

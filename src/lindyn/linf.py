@@ -53,9 +53,6 @@ class WindowedLinf:
     def window_length(self) -> int:
         return 2 * self.window_N + 1
 
-    def norm_bound(self) -> float:
-        return 1.0 + self.base.operator_norm()
-
 
 def linf_apply(w: WindowedLinf, xs: Sequence[DenseVector]) -> tuple:
     """Interior outputs xi_{n+1} - L(xi_n) for n = -N .. N-1 (2N of them)."""

@@ -6,6 +6,18 @@ orbit: split every defect through P_S and P_U, map the stable part forward
 and the unstable part backward. On a finite window with zero extension both
 series are finite sums, computed here by recursions that re-project onto the
 invariant side at every step so roundoff never excites the expanding block.
+
+The pseudo-orbit walk, the correction recursions and Gamma (stability) are
+each written once, for two kinds of point that `_kind` picks per call. The
+row kind serves a DenseOp (with a SpectralSplit where one is needed) and
+DenseVectors of its tag and dimension: points are the rows of (n, d) complex
+arrays, A, A_inv, P_S and P_U are matrices, and each array is checked for
+finiteness once. The vector kind serves everything else, sequence operators
+included: points are the vectors, held in object arrays so that array
+arithmetic acts on them one by one, A, A_inv, P_S and P_U are adapters whose
+@ calls apply, apply_P_S and apply_P_U, and each vector is checked as it is
+built. Both do the same arithmetic in the same order, bit for bit; images
+are one M @ x per row, as in DenseOp.apply (rows @ M.T rounds differently).
 """
 
 from __future__ import annotations
@@ -19,7 +31,6 @@ import numpy as np
 from .errors import KindMismatch, NonContracting, NotCertified, NotInvertible
 from .linalg import (
     DenseVector,
-    SparseBiSeq,
     array_norm,
     check_finite,
     max_row_norm,
@@ -27,7 +38,7 @@ from .linalg import (
 )
 from .operators import DenseOp, LinOp
 from .optim import AffineSupProblem
-from .sampling import rng_from_seed, unit_dense_samples, unit_dense_rows, unit_seq_samples
+from .sampling import rng_from_seed, unit_dense_rows, unit_seq_samples
 from .splitting import (
     GENERALIZED,
     HYPERBOLIC,
@@ -64,34 +75,90 @@ class PseudoOrbit:
         return n - self.n0
 
 
-def _dense_rows(op: LinOp, vectors: Sequence) -> Optional[np.ndarray]:
-    """The coords of dense vectors stacked into one (n, d) array, when they
-    all match a DenseOp; None sends the caller down its per-vector path,
-    which also raises the mismatch errors."""
-    if not isinstance(op, DenseOp) or not vectors:
-        return None
-    tag, dim = op.norm_tag, op.dim
-    for v in vectors:
-        if not isinstance(v, DenseVector) or v.norm_tag != tag or v.dim != dim:
-            return None
-    return np.stack([v.coords for v in vectors])
+class _Apply:
+    """The vector kind's stand-in for a matrix: M @ v calls a vector map."""
+
+    def __init__(self, f):
+        self.f = f
+
+    def __matmul__(self, v):
+        return self.f(v)
 
 
-def _images(matrix: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """M @ x for every row x; callers refuse overflowed images as non-finite."""
-    out = np.empty_like(rows)
+class _Kind:
+    """One of the two kinds of point, rows or vectors (see the module docstring)."""
+
+    def __init__(self, op: LinOp, split: Optional[Splitting], rows: bool):
+        self.op, self.rows, self.tag = op, rows, op.norm_tag
+        self.A = op.matrix if rows else _Apply(op.apply)
+        if split is not None:
+            self.P_S = split.P_S if rows else _Apply(split.apply_P_S)
+            self.P_U = split.P_U if rows else _Apply(split.apply_P_U)
+
+    @property
+    def A_inv(self):
+        inv = self.op.inverse()
+        return inv.matrix if self.rows else _Apply(inv.apply)
+
+    def empty(self, n: int) -> np.ndarray:
+        return np.empty((n, self.op.dim), dtype=complex) if self.rows else np.empty(n, dtype=object)
+
+    def point(self, v):
+        return v.coords if self.rows else v
+
+    def points(self, vectors: Sequence) -> np.ndarray:
+        out = self.empty(len(vectors))
+        for k, v in enumerate(vectors):
+            out[k] = self.point(v)
+        return out
+
+    def vectors(self, points) -> tuple:
+        return DenseVector.from_rows(points, self.tag) if self.rows else tuple(points)
+
+    def finite(self, points: np.ndarray) -> np.ndarray:
+        return check_finite(points) if self.rows else points
+
+    def norm(self, p) -> float:
+        return array_norm(p, self.tag) if self.rows else p.norm()
+
+    def norms(self, points: np.ndarray) -> np.ndarray:
+        if self.rows:
+            return row_norms(points, self.tag)
+        return np.array([p.norm() for p in points], dtype=float)
+
+    def sup(self, points: np.ndarray) -> float:
+        if self.rows:
+            return max_row_norm(points, self.tag)
+        return max((p.norm() for p in points), default=0.0)
+
+
+def _kind(op: LinOp, split: Optional[Splitting], vectors: Sequence) -> _Kind:
+    """Rows for a DenseOp, a SpectralSplit or no split, and dense vectors, all
+    of one norm tag and dimension; for everything else vectors, whose
+    arithmetic also raises the mismatch errors."""
+    rows = False
+    if isinstance(op, DenseOp) and vectors:
+        key = (op.norm_tag, op.dim)
+        rows = (
+            split is None or isinstance(split, SpectralSplit) and (split.norm_tag, split.dim) == key
+        ) and all(isinstance(v, DenseVector) and (v.norm_tag, v.dim) == key for v in vectors)
+    return _Kind(op, split, rows)
+
+
+def _images(A, points: np.ndarray) -> np.ndarray:
+    """A @ x for every point x; the kind refuses overflowed images as non-finite."""
+    out = np.empty_like(points)
     with np.errstate(over="ignore", invalid="ignore"):
-        for k, x in enumerate(rows):
-            # M @ x per row, as DenseOp.apply: rows @ M.T rounds differently, past delta at large |x|
-            out[k] = matrix @ x
+        for k, x in enumerate(points):
+            out[k] = A @ x
     return out
 
 
 def max_defect(op: LinOp, points: Sequence) -> float:
-    rows = _dense_rows(op, points)
-    if rows is not None:
-        diffs = check_finite(rows[1:] - _images(op.matrix, rows[:-1]))
-        return max_row_norm(diffs, op.norm_tag)
+    k = _kind(op, None, points)
+    if k.rows:
+        rows = k.points(points)
+        return k.sup(check_finite(rows[1:] - _images(k.A, rows[:-1])))
     worst = 0.0
     for cur, nxt in zip(points, points[1:]):
         worst = max(worst, (nxt - op.apply(cur)).norm())
@@ -131,49 +198,36 @@ def generate_pseudo_orbit(
         raise NotInvertible("negative window start needs an invertible operator")
     rng = rng_from_seed(rng_seed)
     steps = n1 - n0
-    if _dense_rows(op, [seed]) is not None:
-        return pseudo_orbit(op, n0, _dense_walk(op, seed, steps, delta, rng), delta)
-    points = [seed]
+    k = _kind(op, None, [seed])
+    dirs = None
     if isinstance(seed, DenseVector):
-        dirs = unit_dense_samples(seed.dim, seed.norm_tag, steps, rng) if steps else []
-    x = seed
-    for i in range(steps):
-        img = op.apply(x)
-        if isinstance(img, DenseVector):
-            pert = dirs[i] * (delta * rng.uniform(0.0, 1.0))
-        else:
-            sup = img.support()
-            lo = (sup[0] if sup else 0) - 1
-            hi = (sup[-1] if sup else 0) + 1
-            unit = unit_seq_samples(lo, hi, img.norm_tag, 1, rng, support=2)[0]
-            pert = unit * (delta * rng.uniform(0.0, 1.0))
-        x = img + pert
-        # once the orbit magnitude reaches delta / ulp the stored sum can
-        # round to a defect above delta; drop such a step entirely so the
-        # declared delta stays certified
-        if (x - img).norm() > delta:
-            x = img
-        points.append(x)
-    return pseudo_orbit(op, n0, points, delta)
+        dirs = unit_dense_rows(seed.dim, seed.norm_tag, steps, rng)
+        if not k.rows:
+            dirs = DenseVector.from_rows(dirs, seed.norm_tag)
 
+    def unit(i: int, img):
+        if dirs is not None:
+            return dirs[i]
+        sup = img.support()
+        lo = (sup[0] if sup else 0) - 1
+        hi = (sup[-1] if sup else 0) + 1
+        return unit_seq_samples(lo, hi, img.norm_tag, 1, rng, support=2)[0]
 
-def _dense_walk(op: DenseOp, seed: DenseVector, steps: int, delta: float, rng) -> tuple:
-    """generate_pseudo_orbit's walk on one (steps + 1, d) array, drawing from
-    rng in the same order and rounding every step the same way."""
-    tag = op.norm_tag
-    dirs = unit_dense_rows(op.dim, tag, steps, rng)
-    rows = np.empty((steps + 1, op.dim), dtype=complex)
-    rows[0] = x = seed.coords
-    # an overflowing walk is refused as a whole by the finiteness check below
+    A, norm = k.A, k.norm
+    points = k.empty(steps + 1)
+    points[0] = x = k.point(seed)
+    # an overflowing walk is refused by the kind's finiteness checks
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(steps):
-            img = op.matrix @ x
-            x = img + dirs[i] * complex(delta * rng.uniform(0.0, 1.0))
-            # the drop-the-step guard of the per-vector walk
-            if array_norm(x - img, tag) > delta:
+            img = A @ x
+            x = img + unit(i, img) * complex(delta * rng.uniform(0.0, 1.0))
+            # once the orbit magnitude reaches delta / ulp the stored sum can
+            # round to a defect above delta; drop such a step entirely so the
+            # declared delta stays certified
+            if norm(x - img) > delta:
                 x = img
-            rows[i + 1] = x
-    return DenseVector.from_rows(rows, tag)
+            points[i + 1] = x
+    return pseudo_orbit(op, n0, k.vectors(points), delta)
 
 
 # ---------------------------------------------------------------------------
@@ -326,10 +380,9 @@ def verify_shadow(op: LinOp, po: PseudoOrbit, res: ShadowResult) -> None:
     traj = res.trajectory
     if len(traj) != len(po.points):
         raise NotCertified("trajectory length does not match the window")
-    rows = _dense_rows(op, traj)
-    points = _dense_rows(op, po.points) if rows is not None else None
-    if points is not None:
-        sup = _exact_sup_rows(op, rows, points)
+    kind = _kind(op, None, (*traj, *po.points))
+    if kind.rows:
+        sup = _exact_sup_rows(op, kind.points(traj), kind.points(po.points))
     else:
         for k in range(len(traj) - 1):
             img = op.apply(traj[k])
@@ -391,27 +444,26 @@ def shadow_splitting_series(
         )
     sc = series_constants(op, split, tail=tail_tol)
     constant = sc.upper
-    pts = po.points
-    rows = _dense_rows(op, pts) if isinstance(split, SpectralSplit) else None
-    if rows is not None:
-        trajectory, sup_error = _series_rows(op, split, rows)
-    else:
-        n_steps = len(pts) - 1
-        zs = [op.apply(pts[i]) - pts[i + 1] for i in range(n_steps)]
-        # defect convention: x_{n+1} = L(x_n) - z_n, so e_{n+1} = L(e_n) + z_n
-        inv = op.inverse()
-
-        zero = pts[0] * 0.0
-        F = [zero]
-        for i in range(n_steps):
-            F.append(split.apply_P_S(op.apply(F[-1]) + split.apply_P_S(zs[i])))
-        Bwd = [zero] * (n_steps + 1)
-        for i in range(n_steps - 1, -1, -1):
-            Bwd[i] = split.apply_P_U(inv.apply(Bwd[i + 1] + split.apply_P_U(zs[i])))
-        # e_{n+1} = L e_n + z_n with e = F - B, so x_n + e_n is an exact orbit.
-        corrections = [F[i] - Bwd[i] for i in range(n_steps + 1)]
-        trajectory = tuple(p + e for p, e in zip(pts, corrections))
-        sup_error = max(e.norm() for e in corrections)
+    k = _kind(op, split, po.points)
+    rows = k.points(po.points)
+    # defect convention: x_{n+1} = L(x_n) - z_n, so e_{n+1} = L(e_n) + z_n
+    zs = k.finite(_images(k.A, rows[:-1]) - rows[1:])
+    A, A_inv, P_S, P_U = k.A, k.A_inv, k.P_S, k.P_U
+    F, Bwd = np.empty_like(rows), np.empty_like(rows)
+    F[0] = Bwd[-1] = f = b = rows[0] * 0j
+    # a non-finite F or Bwd point makes its trajectory point non-finite,
+    # which the kind refuses
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i, z in enumerate(zs):
+            f = P_S @ (A @ f + P_S @ z)
+            F[i + 1] = f
+        for i in range(len(zs) - 1, -1, -1):
+            b = P_U @ (A_inv @ (b + P_U @ zs[i]))
+            Bwd[i] = b
+        # e_{n+1} = L e_n + z_n with e = F - B, so x_n + e_n is an exact orbit
+        corrections = F - Bwd
+        trajectory = k.vectors(rows + corrections)
+    sup_error = k.sup(corrections)
     result = ShadowResult(
         shadow_seed=trajectory[0],
         trajectory=trajectory,
@@ -421,31 +473,6 @@ def shadow_splitting_series(
     )
     verify_shadow(op, po, result)
     return result
-
-
-def _series_rows(op: DenseOp, split: SpectralSplit, rows: np.ndarray) -> tuple[tuple, float]:
-    """The two correction recursions on stacked (n, d) arrays, doing the
-    per-vector operations in their order; returns trajectory and sup error."""
-    M, P_S, P_U = op.matrix, split.P_S, split.P_U
-    n_steps = len(rows) - 1
-    zs = check_finite(_images(M, rows[:-1]) - rows[1:])
-    inv = op.inverse().matrix
-    zero = rows[0] * 0j
-    F = np.empty_like(rows)
-    F[0] = f = zero
-    for i in range(n_steps):
-        f = P_S @ (M @ f + P_S @ zs[i])
-        F[i + 1] = f
-    Bwd = np.empty_like(rows)
-    Bwd[n_steps] = b = zero
-    for i in range(n_steps - 1, -1, -1):
-        b = P_U @ (inv @ (b + P_U @ zs[i]))
-        Bwd[i] = b
-    # a non-finite F or Bwd row makes its trajectory row non-finite, which
-    # from_rows refuses
-    corrections = F - Bwd
-    trajectory = DenseVector.from_rows(rows + corrections, op.norm_tag)
-    return trajectory, max_row_norm(corrections, op.norm_tag)
 
 
 def shadow_contraction(op: LinOp, po: PseudoOrbit, tol: float = 1e-10) -> ShadowResult:
@@ -483,8 +510,8 @@ def shadow_window_solve(op: LinOp, po: PseudoOrbit) -> ShadowResult:
     """Best exact orbit over the window by direct seed optimization.
 
     Minimizes the sup distance to the pseudo-orbit over the orbit seed with
-    the deterministic restart minimizer. Three seeds: the first point, the
-    least-squares seed, and the seed matching the final point.
+    the deterministic restart minimizer. Up to three seeds: the first point,
+    the least-squares seed, and the seed matching the final point.
     """
     if not isinstance(po.points[0], DenseVector):
         raise KindMismatch("window solving works on dense vectors")
@@ -518,8 +545,6 @@ def shadow_window_solve(op: LinOp, po: PseudoOrbit) -> ShadowResult:
             seeds.append(np.linalg.solve(mats[-1], po.points[-1].coords))
         except np.linalg.LinAlgError:
             pass
-    while len(seeds) < 3:
-        seeds.append(seeds[0])
 
     best_seed, _ = problem.minimize(seeds)
     dense = isinstance(op, DenseOp)

@@ -23,6 +23,7 @@ from .errors import (
     HypothesisFailed,
     InvalidSplitting,
     KindMismatch,
+    NotCertified,
     NotInvertible,
 )
 from .linalg import (
@@ -362,6 +363,11 @@ def _monomial_geom_sum(
             vals.append((abs(lim) if from_one else 1.0) / abs(1.0 - lim))
         return max(vals) if vals else 0.0
 
+    # a window open toward a tail of modulus >= 1 holds walks that never
+    # decay, so their sum is not certified to converge
+    for end, lim in ((lo, mono.left_limit_abs), (hi, mono.right_limit_abs)):
+        if end is None and lim >= 1.0:
+            raise NotCertified(f"resolvent sum runs into a tail of modulus {lim:.6g} >= 1")
     # Window wide enough that any orbit leaving it has decayed below cutoff;
     # a walk that leaves [lo, hi] ends there (see below), so it is not probed.
     powers = MonomialPowers(mono, lo, hi)
@@ -398,7 +404,11 @@ def _monomial_geom_sum(
 
 
 def resolvent_norm_S(op: LinOp, split: Splitting) -> float:
-    """|| (I - L|_S)^{-1} || for a splitting already certified contracting on S."""
+    """|| (I - L|_S)^{-1} || for a splitting already certified contracting on S.
+
+    A coordinate side open toward a weight tail of modulus >= 1 raises
+    NotCertified (so does the same side in resolvent_norm_U_inv).
+    """
     if isinstance(split, CoordinateSplit):
         mono, rows = _coordinate_monomial(op), split.norm_tag == "linf"
         return _monomial_geom_sum(mono, None, split.cutoff, split.norm_tag, rows)

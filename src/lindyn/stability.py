@@ -28,11 +28,11 @@ from .errors import (
     TrajectoryBudget,
 )
 from .gallery import DifferentiableMap
-from .linalg import DenseVector, array_norm, check_finite, row_norms
+from .linalg import DenseVector, array_norm
 from .operators import DenseOp, LinOp
 from .sampling import rng_from_seed, unit_dense_samples
-from .shadowing import _sum_until_tail, series_constants
-from .splitting import SpectralSplit, Splitting, spectral_split
+from .shadowing import _Apply, _kind, _sum_until_tail, series_constants
+from .splitting import Splitting, spectral_split
 
 PHI_LIP_MAX = 8.0 / (3.0 * math.sqrt(3.0))
 MEMO_QUANTUM = 1e-12
@@ -229,116 +229,50 @@ def gamma_eval(
     sum_{k>=1} L^{-k} P_U alpha(R^{k-1} x). Both Horner-evaluated with
     re-projection each step so roundoff stays on the contracting side.
 
-    A DenseOp with a SpectralSplit and a DenseVector x of the same norm tag
-    and dimension run on stacked (k, d) arrays, with the per-vector loop's
-    arithmetic and order of alpha calls, so results are bit-identical; an
-    overflowing trajectory is refused before alpha sees any of its points.
-    Every other operator or splitting takes the per-vector loop.
+    Runs on either kind of point (see the shadowing module) with the same
+    arithmetic and the same order of alpha calls, so both kinds give the
+    same bits. Each trajectory is walked whole before alpha sees any of its
+    points, so an overflowing one is refused first.
     """
     if horizons is None:
         horizons = compute_horizons(op, split, alpha.sup_norm, tail_tol)
-    inv = op.inverse()
-    if (
-        isinstance(op, DenseOp)
-        and isinstance(split, SpectralSplit)
-        and isinstance(x, DenseVector)
-        and x.norm_tag == op.norm_tag == split.norm_tag
-        and x.dim == op.dim == split.dim
-    ):
-        return _gamma_rows(op, inv, split, alpha, x, horizons, traj_forward, traj_backward)
-    if traj_forward is None:
-        traj_forward = op.apply
-    if traj_backward is None:
-        traj_backward = inv.apply
-    zero = x * 0.0
+    k = _kind(op, split, [x])
+    A, A_inv, P_S, P_U = k.A, k.A_inv, k.P_S, k.P_U
+    start = k.point(x)
+    zero = start * 0j
     reach = getattr(alpha, "support_radius", math.inf)
 
-    def field_at(pt: DenseVector) -> DenseVector:
-        if pt.norm() > reach:
-            return zero
-        return alpha(pt)
+    def walk(traj, default):
+        """The trajectory map traj, which takes vectors, as an @ on points."""
+        if traj is None:
+            return default
+        return _Apply(lambda p: k.point(traj(k.vectors([p])[0])))
 
-    back_values = []
-    pt = x
-    for _ in range(horizons.k_fwd):
-        pt = traj_backward(pt)
-        back_values.append(split.apply_P_S(field_at(pt)))
-    acc_f = zero
-    for v in reversed(back_values):
-        acc_f = split.apply_P_S(op.apply(acc_f)) + v
+    def values(P, R, count: int, from_x: bool) -> list:
+        """P @ alpha(pt) at the first count points of x, R x, R^2 x, ...
+        (from_x) or of R x, R^2 x, ...; P @ zero where pt is beyond reach."""
+        pts = k.empty(count)
+        pt = start
+        for i in range(count):
+            if i or not from_x:
+                pt = R @ pt
+            pts[i] = pt
+        pts = k.finite(pts)
+        out = [P @ zero] * count
+        inside = np.flatnonzero(~(k.norms(pts) > reach))
+        for i, v in zip(inside, k.vectors(pts[inside])):
+            out[i] = P @ k.point(alpha(v))
+        return out
 
-    fwd_values = []
-    pt = x
-    for k in range(1, horizons.k_bwd + 1):
-        fwd_values.append(split.apply_P_U(field_at(pt)))
-        if k < horizons.k_bwd:
-            pt = traj_forward(pt)
-    acc_b = zero
-    for u in reversed(fwd_values):
-        acc_b = split.apply_P_U(inv.apply(acc_b + u))
-    return acc_f - acc_b
-
-
-def _trajectory(x: DenseVector, count: int, from_x: bool, matrix: np.ndarray, step):
-    """The first count points of x, R x, R^2 x, ... (from_x) or of
-    R x, R^2 x, ... as one (count, d) array. R is matrix, or the trajectory
-    map step when one is given; the DenseVectors step returned come back
-    with the array (None for the matrix walk)."""
-    if step is None:
-        rows = np.empty((count, x.dim), dtype=complex)
-        pt = x.coords
-        # an overflowing walk is refused as a whole by check_finite
-        with np.errstate(over="ignore", invalid="ignore"):
-            for k in range(count):
-                if k or not from_x:
-                    # M @ x per row, as DenseOp.apply: rows @ M.T rounds differently
-                    pt = matrix @ pt
-                rows[k] = pt
-        return check_finite(rows), None
-    pts = [x] if from_x and count else []
-    while len(pts) < count:
-        pts.append(step(pts[-1] if pts else x))
-    rows = np.empty((count, x.dim), dtype=complex)
-    for k, pt in enumerate(pts):
-        rows[k] = pt.coords
-    return rows, pts
-
-
-def _field_rows(alpha, P: np.ndarray, rows: np.ndarray, pts, zero: np.ndarray, tag: str):
-    """P @ alpha(row) for every row within alpha's support radius, P @ zero
-    for the rest; alpha sees the rows in order, as DenseVectors."""
-    out = np.empty_like(rows)
-    out[:] = P @ zero
-    reach = getattr(alpha, "support_radius", math.inf)
-    inside = np.flatnonzero(~(row_norms(rows, tag) > reach))
-    if pts is None:
-        vecs = DenseVector.from_rows(rows[inside], tag)
-    else:
-        vecs = [pts[k] for k in inside]
-    for k, pt in zip(inside, vecs):
-        out[k] = P @ alpha(pt).coords
-    return out
-
-
-def _gamma_rows(op: DenseOp, inv: DenseOp, split: SpectralSplit, alpha, x, horizons,
-                traj_forward, traj_backward) -> DenseVector:
-    """gamma_eval's loop on (k, d) arrays, doing its operations in its order."""
-    M, Minv, P_S, P_U, tag = op.matrix, inv.matrix, split.P_S, split.P_U, x.norm_tag
-    zero = x.coords * 0j
-    rows, pts = _trajectory(x, horizons.k_fwd, False, Minv, traj_backward)
-    back_values = _field_rows(alpha, P_S, rows, pts, zero, tag)
-    # a non-finite accumulator stays non-finite, and DenseVector refuses it
+    # a non-finite step or sum is refused by the kind's checks
     with np.errstate(over="ignore", invalid="ignore"):
         acc_f = zero
-        for v in back_values[::-1]:
-            acc_f = P_S @ (M @ acc_f) + v
-    rows, pts = _trajectory(x, horizons.k_bwd, True, M, traj_forward)
-    fwd_values = _field_rows(alpha, P_U, rows, pts, zero, tag)
-    with np.errstate(over="ignore", invalid="ignore"):
+        for v in reversed(values(P_S, walk(traj_backward, A_inv), horizons.k_fwd, False)):
+            acc_f = P_S @ (A @ acc_f) + v
         acc_b = zero
-        for u in fwd_values[::-1]:
-            acc_b = P_U @ (Minv @ (acc_b + u))
-        return DenseVector(acc_f - acc_b, tag)
+        for u in reversed(values(P_U, walk(traj_forward, A), horizons.k_bwd, True)):
+            acc_b = P_U @ (A_inv @ (acc_b + u))
+        return k.vectors([acc_f - acc_b])[0]
 
 
 # ---------------------------------------------------------------------------

@@ -139,3 +139,35 @@ def test_suite_size_validation():
         run_suite(seed=0, size=100_000)
     with pytest.raises(ConfigInvalid):
         run_suite(seed=0, size=5, only="bogus")
+
+
+@pytest.mark.parametrize(
+    "task, params, code",
+    [
+        ("shadow", {"delta": "abc"}, 2),
+        ("shadow", {"delta": -1}, 2),
+        ("shadow", {"window": [5, 0]}, 2),
+        ("shadow", {"window": [0, True]}, 2),
+        ("linf", {"linf_samples": 0}, 2),
+        ("linf", {"linf_N": 5000}, 2),
+        ("conjugacy", {"amplitude": "big"}, 2),
+        ("conjugacy", {"radius": 0}, 2),
+        ("conjugacy", {"map": "saddle_cubic", "box_radius": -1.0}, 2),
+        ("conjugacy", {"map": "saddle_cubic", "tol": "small"}, 2),
+        ("hypercyclic", {"eps": float("inf")}, 2),
+        # the walk overflows: a coded task error, not a traceback
+        ("shadow", {"window": [0, 100000]}, 3),
+    ],
+)
+def test_main_refuses_bad_parameters(tmp_path, capsys, task, params, code):
+    cfg = dict(SADDLE_CFG, tasks=[task], parameters=params)
+    if task == "hypercyclic":
+        cfg["operator"] = {"kind": "backward_scaled", "factor": 2.0, "norm": "l1"}
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["run", str(path)]) == code
+    out, err = capsys.readouterr()
+    if code == 2:
+        assert err.startswith("CONFIG_INVALID")
+    else:
+        assert json.loads(out)["tasks"][task]["error"] == "NON_FINITE"

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from lindyn import (
     HypothesisFailed,
     InvalidSplitting,
     KindMismatch,
+    NotCertified,
     ShiftOp,
     SparseBiSeq,
     classify,
@@ -28,7 +31,7 @@ from lindyn.gallery import (
     saddle,
     shifted_weighted_contraction,
 )
-from lindyn.operators import SignWeights
+from lindyn.operators import ApproachOneWeights, CompositionOp, SignWeights
 from lindyn.splitting import (
     power_norm_S,
     power_norm_U_inv,
@@ -105,6 +108,18 @@ def test_resolvent_norms_saddle():
     split = spectral_split(op)
     assert abs(resolvent_norm_S(op, split) - 2.0) < 1e-9
     assert abs(resolvent_norm_U_inv(op, split) - 1.0) < 1e-9
+
+
+def test_resolvent_refuses_a_side_open_toward_a_unit_tail():
+    # the weights' moduli rise to 1, so neither side's sum converges, and a
+    # walk of every anchor to its term cap would take seconds
+    op = CompositionOp([ShiftOp(1, L1), DiagonalOp(ApproachOneWeights(), L1)])
+    split = CoordinateSplit(0, L1)
+    start = time.perf_counter()
+    for side in (resolvent_norm_S, resolvent_norm_U_inv):
+        with pytest.raises(NotCertified, match="tail of modulus 1 >= 1"):
+            side(op, split)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_classify_saddle_hyperbolic():

@@ -14,12 +14,15 @@ from lindyn import (
     NotCertified,
     NotContraction,
     NotContractiveSpectrum,
+    classify,
     conjugacy_residual,
     conjugacy_solve,
     gamma_eval,
+    generate_pseudo_orbit,
     grobman_hartman_local,
     inverse_conjugacy,
     inverse_residual,
+    shadow_splitting_series,
     spectral_split,
     verify_contractive_sum,
 )
@@ -32,6 +35,7 @@ from lindyn.gallery import (
 )
 from lindyn.operators import CompositionOp
 from lindyn.sampling import random_margin_matrix, rng_from_seed, unit_dense_samples
+from lindyn.splitting import SpectralSplit
 from lindyn.stability import (
     PHI_LIP_MAX,
     ConjugacyField,
@@ -194,6 +198,28 @@ def test_gamma_array_path_refuses_overflow():
     for op in (SADDLE, CompositionOp([SADDLE])):
         with pytest.raises(ValueError, match="coordinates must be finite"):
             gamma_eval(op, SPLIT, BUMP, huge)
+
+
+@pytest.mark.parametrize("name", DENSE_CASES)
+def test_dense_input_never_takes_the_vector_kind(name, monkeypatch):
+    # the vector kind gives the same bits, only slower, so the bit-for-bit
+    # tests cannot see dense input sent down it; its per-vector calls can
+    op, split, bump, points = dense_case(name, LINF)
+    report = classify(op, split)
+    horizons = compute_horizons(op, split, bump.sup_norm)
+
+    def refuse(*args):
+        raise AssertionError("per-vector call on dense input")
+
+    monkeypatch.setattr(DenseOp, "apply", refuse)
+    monkeypatch.setattr(SpectralSplit, "apply_P_S", refuse)
+    monkeypatch.setattr(SpectralSplit, "apply_P_U", refuse)
+    po = generate_pseudo_orbit(op, points[0], (0, 60), 1e-3, 5)
+    res = shadow_splitting_series(op, split, po, report=report)
+    assert res.sup_error <= res.constant_used * po.delta + 1e-9
+    for x in points:
+        gx = gamma_eval(op, split, bump, x, horizons)
+        assert gx.norm() <= horizons.gamma_bound * bump.sup_norm + 1e-12
 
 
 def test_conjugacy_solution_certificates():
