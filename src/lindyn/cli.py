@@ -21,7 +21,7 @@ from .expansivity import expansivity_scan
 from .hypercyclic import adjoint_eigen_obstruction, criterion_witness, rolewicz
 from .gallery import NAMED_MAPS
 from .homoclinic import homoclinic_dichotomy
-from .linalg import DenseVector, NORM_TAGS, SparseBiSeq
+from .linalg import MAX_DENSE_DIM, DenseVector, SparseBiSeq
 from .linf import WindowedLinf, linf_injectivity_margin, shad_estimate_linf
 from .operators import BackwardScaledOp, DenseOp, LinOp, op_from_config, scalar_from_json
 from .sampling import (
@@ -121,7 +121,11 @@ def vector_from_config(cfg, tag: str, path: str):
     _require(isinstance(cfg, dict), "vector config must be an object", path)
     if "coords" in cfg:
         coords = cfg["coords"]
-        _require(isinstance(coords, list) and coords, "coords must be a nonempty list", path)
+        _require(
+            isinstance(coords, list) and 1 <= len(coords) <= MAX_DENSE_DIM,
+            f"coords must be a list of 1 to {MAX_DENSE_DIM} entries",
+            path,
+        )
         vals = [scalar_from_json(c, f"{path}.coords[{i}]") for i, c in enumerate(coords)]
         return DenseVector(vals, tag)
     if "entries" in cfg:
@@ -354,7 +358,7 @@ def _task_conjugacy(sc: Scenario) -> dict:
     map_name = params.get("map")
     if map_name is not None:
         _require(
-            map_name in NAMED_MAPS,
+            isinstance(map_name, str) and map_name in NAMED_MAPS,
             f"unknown map {map_name!r}; valid: {sorted(NAMED_MAPS)}",
             "$.parameters.map",
         )

@@ -9,7 +9,6 @@ mismatched tags is rejected rather than coerced.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping
@@ -45,7 +44,7 @@ def check_finite(arr: np.ndarray) -> np.ndarray:
 def check_scalar(z) -> complex:
     z = complex(z)
     if not (math.isfinite(z.real) and math.isfinite(z.imag)):
-        raise ValueError("scalar must have finite real and imaginary parts")
+        raise NonFinite("scalar must have finite real and imaginary parts")
     return z
 
 
@@ -352,6 +351,9 @@ def dense_eig(matrix) -> list[tuple[complex, np.ndarray]]:
         vals, vecs = np.linalg.eig(m)
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(f"eigen decomposition failed: {exc}") from exc
+    with np.errstate(over="ignore"):
+        if not np.isfinite(np.abs(vals)).all():
+            raise NonFinite("eigenvalue moduli must be finite")
 
     scale = max(float(np.linalg.norm(m, 2)), 1e-300)
     pairs: list[tuple[complex, np.ndarray]] = []
@@ -375,7 +377,8 @@ def dense_eig(matrix) -> list[tuple[complex, np.ndarray]]:
 
     def key(p):
         lam = p[0]
-        return (abs(lam), cmath.phase(lam), lam.real, lam.imag)
+        # cmath.phase raises where the angle underflows; math.atan2 does not
+        return (abs(lam), math.atan2(lam.imag, lam.real), lam.real, lam.imag)
 
     pairs.sort(key=key)
     return pairs

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -20,7 +20,7 @@ from .linalg import DenseVector, dense_eig, mat_norm, max_row_norm, row_norms
 from .operators import DenseOp, LinOp
 from .optim import descend
 from .sampling import rng_from_seed
-from .shadowing import PseudoOrbit, shad_bounds, shadow_window_solve
+from .shadowing import PseudoOrbit, _kind, shad_bounds, shadow_window_solve
 from .splitting import spectral_split
 
 MAX_WINDOW_VARIABLES = 4096
@@ -115,12 +115,7 @@ def _taper_profile_seeds(w: WindowedLinf) -> list[np.ndarray]:
     return seeds
 
 
-def linf_injectivity_margin(
-    w: WindowedLinf,
-    rng_seed: int = 0,
-    extra_seeds: Optional[Sequence[np.ndarray]] = None,
-    max_passes: int = 3,
-) -> float:
+def linf_injectivity_margin(w: WindowedLinf, rng_seed: int = 0) -> float:
     """Upper estimate of min over unit windows of the sup norm of the full
     zero-extension output (interior differences plus both boundary outputs).
 
@@ -142,8 +137,6 @@ def linf_injectivity_margin(
     spike = np.zeros((w.window_length, w.dim), dtype=complex)
     spike[w.window_N, 0] = 1.0
     seeds.append(spike.reshape(-1))
-    if extra_seeds:
-        seeds.extend(np.asarray(s, dtype=complex).reshape(-1) for s in extra_seeds)
 
     # rank the seeds by raw objective, then spend the descent budget on the
     # best one; taper profiles are near-optimal already so polish is cheap
@@ -155,11 +148,11 @@ def linf_injectivity_margin(
         e[j] = 1.0
         dirs.append(e)
         dirs.append(1j * e)
-    _, best = descend(objective, ranked[0], dirs, scale=0.25, max_passes=max_passes)
+    _, best = descend(objective, ranked[0], dirs, scale=0.25, max_passes=3)
     return min(best, objective(ranked[0]))
 
 
-def _defect_samples(w: WindowedLinf, count: int, rng_seed: int) -> list[list[DenseVector]]:
+def _defect_samples(w: WindowedLinf, count: int, rng_seed: int) -> list[np.ndarray]:
     """Deterministic defect mix: iid unit rows, constant directions (basis
     first), and resonant rows riding the operator's own powers."""
     rng = rng_from_seed(rng_seed)
@@ -196,7 +189,7 @@ def _defect_samples(w: WindowedLinf, count: int, rng_seed: int) -> list[list[Den
                     cur = u
                     nrm = 1.0
                 rows[i] = cur / nrm
-        samples.append([DenseVector(rows[i], tag) for i in range(steps)])
+        samples.append(rows)
     return samples
 
 
@@ -214,14 +207,13 @@ def shad_estimate_linf(w: WindowedLinf, z_samples: int = 64, rng_seed: int = 0) 
         raise ValueError("z_samples must be positive")
     floor = 1.0 / (1.0 + w.base.operator_norm()) - 1e-9
     tag = w.base.norm_tag
-    dim = w.dim
-    zero = DenseVector(np.zeros(dim), tag)
+    zero = DenseVector(np.zeros(w.dim), tag)
+    k = _kind(w.base, None, [zero])
     best = 0.0
     for z_rows in _defect_samples(w, z_samples, rng_seed):
-        points = [zero]
-        for z in z_rows:
-            points.append(w.base.apply(points[-1]) + z)
-        po = PseudoOrbit(n0=-w.window_N, points=tuple(points), delta=1.0)
+        zs = k.from_rows(z_rows, tag)
+        points = k.walk(k.point(zero), len(zs), lambda i, img: img + zs[i])
+        po = PseudoOrbit(n0=-w.window_N, points=k.vectors(points), delta=1.0)
         res = shadow_window_solve(w.base, po)
         if res.sup_error < floor:
             raise NotCertified(

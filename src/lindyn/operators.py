@@ -11,6 +11,7 @@ and is what the splitting and shadowing layers lean on.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Mapping, Optional
 
@@ -308,6 +309,14 @@ def _candidate_anchors(
     return cands, into_left, into_right
 
 
+def _power_or_inf(x: float, n: int) -> float:
+    """x ** n, or inf where it overflows, as the products beside it do."""
+    try:
+        return x**n
+    except OverflowError:
+        return math.inf
+
+
 class MonomialPowers:
     """n-step weight products of a monomial over the anchors in [lo, hi].
 
@@ -350,9 +359,9 @@ class MonomialPowers:
             runs[j] = (n, p)
             out.append(p)
         if into_left:
-            out.append(mono.left_limit_abs**n)
+            out.append(_power_or_inf(mono.left_limit_abs, n))
         if into_right:
-            out.append(mono.right_limit_abs**n)
+            out.append(_power_or_inf(mono.right_limit_abs, n))
         return out
 
     def sup(self, n: int, stay: bool = False) -> float:
@@ -651,6 +660,8 @@ class CompositionOp(LinOp):
         kinds = {f.vector_kind for f in factors}
         if len(kinds) != 1:
             raise KindMismatch("composition factors must share a vector kind")
+        if kinds == {"dense"} and len({f.dense_matrix().shape for f in factors}) != 1:
+            raise KindMismatch("dense composition factors must share a dimension")
         self.factors = factors
         self.norm_tag = factors[0].norm_tag
 
@@ -740,17 +751,12 @@ def scalar_to_json(z) -> object:
 def scalar_from_json(x, path: str) -> complex:
     if isinstance(x, bool):
         raise ConfigInvalid(f"{path}: expected a scalar, got a bool", location=path)
-    if isinstance(x, (int, float)):
-        return complex(x)
-    if (
-        isinstance(x, (list, tuple))
-        and len(x) == 2
-        and all(isinstance(t, (int, float)) and not isinstance(t, bool) for t in x)
-    ):
-        return complex(x[0], x[1])
-    raise ConfigInvalid(
-        f"{path}: expected a number or [re, im] pair", location=path
-    )
+    parts = x if isinstance(x, (list, tuple)) and len(x) == 2 else (x, 0.0)
+    if not all(isinstance(t, (int, float)) and not isinstance(t, bool) for t in parts):
+        raise ConfigInvalid(f"{path}: expected a number or [re, im] pair", location=path)
+    if not all(abs(t) <= sys.float_info.max for t in parts):
+        raise ConfigInvalid(f"{path}: expected finite parts", location=path)
+    return complex(*parts)
 
 
 def rule_from_config(cfg, path: str):
@@ -806,7 +812,7 @@ def op_from_config(cfg, norm_tag: Optional[str] = None, path: str = "operator") 
     kind = cfg.get("kind")
     if kind == "dense":
         rows = cfg.get("matrix")
-        if not isinstance(rows, list) or not rows:
+        if not isinstance(rows, list) or not rows or not all(isinstance(r, list) for r in rows):
             raise ConfigInvalid(
                 f"{path}.matrix: expected a nonempty list of rows",
                 location=f"{path}.matrix",

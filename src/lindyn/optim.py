@@ -142,13 +142,7 @@ class AffineSupProblem:
     def value(self, s: np.ndarray) -> float:
         return max_row_norm(self.mats @ s + self.offs, self.tag)
 
-    def minimize(
-        self,
-        seeds: Sequence[np.ndarray],
-        extra_dirs: Sequence[np.ndarray] = (),
-        tol: float = 1e-11,
-        max_passes: int = 60,
-    ) -> tuple[np.ndarray, float]:
+    def minimize(self, seeds: Sequence[np.ndarray]) -> tuple[np.ndarray, float]:
         m = self.m
         base_dirs: list[np.ndarray] = []
         eye = np.eye(m, dtype=complex)
@@ -165,14 +159,13 @@ class AffineSupProblem:
                     break
             if len(diag_dirs) >= 18:
                 break
-        diag_dirs.extend(np.asarray(d, dtype=complex) for d in extra_dirs)
 
         best_s, best_f = None, math.inf
         for seed in seeds:
             s = np.array(seed, dtype=complex)
             fs = self.value(s)
             scale = max(1e-6, 0.5 * (1.0 + fs))
-            for _ in range(max_passes):
+            for _ in range(60):
                 improved = 0.0
                 stalled = True
                 for dirs in (base_dirs, diag_dirs):
@@ -192,7 +185,7 @@ class AffineSupProblem:
                     if not stalled:
                         break  # retry cheap coordinate pass before diagonals
                 scale = max(1e-9, min(scale, 0.5 * (1.0 + fs)))
-                if improved <= tol * (1.0 + abs(fs)):
+                if improved <= 1e-11 * (1.0 + abs(fs)):
                     break
             if fs < best_f:
                 best_s, best_f = s, fs

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linalg import DenseVector, SparseBiSeq, array_norm
+from .linalg import DenseVector, SparseBiSeq, row_norms
 
 
 def rng_from_seed(seed: int) -> np.random.Generator:
@@ -32,19 +32,20 @@ def unit_dense_rows(
     rng: np.random.Generator,
     real: bool = False,
 ) -> np.ndarray:
-    """`count` unit vectors as the rows of a (count, dim) complex array."""
-    out = np.empty((max(count, 0), dim), dtype=complex)
-    k = 0
-    while k < count:
-        v = rng.standard_normal(dim)
-        if not real:
-            v = v + 1j * rng.standard_normal(dim)
-        v = np.asarray(v, dtype=complex)
-        n = array_norm(v, tag)
-        if n < 1e-12:
-            continue
-        out[k] = v / n
-        k += 1
+    """`count` unit vectors as the rows of a (count, dim) complex array.
+
+    Each row takes dim normals (then dim more for the imaginary part, unless
+    real) and is redrawn if its norm is below 1e-12. A pass draws all the
+    rows still missing at once, which takes the same numbers from the
+    generator, in the same order, as drawing row by row.
+    """
+    out = np.empty((0, dim), dtype=complex)
+    while len(out) < count:
+        raw = rng.standard_normal((count - len(out), 1 if real else 2, dim))
+        v = np.asarray(raw[:, 0] if real else raw[:, 0] + 1j * raw[:, 1], dtype=complex)
+        n = row_norms(v, tag)
+        keep = n >= 1e-12
+        out = np.concatenate([out, v[keep] / n[keep, None]])
     return out
 
 

@@ -7,9 +7,12 @@ and the unstable part backward. On a finite window with zero extension both
 series are finite sums, computed here by recursions that re-project onto the
 invariant side at every step so roundoff never excites the expanding block.
 
-The pseudo-orbit walk, the correction recursions and Gamma (stability) are
-each written once, for two kinds of point that `_kind` picks per call. The
-row kind serves a DenseOp (with a SpectralSplit where one is needed) and
+Every orbit computation runs once, on one of two kinds of point that `_kind`
+picks per call: the orbit walk (`_Kind.walk`, which builds pseudo-orbits,
+contraction shadows, window-solve trajectories and the integrated defects of
+linf.shad_estimate_linf), the defect and exactness checks of max_defect and
+verify_shadow, both correction recursions, and Gamma (stability). The row
+kind serves a DenseOp (with a SpectralSplit where one is needed) and
 DenseVectors of its tag and dimension: points are the rows of (n, d) complex
 arrays, A, A_inv, P_S and P_U are matrices, and each array is checked for
 finiteness once. The vector kind serves everything else, sequence operators
@@ -69,11 +72,6 @@ class PseudoOrbit:
     def n1(self) -> int:
         return self.n0 + len(self.points) - 1
 
-    def index_of(self, n: int) -> int:
-        if not self.n0 <= n <= self.n1:
-            raise IndexError(f"index {n} outside window [{self.n0}, {self.n1}]")
-        return n - self.n0
-
 
 class _Apply:
     """The vector kind's stand-in for a matrix: M @ v calls a vector map."""
@@ -112,11 +110,19 @@ class _Kind:
             out[k] = self.point(v)
         return out
 
+    def from_rows(self, rows: np.ndarray, tag: str) -> np.ndarray:
+        """Points from the rows of an (n, d) array, as dense vectors of tag."""
+        return rows if self.rows else self.points(DenseVector.from_rows(rows, tag))
+
     def vectors(self, points) -> tuple:
         return DenseVector.from_rows(points, self.tag) if self.rows else tuple(points)
 
     def finite(self, points: np.ndarray) -> np.ndarray:
         return check_finite(points) if self.rows else points
+
+    def finite_mask(self, points: np.ndarray) -> np.ndarray:
+        """Which points are finite; a vector always is, once built."""
+        return np.isfinite(points).all(axis=1) if self.rows else np.ones(len(points), bool)
 
     def norm(self, p) -> float:
         return array_norm(p, self.tag) if self.rows else p.norm()
@@ -130,6 +136,23 @@ class _Kind:
         if self.rows:
             return max_row_norm(points, self.tag)
         return max((p.norm() for p in points), default=0.0)
+
+    def walk(self, start, steps: int, step=None) -> np.ndarray:
+        """The orbit start, A start, ... over steps steps; step(i, img), if
+        given, turns the i-th image into the next point. Overflow propagates
+        once it starts, so rows are checked every 64 steps, which refuses an
+        overflowing walk near its first non-finite row, not at its end."""
+        A = self.A
+        points = self.empty(steps + 1)
+        points[0] = x = start
+        with np.errstate(over="ignore", invalid="ignore"):
+            for i in range(steps):
+                img = A @ x
+                x = img if step is None else step(i, img)
+                points[i + 1] = x
+                if self.rows and i % 64 == 0:
+                    check_finite(x)
+        return points
 
 
 def _kind(op: LinOp, split: Optional[Splitting], vectors: Sequence) -> _Kind:
@@ -156,13 +179,8 @@ def _images(A, points: np.ndarray) -> np.ndarray:
 
 def max_defect(op: LinOp, points: Sequence) -> float:
     k = _kind(op, None, points)
-    if k.rows:
-        rows = k.points(points)
-        return k.sup(check_finite(rows[1:] - _images(k.A, rows[:-1])))
-    worst = 0.0
-    for cur, nxt in zip(points, points[1:]):
-        worst = max(worst, (nxt - op.apply(cur)).norm())
-    return worst
+    pts = k.points(points)
+    return k.sup(k.finite(pts[1:] - _images(k.A, pts[:-1])))
 
 
 def pseudo_orbit(op: LinOp, n0: int, points: Sequence, delta: float) -> PseudoOrbit:
@@ -201,9 +219,7 @@ def generate_pseudo_orbit(
     k = _kind(op, None, [seed])
     dirs = None
     if isinstance(seed, DenseVector):
-        dirs = unit_dense_rows(seed.dim, seed.norm_tag, steps, rng)
-        if not k.rows:
-            dirs = DenseVector.from_rows(dirs, seed.norm_tag)
+        dirs = k.from_rows(unit_dense_rows(seed.dim, seed.norm_tag, steps, rng), seed.norm_tag)
 
     def unit(i: int, img):
         if dirs is not None:
@@ -213,20 +229,14 @@ def generate_pseudo_orbit(
         hi = (sup[-1] if sup else 0) + 1
         return unit_seq_samples(lo, hi, img.norm_tag, 1, rng, support=2)[0]
 
-    A, norm = k.A, k.norm
-    points = k.empty(steps + 1)
-    points[0] = x = k.point(seed)
-    # an overflowing walk is refused by the kind's finiteness checks
-    with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(steps):
-            img = A @ x
-            x = img + unit(i, img) * complex(delta * rng.uniform(0.0, 1.0))
-            # once the orbit magnitude reaches delta / ulp the stored sum can
-            # round to a defect above delta; drop such a step entirely so the
-            # declared delta stays certified
-            if norm(x - img) > delta:
-                x = img
-            points[i + 1] = x
+    def perturb(i: int, img):
+        x = img + unit(i, img) * complex(delta * rng.uniform(0.0, 1.0))
+        # once the orbit magnitude reaches delta / ulp the stored sum can
+        # round to a defect above delta; drop such a step entirely so the
+        # declared delta stays certified
+        return img if k.norm(x - img) > delta else x
+
+    points = k.walk(k.point(seed), steps, perturb)
     return pseudo_orbit(op, n0, k.vectors(points), delta)
 
 
@@ -380,43 +390,25 @@ def verify_shadow(op: LinOp, po: PseudoOrbit, res: ShadowResult) -> None:
     traj = res.trajectory
     if len(traj) != len(po.points):
         raise NotCertified("trajectory length does not match the window")
-    kind = _kind(op, None, (*traj, *po.points))
-    if kind.rows:
-        sup = _exact_sup_rows(op, kind.points(traj), kind.points(po.points))
-    else:
-        for k in range(len(traj) - 1):
-            img = op.apply(traj[k])
-            defect = (traj[k + 1] - img).norm()
-            if defect > 1e-12 * (1.0 + img.norm()):
-                raise NotCertified(
-                    f"trajectory defect {defect:.3g} at offset {k} breaks orbit exactness"
-                )
-        sup = 0.0
-        for t, p in zip(traj, po.points):
-            sup = max(sup, (t - p).norm())
+    k = _kind(op, None, (*traj, *po.points))
+    pts = k.points(traj)
+    imgs = _images(k.A, pts[:-1])
+    diffs = pts[1:] - imgs
+    defects = k.norms(diffs)
+    # non-finite rows fail too, so the first failing offset decides between
+    # the finiteness error and the exactness error
+    ok = k.finite_mask(diffs) & (defects <= 1e-12 * (1.0 + k.norms(imgs)))
+    if not ok.all():
+        i = int(np.argmin(ok))
+        k.finite(diffs[i : i + 1])
+        raise NotCertified(
+            f"trajectory defect {defects[i]:.3g} at offset {i} breaks orbit exactness"
+        )
+    sup = k.sup(k.finite(pts - k.points(po.points)))
     if sup > res.constant_used * po.delta + 1e-9:
         raise NotCertified(
             f"sup error {sup:.6g} exceeds {res.constant_used:.6g} * delta + 1e-9"
         )
-
-
-def _exact_sup_rows(op: DenseOp, rows: np.ndarray, points: np.ndarray) -> float:
-    """verify_shadow's exactness check on stacked arrays, raising what the
-    per-vector loop raises; returns the sup distance to the points."""
-    tag = op.norm_tag
-    imgs = _images(op.matrix, rows[:-1])
-    diffs = rows[1:] - imgs
-    defects = row_norms(diffs, tag)
-    # non-finite rows are flagged too, so the first failing offset decides
-    # between the finiteness error and the exactness error, as in the loop
-    ok = np.isfinite(diffs).all(axis=1) & (defects <= 1e-12 * (1.0 + row_norms(imgs, tag)))
-    if not ok.all():
-        k = int(np.argmin(ok))
-        check_finite(diffs[k])
-        raise NotCertified(
-            f"trajectory defect {defects[k]:.3g} at offset {k} breaks orbit exactness"
-        )
-    return max_row_norm(check_finite(rows - points), tag)
 
 
 def shadow_splitting_series(
@@ -485,19 +477,19 @@ def shadow_contraction(op: LinOp, po: PseudoOrbit, tol: float = 1e-10) -> Shadow
         raise NonContracting(
             f"operator norm {lam:.6g} is not below 1", ratio=lam, bound=1.0
         )
-    anchor = po.points[0]
-    traj = [anchor]
-    for _ in range(len(po.points) - 1):
-        traj.append(op.apply(traj[-1]))
-    sup_error = max((t - p).norm() for t, p in zip(traj, po.points))
+    k = _kind(op, None, po.points)
+    points = k.points(po.points)
+    traj = k.walk(points[0], len(points) - 1)
+    sup_error = k.sup(k.finite(traj - points))
     constant = 1.0 / (1.0 - lam)
     if sup_error > constant * po.delta + tol:
         raise NotCertified(
             f"contraction shadow error {sup_error:.6g} exceeds delta/(1-lambda) + tol"
         )
+    trajectory = k.vectors(traj)
     result = ShadowResult(
-        shadow_seed=traj[0],
-        trajectory=tuple(traj),
+        shadow_seed=trajectory[0],
+        trajectory=trajectory,
         sup_error=sup_error,
         constant_used=constant,
         method="contraction_fixed_point",
@@ -547,14 +539,10 @@ def shadow_window_solve(op: LinOp, po: PseudoOrbit) -> ShadowResult:
             pass
 
     best_seed, _ = problem.minimize(seeds)
-    dense = isinstance(op, DenseOp)
-    rows = np.empty_like(points)
-    rows[0] = x = DenseVector(best_seed, tag).coords
-    for k in range(1, n_pts):
-        x = matrix @ x if dense else op.apply(DenseVector(x, tag)).coords
-        rows[k] = x
-    traj = DenseVector.from_rows(rows, tag)
-    sup_error = max_row_norm(check_finite(rows - points), tag)
+    kind = _kind(op, None, po.points)
+    walked = kind.walk(kind.point(DenseVector(best_seed, tag)), n_pts - 1)
+    traj = kind.vectors(walked)
+    sup_error = kind.sup(kind.finite(walked - kind.from_rows(points, tag)))
     if sup_error == 0.0:
         constant = 0.0
     elif po.delta > 0.0:

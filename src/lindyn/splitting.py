@@ -182,7 +182,10 @@ def spectral_split(op: DenseOp, circle_gap_tol: float = DEFAULT_CIRCLE_GAP_TOL) 
     if V.shape[1] != d:
         raise InvalidSplitting("eigenvectors do not span the space")
     cond = float(np.linalg.cond(V))
-    Vinv = np.linalg.inv(V)
+    try:
+        Vinv = np.linalg.inv(V)
+    except np.linalg.LinAlgError:
+        raise InvalidSplitting("eigenvectors do not span the space") from None
     k = V_S.shape[1]
     sel_S = np.zeros((d, d), dtype=complex)
     sel_S[:k, :k] = np.eye(k)
@@ -351,17 +354,15 @@ def _monomial_geom_sum(
     k_cap = 10_000
     if shift == 0:
         cands, into_left, into_right = _candidate_anchors(mono, 1, lo, hi)
-        vals = []
-        for j in cands:
-            c = mono.coeff(j)
-            vals.append((abs(c) if from_one else 1.0) / abs(1.0 - c))
+        weights = [mono.coeff(j) for j in cands]
         if into_left and mono.left_limit is not None:
-            lim = mono.left_limit
-            vals.append((abs(lim) if from_one else 1.0) / abs(1.0 - lim))
+            weights.append(mono.left_limit)
         if into_right and mono.right_limit is not None:
-            lim = mono.right_limit
-            vals.append((abs(lim) if from_one else 1.0) / abs(1.0 - lim))
-        return max(vals) if vals else 0.0
+            weights.append(mono.right_limit)
+        # a diagonal weight or tail equal to 1 leaves I - L singular there
+        if any(c == 1.0 for c in weights):
+            raise NotCertified("resolvent sum meets a diagonal weight or tail equal to 1")
+        return max(((abs(c) if from_one else 1.0) / abs(1.0 - c) for c in weights), default=0.0)
 
     # a window open toward a tail of modulus >= 1 holds walks that never
     # decay, so their sum is not certified to converge

@@ -1,9 +1,13 @@
+import copy
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lindyn.cli import (
     SUITES,
+    TASKS,
     list_examples,
     load_scenario_file,
     main,
@@ -157,6 +161,7 @@ def test_suite_size_validation():
         ("hypercyclic", {"eps": float("inf")}, 2),
         # the walk overflows: a coded task error, not a traceback
         ("shadow", {"window": [0, 100000]}, 3),
+        ("shadow", {"seed_vector": {"coords": [1.0] * 40}}, 2),
     ],
 )
 def test_main_refuses_bad_parameters(tmp_path, capsys, task, params, code):
@@ -171,3 +176,162 @@ def test_main_refuses_bad_parameters(tmp_path, capsys, task, params, code):
         assert err.startswith("CONFIG_INVALID")
     else:
         assert json.loads(out)["tasks"][task]["error"] == "NON_FINITE"
+
+
+@pytest.mark.parametrize(
+    "operator, tasks, params, code",
+    [
+        # an integer JSON can hold but a float cannot
+        ({"kind": "backward_scaled", "factor": 10**400}, ["hypercyclic"], {}, 2),
+        ({"kind": "dense", "matrix": [1, 2]}, ["classify"], {}, 2),
+        (
+            {"kind": "compose", "factors": [
+                {"kind": "dense", "matrix": [[2.0, 0.0], [0.0, 0.5]]},
+                {"kind": "dense", "matrix": [[2.0]]},
+            ]},
+            ["shadow"], {}, 2,
+        ),
+        ({"kind": "dense", "matrix": [[2.0]]}, ["conjugacy"], {"map": {}}, 2),
+        # overflow, a defective eigenbasis and an underflowing eigenvalue
+        # angle end in coded task errors
+        ({"kind": "diag", "rule": {"neg_and_zero": 1e308, "pos": 1e-200}}, ["bounds"], {}, 3),
+        ({"kind": "diag", "rule": {"neg_and_zero": -1e-161, "pos": 2.0}}, ["homoclinic"], {}, 3),
+        (
+            {
+                "kind": "dense",
+                "matrix": [[1e-13, 1e-50, -1e-8], [0.0, 0.0, 1e308], [0.0, 0.0, -1e-20]],
+            },
+            ["conjugacy"], {}, 3,
+        ),
+        (
+            {"kind": "dense", "matrix": [[1e308, 1e308], [[1.8, -1e-38], 1e-272]]},
+            ["classify"], {}, 3,
+        ),
+    ],
+)
+def test_main_codes_malformed_and_overflowing_operators(
+    tmp_path, capsys, operator, tasks, params, code
+):
+    cfg = {"operator": dict(operator, norm="l1"), "tasks": tasks, "parameters": params}
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["run", str(path)]) == code
+    capsys.readouterr()
+
+
+# Scenarios for the exit-code fuzz test: well-typed ones with common and
+# borderline values (zero, unit weights, nan, overflow), half of them with
+# one number or string at any depth replaced by a wrongly typed value. Only
+# the number of examples and the sizes that set a task's running time
+# (windows, linf_N, linf_samples, suite size, matrix side) are kept small,
+# so that the test fits tier-1 time.
+JUNK = st.sampled_from([None, True, "x", [], {}, [1, 2, 3]])
+
+
+def rarely(common, rare, odds: int = 5):
+    """common, or one time in odds rare."""
+    return st.integers(1, odds).flatmap(lambda k: rare if k == 1 else common)
+
+
+SCALAR = rarely(
+    st.floats(-3.0, 3.0) | st.lists(st.floats(-2.0, 2.0), min_size=2, max_size=2),
+    st.sampled_from([0.0, 1.0, 1e-200, 1e308, float("nan"), 10**400]),
+)
+NUMBER = rarely(
+    st.floats(1e-3, 2.0) | st.integers(1, 3),
+    st.sampled_from([0, -1.0, 1e-300, 1e308, float("inf"), float("nan")]),
+)
+COUNT = rarely(st.integers(1, 2), st.sampled_from([0, -1]))
+INDEX = st.sampled_from(["0", "1", "-2"])
+RULE = st.one_of(
+    st.fixed_dictionaries({"named": st.just("approach_one")}),
+    st.fixed_dictionaries(
+        {"table": st.dictionaries(INDEX, SCALAR, max_size=2), "default": SCALAR}
+    ),
+    st.fixed_dictionaries({"neg_and_zero": SCALAR, "pos": SCALAR}),
+)
+MATRIX = rarely(
+    st.integers(1, 3).flatmap(
+        lambda d: st.lists(st.lists(SCALAR, min_size=d, max_size=d), min_size=d, max_size=d)
+    ),
+    st.lists(st.lists(SCALAR, max_size=3), max_size=3) | st.just([[0.5] * 33] * 33),
+)
+LEAF = st.one_of(
+    st.fixed_dictionaries({"kind": st.just("dense"), "matrix": MATRIX}),
+    st.fixed_dictionaries({"kind": st.just("diag"), "rule": RULE}),
+    st.fixed_dictionaries({"kind": st.just("shift"), "offset": st.integers(-2, 2)}),
+    st.fixed_dictionaries({"kind": st.just("backward_scaled"), "factor": SCALAR}),
+)
+COMPOSE = st.fixed_dictionaries({"kind": st.just("compose"), "factors": st.lists(LEAF, max_size=2)})
+OPERATOR = st.tuples(LEAF | COMPOSE, st.sampled_from(["l1", "l2", "linf"])).map(
+    lambda pair: dict(pair[0], norm=pair[1])
+)
+PARAMETERS = st.fixed_dictionaries(
+    {},
+    optional={
+        "delta": NUMBER,
+        "window": st.lists(st.integers(-3, 40), min_size=2, max_size=2),
+        "seed_vector": st.one_of(
+            st.fixed_dictionaries({"coords": st.lists(SCALAR, max_size=4)}),
+            st.just({"coords": [1.0] * 40}),
+            st.fixed_dictionaries({"entries": st.dictionaries(INDEX, SCALAR, max_size=2)}),
+        ),
+        "linf_N": COUNT.map(lambda n: n + 1),
+        "linf_samples": COUNT,
+        "eps": NUMBER,
+        "map": st.just("saddle_cubic"),
+        "box_radius": NUMBER,
+        "tol": NUMBER,
+        "amplitude": NUMBER,
+        "radius": NUMBER,
+        "suite": st.sampled_from(SUITES),
+        "size": COUNT,
+    },
+)
+WELL_TYPED = st.fixed_dictionaries(
+    {"operator": OPERATOR, "tasks": st.lists(st.sampled_from(TASKS), min_size=1, max_size=3)},
+    optional={
+        "splitting": st.one_of(
+            st.fixed_dictionaries({"kind": st.just("coordinate"), "cutoff": st.integers(-2, 2)}),
+            st.fixed_dictionaries({"kind": st.just("spectral"), "gap": NUMBER}),
+        ),
+        "parameters": PARAMETERS,
+        "rng_seed": st.integers(0, 2**40),
+    },
+)
+
+
+def _leaves(node, path=()):
+    """The path of every value under node that is not a dict or a list."""
+    if isinstance(node, dict):
+        for key, child in node.items():
+            yield from _leaves(child, (*path, key))
+    elif isinstance(node, list):
+        for i, child in enumerate(node):
+            yield from _leaves(child, (*path, i))
+    else:
+        yield path
+
+
+def _replace(node, path, value):
+    if not path:
+        return value
+    out = copy.copy(node)
+    out[path[0]] = _replace(node[path[0]], path[1:], value)
+    return out
+
+
+def _mutate(cfg):
+    """cfg with one number or string, at any depth, replaced by a wrongly
+    typed value."""
+    return st.tuples(st.sampled_from(list(_leaves(cfg))), JUNK).map(
+        lambda pair: _replace(cfg, *pair)
+    )
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(cfg=WELL_TYPED | WELL_TYPED.flatmap(_mutate))
+def test_main_exit_codes_on_mutated_scenarios(tmp_path_factory, cfg):
+    path = tmp_path_factory.mktemp("fuzz") / "scenario.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["run", str(path)]) in (0, 2, 3)

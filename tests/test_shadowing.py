@@ -1,4 +1,5 @@
 import dataclasses
+import time
 
 import numpy as np
 import pytest
@@ -78,6 +79,20 @@ def test_generated_orbit_overflow_is_refused():
     # vector is
     with pytest.raises(ValueError, match="coordinates must be finite"):
         generate_pseudo_orbit(SADDLE, DenseVector([1, 1], LINF), (0, 1100), 1e-3, 1)
+
+
+def test_overflowing_walk_stops_near_its_first_non_finite_point():
+    # the orbit overflows near step 1030 of 100000; the walk is refused
+    # there instead of running on nan rows to its end, which takes over
+    # ten times the bound below
+    seed = DenseVector([0.5, 0.5], LINF)
+    times = []
+    for _ in range(3):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="coordinates must be finite"):
+            generate_pseudo_orbit(SADDLE, seed, (0, 100_000), 1e-3, 1)
+        times.append(time.perf_counter() - start)
+    assert min(times) < 0.15
 
 
 def test_non_diagonal_operator_orbit_and_shadows_certify():

@@ -31,7 +31,7 @@ from lindyn.gallery import (
     saddle,
     shifted_weighted_contraction,
 )
-from lindyn.operators import ApproachOneWeights, CompositionOp, SignWeights
+from lindyn.operators import ApproachOneWeights, CompositionOp, SignWeights, TableWeights
 from lindyn.splitting import (
     power_norm_S,
     power_norm_U_inv,
@@ -120,6 +120,13 @@ def test_resolvent_refuses_a_side_open_toward_a_unit_tail():
         with pytest.raises(NotCertified, match="tail of modulus 1 >= 1"):
             side(op, split)
     assert time.perf_counter() - start < 1.0
+
+
+def test_resolvent_refuses_a_unit_diagonal_weight():
+    # I - L is singular on the tail of weights 1, so there is no resolvent
+    op = DiagonalOp(TableWeights.from_mapping({0: 0.5}, 1.0), L1)
+    with pytest.raises(NotCertified, match="equal to 1"):
+        resolvent_norm_S(op, CoordinateSplit(0, L1))
 
 
 def test_classify_saddle_hyperbolic():
