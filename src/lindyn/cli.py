@@ -66,6 +66,8 @@ TASKS = (
 )
 SUITES = ("finite_dim_equivalence", "block_product", "calculus", "contractive_sum")
 MAX_SUITE_SIZE = 10_000
+# the shadow task's walk and pseudo-orbit hold all n1 - n0 + 1 points at once
+MAX_SHADOW_STEPS = 100_000
 
 
 def _num(x: float):
@@ -250,6 +252,11 @@ def _task_shadow(sc: Scenario) -> dict:
         and all(isinstance(w, int) and not isinstance(w, bool) for w in window)
         and window[0] <= window[1],
         "window must be [n0, n1] with integers n0 <= n1",
+        "$.parameters.window",
+    )
+    _require(
+        window[1] - window[0] <= MAX_SHADOW_STEPS,
+        f"window may span at most {MAX_SHADOW_STEPS} steps",
         "$.parameters.window",
     )
     seed_cfg = params.get("seed_vector")

@@ -13,7 +13,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import KindMismatch, NotCertified
+from .errors import KindMismatch, NonFinite, NotCertified
 from .linalg import DenseVector, array_norm, max_row_norm
 from .operators import LinOp
 from .optim import coordinate_directions, descend, diagonal_directions
@@ -125,7 +125,8 @@ def central_window_growth(
     Dense only, dimension capped at 8. A hyperbolic operator forces growth
     so the value climbs with N; an isometry pins it at 1. Minimization runs
     the deterministic descent over normalized vectors from basis and random
-    seeds, so reported values are upper bounds for the true min.
+    seeds, so reported values are upper bounds for the true min. Powers
+    that overflow are refused with NonFinite before any descent.
     """
     if op.vector_kind != "dense":
         raise KindMismatch("window growth needs a dense operator")
@@ -136,21 +137,24 @@ def central_window_growth(
     if any(n < 0 for n in n_list):
         raise ValueError("window half-lengths must be nonnegative")
     inv_matrix = np.linalg.inv(matrix) if op.invertible() else None
+    # powers up to the largest N, shared by every N and checked once
+    top = max(n_list, default=0)
+    eye = np.eye(dim, dtype=complex)
+    forward, backward = [eye], [eye]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(top):
+            forward.append(matrix @ forward[-1])
+            if inv_matrix is not None:
+                backward.append(inv_matrix @ backward[-1])
+    if not np.isfinite(np.stack(forward + backward)).all():
+        raise NonFinite(f"powers of the matrix or its inverse up to {top} overflow")
     rng = rng_from_seed(rng_seed)
     out: dict[int, float] = {}
     for N in n_list:
         if N == 0:
             out[0] = 1.0
             continue
-        powers = [np.eye(dim, dtype=complex)]
-        for _ in range(N):
-            powers.append(matrix @ powers[-1])
-        if inv_matrix is not None:
-            back = np.eye(dim, dtype=complex)
-            for _ in range(N):
-                back = inv_matrix @ back
-                powers.append(back.copy())
-        stack = np.stack(powers)
+        stack = np.stack(forward[: N + 1] + backward[1 : N + 1])
 
         def growth(v: np.ndarray) -> float:
             nv = array_norm(v, op.norm_tag)

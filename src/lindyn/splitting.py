@@ -284,17 +284,6 @@ class RestrictedPowers:
         return lambda n: mat_norm(V * (lam**n)[None, :], tag) * pinv_norm
 
 
-def power_norm_S(op: LinOp, split: Splitting, n: int) -> float:
-    """||L^n restricted to S||, one term of RestrictedPowers(op, split, "S");
-    hold that sequence instead when many n are needed."""
-    return RestrictedPowers(op, split, "S")(n)
-
-
-def power_norm_U_inv(op: LinOp, split: Splitting, n: int) -> float:
-    """||L^{-n} restricted to U||, one term of RestrictedPowers(op, split, "U")."""
-    return RestrictedPowers(op, split, "U")(n)
-
-
 def restricted_radius_S(
     op: LinOp, split: Splitting, horizon: int = 64, powers: Optional[RestrictedPowers] = None
 ) -> float:

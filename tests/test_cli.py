@@ -1,5 +1,6 @@
 import copy
 import json
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -161,6 +162,8 @@ def test_suite_size_validation():
         ("hypercyclic", {"eps": float("inf")}, 2),
         # the walk overflows: a coded task error, not a traceback
         ("shadow", {"window": [0, 100000]}, 3),
+        # a longer window is refused before anything is allocated
+        ("shadow", {"window": [0, 10**9]}, 2),
         ("shadow", {"seed_vector": {"coords": [1.0] * 40}}, 2),
     ],
 )
@@ -217,6 +220,34 @@ def test_main_codes_malformed_and_overflowing_operators(
     path.write_text(json.dumps(cfg))
     assert main(["run", str(path)]) == code
     capsys.readouterr()
+
+
+BIG_DIAGONAL = [[1e308, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
+
+
+@pytest.mark.parametrize(
+    "operator, task, error, seconds",
+    [
+        # series horizons of 533 and 88 steps: each Picard level walks both
+        # at every point of both, so a query ran for minutes unbudgeted
+        (
+            {"matrix": [[3.8e-70, 1.31], [[-8.1e-150, -1.0], [0.617, 1.7e-190]]], "norm": "linf"},
+            "conjugacy", "TRAJECTORY_BUDGET", 10.0,
+        ),
+        # overflowing powers once sent the window growth descent on for 20 s
+        ({"matrix": BIG_DIAGONAL, "norm": "l1"}, "expansivity", "NON_FINITE", 1.0),
+        ({"matrix": BIG_DIAGONAL, "norm": "l2"}, "expansivity", "NON_FINITE", 1.0),
+        ({"matrix": BIG_DIAGONAL, "norm": "linf"}, "expansivity", "NON_FINITE", 1.0),
+    ],
+)
+def test_main_refuses_runaway_work_quickly(tmp_path, capsys, operator, task, error, seconds):
+    cfg = {"operator": dict(operator, kind="dense"), "tasks": [task]}
+    path = tmp_path / "runaway.json"
+    path.write_text(json.dumps(cfg))
+    t0 = time.perf_counter()
+    assert main(["run", str(path)]) == 3
+    assert time.perf_counter() - t0 < seconds
+    assert json.loads(capsys.readouterr().out)["tasks"][task]["error"] == error
 
 
 # Scenarios for the exit-code fuzz test: well-typed ones with common and

@@ -33,8 +33,7 @@ from lindyn.gallery import (
 )
 from lindyn.operators import ApproachOneWeights, CompositionOp, SignWeights, TableWeights
 from lindyn.splitting import (
-    power_norm_S,
-    power_norm_U_inv,
+    RestrictedPowers,
     restricted_radius_S,
     restricted_radius_U_inv,
 )
@@ -74,8 +73,8 @@ def test_restricted_power_norms_exact_on_axes():
     op = saddle()
     split = spectral_split(op)
     for n in (1, 2, 5):
-        assert power_norm_S(op, split, n) == 2.0 ** (-n)
-        assert power_norm_U_inv(op, split, n) == 2.0 ** (-n)
+        assert RestrictedPowers(op, split, "S")(n) == 2.0 ** (-n)
+        assert RestrictedPowers(op, split, "U")(n) == 2.0 ** (-n)
 
 
 def test_restricted_power_norms_bound_skew_basis():
@@ -85,10 +84,10 @@ def test_restricted_power_norms_bound_skew_basis():
     split = spectral_split(op)
     for n in (1, 2, 5):
         exact = 3.0 ** (-n)
-        got = power_norm_S(op, split, n)
+        got = RestrictedPowers(op, split, "S")(n)
         assert exact - 1e-12 <= got <= 4.0 * exact
         exact_u = 1.5 ** (-n)
-        got_u = power_norm_U_inv(op, split, n)
+        got_u = RestrictedPowers(op, split, "U")(n)
         assert exact_u - 1e-12 <= got_u <= 4.0 * exact_u
     assert abs(restricted_radius_S(op, split) - 1.0 / 3.0) < 0.05
     assert abs(restricted_radius_U_inv(op, split) - 2.0 / 3.0) < 0.05

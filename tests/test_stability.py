@@ -14,6 +14,7 @@ from lindyn import (
     NotCertified,
     NotContraction,
     NotContractiveSpectrum,
+    TrajectoryBudget,
     classify,
     conjugacy_residual,
     conjugacy_solve,
@@ -26,6 +27,7 @@ from lindyn import (
     spectral_split,
     verify_contractive_sum,
 )
+from lindyn import stability
 from lindyn.gallery import (
     contraction_half,
     quarter_rotation,
@@ -39,7 +41,6 @@ from lindyn.splitting import SpectralSplit
 from lindyn.stability import (
     PHI_LIP_MAX,
     ConjugacyField,
-    GammaField,
     compute_horizons,
     perturbed_backward_map,
 )
@@ -179,8 +180,9 @@ def test_conjugacy_fields_on_array_path_match_bit_for_bit(name, tag):
     fast = ConjugacyField(op, split, bump, 2, horizons)
     slow = ConjugacyField(ref, split, bump, 2, horizons)
     inv = inverse_conjugacy(op, split, bump, tol=1e-6).field
-    inv_fast = GammaField(op, split, inv.alpha, inv.horizons, inv.traj_forward, inv.traj_backward)
-    inv_slow = GammaField(ref, split, inv.alpha, inv.horizons, inv.traj_forward, inv.traj_backward)
+    maps = (inv.traj_forward, inv.traj_backward)
+    inv_fast = ConjugacyField(op, split, inv.beta, 1, inv.horizons, *maps)
+    inv_slow = ConjugacyField(ref, split, inv.beta, 1, inv.horizons, *maps)
     for x in points:
         hx = fast(x)
         assert raw(hx) == raw(slow(x))
@@ -219,7 +221,7 @@ def test_dense_input_never_takes_the_vector_kind(name, monkeypatch):
     assert res.sup_error <= res.constant_used * po.delta + 1e-9
     for x in points:
         gx = gamma_eval(op, split, bump, x, horizons)
-        assert gx.norm() <= horizons.gamma_bound * bump.sup_norm + 1e-12
+        assert gx.norm() <= horizons.gamma * bump.sup_norm + 1e-12
 
 
 def test_conjugacy_solution_certificates():
@@ -265,6 +267,21 @@ def test_inverse_residual_small():
     inv = inverse_conjugacy(SADDLE, SPLIT, BUMP, tol=1e-8)
     res = inverse_residual(SADDLE, BUMP, inv.field, sample_points(15, seed=9))
     assert res <= 1e-6
+
+
+def test_query_budget_counts_each_query_alone(monkeypatch):
+    # the inverse field is one Gamma per memo miss, so each query at a new
+    # point walks both horizons once
+    inv = inverse_conjugacy(SADDLE, SPLIT, BUMP, tol=1e-8)
+    per_miss = len(inv.horizons.a_terms) + len(inv.horizons.b_terms)
+    points = sample_points(5, seed=12)
+    monkeypatch.setattr(stability, "QUERY_WALK_CAP", per_miss)
+    for x in points:
+        inv.field(x)
+    assert len(inv.field._memo) == len(points)
+    monkeypatch.setattr(stability, "QUERY_WALK_CAP", per_miss - 1)
+    with pytest.raises(TrajectoryBudget):
+        inv.field(points[0] * 0.5)
 
 
 def test_conjugacy_requires_contraction():
