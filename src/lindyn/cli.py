@@ -292,11 +292,16 @@ def _task_shadow(sc: Scenario) -> dict:
         and sc.op.dense_matrix().shape[0] <= WINDOW_SOLVE_MAX_DIM
         and len(po.points) <= WINDOW_SOLVE_MAX_LEN
     ):
-        res = shadow_window_solve(sc.op, po)
-        methods["window_solve"] = {
-            "sup_error": _num(res.sup_error),
-            "constant_used": _num(res.constant_used),
-        }
+        try:
+            res = shadow_window_solve(sc.op, po)
+            methods["window_solve"] = {
+                "sup_error": _num(res.sup_error),
+                "constant_used": _num(res.constant_used),
+                "lower": _num(res.lower),
+                "gap": _num(res.sup_error - res.lower),
+            }
+        except LindynError as exc:
+            methods["window_solve"] = {"error": exc.code, "message": str(exc)}
     ok = [m for m, r in methods.items() if "error" not in r]
     if not ok:
         raise LindynError(f"no shadowing method succeeded out of {sorted(methods)}")

@@ -205,6 +205,19 @@ class SparseBiSeq:
         return f"SparseBiSeq({{{items}}}, {self.norm_tag!r})"
 
 
+def _scaled_l2(mags: np.ndarray) -> np.ndarray:
+    """l2 norms of the rows of the (n, d) moduli mags, as
+    max * sqrt(sum (m / max)^2): the plain sum of squares overflows from
+    about 1.3e154, this only where the norm itself does. A row whose max is
+    0, inf or nan keeps it as its norm."""
+    top = mags.max(axis=1)
+    out = top.copy()
+    ok = np.isfinite(top) & (top > 0)
+    scaled = mags[ok] / top[ok, None]
+    out[ok] = top[ok] * np.sqrt((scaled * scaled).sum(axis=1))
+    return out
+
+
 def array_norm(arr: np.ndarray, tag: str) -> float:
     check_norm_tag(tag)
     if arr.size == 0:
@@ -213,7 +226,8 @@ def array_norm(arr: np.ndarray, tag: str) -> float:
     if tag == L1:
         return float(mags.sum())
     if tag == L2:
-        return float(np.sqrt((mags * mags).sum()))
+        sq = (mags * mags).sum()
+        return float(np.sqrt(sq)) if math.isfinite(sq) else float(_scaled_l2(mags.reshape(1, -1))[0])
     return float(mags.max())
 
 
@@ -224,7 +238,11 @@ def row_norms(rows: np.ndarray, tag: str) -> np.ndarray:
     if tag == L1:
         return mags.sum(axis=1)
     if tag == L2:
-        return np.sqrt((mags * mags).sum(axis=1))
+        out = np.sqrt((mags * mags).sum(axis=1))
+        over = ~np.isfinite(out)
+        if over.any():
+            out[over] = _scaled_l2(mags[over])
+        return out
     return mags.max(axis=1)
 
 
@@ -234,7 +252,8 @@ def max_row_norm(rows: np.ndarray, tag: str) -> float:
     Bit for bit float(row_norms(rows, tag).max(initial=0.0)), but cheaper:
     under linf one flat max replaces n row maxima, and under l2 one square
     root of the largest sum of squares replaces n (the square root is
-    monotone and correctly rounded, so it commutes with the max).
+    monotone and correctly rounded, so it commutes with the max) unless a
+    sum overflows.
     """
     mags = np.abs(rows)
     if tag == LINF:
@@ -242,7 +261,8 @@ def max_row_norm(rows: np.ndarray, tag: str) -> float:
     if tag == L1:
         return float(mags.sum(axis=1).max(initial=0.0))
     check_norm_tag(tag)
-    return math.sqrt(float((mags * mags).sum(axis=1).max(initial=0.0)))
+    top = float((mags * mags).sum(axis=1).max(initial=0.0))
+    return math.sqrt(top) if math.isfinite(top) else float(row_norms(rows, tag).max())
 
 
 def as_square_matrix(rows) -> np.ndarray:

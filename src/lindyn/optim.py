@@ -1,20 +1,25 @@
-"""Deterministic derivative-free minimization used across the toolkit.
+"""Deterministic minimization used across the toolkit.
 
-Everything here is exact-arithmetic-free numerics: bracketed golden-section
-line searches driven by coordinate passes, augmented with pairwise diagonal
-directions when a pass stalls, restarted from a small deterministic seed set.
-No randomness is consumed beyond generators the caller passes in, so repeated
-runs agree bit for bit.
+Two tools, neither drawing random numbers, so repeated runs agree bit for
+bit. The derivative-free descent (golden-section line searches along a
+fixed direction list, steps taken only when they decrease the objective)
+serves linf's injectivity margin and the expansivity search; it gives an
+upper estimate of a minimum and certifies nothing. min_max_norm solves the
+convex problem min_w max_n ||A_n w + e_n|| of the window solve: a cutting
+plane LP (a revised simplex, warm-started between rounds) polished by
+Newton's method on the active pieces, returning its point with a certified
+lower bound from the Lagrangian dual. There is no restart minimizer.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .linalg import max_row_norm
+from .linalg import L1, LINF
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -125,69 +130,249 @@ def diagonal_directions(dim: int, limit: int = 24) -> list[np.ndarray]:
     return dirs
 
 
-class AffineSupProblem:
-    """Minimize s -> max_n || M_n s + w_n ||_tag over complex seeds s.
+# ---------------------------------------------------------------------------
+# Certified min-max of affine norms
+# ---------------------------------------------------------------------------
 
-    The per-direction slices are convex, and every line evaluation is a
-    single vectorized pass over precomputed arrays.
+# min_max_norm stops once its bracket is this close, relative to its value
+MIN_MAX_RTOL = 1e-9
+
+
+@dataclass(frozen=True)
+class MinMaxNorm:
+    """A point w of min_w max_n ||A_n w + e_n|| with a certified bracket:
+    lower <= optimum <= value, where value is the objective at w."""
+
+    w: np.ndarray
+    value: float
+    lower: float
+
+
+def _blocks(A: np.ndarray, e: np.ndarray, tag: str) -> tuple[np.ndarray, np.ndarray]:
+    """The pieces of the objective in real coordinates x = (Re w, Im w).
+
+    Piece p is sum_b ||B[p, b] x + c[p, b]||_2 over its blocks b: one
+    complex entry (two real rows) per piece under linf, one piece per n with
+    a block per entry under l1, and one block of all 2d real rows per n
+    under l2. The objective is the largest piece.
     """
+    N, d, m = A.shape
+    B = np.empty((N, d, 2, 2 * m))
+    B[:, :, 0, :m], B[:, :, 0, m:] = A.real, -A.imag
+    B[:, :, 1, :m], B[:, :, 1, m:] = A.imag, A.real
+    c = np.stack([e.real, e.imag], axis=-1)
+    if tag == LINF:
+        return B.reshape(N * d, 1, 2, 2 * m), c.reshape(N * d, 1, 2)
+    if tag == L1:
+        return B, c
+    return B.reshape(N, 1, 2 * d, 2 * m), c.reshape(N, 1, 2 * d)
 
-    def __init__(self, mats: np.ndarray, offs: np.ndarray, tag: str):
-        # mats: (N, out, m) complex; offs: (N, out) complex
-        self.mats = np.asarray(mats, dtype=complex)
-        self.offs = np.asarray(offs, dtype=complex)
-        self.tag = tag
-        self.m = self.mats.shape[2]
 
-    def value(self, s: np.ndarray) -> float:
-        return max_row_norm(self.mats @ s + self.offs, self.tag)
+def _pieces(B: np.ndarray, c: np.ndarray, x: np.ndarray) -> np.ndarray:
+    s = B @ x + c
+    return np.sqrt((s * s).sum(axis=-1)).sum(axis=-1)
 
-    def minimize(self, seeds: Sequence[np.ndarray]) -> tuple[np.ndarray, float]:
-        m = self.m
-        base_dirs: list[np.ndarray] = []
-        eye = np.eye(m, dtype=complex)
-        for j in range(m):
-            base_dirs.append(eye[j])
-            base_dirs.append(1j * eye[j])
-        diag_dirs: list[np.ndarray] = []
-        for j in range(m):
-            for k in range(j + 1, m):
-                diag_dirs.append(eye[j] + eye[k])
-                diag_dirs.append(eye[j] - eye[k])
-                diag_dirs.append(eye[j] + 1j * eye[k])
-                if len(diag_dirs) >= 18:
-                    break
-            if len(diag_dirs) >= 18:
+
+def _cuts(B: np.ndarray, c: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Supporting cuts piece >= a.x + b at x, one per piece of B and c.
+
+    Each cut is a block-wise unit vector u with piece >= u.(B x + c) for
+    every x (Cauchy-Schwarz); it is a point of the dual unit ball.
+    """
+    s = B @ x + c
+    nrm = np.sqrt((s * s).sum(axis=-1, keepdims=True))
+    u = np.divide(s, nrm, out=np.zeros_like(s), where=nrm > 0)
+    u[(nrm == 0)[..., 0], 0] = 1.0
+    return np.einsum("pbkx,pbk->px", B, u), np.einsum("pbk,pbk->p", c, u)
+
+
+def _certificate(a: np.ndarray, b: np.ndarray, lam: np.ndarray, radius: float) -> float:
+    """Lower bound on the optimum from cut weights lam >= 0, for optima in
+    the box |x_i| <= radius: the weighted cuts bound the objective below by
+    lam.b + (lam a).x, and the box bounds the second term by its 1-norm."""
+    total = lam.sum()
+    if not total > 0:
+        return 0.0
+    return float((lam @ b - radius * np.abs(lam @ a).sum()) / total)
+
+
+def _simplex(cols, cost, basis, budget: int):
+    """Revised simplex for max cost.z, cols z = (0, ..., 0, 1), z >= 0, from
+    the feasible basis given (updated in place). Returns the pivots spent,
+    the multipliers and the basic values. The entering column has the
+    largest reduced cost, except after a degenerate pivot, where Bland's
+    rule (the lowest index on both sides) keeps the method from cycling.
+    Rounding can still swap two nearly parallel columns back and forth, so
+    a run of len(basis) degenerate pivots ends the solve: it leaves the
+    objective where it is, and every basis is feasible."""
+    degenerate = 0
+    for pivots in range(budget + 1):
+        inv = np.linalg.inv(cols[:, basis])
+        xb = inv[:, -1]
+        # rounding leaves zero basics at about +-1e-17; count them as zero,
+        # so that a degenerate pivot is seen as one
+        xb = np.where(xb > 1e-13 * np.abs(xb).max(), xb, 0.0)
+        pi = cost[basis] @ inv
+        reduced = cost - pi @ cols
+        # a reduced cost counts only above the rounding of its own terms
+        reduced[reduced <= 1e-12 * (np.abs(cost) + np.abs(pi) @ np.abs(cols))] = 0.0
+        reduced[basis] = 0.0
+        j = int(np.argmax(reduced > 0.0) if degenerate else np.argmax(reduced))
+        if reduced[j] == 0.0 or pivots == budget or degenerate > len(basis):
+            return pivots, pi, xb
+        col = inv @ cols[:, j]
+        pos = col > 1e-12 * np.abs(col).max()
+        ratios = np.full(len(col), math.inf)
+        ratios[pos] = xb[pos] / col[pos]
+        ties = np.flatnonzero(ratios == ratios.min())
+        leave = ties[np.argmin(np.asarray(basis)[ties])]
+        degenerate = degenerate + 1 if ratios[leave] == 0.0 else 0
+        basis[leave] = j
+    raise AssertionError("unreachable")
+
+
+def _newton(B, c, x, t, lam, radius: float, iters: int = 10):
+    """Newton's method on the KKT system of min t s.t. piece_p(x) <= t over
+    the given pieces, all taken as active: sum lam_p grad_p = 0,
+    sum lam_p = 1, piece_p(x) = t. Each step is the least-squares solution,
+    which stays put along a flat face of optima where the system is
+    singular. Returns (x, t, lam), or None where a block vanishes (a kink of
+    the piece) or x leaves the box |x_i| <= radius that holds every
+    optimum."""
+    nv, k = B.shape[-1], len(lam)
+    BtB = np.einsum("pbkx,pbky->pbxy", B, B)
+    J = np.zeros((nv + 1 + k, nv + 1 + k))
+    J[nv, nv + 1 :] = 1.0
+    J[nv + 1 :, nv] = -1.0
+    for _ in range(iters):
+        s = B @ x + c
+        nrm = np.sqrt((s * s).sum(axis=-1))
+        if not (nrm > 0).all():
+            return None
+        Bu = np.einsum("pbkx,pbk->pbx", B, s / nrm[..., None])
+        G = Bu.sum(axis=1)
+        hess = (BtB - Bu[..., :, None] * Bu[..., None, :]) / nrm[..., None, None]
+        J[:nv, :nv] = np.einsum("p,pbxy->xy", lam, hess)
+        J[:nv, nv + 1 :] = G.T
+        J[nv + 1 :, :nv] = G
+        F = np.concatenate([G.T @ lam, [lam.sum() - 1.0], nrm.sum(axis=1) - t])
+        step = np.linalg.lstsq(J, -F, rcond=1e-12)[0]
+        x, t, lam = x + step[:nv], t + step[nv], lam + step[nv + 1 :]
+        if not np.abs(x).max() <= radius:
+            return None
+        if np.abs(step).max() <= 1e-15 * max(np.abs(x).max(), abs(t), 1.0):
+            break
+    return x, t, lam
+
+
+def min_max_norm(
+    A: np.ndarray,
+    e: np.ndarray,
+    tag: str,
+    max_rounds: int = 30,
+    max_pivots: int = 1000,
+) -> MinMaxNorm:
+    """Minimize max_n ||A_n w + e_n||_tag over complex w, with a dual bound.
+
+    A is (N, d, m) and e is (N, d), complex; the stacked A_n must have full
+    column rank. Column generation on the dual LP
+    max { sum lam_c b_c : lam >= 0, sum lam_c = 1, sum lam_c a_c = 0 }
+    over supporting cuts (a_c, b_c) of the pieces (see _blocks): each round
+    adds the cuts most violated at the last point, the simplex continues
+    from the last basis, and Newton's method on the KKT system of an active
+    set of pieces, starting from those of the basis, polishes the point. It
+    stops once value - lower <= MIN_MAX_RTOL * value, or at max_rounds or
+    max_pivots with the bracket reached by then. Under l1 an entry that
+    vanishes at the optimum is a kink Newton cannot follow, and the bracket
+    then closes only as fast as the cutting planes do.
+
+    lower is certified by weights lam on cuts, each a point of the dual
+    ball: max_n ||A_n w + e_n|| >= sum lam_c b_c + (sum lam_c a_c).x. Every
+    optimal x lies in the box |x_i| <= R, with R from the level set of w = 0
+    and the smallest singular value of the stacked A_n, so the residual of
+    the dual equality is paid for as R ||sum lam_c a_c||_1 rather than
+    assumed zero. The bound holds up to the rounding of these sums.
+    """
+    N, d, m = A.shape
+    B, c = _blocks(A, e, tag)
+    nv = 2 * m
+    x_best = np.zeros(nv)
+    phi = _pieces(B, c, x_best)
+    f_best = float(phi.max())
+    if f_best == 0.0:
+        return MinMaxNorm(np.zeros(m, dtype=complex), 0.0, 0.0)
+    sigma = float(np.linalg.svd(A.reshape(N * d, m), compute_uv=False)[-1])
+    if not sigma > 0:
+        raise ValueError("the stacked A_n must have full column rank")
+    kappa = math.sqrt(d) if tag == LINF else 1.0
+    # ||A w*||_2 <= ||A w* + e||_2 + ||e||_2 <= 2 sqrt(N) kappa f(0)
+    radius = 2.0 * math.sqrt(N) * kappa * f_best / sigma
+
+    # LP columns: (a_c; 1) at cost b_c per cut, then the box columns (+-e_i; 0)
+    # at cost -radius; cut c belongs to piece owner[c]
+    eye = np.eye(nv + 1, nv)
+    cols = np.hstack([eye, -eye])
+    cost = np.full(2 * nv, -radius)
+    owner = np.full(2 * nv, -1)
+    per_round = 2 * (nv + 1)
+
+    def add(x, idx):
+        nonlocal cols, cost, owner
+        a, b = _cuts(B[idx], c[idx], x)
+        cols = np.hstack([cols, np.vstack([a.T, np.ones(len(idx))])])
+        cost = np.concatenate([cost, b])
+        owner = np.concatenate([owner, idx])
+        return a, b
+
+    a0, _ = add(x_best, np.argsort(phi)[::-1][:per_round])
+    basis = [2 * nv] + [i if a0[0, i] <= 0 else nv + i for i in range(nv)]
+    lower, rounds, pivots = 0.0, 0, 0
+
+    def gap_open() -> bool:
+        return f_best - lower > MIN_MAX_RTOL * f_best
+
+    while gap_open() and rounds < max_rounds and pivots < max_pivots:
+        rounds += 1
+        try:
+            spent, pi, xb = _simplex(cols, cost, basis, max_pivots - pivots)
+        except np.linalg.LinAlgError:
+            break
+        pivots += spent
+        x, t = -pi[:nv], float(pi[nv])
+        cut_pos = [i for i, j in enumerate(basis) if owner[j] >= 0]
+        cut_ids = [basis[i] for i in cut_pos]
+        lower = max(lower, _certificate(cols[:nv, cut_ids].T, cost[cut_ids], xb[cut_pos], radius))
+        phi = _pieces(B, c, x)
+        if phi.max() < f_best:
+            x_best, f_best = x, float(phi.max())
+        if not gap_open():
+            break
+        # polish with Newton on an active set of pieces: first those of
+        # every basic cut, binding at the LP point even at weight 0 (a
+        # degenerate vertex); then a piece whose weight turns negative
+        # leaves, or else the most violated piece joins
+        act, inv = np.unique(owner[cut_ids], return_inverse=True)
+        lam = np.bincount(inv, weights=xb[cut_pos], minlength=len(act))
+        xn, tn = x, float(phi[act].max())
+        for _ in range(2 * nv):
+            polished = _newton(B[act], c[act], xn, tn, lam, radius)
+            if polished is None:
                 break
-
-        best_s, best_f = None, math.inf
-        for seed in seeds:
-            s = np.array(seed, dtype=complex)
-            fs = self.value(s)
-            scale = max(1e-6, 0.5 * (1.0 + fs))
-            for _ in range(60):
-                improved = 0.0
-                stalled = True
-                for dirs in (base_dirs, diag_dirs):
-                    for u in dirs:
-                        A_pt = self.mats @ s + self.offs
-                        A_dir = self.mats @ u
-
-                        def phi(t: float) -> float:
-                            return max_row_norm(A_pt + t * A_dir, self.tag)
-
-                        t, ft = line_minimize(phi, fs, scale)
-                        if ft < fs - 1e-16:
-                            improved += fs - ft
-                            s = s + t * u
-                            fs = ft
-                            stalled = False
-                    if not stalled:
-                        break  # retry cheap coordinate pass before diagonals
-                scale = max(1e-9, min(scale, 0.5 * (1.0 + fs)))
-                if improved <= 1e-11 * (1.0 + abs(fs)):
-                    break
-            if fs < best_f:
-                best_s, best_f = s, fs
-        assert best_s is not None
-        return best_s, best_f
+            xn, tn, lam = polished
+            phi_n = _pieces(B, c, xn)
+            if phi_n.max() < f_best:
+                x_best, f_best = xn, float(phi_n.max())
+            a_n, b_n = add(xn, act)
+            lower = max(lower, _certificate(a_n, b_n, np.maximum(lam, 0.0), radius))
+            worst = int(np.argmax(phi_n))
+            if not gap_open() or (lam.min() >= 0.0 and worst in act):
+                break
+            if lam.min() < 0.0:
+                keep = np.arange(len(act)) != np.argmin(lam)
+                act, lam = act[keep], lam[keep]
+            else:
+                act, lam = np.append(act, worst), np.append(lam, 0.0)
+        # cuts that separate this round's LP point keep the next round moving
+        viol = np.argsort(phi)[::-1][:per_round]
+        add(x, viol[phi[viol] > t])
+    return MinMaxNorm(x_best[:m] + 1j * x_best[m:], f_best, min(lower, f_best))

@@ -31,7 +31,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import KindMismatch, NonContracting, NotCertified, NotInvertible
+from .errors import KindMismatch, LindynError, NonContracting, NotCertified, NotInvertible
 from .linalg import (
     DenseVector,
     array_norm,
@@ -40,7 +40,7 @@ from .linalg import (
     row_norms,
 )
 from .operators import DenseOp, LinOp
-from .optim import AffineSupProblem
+from .optim import min_max_norm
 from .sampling import rng_from_seed, unit_dense_rows, unit_seq_samples
 from .splitting import (
     GENERALIZED,
@@ -54,6 +54,7 @@ from .splitting import (
     resolvent_norm_U_inv,
     restricted_radius_S,
     restricted_radius_U_inv,
+    spectral_split,
 )
 
 WINDOW_SOLVE_MAX_DIM = 8
@@ -378,11 +379,21 @@ def shad_bounds(op: LinOp, split: Splitting, tail: float = 1e-12) -> ShadBounds:
 
 @dataclass(frozen=True)
 class ShadowResult:
+    """An exact orbit over the window and its distance to the pseudo-orbit.
+
+    sup_error is the distance of the stored trajectory to the points, as
+    verify_shadow measures it, and constant_used * delta bounds it. lower is
+    set by the window solve alone (see shadow_window_solve): a certified
+    lower bound on the distance of every exact orbit, so the best orbit
+    lies in [lower, sup_error]. Every other method leaves it None.
+    """
+
     shadow_seed: object
     trajectory: tuple
     sup_error: float
     constant_used: float
     method: str
+    lower: Optional[float] = None
 
 
 def verify_shadow(op: LinOp, po: PseudoOrbit, res: ShadowResult) -> None:
@@ -411,6 +422,40 @@ def verify_shadow(op: LinOp, po: PseudoOrbit, res: ShadowResult) -> None:
         )
 
 
+def _series_memo(op: LinOp, split: Splitting) -> dict:
+    """The memo of classify and series_constants for (op, split), held on the
+    split like DenseOp's inverse; the entry keeps op, so its id is not reused
+    while the entry lives."""
+    held, memo = split.memo.get(id(op), (None, None))
+    if held is not op:
+        memo = {}
+        split.memo[id(op)] = (op, memo)
+    return memo
+
+
+def _series_points(k: _Kind, rows: np.ndarray) -> np.ndarray:
+    """The points x_n + e_n of the splitting-series orbit through rows.
+
+    Defect convention x_{n+1} = L(x_n) - z_n, so the corrections solve
+    e_{n+1} = L(e_n) + z_n: the stable part runs forward from 0 and the
+    unstable part backward through the inverse from 0, re-projected every
+    step. A non-finite correction makes its point non-finite, which the
+    caller's kind refuses.
+    """
+    zs = k.finite(_images(k.A, rows[:-1]) - rows[1:])
+    A, A_inv, P_S, P_U = k.A, k.A_inv, k.P_S, k.P_U
+    F, Bwd = np.empty_like(rows), np.empty_like(rows)
+    F[0] = Bwd[-1] = f = b = rows[0] * 0j
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i, z in enumerate(zs):
+            f = P_S @ (A @ f + P_S @ z)
+            F[i + 1] = f
+        for i in range(len(zs) - 1, -1, -1):
+            b = P_U @ (A_inv @ (b + P_U @ zs[i]))
+            Bwd[i] = b
+        return rows + (F - Bwd)
+
+
 def shadow_splitting_series(
     op: LinOp,
     split: Splitting,
@@ -423,44 +468,35 @@ def shadow_splitting_series(
     Needs a Hyperbolic or GeneralizedHyperbolic certificate. On the finite
     window both correction series are finite sums; they are evaluated by a
     forward recursion on the stable side and a backward recursion through
-    the inverse on the unstable side, re-projecting every step. tail_tol is
-    validated for interface stability but the finite sums leave no tail.
+    the inverse on the unstable side, re-projecting every step (see
+    _series_points). sup_error is the distance of the stored trajectory to
+    the points, as verify_shadow measures it. The classification and the
+    series constants are computed once per (op, split) and tail_tol, which
+    is validated for interface stability but leaves no tail on the finite
+    sums.
     """
     if tail_tol <= 0:
         raise ValueError("tail_tol must be positive")
+    memo = _series_memo(op, split)
     if report is None:
-        report = classify(op, split)
+        if "report" not in memo:
+            memo["report"] = classify(op, split)
+        report = memo["report"]
     if report.klass not in (HYPERBOLIC, GENERALIZED):
         raise NotCertified(
             f"splitting-series shadowing needs a certificate; classification is {report.klass}"
         )
-    sc = series_constants(op, split, tail=tail_tol)
-    constant = sc.upper
+    if tail_tol not in memo:
+        memo[tail_tol] = series_constants(op, split, tail=tail_tol)
     k = _kind(op, split, po.points)
     rows = k.points(po.points)
-    # defect convention: x_{n+1} = L(x_n) - z_n, so e_{n+1} = L(e_n) + z_n
-    zs = k.finite(_images(k.A, rows[:-1]) - rows[1:])
-    A, A_inv, P_S, P_U = k.A, k.A_inv, k.P_S, k.P_U
-    F, Bwd = np.empty_like(rows), np.empty_like(rows)
-    F[0] = Bwd[-1] = f = b = rows[0] * 0j
-    # a non-finite F or Bwd point makes its trajectory point non-finite,
-    # which the kind refuses
-    with np.errstate(over="ignore", invalid="ignore"):
-        for i, z in enumerate(zs):
-            f = P_S @ (A @ f + P_S @ z)
-            F[i + 1] = f
-        for i in range(len(zs) - 1, -1, -1):
-            b = P_U @ (A_inv @ (b + P_U @ zs[i]))
-            Bwd[i] = b
-        # e_{n+1} = L e_n + z_n with e = F - B, so x_n + e_n is an exact orbit
-        corrections = F - Bwd
-        trajectory = k.vectors(rows + corrections)
-    sup_error = k.sup(corrections)
+    points = _series_points(k, rows)
+    trajectory = k.vectors(points)
     result = ShadowResult(
         shadow_seed=trajectory[0],
         trajectory=trajectory,
-        sup_error=sup_error,
-        constant_used=constant,
+        sup_error=k.sup(k.finite(points - rows)),
+        constant_used=memo[tail_tol].upper,
         method="splitting_series",
     )
     verify_shadow(op, po, result)
@@ -498,12 +534,43 @@ def shadow_contraction(op: LinOp, po: PseudoOrbit, tol: float = 1e-10) -> Shadow
     return result
 
 
-def shadow_window_solve(op: LinOp, po: PseudoOrbit) -> ShadowResult:
-    """Best exact orbit over the window by direct seed optimization.
+def _orbit_basis(K: np.ndarray, Q: np.ndarray, count: int) -> np.ndarray:
+    """K^n Q for n = 0 .. count - 1 as a (count, d, k) array, by doubling."""
+    out = np.empty((count, *Q.shape), dtype=complex)
+    out[0] = Q
+    filled, power = 1, K
+    while filled < count:
+        step = min(filled, count - filled)
+        out[filled : filled + step] = power @ out[:step]
+        filled += step
+        if filled < count:
+            power = power @ power
+    return out
 
-    Minimizes the sup distance to the pseudo-orbit over the orbit seed with
-    the deterministic restart minimizer. Up to three seeds: the first point,
-    the least-squares seed, and the seed matching the final point.
+
+def shadow_window_solve(op: LinOp, po: PseudoOrbit) -> ShadowResult:
+    """The best exact orbit over the window, with a certified bracket.
+
+    Every exact orbit is y_n = p_n + A_n w for a particular orbit p and a
+    complex w, so the best one solves the convex problem
+    min_w max_n ||A_n w + e_n|| with e_n = p_n - x_n (optim.min_max_norm).
+    Where the operator has a spectral split and an inverse, the problem is
+    posed in defect coordinates: p is the splitting-series orbit, bit for
+    bit, and A_n w = L^n Q_S a + L^(n-N) Q_U b, with Q_S and Q_U orthonormal
+    bases of the ranges of P_S and P_U carried forward by P_S L and backward
+    by P_U L^-1, so no coefficient grows past the eigenbasis condition. Where
+    there is no split (a spectrum touching the circle), the problem is posed
+    in seed coordinates: p is the orbit of the first point and A_n = L^n.
+
+    sup_error is the distance of the returned trajectory to the points, as
+    verify_shadow measures it, and never exceeds that of p (w = 0), so in
+    defect coordinates the window never loses to the splitting series.
+    lower is the value of a feasible point of the Lagrangian dual:
+    max_n ||A_n w + e_n|| >= Re sum y_n^H e_n for all w when
+    sum A_n^H y_n = 0 and sum ||y_n||_* <= 1, with the residual of the
+    equality paid for. It bounds the distance of every exact orbit from
+    below, up to the rounding of the stored points; it is capped at
+    sup_error, whose trajectory is one such orbit.
     """
     if not isinstance(po.points[0], DenseVector):
         raise KindMismatch("window solving works on dense vectors")
@@ -513,42 +580,50 @@ def shadow_window_solve(op: LinOp, po: PseudoOrbit) -> ShadowResult:
     if len(po.points) > WINDOW_SOLVE_MAX_LEN:
         raise ValueError(f"window solving is limited to {WINDOW_SOLVE_MAX_LEN} points")
     tag = op.norm_tag
-    if any(p.norm_tag != tag for p in po.points):
+    if any(p.norm_tag != tag or p.dim != dim for p in po.points):
         raise KindMismatch("dense vectors disagree in norm tag or dimension")
-    matrix = op.dense_matrix()
-    n_pts = len(po.points)
-    mats = np.empty((n_pts, dim, dim), dtype=complex)
-    mats[0] = np.eye(dim)
-    for k in range(1, n_pts):
-        mats[k] = matrix @ mats[k - 1]
-    points = np.stack([p.coords for p in po.points])
-    problem = AffineSupProblem(mats, -points, tag)
-
-    seeds = [po.points[0].coords]
-    stacked = mats.reshape(n_pts * dim, dim)
-    target = points.reshape(-1)
+    dense = op if isinstance(op, DenseOp) else DenseOp(op.dense_matrix(), tag)
     try:
-        lsq = np.linalg.lstsq(stacked, target, rcond=None)[0]
-        seeds.append(lsq)
-    except np.linalg.LinAlgError:
-        pass
-    if op.invertible() and n_pts > 1:
-        try:
-            seeds.append(np.linalg.solve(mats[-1], po.points[-1].coords))
-        except np.linalg.LinAlgError:
-            pass
-
-    best_seed, _ = problem.minimize(seeds)
-    kind = _kind(op, None, po.points)
-    walked = kind.walk(kind.point(DenseVector(best_seed, tag)), n_pts - 1)
-    traj = kind.vectors(walked)
-    sup_error = kind.sup(kind.finite(walked - kind.from_rows(points, tag)))
+        split: Optional[SpectralSplit] = spectral_split(dense)
+        M_inv = dense.inverse().matrix
+    except LindynError:
+        split = None
+    k = _kind(dense, split, po.points)
+    rows = k.points(po.points)
+    count = len(rows)
+    if split is None:
+        particular = k.walk(rows[0], count - 1)
+        A = _orbit_basis(dense.matrix, np.eye(dim, dtype=complex), count)
+    else:
+        particular = _series_points(k, rows)
+        Q_S = np.linalg.qr(split.V_S)[0]
+        Q_U = np.linalg.qr(split.V_U)[0]
+        A = np.concatenate(
+            [
+                _orbit_basis(split.P_S @ dense.matrix, Q_S, count),
+                _orbit_basis(split.P_U @ M_inv, Q_U, count)[::-1],
+            ],
+            axis=2,
+        )
+    offsets = k.finite(particular - rows)
+    sol = min_max_norm(k.finite(A), offsets, tag)
+    points, sup_error = particular, max_row_norm(offsets, tag)
+    if sol.value < sup_error:
+        if split is None:
+            candidate = k.walk(rows[0] + sol.w, count - 1)
+        else:
+            candidate = particular + A @ sol.w
+        dist = max_row_norm(k.finite(candidate - rows), tag)
+        if dist < sup_error:
+            points, sup_error = candidate, dist
+    traj = k.vectors(points)
     if sup_error == 0.0:
         constant = 0.0
     elif po.delta > 0.0:
         constant = sup_error / po.delta
-        # the quotient can round low (by an ulp of 1e48 at sup 1e64), which
-        # verify_shadow's absolute slack cannot absorb
+        # the quotient can round low; on a large sup_error (posed on the
+        # seed, orbits can pass 1e60) by more than verify_shadow's absolute
+        # slack can absorb
         while constant * po.delta < sup_error:
             constant = math.nextafter(constant, math.inf)
     else:
@@ -559,6 +634,7 @@ def shadow_window_solve(op: LinOp, po: PseudoOrbit) -> ShadowResult:
         sup_error=sup_error,
         constant_used=constant,
         method="window_solve",
+        lower=min(sol.lower, sup_error),
     )
     verify_shadow(op, po, result)
     return result

@@ -13,7 +13,7 @@ and Undetermined when a rate estimate sits within 1e-6 of 1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -55,10 +55,15 @@ DEFECTIVE_COND = 1e10
 
 @dataclass(frozen=True)
 class CoordinateSplit:
-    """S = span{e_k : k <= cutoff}, U = span{e_k : k > cutoff}."""
+    """S = span{e_k : k <= cutoff}, U = span{e_k : k > cutoff}.
+
+    memo holds work done once per operator on this split (shadowing keeps
+    the classification and the series constants there).
+    """
 
     cutoff: int
     norm_tag: str
+    memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def proj_S_norm(self) -> float:
@@ -81,7 +86,8 @@ class SpectralSplit:
     Carries the projections, per-side bases with their eigenvalues, and the
     eigenbasis condition number. When a side happens to be spanned by
     standard basis vectors the coordinate indices are recorded, which makes
-    restricted norms exact instead of upper bounds.
+    restricted norms exact instead of upper bounds. memo holds work done
+    once per operator on this split, as on a CoordinateSplit.
     """
 
     __slots__ = (
@@ -97,6 +103,7 @@ class SpectralSplit:
         "proj_U_norm",
         "axes_S",
         "axes_U",
+        "memo",
     )
 
     def __init__(self, norm_tag, P_S, P_U, V_S, lam_S, V_U, lam_U, cond):
@@ -112,6 +119,7 @@ class SpectralSplit:
         self.proj_U_norm = mat_norm(P_U, norm_tag)
         self.axes_S = _coordinate_axes(V_S)
         self.axes_U = _coordinate_axes(V_U)
+        self.memo: dict = {}
 
     @property
     def dim(self) -> int:

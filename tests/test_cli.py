@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lindyn import cli
 from lindyn.cli import (
     SUITES,
     TASKS,
@@ -15,7 +16,7 @@ from lindyn.cli import (
     run_scenario,
     run_suite,
 )
-from lindyn.errors import ConfigInvalid
+from lindyn.errors import ConfigInvalid, NotCertified
 
 SADDLE_CFG = {
     "name": "unit-saddle",
@@ -47,6 +48,35 @@ def test_run_scenario_records_task_failures():
     task = report["tasks"]["bounds"]
     assert not task["ok"]
     assert task["error"] == "NOT_CERTIFIED"
+
+
+SHADOW_CFG = {
+    "name": "unit-saddle-shadow",
+    "operator": {"kind": "dense", "matrix": [[0.5, 0.0], [0.0, 2.0]], "norm": "linf"},
+    "splitting": {"kind": "spectral"},
+    "tasks": ["shadow"],
+}
+
+
+def test_shadow_task_reports_the_window_bracket():
+    methods = run_scenario(SHADOW_CFG)["tasks"]["shadow"]["result"]["methods"]
+    window = methods["window_solve"]
+    assert 0.0 <= window["lower"] <= window["sup_error"] <= methods["splitting_series"]["sup_error"]
+    assert window["gap"] == window["sup_error"] - window["lower"]
+
+
+def test_shadow_task_records_a_window_solve_refusal(monkeypatch):
+    # one refusing method is recorded, as the series' are; the task still
+    # succeeds on the others
+    def refuse(op, po):
+        raise NotCertified("window refused")
+
+    monkeypatch.setattr(cli, "shadow_window_solve", refuse)
+    task = run_scenario(SHADOW_CFG)["tasks"]["shadow"]
+    assert task["ok"]
+    methods = task["result"]["methods"]
+    assert methods["window_solve"] == {"error": "NOT_CERTIFIED", "message": "window refused"}
+    assert "sup_error" in methods["splitting_series"]
 
 
 def test_run_scenario_rejects_unknown_keys():

@@ -171,6 +171,19 @@ def test_row_norms_agree_with_array_norm_bit_for_bit(tag):
         max_row_norm(rows, "l3")
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_l2_norms_of_huge_finite_coordinates_stay_finite():
+    # the squares of 1e200 overflow; the norms do not
+    assert DenseVector([1e200, 0.0], L2).norm() == 1e200
+    assert array_norm(np.array([3e200, 4e200j]), L2) == pytest.approx(5e200, rel=1e-15)
+    rows = np.array([[1e200, 0.0], [3.0, 4.0], [0.0, 0.0]], dtype=complex)
+    assert row_norms(rows, L2).tolist() == [1e200, 5.0, 0.0]
+    assert max_row_norm(rows, L2) == 1e200
+    # only an overflowing sum is redone, and a non-finite row keeps its max
+    assert max_row_norm(rows[1:], L2) == 5.0
+    assert row_norms(np.array([[np.inf, 1.0]]), L2).tolist() == [np.inf]
+
+
 def test_dense_vectors_from_rows_share_one_checked_array():
     rows = np.array([[1.0, 2.0], [3.0, -4.0]], dtype=complex)
     vs = DenseVector.from_rows(rows, L1)

@@ -173,6 +173,38 @@ def test_series_shadow_is_exact_orbit():
     assert max_defect(SADDLE, res.trajectory) < 1e-12
 
 
+def test_series_classifies_and_sums_once_per_operator_and_split(monkeypatch):
+    import lindyn.shadowing as shadowing
+
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(shadowing, "classify", counted("classify", shadowing.classify))
+    monkeypatch.setattr(
+        shadowing, "series_constants", counted("constants", shadowing.series_constants)
+    )
+    op = saddle()
+    split = spectral_split(op)
+    first = [
+        shadow_splitting_series(op, split, orbit_of(op, DenseVector([0.1, 0.4], LINF), 30, 1e-3, i))
+        for i in range(3)
+    ]
+    assert calls == ["classify", "constants"]
+    # another operator on the same split has its own entry; a new tail its own sum
+    other = saddle()
+    shadow_splitting_series(other, split, orbit_of(other, DenseVector([0.1, 0.4], LINF), 30, 1e-3))
+    po = orbit_of(op, DenseVector([0.1, 0.4], LINF), 30, 1e-3)
+    shadow_splitting_series(op, split, po, tail_tol=1e-10)
+    assert calls == ["classify", "constants"] * 2 + ["constants"]
+    assert first[0].constant_used == first[2].constant_used
+
+
 def test_window_solve_matches_series():
     po = orbit_of(SADDLE, DenseVector([0.1, 0.4], LINF), 60, 1e-3, rng_seed=9)
     series = shadow_splitting_series(SADDLE, SPLIT, po)
@@ -182,16 +214,102 @@ def test_window_solve_matches_series():
 
 
 def test_window_solve_accepts_its_own_fast_growing_orbit():
-    # sup error about 1.4e64: sup_error / delta rounds one ulp low, and that
-    # ulp times delta (about 3e48) is far beyond verify_shadow's 1e-9 slack
+    # the orbit grows past 1e60; posed on the seed, the old descent missed
+    # by about 1.4e64, while in defect coordinates the window never loses to
+    # the series
     rng = rng_from_seed(20)
     op = DenseOp(random_margin_matrix(3, rng, margin=0.2), LINF)
     po = generate_pseudo_orbit(op, DenseVector(rng.standard_normal(3), LINF), (0, 200), 1e-3, 20)
     res = shadow_window_solve(op, po)
-    assert res.sup_error > 1e60
+    series = shadow_splitting_series(op, spectral_split(op), po)
+    assert res.lower <= res.sup_error <= series.sup_error
     assert res.constant_used * po.delta >= res.sup_error
     assert res.constant_used == pytest.approx(res.sup_error / po.delta, rel=1e-15)
     verify_shadow(op, po, res)
+
+
+def _reference_bracket(op, po, start, k=64):
+    """Independent bounds (lo, hi) on the best exact-orbit distance, posed on
+    the seed s (orbits L^n s) and solved by HiGHS. Every optimal seed lies
+    within F(x_0) of x_0 in each real coordinate, which boxes the LPs.
+
+    l1 and linf: the k-gon LP, whose value v satisfies
+    v <= optimum <= v / cos(pi / k). l2: the LP over the k-gon cuts of each
+    coordinate and the supporting cuts along the orbit of start (a seed)
+    gives lo, wherever the cuts came from, and that orbit's distance gives
+    hi; the two meet only if the orbit is optimal.
+    """
+    optimize = pytest.importorskip("scipy.optimize")
+    tag = op.norm_tag
+    xs = np.stack([p.coords for p in po.points])
+    n, d = xs.shape
+    P = np.empty((n, d, d), dtype=complex)
+    P[0] = np.eye(d)
+    for i in range(1, n):
+        P[i] = op.matrix @ P[i - 1]
+
+    def value(s):
+        return max(DenseVector(P[i] @ s - xs[i], tag).norm() for i in range(n))
+
+    # real variables: Re s, Im s, t, and under l1 a bound per (n, coordinate)
+    extra = n * d if tag == L1 else 0
+    width = 2 * d + 1 + extra
+    A_ub, b_ub = [], []
+
+    def add(g, t_col):
+        # Re g_n^H (P_n s - x_n) <= (column t_col) for every n
+        h = np.einsum("nij,ni->nj", P.conj(), g)
+        row = np.zeros((n, width))
+        row[:, : 2 * d] = np.hstack([h.real, h.imag])
+        row[np.arange(n), t_col] = -1.0
+        A_ub.append(row)
+        b_ub.append(np.einsum("ni,ni->n", g.conj(), xs).real)
+
+    for i in range(d):
+        for c in np.exp(2j * np.pi * np.arange(k) / k):
+            g = np.zeros((n, d), dtype=complex)
+            g[:, i] = c
+            add(g, 2 * d + 1 + np.arange(n) * d + i if tag == L1 else 2 * d)
+    if tag == L1:
+        row = np.zeros((n, width))
+        row[:, 2 * d] = -1.0
+        for i in range(d):
+            row[np.arange(n), 2 * d + 1 + np.arange(n) * d + i] = 1.0
+        A_ub.append(row)
+        b_ub.append(np.zeros(n))
+    box = value(xs[0])
+    center = np.concatenate([xs[0].real, xs[0].imag])
+    bounds = [(c - box, c + box) for c in center] + [(None, None)] * (1 + extra)
+    obj = np.zeros(width)
+    obj[2 * d] = 1.0
+    if tag == L2:
+        r = P @ start - xs
+        add(r / np.linalg.norm(r, axis=1)[:, None], 2 * d)
+    lp = optimize.linprog(obj, A_ub=np.vstack(A_ub), b_ub=np.concatenate(b_ub), bounds=bounds,
+                          method="highs")
+    assert lp.status == 0
+    if tag == L2:
+        return lp.fun, value(start)
+    return lp.fun, lp.fun / np.cos(np.pi / k)
+
+
+@pytest.mark.parametrize("tag", [L1, L2, LINF])
+def test_window_bracket_holds_against_a_reference_solve(tag):
+    # random non-normal operators of dimension 2 to 4: the window's bracket
+    # [lower, sup_error] must meet the reference bracket, and the window
+    # orbit may never lose to the series orbit
+    rng = rng_from_seed(11)
+    for trial in range(6):
+        dim = 2 + trial % 3
+        op = DenseOp(random_margin_matrix(dim, rng, margin=0.2), tag)
+        po = generate_pseudo_orbit(op, DenseVector(rng.standard_normal(dim), tag), (0, 12), 0.05, trial)
+        res = shadow_window_solve(op, po)
+        series = shadow_splitting_series(op, spectral_split(op), po)
+        lo, hi = _reference_bracket(op, po, res.shadow_seed.coords)
+        assert hi - lo <= 2e-3 * hi
+        assert res.lower <= hi * (1.0 + 1e-9)
+        assert lo <= res.sup_error * (1.0 + 1e-9)
+        assert res.lower <= res.sup_error <= series.sup_error
 
 
 def test_shadow_contraction_constant():
