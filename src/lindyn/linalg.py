@@ -208,7 +208,9 @@ class SparseBiSeq:
 def _scaled_l2(mags: np.ndarray) -> np.ndarray:
     """l2 norms of the rows of the (n, d) moduli mags, as
     max * sqrt(sum (m / max)^2): the plain sum of squares overflows from
-    about 1.3e154, this only where the norm itself does. A row whose max is
+    about 1.3e154, this only where the norm itself does. The callers square
+    under np.errstate(over="ignore") and redo here only a row whose sum is
+    not finite, so an overflow is handled, not reported. A row whose max is
     0, inf or nan keeps it as its norm."""
     top = mags.max(axis=1)
     out = top.copy()
@@ -226,7 +228,8 @@ def array_norm(arr: np.ndarray, tag: str) -> float:
     if tag == L1:
         return float(mags.sum())
     if tag == L2:
-        sq = (mags * mags).sum()
+        with np.errstate(over="ignore"):
+            sq = (mags * mags).sum()
         return float(np.sqrt(sq)) if math.isfinite(sq) else float(_scaled_l2(mags.reshape(1, -1))[0])
     return float(mags.max())
 
@@ -238,7 +241,8 @@ def row_norms(rows: np.ndarray, tag: str) -> np.ndarray:
     if tag == L1:
         return mags.sum(axis=1)
     if tag == L2:
-        out = np.sqrt((mags * mags).sum(axis=1))
+        with np.errstate(over="ignore"):
+            out = np.sqrt((mags * mags).sum(axis=1))
         over = ~np.isfinite(out)
         if over.any():
             out[over] = _scaled_l2(mags[over])
@@ -261,7 +265,8 @@ def max_row_norm(rows: np.ndarray, tag: str) -> float:
     if tag == L1:
         return float(mags.sum(axis=1).max(initial=0.0))
     check_norm_tag(tag)
-    top = float((mags * mags).sum(axis=1).max(initial=0.0))
+    with np.errstate(over="ignore"):
+        top = float((mags * mags).sum(axis=1).max(initial=0.0))
     return math.sqrt(top) if math.isfinite(top) else float(row_norms(rows, tag).max())
 
 

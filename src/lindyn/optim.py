@@ -134,8 +134,11 @@ def diagonal_directions(dim: int, limit: int = 24) -> list[np.ndarray]:
 # Certified min-max of affine norms
 # ---------------------------------------------------------------------------
 
-# min_max_norm stops once its bracket is this close, relative to its value
+# min_max_norm stops once its bracket is this close, relative to its value,
+# or after this many cut rounds or simplex pivots with the bracket reached
 MIN_MAX_RTOL = 1e-9
+MIN_MAX_ROUNDS = 30
+MIN_MAX_PIVOTS = 1000
 
 
 @dataclass(frozen=True)
@@ -265,13 +268,7 @@ def _newton(B, c, x, t, lam, radius: float, iters: int = 10):
     return x, t, lam
 
 
-def min_max_norm(
-    A: np.ndarray,
-    e: np.ndarray,
-    tag: str,
-    max_rounds: int = 30,
-    max_pivots: int = 1000,
-) -> MinMaxNorm:
+def min_max_norm(A: np.ndarray, e: np.ndarray, tag: str) -> MinMaxNorm:
     """Minimize max_n ||A_n w + e_n||_tag over complex w, with a dual bound.
 
     A is (N, d, m) and e is (N, d), complex; the stacked A_n must have full
@@ -281,8 +278,8 @@ def min_max_norm(
     adds the cuts most violated at the last point, the simplex continues
     from the last basis, and Newton's method on the KKT system of an active
     set of pieces, starting from those of the basis, polishes the point. It
-    stops once value - lower <= MIN_MAX_RTOL * value, or at max_rounds or
-    max_pivots with the bracket reached by then. Under l1 an entry that
+    stops once value - lower <= MIN_MAX_RTOL * value, or at MIN_MAX_ROUNDS
+    rounds or MIN_MAX_PIVOTS pivots with the bracket reached by then. Under l1 an entry that
     vanishes at the optimum is a kink Newton cannot follow, and the bracket
     then closes only as fast as the cutting planes do.
 
@@ -331,10 +328,10 @@ def min_max_norm(
     def gap_open() -> bool:
         return f_best - lower > MIN_MAX_RTOL * f_best
 
-    while gap_open() and rounds < max_rounds and pivots < max_pivots:
+    while gap_open() and rounds < MIN_MAX_ROUNDS and pivots < MIN_MAX_PIVOTS:
         rounds += 1
         try:
-            spent, pi, xb = _simplex(cols, cost, basis, max_pivots - pivots)
+            spent, pi, xb = _simplex(cols, cost, basis, MIN_MAX_PIVOTS - pivots)
         except np.linalg.LinAlgError:
             break
         pivots += spent

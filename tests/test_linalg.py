@@ -171,9 +171,10 @@ def test_row_norms_agree_with_array_norm_bit_for_bit(tag):
         max_row_norm(rows, "l3")
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered")
+@pytest.mark.filterwarnings("error")
 def test_l2_norms_of_huge_finite_coordinates_stay_finite():
-    # the squares of 1e200 overflow; the norms do not
+    # the squares of 1e200 overflow; the norms do not, and the handled
+    # overflow prints no RuntimeWarning (any warning fails this test)
     assert DenseVector([1e200, 0.0], L2).norm() == 1e200
     assert array_norm(np.array([3e200, 4e200j]), L2) == pytest.approx(5e200, rel=1e-15)
     rows = np.array([[1e200, 0.0], [3.0, 4.0], [0.0, 0.0]], dtype=complex)

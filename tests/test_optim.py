@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from lindyn import L1, L2, LINF
+from lindyn import optim
 from lindyn.optim import min_max_norm
 
 
@@ -29,7 +30,7 @@ def test_min_max_norm_finds_the_midpoint_with_a_closed_bracket(tag):
 
 
 @pytest.mark.parametrize("tag", [L1, L2, LINF])
-def test_min_max_norm_capped_early_still_brackets(tag):
+def test_min_max_norm_capped_early_still_brackets(tag, monkeypatch):
     # a capped solve returns the bracket it reached, never a bound it has
     # not certified
     rng = np.random.default_rng(7)
@@ -38,7 +39,9 @@ def test_min_max_norm_capped_early_still_brackets(tag):
     full = min_max_norm(A, e, tag)
     assert full.value - full.lower <= 1e-9 * full.value
     for rounds, pivots in ((1, 1000), (30, 3), (2, 5)):
-        capped = min_max_norm(A, e, tag, max_rounds=rounds, max_pivots=pivots)
+        monkeypatch.setattr(optim, "MIN_MAX_ROUNDS", rounds)
+        monkeypatch.setattr(optim, "MIN_MAX_PIVOTS", pivots)
+        capped = min_max_norm(A, e, tag)
         assert capped.lower <= full.value * (1.0 + 1e-12)
         assert capped.value >= full.lower * (1.0 - 1e-12)
         assert capped.lower <= capped.value
