@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ConfigInvalid, LindynError, ReportIOError
+from .errors import ConfigInvalid, LindynError, NonFinite, ReportIOError
 from .expansivity import expansivity_scan
 from .hypercyclic import adjoint_eigen_obstruction, criterion_witness, rolewicz
 from .gallery import NAMED_MAPS
@@ -68,6 +68,9 @@ SUITES = ("finite_dim_equivalence", "block_product", "calculus", "contractive_su
 MAX_SUITE_SIZE = 10_000
 # the shadow task's walk and pseudo-orbit hold all n1 - n0 + 1 points at once
 MAX_SHADOW_STEPS = 100_000
+# the linf task solves one window per sample, 4-8 ms each at linf_N 8 to 32,
+# so this many samples take seconds, not hours
+MAX_LINF_SAMPLES = 1024
 
 
 def _num(x: float):
@@ -149,37 +152,37 @@ def vector_from_config(cfg, tag: str, path: str):
 class Scenario:
     """Validated scenario: operator, optional splitting config, task list."""
 
-    def __init__(self, cfg: dict, path: str = "$"):
-        _require(isinstance(cfg, dict), "scenario must be an object", path)
+    def __init__(self, cfg: dict):
+        _require(isinstance(cfg, dict), "scenario must be an object", "$")
         unknown = set(cfg) - {"name", "operator", "splitting", "tasks", "parameters", "rng_seed"}
-        _require(not unknown, f"unknown scenario keys {sorted(unknown)}", path)
+        _require(not unknown, f"unknown scenario keys {sorted(unknown)}", "$")
         self.name = cfg.get("name", "unnamed")
-        _require(isinstance(self.name, str), "name must be a string", f"{path}.name")
-        _require("operator" in cfg, "scenario needs an operator", path)
-        self.op = op_from_config(cfg["operator"], path=f"{path}.operator")
+        _require(isinstance(self.name, str), "name must be a string", "$.name")
+        _require("operator" in cfg, "scenario needs an operator", "$")
+        self.op = op_from_config(cfg["operator"], path="$.operator")
         self.split_cfg = cfg.get("splitting")
         if self.split_cfg is not None:
             _require(
-                isinstance(self.split_cfg, dict), "splitting must be an object", f"{path}.splitting"
+                isinstance(self.split_cfg, dict), "splitting must be an object", "$.splitting"
             )
         tasks = cfg.get("tasks")
         _require(
             isinstance(tasks, list) and tasks and all(isinstance(t, str) for t in tasks),
             "tasks must be a nonempty list of strings",
-            f"{path}.tasks",
+            "$.tasks",
         )
         for t in tasks:
-            _require(t in TASKS, f"unknown task {t!r}; valid: {TASKS}", f"{path}.tasks")
+            _require(t in TASKS, f"unknown task {t!r}; valid: {TASKS}", "$.tasks")
         self.tasks = list(tasks)
         self.parameters = cfg.get("parameters", {})
         _require(
-            isinstance(self.parameters, dict), "parameters must be an object", f"{path}.parameters"
+            isinstance(self.parameters, dict), "parameters must be an object", "$.parameters"
         )
         self.rng_seed = cfg.get("rng_seed", 0)
         _require(
             isinstance(self.rng_seed, int) and not isinstance(self.rng_seed, bool),
             "rng_seed must be an integer",
-            f"{path}.rng_seed",
+            "$.rng_seed",
         )
 
     def splitting(self):
@@ -312,10 +315,24 @@ def _task_linf(sc: Scenario) -> dict:
     params = sc.parameters
     n = _count(params, "linf_N", 16)
     samples = _count(params, "linf_samples", 24)
+    # the estimate window-solves 2 N + 1 points per sample: refuse what the
+    # window solve would, before the margin descent runs
+    for name, val, cap in (
+        ("linf_N", n, (WINDOW_SOLVE_MAX_LEN - 1) // 2),
+        ("linf_samples", samples, MAX_LINF_SAMPLES),
+    ):
+        _require(val <= cap, f"{name} must be at most {cap}", f"$.parameters.{name}")
     try:
         w = WindowedLinf(sc.op, n)
+    except NonFinite:
+        raise
     except ValueError as exc:
         raise ConfigInvalid(f"{exc} (at $.parameters.linf_N)", location="$.parameters.linf_N")
+    _require(
+        w.dim <= WINDOW_SOLVE_MAX_DIM,
+        f"the linf task is limited to dimension {WINDOW_SOLVE_MAX_DIM}",
+        "$.operator",
+    )
     return {
         "window_N": n,
         "injectivity_margin": _num(float(linf_injectivity_margin(w, rng_seed=sc.rng_seed))),

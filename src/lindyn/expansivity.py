@@ -8,6 +8,7 @@ which also makes sense for operators given only through their action.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -24,6 +25,8 @@ NOT_EXPANSIVE = "NotExpansive"
 
 UNIFORM_THRESHOLD = 2.0
 WINDOW_GROWTH_MAX_DIM = 8
+# random unit seeds of the growth descent per window, beside the basis
+GROWTH_RANDOM_SEEDS = 12
 
 
 @dataclass(frozen=True)
@@ -71,16 +74,12 @@ def _default_unit_samples(op: LinOp, count: int, rng_seed: int):
 
 
 def uniform_expansivity_search(
-    op: LinOp,
-    m_max: int,
-    samples: Optional[Sequence] = None,
-    threshold: float = UNIFORM_THRESHOLD,
-    rng_seed: int = 0,
+    op: LinOp, m_max: int, samples: Optional[Sequence] = None, rng_seed: int = 0
 ) -> UniformExpansivity:
     """Search for a uniform growth window over unit samples.
 
     For each unit sample, find the least n <= m_max with ||L^n x|| or
-    ||L^-n x|| at or above the threshold. Raises NotCertified when some
+    ||L^-n x|| at or above UNIFORM_THRESHOLD. Raises NotCertified when some
     sample never reaches it; a rotation fails for every sample.
     """
     if m_max < 1:
@@ -96,30 +95,25 @@ def uniform_expansivity_search(
         found = None
         for n in range(1, m_max + 1):
             fwd = op.apply(fwd)
-            if fwd.norm() >= threshold:
+            if fwd.norm() >= UNIFORM_THRESHOLD:
                 found = n
                 break
             if inv is not None:
                 bwd = inv.apply(bwd)
-                if bwd.norm() >= threshold:
+                if bwd.norm() >= UNIFORM_THRESHOLD:
                     found = n
                     break
         if found is None:
             raise NotCertified(
-                f"sample never grew past {threshold} within {m_max} steps",
+                f"sample never grew past {UNIFORM_THRESHOLD} within {m_max} steps",
                 sample=x,
             )
         table.append((x, found))
         worst = max(worst, found)
-    return UniformExpansivity(m=worst, threshold=threshold, table=tuple(table))
+    return UniformExpansivity(m=worst, threshold=UNIFORM_THRESHOLD, table=tuple(table))
 
 
-def central_window_growth(
-    op: LinOp,
-    n_list: Sequence[int],
-    rng_seed: int = 0,
-    seeds_per_n: int = 12,
-) -> dict[int, float]:
+def central_window_growth(op: LinOp, n_list: Sequence[int], rng_seed: int = 0) -> dict[int, float]:
     """min over the unit sphere of max_{|n| <= N} ||L^n x||, per N.
 
     Dense only, dimension capped at 8. A hyperbolic operator forces growth
@@ -163,7 +157,7 @@ def central_window_growth(
             return max_row_norm(stack @ v, op.norm_tag) / nv
 
         seeds = [b.coords for b in dense_basis(dim, op.norm_tag)]
-        seeds += [s.coords for s in unit_dense_samples(dim, op.norm_tag, seeds_per_n, rng)]
+        seeds += [s.coords for s in unit_dense_samples(dim, op.norm_tag, GROWTH_RANDOM_SEEDS, rng)]
         dirs = coordinate_directions(dim) + diagonal_directions(dim)
         best = np.inf
         for s in seeds:
@@ -184,7 +178,10 @@ def ecs_membership(op: LinOp, x, c: float, beta: float, horizon: int) -> EcsResu
     """Check the forward decay certificate ||L^n x|| <= c * beta^n * ||x||.
 
     Membership in the contracting cone at the stated constants, verified on
-    the finite horizon. The zero vector is trivially a member.
+    the finite horizon. The zero vector is trivially a member. The orbit is
+    divided by beta at every step, so beta^n is never formed and long
+    horizons neither overflow nor underflow the bound; a scaled orbit that
+    leaves the float range has ratio inf and ends the check.
     """
     if c <= 0 or beta <= 0:
         raise ValueError("certificate constants must be positive")
@@ -197,12 +194,18 @@ def ecs_membership(op: LinOp, x, c: float, beta: float, horizon: int) -> EcsResu
     max_ratio = 0.0
     first_violation = None
     for n in range(horizon + 1):
-        bound = c * beta**n * base
-        ratio = cur.norm() / bound
+        try:
+            if n:
+                with np.errstate(over="ignore"):
+                    cur = op.apply(cur) * (1.0 / beta)
+            ratio = cur.norm() / base / c
+        except NonFinite:
+            ratio = math.inf
         max_ratio = max(max_ratio, ratio)
         if ratio > 1.0 + 1e-12 and first_violation is None:
             first_violation = n
-        cur = op.apply(cur)
+        if ratio == math.inf:
+            break
     return EcsResult(
         member=first_violation is None,
         first_violation_n=first_violation,

@@ -20,6 +20,11 @@ from .operators import LinOp
 from .shadowing import PseudoOrbit, max_defect
 from .splitting import CoordinateSplit
 
+# A half orbit decays when its last norm is below HOMOCLINIC_TOL relative to
+# the point; the dichotomy search walks DICHOTOMY_HORIZON steps each way.
+HOMOCLINIC_TOL = 1e-9
+DICHOTOMY_HORIZON = 64
+
 
 @dataclass(frozen=True)
 class HomoclinicEvidence:
@@ -35,12 +40,12 @@ def _envelope_decays(values: Sequence[float]) -> bool:
     return all(b <= a * (1.0 + 1e-9) + 1e-15 for a, b in zip(tail, tail[1:]))
 
 
-def is_homoclinic(op: LinOp, x, horizon: int = 40, tol: float = 1e-9) -> HomoclinicEvidence:
+def is_homoclinic(op: LinOp, x, horizon: int = 40) -> HomoclinicEvidence:
     """Decay evidence for both half orbits of x.
 
-    The verdict requires the final norms to sit below tol (relative to x)
-    and the decay envelopes to be monotone over the last quarter, so a
-    transient dip cannot masquerade as convergence.
+    The verdict requires the final norms to sit below HOMOCLINIC_TOL
+    (relative to x) and the decay envelopes to be monotone over the last
+    quarter, so a transient dip cannot masquerade as convergence.
     """
     if horizon < 4:
         raise ValueError("horizon must be at least 4")
@@ -55,8 +60,8 @@ def is_homoclinic(op: LinOp, x, horizon: int = 40, tol: float = 1e-9) -> Homocli
         bwd.append(cur_b.norm())
     scale = max(1.0, x.norm())
     verdict = (
-        fwd[-1] <= tol * scale
-        and bwd[-1] <= tol * scale
+        fwd[-1] <= HOMOCLINIC_TOL * scale
+        and bwd[-1] <= HOMOCLINIC_TOL * scale
         and _envelope_decays(fwd)
         and _envelope_decays(bwd)
     )
@@ -105,18 +110,13 @@ class CoreApproximation:
 
 
 def homoclinic_core_approximate(
-    op: LinOp,
-    split: CoordinateSplit,
-    x: SparseBiSeq,
-    n: int,
-    horizon: int = 40,
-    tol: float = 1e-9,
+    op: LinOp, split: CoordinateSplit, x: SparseBiSeq, n: int, horizon: int = 40
 ) -> CoreApproximation:
     if not isinstance(split, CoordinateSplit):
         raise ValueError("core approximants are defined against a coordinate splitting")
     if n < 0:
         raise ValueError("n must be nonnegative")
-    evidence = is_homoclinic(op, x, horizon=horizon, tol=tol)
+    evidence = is_homoclinic(op, x, horizon=horizon)
     if not evidence.verdict:
         raise NotHomoclinic("the point is not homoclinic at this horizon/tolerance")
     inv = op.inverse()
@@ -144,11 +144,7 @@ class DichotomyReport:
 
 
 def homoclinic_dichotomy(
-    op: LinOp,
-    split: CoordinateSplit,
-    horizon: int = 64,
-    index_range: int = 64,
-    tol: float = 1e-9,
+    op: LinOp, split: CoordinateSplit, index_range: int = 64
 ) -> DichotomyReport:
     """Search basis vectors for a verified nontrivial homoclinic point.
 
@@ -161,7 +157,7 @@ def homoclinic_dichotomy(
         for idx in ((k,) if k == 0 else (k, -k)):
             x = SparseBiSeq.basis(idx, op.norm_tag)
             checked += 1
-            ev = is_homoclinic(op, x, horizon=horizon, tol=tol)
+            ev = is_homoclinic(op, x, horizon=DICHOTOMY_HORIZON)
             if ev.verdict:
                 return DichotomyReport(
                     verdict="NontrivialHomoclinic",
@@ -181,13 +177,9 @@ def chain_scale(po: PseudoOrbit, lam: complex) -> PseudoOrbit:
     return PseudoOrbit(n0=po.n0, points=points, delta=abs(lam) * po.delta)
 
 
-def chain_combine(
-    op: LinOp,
-    chains: Sequence[Sequence],
-    delta: float,
-    pad: int = 1,
-) -> PseudoOrbit:
-    """Concatenate half-delta chains through the fixed point at zero.
+def chain_combine(op: LinOp, chains: Sequence[Sequence], delta: float) -> PseudoOrbit:
+    """Concatenate half-delta chains through the fixed point at zero, one
+    zero point between consecutive chains.
 
     Every input chain is verified at delta / 2 first (NotAChain names the
     offender), then the splice is re-verified at delta: junction defects
@@ -196,8 +188,6 @@ def chain_combine(
     """
     if delta <= 0:
         raise ValueError("delta must be positive")
-    if pad < 1:
-        raise ValueError("pad must be at least 1")
     chains = [list(c) for c in chains]
     if not chains or any(not c for c in chains):
         raise ValueError("chains must be nonempty")
@@ -212,7 +202,7 @@ def chain_combine(
     combined: list = []
     for i, c in enumerate(chains):
         if i > 0:
-            combined.extend([zero] * pad)
+            combined.append(zero)
         combined.extend(c)
     worst = max_defect(op, combined)
     if worst > delta * (1.0 + 1e-12):

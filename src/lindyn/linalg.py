@@ -300,7 +300,7 @@ class FixedPointResult:
     final_step: float
 
 
-def _default_distance(a, b) -> float:
+def _distance(a, b) -> float:
     if isinstance(a, (DenseVector, SparseBiSeq)):
         return (a - b).norm()
     if isinstance(a, np.ndarray):
@@ -313,7 +313,6 @@ def banach_fixed_point(
     x0,
     contraction_bound: float,
     tol: float,
-    distance: Callable | None = None,
 ) -> FixedPointResult:
     """Iterate a declared contraction to a point p with d(map(p), p) <= tol.
 
@@ -326,12 +325,11 @@ def banach_fixed_point(
         raise ValueError("contraction_bound must lie in (0, 1)")
     if tol <= 0.0:
         raise ValueError("tol must be positive")
-    dist = distance if distance is not None else _default_distance
 
     lam = contraction_bound
     x = x0
     fx = map_fn(x)
-    step = dist(fx, x)
+    step = _distance(fx, x)
     if step <= tol:
         return FixedPointResult(point=x, iterations=0, final_step=step)
 
@@ -342,7 +340,7 @@ def banach_fixed_point(
         iterations += 1
         x = fx
         fx = map_fn(x)
-        new_step = dist(fx, x)
+        new_step = _distance(fx, x)
         if step > 0 and new_step / step > lam + 1e-9:
             raise NonContracting(
                 f"observed step ratio {new_step / step:.6g} exceeds declared "

@@ -228,11 +228,7 @@ class RobustnessScan:
 
 
 def shadowing_robustness_scan(
-    op: LinOp,
-    radii: Sequence[float],
-    trials: int = 8,
-    rng_seed: int = 0,
-    circle_gap_tol: float = 1e-6,
+    op: LinOp, radii: Sequence[float], trials: int = 8, rng_seed: int = 0
 ) -> RobustnessScan:
     """Perturb the matrix within each radius and re-derive the upper bound.
 
@@ -245,7 +241,7 @@ def shadowing_robustness_scan(
         raise KindMismatch("robustness scan needs a dense operator")
     matrix = op.dense_matrix()
     dim = matrix.shape[0]
-    split0 = spectral_split(op, circle_gap_tol)
+    split0 = spectral_split(op)
     upper0 = shad_bounds(op, split0).upper
     rng = rng_from_seed(rng_seed)
     rows = []
@@ -260,7 +256,7 @@ def shadowing_robustness_scan(
             pert = matrix + (radius / scale) * raw if scale > 0 else matrix
             try:
                 pop = DenseOp(pert, op.norm_tag)
-                psplit = spectral_split(pop, circle_gap_tol)
+                psplit = spectral_split(pop)
                 upper = shad_bounds(pop, psplit).upper
             except (LindynError, np.linalg.LinAlgError):
                 continue

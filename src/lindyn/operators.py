@@ -20,6 +20,7 @@ import numpy as np
 from .errors import (
     ConfigInvalid,
     KindMismatch,
+    NonFinite,
     NotInvertible,
 )
 from .linalg import (
@@ -383,18 +384,20 @@ def monomial_power_sup(
     return MonomialPowers(mono, lo, hi).sup(n)
 
 
-def monomial_power_inf(
-    mono: MonomialForm, n: int, lo: Optional[int] = None, hi: Optional[int] = None
-) -> float:
-    return 1.0 if n == 0 else min([math.inf, *MonomialPowers(mono, lo, hi).products(n)])
+def monomial_power_inf(mono: MonomialForm, n: int) -> float:
+    return 1.0 if n == 0 else min([math.inf, *MonomialPowers(mono).products(n)])
 
 
-def gelfand_envelope(power_fn, horizon: int) -> tuple[float, int]:
-    """min over n <= horizon of power_fn(n)^(1/n), with stagnation cutoff."""
+# Most power norms a spectral radius estimate consults.
+GELFAND_HORIZON = 64
+
+
+def gelfand_envelope(power_fn) -> tuple[float, int]:
+    """min over n <= GELFAND_HORIZON of power_fn(n)^(1/n), with stagnation cutoff."""
     best = math.inf
     used = 0
     stagnant = 0
-    for n in range(1, max(horizon, 1) + 1):
+    for n in range(1, GELFAND_HORIZON + 1):
         used = n
         p = power_fn(n)
         est = p ** (1.0 / n) if p > 0 else 0.0
@@ -449,21 +452,19 @@ class LinOp:
             out = inv.apply(out)
         return out
 
-    def spectral_radius(self, iters: int = 64) -> tuple[float, int]:
+    def spectral_radius(self) -> tuple[float, int]:
         """Spectral radius estimate and the number of power norms consulted.
 
         Dense operators read the radius off their eigenvalues. Sequence
-        operators take the min envelope of ||L^n||^(1/n) over n <= iters,
-        stopping early once the envelope stagnates.
+        operators take the min envelope of ||L^n||^(1/n) over
+        n <= GELFAND_HORIZON, stopping early once the envelope stagnates.
         """
-        if iters < 1:
-            raise ValueError("iters must be >= 1")
         mono = monomial_form(self)
         if mono is None:
             m = self.dense_matrix()
             vals = [abs(lam) for lam, _ in dense_eig(m)]
             return (max(vals), 0)
-        return gelfand_envelope(MonomialPowers(mono).sup, iters)
+        return gelfand_envelope(MonomialPowers(mono).sup)
 
     def dense_matrix(self) -> np.ndarray:
         raise KindMismatch(f"{self.kind} operator has no dense matrix")
@@ -687,8 +688,11 @@ class CompositionOp(LinOp):
         if self.vector_kind != "dense":
             raise KindMismatch("composition is not dense")
         m = self.factors[0].dense_matrix()
-        for f in self.factors[1:]:
-            m = m @ f.dense_matrix()
+        with np.errstate(over="ignore", invalid="ignore"):
+            for f in self.factors[1:]:
+                m = m @ f.dense_matrix()
+        if not np.isfinite(m).all():
+            raise NonFinite("the product of the dense composition factors overflows")
         return m
 
     def operator_norm(self) -> float:
@@ -717,7 +721,7 @@ class OperatorReport:
     gelfand_iterations: int
 
 
-def operator_report(op: LinOp, iters: int = 64) -> OperatorReport:
+def operator_report(op: LinOp) -> OperatorReport:
     """Norm, inverse norm when available, and a spectral radius estimate.
 
     The radius estimate never exceeds the norm by more than roundoff.
@@ -726,7 +730,7 @@ def operator_report(op: LinOp, iters: int = 64) -> OperatorReport:
     inv_norm = None
     if op.invertible():
         inv_norm = op.inverse().operator_norm()
-    radius, used = op.spectral_radius(iters)
+    radius, used = op.spectral_radius()
     radius = min(radius, op_norm + 1e-9)
     return OperatorReport(
         op_norm=op_norm,

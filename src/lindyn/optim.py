@@ -22,17 +22,24 @@ import numpy as np
 from .linalg import L1, LINF
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+# the descent's caps and tolerances: golden-section steps per line search, line
+# search tolerance relative to its bracket, relative gain that ends a descent,
+# diagonal directions offered
+GOLDEN_MAX_ITER = 120
+LINE_TOL_REL = 1e-11
+DESCEND_TOL = 1e-10
+DIAGONAL_DIRECTIONS_CAP = 24
 
 
 def golden_section(
-    phi: Callable[[float], float], a: float, b: float, tol: float, max_iter: int = 120
+    phi: Callable[[float], float], a: float, b: float, tol: float
 ) -> tuple[float, float]:
     """Minimize phi on [a, b]; intended for unimodal slices."""
     x1 = b - GOLDEN * (b - a)
     x2 = a + GOLDEN * (b - a)
     f1, f2 = phi(x1), phi(x2)
     it = 0
-    while (b - a) > tol and it < max_iter:
+    while (b - a) > tol and it < GOLDEN_MAX_ITER:
         it += 1
         if f1 <= f2:
             b, x2, f2 = x2, x1, f1
@@ -46,9 +53,7 @@ def golden_section(
     return t, min(f1, f2)
 
 
-def line_minimize(
-    phi: Callable[[float], float], phi0: float, scale: float, tol_rel: float = 1e-11
-) -> tuple[float, float]:
+def line_minimize(phi: Callable[[float], float], phi0: float, scale: float) -> tuple[float, float]:
     """Minimize phi over the real line starting from t = 0.
 
     Brackets by doubling in whichever direction descends, then refines with
@@ -71,7 +76,7 @@ def line_minimize(
             t_prev, t_cur, best = t_cur, t_next, f_next
         lo, hi = (t_prev, t_next) if sgn > 0 else (t_next, t_prev)
     width = hi - lo
-    t, ft = golden_section(phi, lo, hi, tol=max(width * tol_rel, 1e-14))
+    t, ft = golden_section(phi, lo, hi, tol=max(width * LINE_TOL_REL, 1e-14))
     if phi0 <= ft:
         return 0.0, phi0
     return t, ft
@@ -82,7 +87,6 @@ def descend(
     x0: np.ndarray,
     directions: Sequence[np.ndarray],
     scale: float,
-    tol: float = 1e-10,
     max_passes: int = 40,
 ) -> tuple[np.ndarray, float]:
     """Repeated line minimization along a fixed direction list.
@@ -108,7 +112,7 @@ def descend(
                 improved += fx - ft
                 x = x + t * u
                 fx = ft
-        if improved <= tol * (1.0 + abs(fx)):
+        if improved <= DESCEND_TOL * (1.0 + abs(fx)):
             break
     return x, fx
 
@@ -117,7 +121,7 @@ def coordinate_directions(dim: int) -> list[np.ndarray]:
     return [np.eye(dim)[j] for j in range(dim)]
 
 
-def diagonal_directions(dim: int, limit: int = 24) -> list[np.ndarray]:
+def diagonal_directions(dim: int) -> list[np.ndarray]:
     """Pairwise two-coordinate diagonals, capped to keep passes cheap."""
     dirs: list[np.ndarray] = []
     eye = np.eye(dim)
@@ -125,7 +129,7 @@ def diagonal_directions(dim: int, limit: int = 24) -> list[np.ndarray]:
         for k in range(j + 1, dim):
             dirs.append(eye[j] + eye[k])
             dirs.append(eye[j] - eye[k])
-            if len(dirs) >= limit:
+            if len(dirs) >= DIAGONAL_DIRECTIONS_CAP:
                 return dirs
     return dirs
 
@@ -139,6 +143,8 @@ def diagonal_directions(dim: int, limit: int = 24) -> list[np.ndarray]:
 MIN_MAX_RTOL = 1e-9
 MIN_MAX_ROUNDS = 30
 MIN_MAX_PIVOTS = 1000
+# steps of one Newton polish on the active pieces
+NEWTON_STEPS = 10
 
 
 @dataclass(frozen=True)
@@ -234,7 +240,7 @@ def _simplex(cols, cost, basis, budget: int):
     raise AssertionError("unreachable")
 
 
-def _newton(B, c, x, t, lam, radius: float, iters: int = 10):
+def _newton(B, c, x, t, lam, radius: float):
     """Newton's method on the KKT system of min t s.t. piece_p(x) <= t over
     the given pieces, all taken as active: sum lam_p grad_p = 0,
     sum lam_p = 1, piece_p(x) = t. Each step is the least-squares solution,
@@ -247,7 +253,7 @@ def _newton(B, c, x, t, lam, radius: float, iters: int = 10):
     J = np.zeros((nv + 1 + k, nv + 1 + k))
     J[nv, nv + 1 :] = 1.0
     J[nv + 1 :, nv] = -1.0
-    for _ in range(iters):
+    for _ in range(NEWTON_STEPS):
         s = B @ x + c
         nrm = np.sqrt((s * s).sum(axis=-1))
         if not (nrm > 0).all():

@@ -11,6 +11,10 @@ import numpy as np
 
 from .linalg import DenseVector, SparseBiSeq, row_norms
 
+MARGIN_MATRIX_TRIES = 10_000
+# a random contraction's spectral radius is drawn uniformly from this interval
+CONTRACTION_RADII = (0.2, 0.9)
+
 
 def rng_from_seed(seed: int) -> np.random.Generator:
     return np.random.default_rng(int(seed))
@@ -50,13 +54,9 @@ def unit_dense_rows(
 
 
 def unit_dense_samples(
-    dim: int,
-    tag: str,
-    count: int,
-    rng: np.random.Generator,
-    real: bool = False,
+    dim: int, tag: str, count: int, rng: np.random.Generator
 ) -> list[DenseVector]:
-    return [DenseVector(row, tag) for row in unit_dense_rows(dim, tag, count, rng, real)]
+    return [DenseVector(row, tag) for row in unit_dense_rows(dim, tag, count, rng)]
 
 
 def unit_seq_samples(
@@ -83,31 +83,22 @@ def unit_seq_samples(
 
 
 def random_margin_matrix(
-    dim: int,
-    rng: np.random.Generator,
-    margin: float = 0.05,
-    min_modulus: float = 1e-6,
-    max_tries: int = 10_000,
+    dim: int, rng: np.random.Generator, margin: float = 0.05, min_modulus: float = 1e-6
 ) -> np.ndarray:
     """Random real matrix whose eigenvalue moduli sit at least `margin` off
     the unit circle and at least `min_modulus` off zero, by rejection."""
-    for _ in range(max_tries):
+    for _ in range(MARGIN_MATRIX_TRIES):
         m = rng.standard_normal((dim, dim))
         moduli = np.abs(np.linalg.eigvals(m))
         if np.all(np.abs(moduli - 1.0) >= margin) and np.all(moduli >= min_modulus):
             return m
-    raise RuntimeError(f"no margin-{margin} matrix found in {max_tries} draws")
+    raise RuntimeError(f"no margin-{margin} matrix found in {MARGIN_MATRIX_TRIES} draws")
 
 
-def random_spectral_contraction(
-    dim: int,
-    rng: np.random.Generator,
-    max_radius: float = 0.9,
-    min_radius: float = 0.2,
-) -> np.ndarray:
+def random_spectral_contraction(dim: int, rng: np.random.Generator) -> np.ndarray:
     """Random real matrix rescaled so its spectral radius lands uniformly in
-    [min_radius, max_radius]. The operator norm may still exceed 1."""
-    target = rng.uniform(min_radius, max_radius)
+    CONTRACTION_RADII. The operator norm may still exceed 1."""
+    target = rng.uniform(*CONTRACTION_RADII)
     while True:
         m = rng.standard_normal((dim, dim))
         r = float(np.abs(np.linalg.eigvals(m)).max())

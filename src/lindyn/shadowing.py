@@ -59,6 +59,12 @@ from .splitting import (
 
 WINDOW_SOLVE_MAX_DIM = 8
 WINDOW_SOLVE_MAX_LEN = 512
+# A series is closed once its geometric remainder falls below SERIES_TAIL,
+# and refused past SERIES_TERM_CAP terms.
+SERIES_TAIL = 1e-12
+SERIES_TERM_CAP = 10_000
+# Absolute slack on the contraction shadow's error bound.
+CONTRACTION_SLACK = 1e-10
 
 
 @dataclass(frozen=True)
@@ -266,7 +272,7 @@ class SeriesConstants:
         return d * (self.series_A + self.series_B)
 
 
-def _sum_until_tail(term_fn, start: int, tail: float, cap: int, certified_ratio: Optional[float]):
+def _sum_until_tail(term_fn, start: int, tail: float, certified_ratio: Optional[float]):
     terms: list[float] = []
     total = 0.0
     ratios: list[float] = []
@@ -296,19 +302,14 @@ def _sum_until_tail(term_fn, start: int, tail: float, cap: int, certified_ratio:
                 total += rem
                 break
         k += 1
-        if k - start > cap:
+        if k - start > SERIES_TERM_CAP:
             raise NotCertified(
-                f"series did not certify convergence within {cap} terms",
+                f"series did not certify convergence within {SERIES_TERM_CAP} terms",
             )
     return total, tuple(terms)
 
 
-def series_constants(
-    op: LinOp,
-    split: Splitting,
-    tail: float = 1e-12,
-    cap: int = 10_000,
-) -> SeriesConstants:
+def series_constants(op: LinOp, split: Splitting, tail: float = SERIES_TAIL) -> SeriesConstants:
     """Certified sums A = sum ||L^k|_S|| and B = sum ||L^-k|_U||.
 
     Remainders are bounded by the certified side rate when one is available
@@ -326,8 +327,8 @@ def series_constants(
                 f"restricted radius on {side} is {r:.6g} >= 1; series cannot converge",
             )
     # both radii are below 1 here, or NaN, which _sum_until_tail ignores
-    A, a_terms = _sum_until_tail(powers_S, 0, tail, cap, r_s)
-    B, b_terms = _sum_until_tail(powers_U, 1, tail, cap, r_u)
+    A, a_terms = _sum_until_tail(powers_S, 0, tail, r_s)
+    B, b_terms = _sum_until_tail(powers_U, 1, tail, r_u)
     return SeriesConstants(
         proj_S_norm=split.proj_S_norm,
         series_A=A,
@@ -354,8 +355,8 @@ class ShadBounds:
     series_B: float
 
 
-def shad_bounds(op: LinOp, split: Splitting, tail: float = 1e-12) -> ShadBounds:
-    sc = series_constants(op, split, tail=tail)
+def shad_bounds(op: LinOp, split: Splitting) -> ShadBounds:
+    sc = series_constants(op, split)
     upper = sc.upper
     lower = max(resolvent_norm_S(op, split), resolvent_norm_U_inv(op, split))
     if lower > upper + 1e-9:
@@ -457,11 +458,7 @@ def _series_points(k: _Kind, rows: np.ndarray) -> np.ndarray:
 
 
 def shadow_splitting_series(
-    op: LinOp,
-    split: Splitting,
-    po: PseudoOrbit,
-    tail_tol: float = 1e-12,
-    report: Optional[HyperbolicityReport] = None,
+    op: LinOp, split: Splitting, po: PseudoOrbit, report: Optional[HyperbolicityReport] = None
 ) -> ShadowResult:
     """Correct a pseudo-orbit into an exact orbit through the splitting.
 
@@ -471,12 +468,8 @@ def shadow_splitting_series(
     the inverse on the unstable side, re-projecting every step (see
     _series_points). sup_error is the distance of the stored trajectory to
     the points, as verify_shadow measures it. The classification and the
-    series constants are computed once per (op, split) and tail_tol, which
-    is validated for interface stability but leaves no tail on the finite
-    sums.
+    series constants are computed once per (op, split).
     """
-    if tail_tol <= 0:
-        raise ValueError("tail_tol must be positive")
     memo = _series_memo(op, split)
     if report is None:
         if "report" not in memo:
@@ -486,8 +479,8 @@ def shadow_splitting_series(
         raise NotCertified(
             f"splitting-series shadowing needs a certificate; classification is {report.klass}"
         )
-    if tail_tol not in memo:
-        memo[tail_tol] = series_constants(op, split, tail=tail_tol)
+    if "constants" not in memo:
+        memo["constants"] = series_constants(op, split)
     k = _kind(op, split, po.points)
     rows = k.points(po.points)
     points = _series_points(k, rows)
@@ -496,14 +489,14 @@ def shadow_splitting_series(
         shadow_seed=trajectory[0],
         trajectory=trajectory,
         sup_error=k.sup(k.finite(points - rows)),
-        constant_used=memo[tail_tol].upper,
+        constant_used=memo["constants"].upper,
         method="splitting_series",
     )
     verify_shadow(op, po, result)
     return result
 
 
-def shadow_contraction(op: LinOp, po: PseudoOrbit, tol: float = 1e-10) -> ShadowResult:
+def shadow_contraction(op: LinOp, po: PseudoOrbit) -> ShadowResult:
     """Shadow a pseudo-orbit of a norm contraction by the exact orbit of its
     first point, the fixed point of the anchored sequence map
     (x_n) -> (x_0, L x_0, L x_1, ...); the error never exceeds
@@ -518,7 +511,7 @@ def shadow_contraction(op: LinOp, po: PseudoOrbit, tol: float = 1e-10) -> Shadow
     traj = k.walk(points[0], len(points) - 1)
     sup_error = k.sup(k.finite(traj - points))
     constant = 1.0 / (1.0 - lam)
-    if sup_error > constant * po.delta + tol:
+    if sup_error > constant * po.delta + CONTRACTION_SLACK:
         raise NotCertified(
             f"contraction shadow error {sup_error:.6g} exceeds delta/(1-lambda) + tol"
         )

@@ -50,6 +50,7 @@ from .operators import (
 DEFAULT_CIRCLE_GAP_TOL = 1e-6
 UNDETERMINED_BAND = 1e-6
 INVARIANCE_RESIDUAL = 1e-9
+PROJECTION_RESIDUAL = 1e-10
 DEFECTIVE_COND = 1e10
 
 
@@ -213,7 +214,7 @@ def spectral_split(op: DenseOp, circle_gap_tol: float = DEFAULT_CIRCLE_GAP_TOL) 
     return split
 
 
-def _check_projection_identities(split: SpectralSplit, tol: float = 1e-10) -> None:
+def _check_projection_identities(split: SpectralSplit) -> None:
     d = split.dim
     eye = np.eye(d)
     scale = max(1.0, split.cond)
@@ -222,9 +223,9 @@ def _check_projection_identities(split: SpectralSplit, tol: float = 1e-10) -> No
         np.abs(split.P_S @ split.P_S - split.P_S).max(),
         np.abs(split.P_S @ split.P_U).max(),
     )
-    if max(checks) > tol * scale:
+    if max(checks) > PROJECTION_RESIDUAL * scale:
         raise InvalidSplitting(
-            f"projection identities fail at {max(checks):.3g} (tol {tol:g})"
+            f"projection identities fail at {max(checks):.3g} (tol {PROJECTION_RESIDUAL:g})"
         )
 
 
@@ -293,21 +294,21 @@ class RestrictedPowers:
 
 
 def restricted_radius_S(
-    op: LinOp, split: Splitting, horizon: int = 64, powers: Optional[RestrictedPowers] = None
+    op: LinOp, split: Splitting, powers: Optional[RestrictedPowers] = None
 ) -> float:
     """Spectral radius of L on S; powers, when given, is the side's sequence."""
     if isinstance(split, SpectralSplit):
         return float(np.abs(split.lam_S).max()) if split.lam_S.size else 0.0
-    return gelfand_envelope(powers or RestrictedPowers(op, split, "S"), horizon)[0]
+    return gelfand_envelope(powers or RestrictedPowers(op, split, "S"))[0]
 
 
 def restricted_radius_U_inv(
-    op: LinOp, split: Splitting, horizon: int = 64, powers: Optional[RestrictedPowers] = None
+    op: LinOp, split: Splitting, powers: Optional[RestrictedPowers] = None
 ) -> float:
     """Spectral radius of L^{-1} on U; powers, when given, is the side's sequence."""
     if isinstance(split, SpectralSplit):
         return float(np.abs(1.0 / split.lam_U).max()) if split.lam_U.size else 0.0
-    return gelfand_envelope(powers or RestrictedPowers(op, split, "U"), horizon)[0]
+    return gelfand_envelope(powers or RestrictedPowers(op, split, "U"))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -474,7 +475,7 @@ class HyperbolicityReport:
     circle_gap: float
 
 
-def classify(op: LinOp, split: Splitting, horizon: int = 64) -> HyperbolicityReport:
+def classify(op: LinOp, split: Splitting) -> HyperbolicityReport:
     """Classify the operator against the supplied splitting.
 
     Raises InvalidSplitting when S fails forward invariance or U fails
@@ -482,13 +483,13 @@ def classify(op: LinOp, split: Splitting, horizon: int = 64) -> HyperbolicityRep
     except Neither-by-rates.
     """
     if isinstance(split, CoordinateSplit):
-        return _classify_coordinate(op, split, horizon)
+        return _classify_coordinate(op, split)
     if isinstance(split, SpectralSplit):
         return _classify_spectral(op, split)
     raise KindMismatch(f"unknown splitting type {type(split).__name__}")
 
 
-def _classify_coordinate(op: LinOp, split: CoordinateSplit, horizon: int) -> HyperbolicityReport:
+def _classify_coordinate(op: LinOp, split: CoordinateSplit) -> HyperbolicityReport:
     mono = _coordinate_monomial(op)
     if op.norm_tag != split.norm_tag:
         raise KindMismatch("operator and splitting disagree in norm tag")
@@ -503,8 +504,8 @@ def _classify_coordinate(op: LinOp, split: CoordinateSplit, horizon: int) -> Hyp
         raise InvalidSplitting(
             "operator moves support upward; the coordinate S is not invariant",
         )
-    r_S = restricted_radius_S(op, split, horizon)
-    r_U_inv = restricted_radius_U_inv(op, split, horizon)
+    r_S = restricted_radius_S(op, split)
+    r_U_inv = restricted_radius_U_inv(op, split)
     gap = min(abs(1.0 - r_S), abs(1.0 - r_U_inv))
     if abs(r_S - 1.0) < UNDETERMINED_BAND or abs(r_U_inv - 1.0) < UNDETERMINED_BAND:
         klass, witness = UNDETERMINED, None

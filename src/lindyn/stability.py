@@ -38,19 +38,23 @@ from .gallery import DifferentiableMap
 from .linalg import DenseVector, array_norm
 from .operators import DenseOp, LinOp
 from .sampling import rng_from_seed, unit_dense_samples
-from .shadowing import SeriesConstants, _Apply, _kind, _sum_until_tail, series_constants
+from .shadowing import SERIES_TAIL, SERIES_TERM_CAP, SeriesConstants, _Apply, _kind
+from .shadowing import _sum_until_tail, series_constants
 from .splitting import Splitting, spectral_split
 
 PHI_LIP_MAX = 8.0 / (3.0 * math.sqrt(3.0))
 MEMO_QUANTUM = 1e-12
 MEMO_COORD_CAP = 1e6
-TRAJECTORY_CAP = 10_000
 # Trajectory points one top-level field query may walk. The largest query in
 # the acceptance criteria AC06 and AC07, the bundled scenarios and the
 # conjugacy_field benchmark rounds of seeds 1-5 walks 5,037, so this is
 # about 20 times the most any of them needs.
 QUERY_WALK_CAP = 100_000
 POINTWISE_INVERSE_CAP = 300
+POINTWISE_INVERSE_TOL = 1e-13
+PICARD_MAX_DEPTH = 12
+# the local linearization halves its cutoff radius down to this one
+MIN_CUTOFF_RADIUS = 1e-4
 
 
 def _bump(r: float) -> float:
@@ -198,10 +202,10 @@ def compute_horizons(
     len(b_terms) steps forward, with .gamma the bound on Gamma itself."""
     term_tail = tail_tol / (4.0 * max(1.0, sup_alpha))
     try:
-        return series_constants(op, split, tail=term_tail, cap=TRAJECTORY_CAP)
+        return series_constants(op, split, tail=term_tail)
     except NotCertified as exc:
         raise TrajectoryBudget(
-            f"series horizons exceeded {TRAJECTORY_CAP} trajectory steps"
+            f"series horizons exceeded {SERIES_TERM_CAP} trajectory steps"
         ) from exc
 
 
@@ -213,7 +217,6 @@ def gamma_eval(
     horizons: Optional[SeriesConstants] = None,
     traj_forward: Optional[Callable] = None,
     traj_backward: Optional[Callable] = None,
-    tail_tol: float = 1e-9,
 ) -> DenseVector:
     """Gamma(alpha)(x) along the trajectory maps (the operator by default).
 
@@ -227,7 +230,7 @@ def gamma_eval(
     points, so an overflowing one is refused first.
     """
     if horizons is None:
-        horizons = compute_horizons(op, split, alpha.sup_norm, tail_tol)
+        horizons = compute_horizons(op, split, alpha.sup_norm)
     k = _kind(op, split, [x])
     A, A_inv, P_S, P_U = k.A, k.A_inv, k.P_S, k.P_U
     start = k.point(x)
@@ -350,17 +353,11 @@ class ConjugacySolution:
     reached_tol: bool
 
 
-def conjugacy_solve(
-    op: LinOp,
-    split: Splitting,
-    beta,
-    tol: float = 1e-8,
-    max_depth: int = 12,
-) -> ConjugacySolution:
+def conjugacy_solve(op: LinOp, split: Splitting, beta, tol: float = 1e-8) -> ConjugacySolution:
     """Picard-solve the conjugacy equation to within tol.
 
     The iteration contracts with factor horizons.gamma * lip(beta); the depth
-    is chosen from the geometric residual bound and clamped at max_depth.
+    is chosen from the geometric residual bound and clamped at PICARD_MAX_DEPTH.
     A clamped depth is reported through reached_tol, and the honest arbiter
     either way is conjugacy_residual.
     """
@@ -378,8 +375,8 @@ def conjugacy_solve(
     else:
         depth = math.ceil(math.log(tol * (1.0 - factor) / h_bound) / math.log(factor))
         depth = max(depth, 1)
-    reached = depth <= max_depth
-    depth = min(depth, max_depth)
+    reached = depth <= PICARD_MAX_DEPTH
+    depth = min(depth, PICARD_MAX_DEPTH)
     return ConjugacySolution(
         field=ConjugacyField(op, split, beta, depth, horizons),
         depth=depth,
@@ -405,7 +402,7 @@ def conjugacy_residual(op: LinOp, beta, h: Callable, points: Sequence[DenseVecto
 # ---------------------------------------------------------------------------
 
 
-def perturbed_backward_map(op: LinOp, beta, tol: float = 1e-13) -> Callable:
+def perturbed_backward_map(op: LinOp, beta) -> Callable:
     """Pointwise inverse of M = L + beta by iterating y <- L^-1(z - beta(y)).
 
     Contracts with factor ||L^-1|| * lip(beta); callers must keep that below
@@ -419,7 +416,7 @@ def perturbed_backward_map(op: LinOp, beta, tol: float = 1e-13) -> Callable:
             y_next = inv.apply(z - beta(y))
             step = (y_next - y).norm()
             y = y_next
-            if step <= tol * (1.0 + y.norm()):
+            if step <= POINTWISE_INVERSE_TOL * (1.0 + y.norm()):
                 return y
         raise NoConvergence(
             f"pointwise inverse did not settle in {POINTWISE_INVERSE_CAP} iterations"
@@ -565,25 +562,18 @@ class LocalLinearization:
 
 
 def grobman_hartman_local(
-    map_obj: DifferentiableMap,
-    p: Optional[DenseVector] = None,
-    box_radius: float = 1.0,
-    tol: float = 1e-6,
-    min_radius: float = 1e-4,
-    rng_seed: int = 0,
+    map_obj: DifferentiableMap, box_radius: float = 1.0, tol: float = 1e-6, rng_seed: int = 0
 ) -> LocalLinearization:
-    """Local linearization at a hyperbolic fixed point.
+    """Local linearization at the map's hyperbolic fixed point.
 
     Recenters the map, splits the derivative off the unit circle, then
     shrinks the cutoff radius until the sampled nonlinearity is small enough
     for the one-pass inverse conjugacy. Near-circle derivative spectrum is
     not certifiable and raises accordingly.
     """
-    if p is None:
-        if map_obj.fixed_point is None:
-            raise ValueError("the map declares no fixed point; pass p explicitly")
-        p = map_obj.fixed_point
-    p_arr = np.asarray(p.coords if isinstance(p, DenseVector) else p, dtype=complex)
+    if map_obj.fixed_point is None:
+        raise ValueError("the map declares no fixed point")
+    p_arr = np.asarray(map_obj.fixed_point, dtype=complex)
     p_vec = DenseVector(p_arr, map_obj.norm_tag)
     fp_defect = array_norm(map_obj(p_arr) - p_arr, map_obj.norm_tag)
     if fp_defect > 1e-9 * (1.0 + p_vec.norm()):
@@ -614,9 +604,9 @@ def grobman_hartman_local(
         if factor <= 0.5 and inv_norm * lip_est <= 0.5:
             break
         radius /= 2.0
-        if radius < min_radius:
+        if radius < MIN_CUTOFF_RADIUS:
             raise NotCertified(
-                f"no certifiable radius above {min_radius:g}; last factor {factor:.3g}"
+                f"no certifiable radius above {MIN_CUTOFF_RADIUS:g}; last factor {factor:.3g}"
             )
     beta = _CutoffField(G, matrix, radius, map_obj.norm_tag, sup_est, lip_est)
     solution = inverse_conjugacy(op, split, beta, tol=tol)
@@ -664,7 +654,7 @@ def verify_contractive_sum(
         raise NotContractiveSpectrum(
             f"spectral radius {radius:.9g} is not below 1", radius=radius
         )
-    gamma, _ = _sum_until_tail(op.power_norm, 0, 1e-12, TRAJECTORY_CAP, None)
+    gamma, _ = _sum_until_tail(op.power_norm, 0, SERIES_TAIL, None)
     if op.vector_kind != "dense":
         raise NotCertified("the replay harness samples dense vectors only")
     dim = op.dense_matrix().shape[0]

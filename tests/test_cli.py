@@ -3,7 +3,7 @@ import json
 import time
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lindyn import cli
@@ -17,6 +17,7 @@ from lindyn.cli import (
     run_suite,
 )
 from lindyn.errors import ConfigInvalid, NotCertified
+from lindyn.shadowing import WINDOW_SOLVE_MAX_LEN
 
 SADDLE_CFG = {
     "name": "unit-saddle",
@@ -77,6 +78,15 @@ def test_shadow_task_records_a_window_solve_refusal(monkeypatch):
     methods = task["result"]["methods"]
     assert methods["window_solve"] == {"error": "NOT_CERTIFIED", "message": "window refused"}
     assert "sup_error" in methods["splitting_series"]
+
+
+def test_gh_weighted_shift_witnesses_and_bounds():
+    tasks = run_scenario(load_scenario_file("gh_weighted_shift"))["tasks"]
+    e0 = {"entries": {"0": 1.0}, "norm": "l1"}
+    assert tasks["classify"]["result"]["witness"] == e0
+    assert tasks["homoclinic"]["result"]["witness"] == e0
+    bounds = tasks["bounds"]["result"]
+    assert (bounds["lower"], bounds["upper"]) == (2.0, 3.0)
 
 
 def test_run_scenario_rejects_unknown_keys():
@@ -252,6 +262,51 @@ def test_main_codes_malformed_and_overflowing_operators(
     capsys.readouterr()
 
 
+# a 9x9 diagonal saddle, one dimension past the window solve
+NINE_SADDLE = [[(0.5 if i < 4 else 2.0) if i == j else 0.0 for j in range(9)] for i in range(9)]
+
+
+@pytest.mark.parametrize(
+    "matrix, params, location",
+    [
+        # the margin descent once ran 5 s before the window solve refused
+        # the 601-point window with a traceback
+        ([[0.5, 0.0], [0.0, 2.0]], {"linf_N": 300}, "$.parameters.linf_N"),
+        (NINE_SADDLE, {"linf_N": 2}, "$.operator"),
+        # every sample was built, then solved, for hours
+        ([[0.5, 0.0], [0.0, 2.0]], {"linf_samples": 10**9}, "$.parameters.linf_samples"),
+    ],
+)
+def test_linf_task_refuses_what_the_window_solve_cannot_take(
+    tmp_path, capsys, matrix, params, location
+):
+    cfg = {
+        "operator": {"kind": "dense", "matrix": matrix, "norm": "linf"},
+        "tasks": ["linf"],
+        "parameters": params,
+    }
+    path = tmp_path / "linf.json"
+    path.write_text(json.dumps(cfg))
+    t0 = time.perf_counter()
+    assert main(["run", str(path)]) == 2
+    assert time.perf_counter() - t0 < 1.0
+    err = capsys.readouterr().err
+    assert err.startswith("CONFIG_INVALID") and f"(at {location})" in err
+
+
+def test_linf_task_codes_an_overflowing_dense_composition(tmp_path, capsys):
+    # the product overflowed inside the margin's eigen solve, a traceback
+    factors = [
+        {"kind": "dense", "matrix": [[0.0, 0.0], [1e308, 0.0]]},
+        {"kind": "dense", "matrix": [[0.0, 2.0], [0.0, 0.0]]},
+    ]
+    cfg = {"operator": {"kind": "compose", "factors": factors, "norm": "l1"}, "tasks": ["linf"]}
+    path = tmp_path / "linf.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["run", str(path)]) == 3
+    assert json.loads(capsys.readouterr().out)["tasks"]["linf"]["error"] == "NON_FINITE"
+
+
 BIG_DIAGONAL = [[1e308, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
 
 
@@ -285,7 +340,8 @@ def test_main_refuses_runaway_work_quickly(tmp_path, capsys, operator, task, err
 # one number or string at any depth replaced by a wrongly typed value. Only
 # the number of examples and the sizes that set a task's running time
 # (windows, linf_N, linf_samples, suite size, matrix side) are kept small,
-# so that the test fits tier-1 time.
+# so that the test fits tier-1 time. The rare large ones (a 9x9 saddle, a
+# linf_N or linf_samples past its cap) are refused before any work.
 JUNK = st.sampled_from([None, True, "x", [], {}, [1, 2, 3]])
 
 
@@ -315,7 +371,8 @@ MATRIX = rarely(
     st.integers(1, 3).flatmap(
         lambda d: st.lists(st.lists(SCALAR, min_size=d, max_size=d), min_size=d, max_size=d)
     ),
-    st.lists(st.lists(SCALAR, max_size=3), max_size=3) | st.just([[0.5] * 33] * 33),
+    st.lists(st.lists(SCALAR, max_size=3), max_size=3)
+    | st.sampled_from([[[0.5] * 33] * 33, NINE_SADDLE]),
 )
 LEAF = st.one_of(
     st.fixed_dictionaries({"kind": st.just("dense"), "matrix": MATRIX}),
@@ -337,8 +394,8 @@ PARAMETERS = st.fixed_dictionaries(
             st.just({"coords": [1.0] * 40}),
             st.fixed_dictionaries({"entries": st.dictionaries(INDEX, SCALAR, max_size=2)}),
         ),
-        "linf_N": COUNT.map(lambda n: n + 1),
-        "linf_samples": COUNT,
+        "linf_N": rarely(COUNT, st.just(WINDOW_SOLVE_MAX_LEN // 2 - 1)).map(lambda n: n + 1),
+        "linf_samples": rarely(COUNT, st.just(cli.MAX_LINF_SAMPLES + 1)),
         "eps": NUMBER,
         "map": st.just("saddle_cubic"),
         "box_radius": NUMBER,
@@ -390,8 +447,20 @@ def _mutate(cfg):
     )
 
 
+def _linf_scenario(matrix, **params):
+    return {
+        "operator": {"kind": "dense", "matrix": matrix, "norm": "linf"},
+        "tasks": ["linf"],
+        "parameters": params,
+    }
+
+
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(cfg=WELL_TYPED | WELL_TYPED.flatmap(_mutate))
+# the rare draws past the linf task's caps, each at least once
+@example(cfg=_linf_scenario(NINE_SADDLE, linf_N=2))
+@example(cfg=_linf_scenario([[0.5, 0.0], [0.0, 2.0]], linf_N=WINDOW_SOLVE_MAX_LEN // 2))
+@example(cfg=_linf_scenario([[0.5, 0.0], [0.0, 2.0]], linf_samples=cli.MAX_LINF_SAMPLES + 1))
 def test_main_exit_codes_on_mutated_scenarios(tmp_path_factory, cfg):
     path = tmp_path_factory.mktemp("fuzz") / "scenario.json"
     path.write_text(json.dumps(cfg))

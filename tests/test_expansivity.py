@@ -104,6 +104,16 @@ def test_ecs_membership_unstable_direction_fails_fast():
     assert rep.max_ratio > 1.0
 
 
+@pytest.mark.parametrize("beta, horizon", [(2.0, 2000), (0.5, 2000), (0.9, 8000)])
+def test_ecs_membership_long_horizons_return_a_verdict(beta, horizon):
+    # beta**n once overflowed (beta 2) or underflowed to a zero bound
+    x = DenseVector([1.0, 0.0], LINF)
+    rep = ecs_membership(SADDLE, x, c=1.0, beta=beta, horizon=horizon)
+    assert rep.member
+    assert rep.first_violation_n is None
+    assert rep.max_ratio == 1.0
+
+
 def test_ecs_zero_vector_trivial():
     rep = ecs_membership(SADDLE, DenseVector([0.0, 0.0], LINF), 1.0, 0.5, 5)
     assert rep.member and rep.max_ratio == 0.0

@@ -11,6 +11,7 @@ from lindyn import (
     DenseOp,
     DiagonalOp,
     KindMismatch,
+    NonFinite,
     NotInvertible,
     ShiftOp,
     SparseBiSeq,
@@ -21,6 +22,7 @@ from lindyn import (
 from lindyn.gallery import shifted_weighted_contraction
 from lindyn.operators import (
     ApproachOneWeights,
+    BackwardScaledOp,
     SignWeights,
     TableWeights,
     monomial_form,
@@ -136,6 +138,42 @@ def test_config_round_trip():
         rebuilt = op_from_config(cfg)
         assert op_to_config(rebuilt) == cfg
         assert rebuilt.norm_tag == op.norm_tag
+
+
+def test_config_round_trip_every_kind_and_rule():
+    rules = (
+        SignWeights(neg_and_zero=0.5, pos=2.0),
+        TableWeights.from_mapping({-1: 3.0, 2: 0.25 + 1j}, default=1.0),
+        ApproachOneWeights(),
+    )
+    ops = [DiagonalOp(rule, L1) for rule in rules] + [
+        DenseOp([[2.0, 1.0j], [0.0, 0.5]], LINF),
+        ShiftOp(-2, L2),
+        BackwardScaledOp(2.0 - 1.0j, L1),
+        CompositionOp([ShiftOp(1, L1), DiagonalOp(rules[1], L1)]),
+    ]
+    for op in ops:
+        cfg = op_to_config(op)
+        rebuilt = op_from_config(cfg)
+        assert type(rebuilt) is type(op)
+        assert rebuilt.norm_tag == op.norm_tag
+        assert op_to_config(rebuilt) == cfg
+        if isinstance(op, DiagonalOp):
+            assert rebuilt.rule == op.rule
+
+
+def test_inverse_weights_are_refused_as_config():
+    inv = DiagonalOp(TableWeights.from_mapping({0: 3.0}, default=1.0), L1).inverse()
+    with pytest.raises(ConfigInvalid) as exc:
+        op_to_config(inv)
+    assert exc.value.code == "CONFIG_INVALID"
+
+
+def test_dense_composition_refuses_an_overflowing_product():
+    big, nil = DenseOp([[0.0, 0.0], [1e308, 0.0]], L1), DenseOp([[0.0, 2.0], [0.0, 0.0]], L1)
+    op = CompositionOp([big, nil])
+    with pytest.raises(NonFinite):
+        op.dense_matrix()
 
 
 def test_config_errors_carry_location():
