@@ -10,14 +10,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .errors import KindMismatch, NonFinite, NotCertified
-from .linalg import DenseVector, array_norm, max_row_norm
+from .linalg import DenseVector, matrix_powers
 from .operators import LinOp
-from .optim import coordinate_directions, descend, diagonal_directions
+from .optim import NormRatio, coordinate_directions, descend, diagonal_directions
 from .sampling import dense_basis, rng_from_seed, unit_dense_samples, unit_seq_samples
 
 EXPANSIVE = "Expansive"
@@ -113,6 +114,13 @@ def uniform_expansivity_search(
     return UniformExpansivity(m=worst, threshold=UNIFORM_THRESHOLD, table=tuple(table))
 
 
+def _growth_objective(forward, backward, N: int, tag: str) -> NormRatio:
+    """v -> max_{|n| <= N} ||L^n v|| / ||v|| from the lists of powers
+    L^0, L^1, .. and L^0, L^-1, .. (the latter just [I] without an inverse)."""
+    stack = np.stack(forward[: N + 1] + backward[1 : N + 1])
+    return NormRatio(partial(np.matmul, stack), np.atleast_2d, tag, floor=1e-12)
+
+
 def central_window_growth(op: LinOp, n_list: Sequence[int], rng_seed: int = 0) -> dict[int, float]:
     """min over the unit sphere of max_{|n| <= N} ||L^n x||, per N.
 
@@ -130,32 +138,17 @@ def central_window_growth(op: LinOp, n_list: Sequence[int], rng_seed: int = 0) -
         raise ValueError(f"window growth is limited to dimension {WINDOW_GROWTH_MAX_DIM}")
     if any(n < 0 for n in n_list):
         raise ValueError("window half-lengths must be nonnegative")
-    inv_matrix = np.linalg.inv(matrix) if op.invertible() else None
     # powers up to the largest N, shared by every N and checked once
     top = max(n_list, default=0)
-    eye = np.eye(dim, dtype=complex)
-    forward, backward = [eye], [eye]
-    with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(top):
-            forward.append(matrix @ forward[-1])
-            if inv_matrix is not None:
-                backward.append(inv_matrix @ backward[-1])
-    if not np.isfinite(np.stack(forward + backward)).all():
-        raise NonFinite(f"powers of the matrix or its inverse up to {top} overflow")
+    forward = matrix_powers(matrix, top)
+    backward = matrix_powers(np.linalg.inv(matrix), top) if op.invertible() else forward[:1]
     rng = rng_from_seed(rng_seed)
     out: dict[int, float] = {}
     for N in n_list:
         if N == 0:
             out[0] = 1.0
             continue
-        stack = np.stack(forward[: N + 1] + backward[1 : N + 1])
-
-        def growth(v: np.ndarray) -> float:
-            nv = array_norm(v, op.norm_tag)
-            if nv < 1e-12:
-                return np.inf
-            return max_row_norm(stack @ v, op.norm_tag) / nv
-
+        growth = _growth_objective(forward, backward, N, op.norm_tag)
         seeds = [b.coords for b in dense_basis(dim, op.norm_tag)]
         seeds += [s.coords for s in unit_dense_samples(dim, op.norm_tag, GROWTH_RANDOM_SEEDS, rng)]
         dirs = coordinate_directions(dim) + diagonal_directions(dim)

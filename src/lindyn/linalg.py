@@ -293,6 +293,18 @@ def mat_norm(m: np.ndarray, tag: str) -> float:
     return float(np.linalg.norm(m, 2))
 
 
+def matrix_powers(matrix: np.ndarray, top: int) -> list[np.ndarray]:
+    """[M^0, M^1, ..., M^top] for a square matrix, refused with NonFinite
+    where a power overflows."""
+    powers = [np.eye(matrix.shape[0], dtype=complex)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(top):
+            powers.append(matrix @ powers[-1])
+            if not np.isfinite(powers[-1]).all():
+                raise NonFinite(f"powers of the matrix up to {top} overflow")
+    return powers
+
+
 @dataclass(frozen=True)
 class FixedPointResult:
     point: object

@@ -16,9 +16,9 @@ from typing import Sequence
 import numpy as np
 
 from .errors import KindMismatch, LindynError, NotCertified
-from .linalg import DenseVector, dense_eig, mat_norm, max_row_norm, row_norms
+from .linalg import DenseVector, dense_eig, mat_norm, matrix_powers, max_row_norm, row_norms
 from .operators import DenseOp, LinOp
-from .optim import descend
+from .optim import NormRatio, descend
 from .sampling import rng_from_seed
 from .shadowing import PseudoOrbit, _kind, shad_bounds, shadow_window_solve
 from .splitting import spectral_split
@@ -28,7 +28,11 @@ MAX_WINDOW_VARIABLES = 4096
 
 @dataclass(frozen=True)
 class WindowedLinf:
-    """The difference operator restricted to windows indexed -N .. N."""
+    """The difference operator restricted to windows indexed -N .. N.
+
+    A base whose powers up to 2N overflow is refused with NonFinite: the
+    estimates walk pseudo-orbits across the whole window.
+    """
 
     base: LinOp
     window_N: int
@@ -44,6 +48,7 @@ class WindowedLinf:
                 f"window holds {dim * (2 * self.window_N + 1)} variables, "
                 f"over the cap {MAX_WINDOW_VARIABLES}"
             )
+        matrix_powers(self.base.dense_matrix(), 2 * self.window_N)
 
     @property
     def dim(self) -> int:
@@ -61,21 +66,18 @@ def linf_apply(w: WindowedLinf, xs: Sequence[DenseVector]) -> tuple:
     return tuple(xs[i + 1] - w.base.apply(xs[i]) for i in range(len(xs) - 1))
 
 
-def _margin_objective(w: WindowedLinf):
+def _margin_objective(w: WindowedLinf) -> NormRatio:
+    """The margin of a flat window: the largest output over the largest point."""
     matrix = w.base.dense_matrix()
-    tag = w.base.norm_tag
+    shape = (w.window_length, w.dim)
 
-    def value(flat: np.ndarray) -> float:
-        xs = flat.reshape(w.window_length, w.dim)
-        sup_in = max_row_norm(xs, tag)
-        if sup_in < 1e-14:
-            return math.inf
+    def outputs(flat: np.ndarray) -> np.ndarray:
+        xs = flat.reshape(shape)
         # the interior outputs, then the two boundary outputs that the zero
-        # extension outside the window adds, in one norm pass
-        outputs = np.concatenate([xs[1:] - xs[:-1] @ matrix.T, xs[:1], xs[-1:] @ matrix.T])
-        return max_row_norm(outputs, tag) / sup_in
+        # extension outside the window adds
+        return np.concatenate([xs[1:] - xs[:-1] @ matrix.T, xs[:1], xs[-1:] @ matrix.T])
 
-    return value
+    return NormRatio(outputs, lambda flat: flat.reshape(shape), w.base.norm_tag, floor=1e-14)
 
 
 def _taper_profile_seeds(w: WindowedLinf) -> list[np.ndarray]:
@@ -146,8 +148,7 @@ def linf_injectivity_margin(w: WindowedLinf, rng_seed: int = 0) -> float:
         e[j] = 1.0
         dirs.append(e)
         dirs.append(1j * e)
-    _, best = descend(objective, ranked[0], dirs, scale=0.25, max_passes=3)
-    return min(best, objective(ranked[0]))
+    return descend(objective, ranked[0], dirs, scale=0.25)[1]
 
 
 def _defect_samples(w: WindowedLinf, count: int, rng_seed: int) -> list[np.ndarray]:

@@ -4,7 +4,11 @@ Two tools, neither drawing random numbers, so repeated runs agree bit for
 bit. The derivative-free descent (golden-section line searches along a
 fixed direction list, steps taken only when they decrease the objective)
 serves linf's injectivity margin and the expansivity search; it gives an
-upper estimate of a minimum and certifies nothing. min_max_norm solves the
+upper estimate of a minimum and certifies nothing. Both of its objectives
+are a NormRatio, a ratio of the largest row norms of two linear maps, so
+along a line each row is affine in the step: a line search builds the rows
+the direction moves once and evaluates them on Python scalars, with every
+row it does not move folded into a constant. min_max_norm solves the
 convex problem min_w max_n ||A_n w + e_n|| of the window solve: a cutting
 plane LP (a revised simplex, warm-started between rounds) polished by
 Newton's method on the active pieces, returning its point with a certified
@@ -19,15 +23,16 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .linalg import L1, LINF
+from .linalg import L1, L2, LINF, max_row_norm
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 # the descent's caps and tolerances: golden-section steps per line search, line
-# search tolerance relative to its bracket, relative gain that ends a descent,
-# diagonal directions offered
+# search tolerance relative to its bracket, relative gain of a pass that ends a
+# descent, passes at most, diagonal directions offered
 GOLDEN_MAX_ITER = 120
 LINE_TOL_REL = 1e-11
 DESCEND_TOL = 1e-10
+DESCEND_MAX_PASSES = 40
 DIAGONAL_DIRECTIONS_CAP = 24
 
 
@@ -56,13 +61,16 @@ def golden_section(
 def line_minimize(phi: Callable[[float], float], phi0: float, scale: float) -> tuple[float, float]:
     """Minimize phi over the real line starting from t = 0.
 
-    Brackets by doubling in whichever direction descends, then refines with
-    golden section. Returns (t, phi(t)) with phi(t) <= phi(0).
+    Brackets by doubling in whichever direction descends or stays level,
+    then refines with golden section. A level stretch is walked on, not
+    taken for a minimum: a ratio of largest row norms stays level while a
+    move leaves the largest rows alone, and may fall beyond that. Returns
+    (t, phi(t)) with phi(t) <= phi(0).
     """
     step = max(scale, 1e-300)
     fp = phi(step)
     fm = phi(-step)
-    if fp >= phi0 and fm >= phi0:
+    if fp > phi0 and fm > phi0:
         lo, hi = -step, step
     else:
         sgn = 1.0 if fp <= fm else -1.0
@@ -71,7 +79,7 @@ def line_minimize(phi: Callable[[float], float], phi0: float, scale: float) -> t
         while True:
             t_next = t_cur * 2.0
             f_next = phi(t_next)
-            if f_next >= best or abs(t_next) > 1e12 * step:
+            if f_next > best or abs(t_next) > 1e12 * step:
                 break
             t_prev, t_cur, best = t_cur, t_next, f_next
         lo, hi = (t_prev, t_next) if sgn > 0 else (t_next, t_prev)
@@ -82,39 +90,128 @@ def line_minimize(phi: Callable[[float], float], phi0: float, scale: float) -> t
     return t, ft
 
 
+@dataclass(frozen=True)
+class NormRatio:
+    """The objective x -> max_r ||num(x)_r|| / max_r ||den(x)_r|| in the norm
+    tag, for linear maps num and den from x to (rows, d) arrays; infinite
+    where the denominator is below floor."""
+
+    num: Callable[[np.ndarray], np.ndarray]
+    den: Callable[[np.ndarray], np.ndarray]
+    tag: str
+    floor: float
+
+    def __call__(self, x: np.ndarray) -> float:
+        bottom = max_row_norm(self.den(x), self.tag)
+        if bottom < self.floor:
+            return math.inf
+        return max_row_norm(self.num(x), self.tag) / bottom
+
+    def line(self, x: np.ndarray, u: np.ndarray) -> Callable[[float], float]:
+        """phi(t) = self(x + t u) up to rounding, evaluated on Python scalars.
+
+        Along the line each row is affine in t: a_r + t b_r with a = num(x)
+        and b = num(u), and c_r + t e_r with c = den(x) and e = den(u), so
+        phi(t) = max(r_out, max_r ||a_r + t b_r||) / max(r_in, max_r ||c_r + t e_r||)
+        over the rows the direction moves, with the constants r_out and r_in
+        the largest norms of the rows it does not move. All of these are
+        built once per line.
+        """
+        num = _line_norm(self.num(x), self.num(u), self.tag)
+        den = _line_norm(self.den(x), self.den(u), self.tag)
+        floor = self.floor
+
+        def phi(t: float) -> float:
+            bottom = den(t)
+            if bottom < floor:
+                return math.inf
+            return num(t) / bottom
+
+        return phi
+
+
+def _line_norm(a: np.ndarray, b: np.ndarray, tag: str) -> Callable[[float], float]:
+    """t -> max_r ||a_r + t b_r|| on Python scalars, for (rows, d) arrays a
+    and b. Only the rows with b_r != 0 are evaluated; the largest norm of
+    the others is a constant. Under linf every entry is a row of its own,
+    and under l2 the rows are taken in real coordinates, for math.hypot."""
+    if tag == LINF:
+        moving = b != 0
+        rest = float(np.abs(a[~moving]).max(initial=0.0))
+        pairs = list(zip(a[moving].tolist(), b[moving].tolist()))
+
+        def largest_entry(t: float) -> float:
+            top = rest
+            for p, q in pairs:
+                v = abs(p + t * q)
+                if v > top:
+                    top = v
+            return top
+
+        return largest_entry
+    moving = b.any(axis=1)
+    rest = max_row_norm(a[~moving], tag)
+    a, b = a[moving], b[moving]
+    if tag == L2:
+        a, b = np.hstack([a.real, a.imag]), np.hstack([b.real, b.imag])
+    rows = [list(zip(ar, br)) for ar, br in zip(a.tolist(), b.tolist())]
+    if tag == L1:
+
+        def largest_l1(t: float) -> float:
+            top = rest
+            for row in rows:
+                v = 0.0
+                for p, q in row:
+                    v += abs(p + t * q)
+                if v > top:
+                    top = v
+            return top
+
+        return largest_l1
+
+    def largest_l2(t: float) -> float:
+        top = rest
+        for row in rows:
+            v = math.hypot(*[p + t * q for p, q in row])
+            if v > top:
+                top = v
+        return top
+
+    return largest_l2
+
+
 def descend(
-    f: Callable[[np.ndarray], float],
+    objective: NormRatio,
     x0: np.ndarray,
     directions: Sequence[np.ndarray],
     scale: float,
-    max_passes: int = 40,
 ) -> tuple[np.ndarray, float]:
     """Repeated line minimization along a fixed direction list.
 
-    Steps are only accepted when they strictly decrease f, so the result
-    never exceeds f(x0) even on objectives with non-unimodal slices.
+    Each direction is normalized once, and each line search minimizes
+    objective.line: the rows the direction moves, on Python scalars. Steps
+    are only accepted when they strictly decrease the line's value. The
+    value returned is the full objective at the point returned: the final
+    point, or x0 where rounding left the final point's value above f(x0).
+    So the result never exceeds f(x0), even on objectives with non-unimodal
+    slices, and it is always the objective at a concrete point.
     """
-    x = np.array(x0, dtype=complex if np.iscomplexobj(x0) else float)
-    fx = f(x)
-    for _ in range(max_passes):
+    x0 = np.array(x0, dtype=complex if np.iscomplexobj(x0) else float)
+    f0 = objective(x0)
+    units = [d / dn for d in directions if (dn := float(np.linalg.norm(d))) > 0.0]
+    x, fx = x0, f0
+    for _ in range(DESCEND_MAX_PASSES):
         improved = 0.0
-        for d in directions:
-            dn = float(np.linalg.norm(d))
-            if dn == 0.0:
-                continue
-            u = d / dn
-
-            def phi(t: float) -> float:
-                return f(x + t * u)
-
-            t, ft = line_minimize(phi, fx, scale)
+        for u in units:
+            t, ft = line_minimize(objective.line(x, u), fx, scale)
             if ft < fx - 1e-16:
                 improved += fx - ft
                 x = x + t * u
                 fx = ft
         if improved <= DESCEND_TOL * (1.0 + abs(fx)):
             break
-    return x, fx
+    fx = objective(x)
+    return (x, fx) if fx <= f0 else (x0, f0)
 
 
 def coordinate_directions(dim: int) -> list[np.ndarray]:

@@ -323,6 +323,13 @@ BIG_DIAGONAL = [[1e308, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
         ({"matrix": BIG_DIAGONAL, "norm": "l1"}, "expansivity", "NON_FINITE", 1.0),
         ({"matrix": BIG_DIAGONAL, "norm": "l2"}, "expansivity", "NON_FINITE", 1.0),
         ({"matrix": BIG_DIAGONAL, "norm": "linf"}, "expansivity", "NON_FINITE", 1.0),
+        # the margin descent once ran its whole course on overflowing powers,
+        # then the defect samples overflowed with RuntimeWarnings
+        pytest.param(
+            {"matrix": [[1e308, [0.298, 1.824]], [1e308, [0.298, 1.824]]], "norm": "linf"},
+            "linf", "NON_FINITE", 0.1,
+            marks=pytest.mark.filterwarnings("error"),
+        ),
     ],
 )
 def test_main_refuses_runaway_work_quickly(tmp_path, capsys, operator, task, error, seconds):
