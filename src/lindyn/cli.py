@@ -238,9 +238,7 @@ def _task_bounds(sc: Scenario) -> dict:
     return {
         "upper": _num(b.upper),
         "lower": _num(b.lower),
-        "proj_S_norm": _num(b.proj_S_norm),
         "series_A": _num(b.series_A),
-        "proj_U_norm": _num(b.proj_U_norm),
         "series_B": _num(b.series_B),
     }
 

@@ -12,7 +12,6 @@ import numpy as np
 
 from .linalg import L1, L2, LINF, check_norm_tag
 from .operators import (
-    BackwardScaledOp,
     CompositionOp,
     DenseOp,
     DiagonalOp,
@@ -63,10 +62,6 @@ def diagonal_sup_one(norm_tag: str = L1) -> tuple[DiagonalOp, CoordinateSplit]:
         DiagonalOp(ApproachOneWeights(), norm_tag),
         CoordinateSplit(cutoff=0, norm_tag=norm_tag),
     )
-
-
-def scaled_backward_shift(factor: float = 2.0, norm_tag: str = L2) -> BackwardScaledOp:
-    return BackwardScaledOp(factor, norm_tag)
 
 
 @dataclass(frozen=True)

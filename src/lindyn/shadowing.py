@@ -254,22 +254,23 @@ def generate_pseudo_orbit(
 
 @dataclass(frozen=True)
 class SeriesConstants:
-    proj_S_norm: float
+    """Certified sums of the Green's-function terms of a splitting.
+
+    series_A sums ||L^k P_S|| over k >= 0 and series_B sums ||L^-k P_U||
+    over k >= 1 (see RestrictedPowers); a_terms and b_terms are the terms
+    summed, before the closing remainder. The correction of a defect
+    sequence z is sum_k L^k P_S z - sum_k L^-k P_U z, so upper bounds both
+    the shadowing constant and the correction map Gamma.
+    """
+
     series_A: float
-    proj_U_norm: float
     series_B: float
     a_terms: tuple[float, ...]
     b_terms: tuple[float, ...]
 
     @property
     def upper(self) -> float:
-        return self.proj_S_norm * self.series_A + self.proj_U_norm * self.series_B
-
-    @property
-    def gamma(self) -> float:
-        """Combined correction-map bound d * (A + B) with d the worse projection."""
-        d = max(self.proj_S_norm, self.proj_U_norm)
-        return d * (self.series_A + self.series_B)
+        return self.series_A + self.series_B
 
 
 def _sum_until_tail(term_fn, start: int, tail: float, certified_ratio: Optional[float]):
@@ -305,17 +306,19 @@ def _sum_until_tail(term_fn, start: int, tail: float, certified_ratio: Optional[
         if k - start > SERIES_TERM_CAP:
             raise NotCertified(
                 f"series did not certify convergence within {SERIES_TERM_CAP} terms",
+                terms=SERIES_TERM_CAP,
             )
     return total, tuple(terms)
 
 
 def series_constants(op: LinOp, split: Splitting, tail: float = SERIES_TAIL) -> SeriesConstants:
-    """Certified sums A = sum ||L^k|_S|| and B = sum ||L^-k|_U||.
+    """Certified sums A = sum_{k>=0} ||L^k P_S|| and B = sum_{k>=1} ||L^-k P_U||.
 
     Remainders are bounded by the certified side rate when one is available
     (spectral splits) and otherwise by the observed decay after onset. Each
-    side's power norms form one sequence, shared by the radius envelope and
-    the sum, so every power is computed once.
+    side's terms form one sequence, shared by the radius envelope and the
+    sum, so every power is computed once. A spectral split with an
+    ill-conditioned eigenbasis is refused (see RestrictedPowers).
     """
     powers_S = RestrictedPowers(op, split, "S")
     r_s = restricted_radius_S(op, split, powers=powers_S)
@@ -329,29 +332,22 @@ def series_constants(op: LinOp, split: Splitting, tail: float = SERIES_TAIL) -> 
     # both radii are below 1 here, or NaN, which _sum_until_tail ignores
     A, a_terms = _sum_until_tail(powers_S, 0, tail, r_s)
     B, b_terms = _sum_until_tail(powers_U, 1, tail, r_u)
-    return SeriesConstants(
-        proj_S_norm=split.proj_S_norm,
-        series_A=A,
-        proj_U_norm=split.proj_U_norm,
-        series_B=B,
-        a_terms=a_terms,
-        b_terms=b_terms,
-    )
+    return SeriesConstants(series_A=A, series_B=B, a_terms=a_terms, b_terms=b_terms)
 
 
 @dataclass(frozen=True)
 class ShadBounds:
     """Two-sided bounds on the shadowing constant.
 
-    upper comes from the projected series; lower from the resolvent norms on
-    the restricted sides, witnessed by constant defect sequences.
+    upper = series_A + series_B sums the Green's-function terms
+    ||L^k P_S|| and ||L^-k P_U|| (see series_constants); lower comes from
+    the resolvent norms on the restricted sides, witnessed by constant
+    defect sequences.
     """
 
     upper: float
     lower: float
-    proj_S_norm: float
     series_A: float
-    proj_U_norm: float
     series_B: float
 
 
@@ -366,9 +362,7 @@ def shad_bounds(op: LinOp, split: Splitting) -> ShadBounds:
     return ShadBounds(
         upper=upper,
         lower=lower,
-        proj_S_norm=sc.proj_S_norm,
         series_A=sc.series_A,
-        proj_U_norm=sc.proj_U_norm,
         series_B=sc.series_B,
     )
 

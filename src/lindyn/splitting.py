@@ -66,14 +66,6 @@ class CoordinateSplit:
     norm_tag: str
     memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
-    @property
-    def proj_S_norm(self) -> float:
-        return 1.0
-
-    @property
-    def proj_U_norm(self) -> float:
-        return 1.0
-
     def apply_P_S(self, v: SparseBiSeq) -> SparseBiSeq:
         return v.restrict(lambda k: k <= self.cutoff)
 
@@ -87,8 +79,8 @@ class SpectralSplit:
     Carries the projections, per-side bases with their eigenvalues, and the
     eigenbasis condition number. When a side happens to be spanned by
     standard basis vectors the coordinate indices are recorded, which makes
-    restricted norms exact instead of upper bounds. memo holds work done
-    once per operator on this split, as on a CoordinateSplit.
+    its restricted resolvent norm exact instead of a lower estimate. memo
+    holds work done once per operator on this split, as on a CoordinateSplit.
     """
 
     __slots__ = (
@@ -100,8 +92,6 @@ class SpectralSplit:
         "V_U",
         "lam_U",
         "cond",
-        "proj_S_norm",
-        "proj_U_norm",
         "axes_S",
         "axes_U",
         "memo",
@@ -116,8 +106,6 @@ class SpectralSplit:
         self.V_U = V_U
         self.lam_U = np.asarray(lam_U, dtype=complex)
         self.cond = float(cond)
-        self.proj_S_norm = mat_norm(P_S, norm_tag)
-        self.proj_U_norm = mat_norm(P_U, norm_tag)
         self.axes_S = _coordinate_axes(V_S)
         self.axes_U = _coordinate_axes(V_U)
         self.memo: dict = {}
@@ -131,11 +119,6 @@ class SpectralSplit:
 
     def apply_P_U(self, v: DenseVector) -> DenseVector:
         return DenseVector(self.P_U @ v.coords, self.norm_tag)
-
-    def pinv_norm(self, side: str) -> float:
-        """Norm of the side's coordinate map pinv(V); RestrictedPowers keeps it."""
-        V = self.V_S if side == "S" else self.V_U
-        return mat_norm(np.linalg.pinv(V), self.norm_tag) if V.shape[1] else 0.0
 
 
 Splitting = CoordinateSplit | SpectralSplit
@@ -241,21 +224,45 @@ def _coordinate_monomial(op: LinOp) -> MonomialForm:
     return mono
 
 
-class RestrictedPowers:
-    """The sequence n -> ||L^n|_S|| (side "S") or n -> ||L^{-n}|_U|| (side "U").
+class _ReprojectedPowers:
+    """n -> ||X_n|| for X_0 = P, X_{n+1} = (P M) X_n, which is M^n P when P
+    projects onto an M-invariant side; projecting again at every step keeps
+    rounding from exciting the other side."""
 
-    Exact for coordinate cases, else a certified upper bound through the
-    eigenbasis. Values are memoized per n, and the side's invariants (the
-    monomial form, the inverse matrix, the l2 basis change, the pinv norm)
-    are computed once, at the first n >= 1 on a nonempty side.
+    def __init__(self, P: np.ndarray, M: np.ndarray, tag: str):
+        self.step, self.X, self.tag = P @ M, P, tag
+        self.norms = [mat_norm(P, tag)]
+
+    def __call__(self, n: int) -> float:
+        while len(self.norms) <= n:
+            self.X = self.step @ self.X
+            self.norms.append(mat_norm(self.X, self.tag))
+        return self.norms[n]
+
+
+class RestrictedPowers:
+    """The Green's-function terms n -> ||L^n P_S|| (side "S") and
+    n -> ||L^{-n} P_U|| (side "U").
+
+    On a coordinate split the projections have norm 1 and the value is the
+    exact restricted norm ||L^{+-n}|_side||, 1 at n = 0. On a spectral split
+    it is the norm of the re-projected power (see _ReprojectedPowers), which
+    bounds the restricted norm above and is the term the correction series
+    multiplies each defect by; n = 0 gives ||P_side||. A spectral split whose
+    eigenbasis condition number exceeds DEFECTIVE_COND is refused with
+    NotCertified: its projections are not trustworthy. Values are memoized
+    per n, and the side's invariants are computed once, at the first n >= 1
+    on a coordinate split and at the first n on a spectral one.
     """
 
     def __init__(self, op: LinOp, split: Splitting, side: str):
         self.op, self.split, self.side = op, split, side
-        self._values, self._term = {0: 1.0}, None
-        if isinstance(split, SpectralSplit) and (split.V_S if side == "S" else split.V_U).size == 0:
+        self._values, self._term = {}, None
+        if isinstance(split, CoordinateSplit):
+            self._values[0] = 1.0
+        elif (split.V_S if side == "S" else split.V_U).size == 0:
             # an empty side has norm 0 at every n, n = 0 included
-            self._values, self._term = {}, lambda n: 0.0
+            self._term = lambda n: 0.0
 
     def __call__(self, n: int) -> float:
         val = self._values.get(n)
@@ -271,26 +278,15 @@ class RestrictedPowers:
             mono = _coordinate_monomial(op.inverse() if side == "U" else op)
             lo, hi = (None, split.cutoff) if side == "S" else (split.cutoff + 1, None)
             return MonomialPowers(mono, lo, hi).sup
+        if split.cond > DEFECTIVE_COND:
+            raise NotCertified(
+                f"eigenbasis condition number {split.cond:.3g} exceeds {DEFECTIVE_COND:g}; "
+                "the side projections are not trustworthy"
+            )
+        matrix = op.dense_matrix()
         if side == "S":
-            V, lam, axes = split.V_S, split.lam_S, split.axes_S
-            matrix = op.dense_matrix()
-        else:
-            V, lam, axes = split.V_U, 1.0 / split.lam_U, split.axes_U
-            matrix = np.linalg.inv(op.dense_matrix())
-        tag = split.norm_tag
-        # matrix_power, not a running product: M^(n-1) @ M rounds differently
-        if V.shape[1] == matrix.shape[0]:
-            # the side spans everything, so the restriction is the operator
-            return lambda n: mat_norm(np.linalg.matrix_power(matrix, n), tag)
-        if axes is not None:
-            sub = matrix[np.ix_(axes, axes)]
-            return lambda n: mat_norm(np.linalg.matrix_power(sub, n), tag)
-        if tag == L2:
-            # Exact under l2: express the power through an orthonormal basis.
-            C = np.linalg.pinv(V) @ np.linalg.qr(V)[0]
-            return lambda n: float(np.linalg.norm((V * (lam**n)[None, :]) @ C, 2))
-        pinv_norm = split.pinv_norm(side)
-        return lambda n: mat_norm(V * (lam**n)[None, :], tag) * pinv_norm
+            return _ReprojectedPowers(split.P_S, matrix, split.norm_tag)
+        return _ReprojectedPowers(split.P_U, np.linalg.inv(matrix), split.norm_tag)
 
 
 def restricted_radius_S(
@@ -317,8 +313,8 @@ def restricted_radius_U_inv(
 # Both values restrict the lambda = 1 resolvent: on S it is
 # || (I - L|_S)^{-1} || = || sum_{k>=0} L^k |_S ||, on U it is
 # || (L|_U - I)^{-1} || = || sum_{k>=1} L^{-k} |_U ||. Restricting the domain
-# can only shrink a sup, so the max of the two never exceeds the projected
-# series upper bound. Exact for coordinate-axes spectral splits and for
+# can only shrink a sup, and ||L^k|_S|| <= ||L^k P_S||, so the max of the two
+# never exceeds the Green's-term series upper bound. Exact for coordinate-axes spectral splits and for
 # monomial operators under l1/linf; on non-axis subspaces the value is a
 # certified lower estimate, which is the safe direction for a lower bound.
 # ---------------------------------------------------------------------------

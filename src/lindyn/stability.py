@@ -199,11 +199,17 @@ def compute_horizons(
 ) -> SeriesConstants:
     """Series constants whose term counts are the truncation horizons that
     make the discarded Gamma tail below tail_tol: len(a_terms) steps back,
-    len(b_terms) steps forward, with .gamma the bound on Gamma itself."""
+    len(b_terms) steps forward, with .upper the bound on Gamma itself.
+
+    A series that runs past SERIES_TERM_CAP terms is refused with
+    TrajectoryBudget; every other refusal of series_constants keeps its own
+    code."""
     term_tail = tail_tol / (4.0 * max(1.0, sup_alpha))
     try:
         return series_constants(op, split, tail=term_tail)
     except NotCertified as exc:
+        if "terms" not in exc.data:
+            raise
         raise TrajectoryBudget(
             f"series horizons exceeded {SERIES_TERM_CAP} trajectory steps"
         ) from exc
@@ -309,7 +315,7 @@ class ConjugacyField:
         self.horizons = horizons
         self.traj_forward = traj_forward
         self.traj_backward = traj_backward
-        self.h_bound = horizons.gamma * beta.sup_norm
+        self.h_bound = horizons.upper * beta.sup_norm
         self.sup_norm = self.h_bound
         self.norm_tag = beta.norm_tag
         self._memo: dict = {}
@@ -356,18 +362,18 @@ class ConjugacySolution:
 def conjugacy_solve(op: LinOp, split: Splitting, beta, tol: float = 1e-8) -> ConjugacySolution:
     """Picard-solve the conjugacy equation to within tol.
 
-    The iteration contracts with factor horizons.gamma * lip(beta); the depth
+    The iteration contracts with factor horizons.upper * lip(beta); the depth
     is chosen from the geometric residual bound and clamped at PICARD_MAX_DEPTH.
     A clamped depth is reported through reached_tol, and the honest arbiter
     either way is conjugacy_residual.
     """
     horizons = compute_horizons(op, split, beta.sup_norm, tail_tol=tol * 1e-2)
-    factor = horizons.gamma * beta.lip
+    factor = horizons.upper * beta.lip
     if factor >= 1.0 - 1e-12:
         raise NotContraction(
             f"Picard factor {factor:.6g} is not below 1", factor=factor
         )
-    h_bound = horizons.gamma * beta.sup_norm
+    h_bound = horizons.upper * beta.sup_norm
     if h_bound <= tol:
         depth = 0
     elif factor == 0.0:
@@ -586,8 +592,7 @@ def grobman_hartman_local(
         raise NotCertified(
             "derivative spectrum touches the unit circle; no hyperbolic model"
         ) from exc
-    sc = series_constants(op, split)
-    gamma_bound = sc.gamma
+    gamma_bound = series_constants(op, split).upper
     inv_norm = op.inverse().operator_norm()
     rng = rng_from_seed(rng_seed)
     dim = p_vec.dim

@@ -51,6 +51,22 @@ def test_run_scenario_records_task_failures():
     assert task["error"] == "NOT_CERTIFIED"
 
 
+def test_run_scenario_refuses_bounds_on_a_defective_eigenbasis():
+    # the Jordan block's two eigenvectors agree to rounding; the bound once
+    # came out ok at 2.5 against an exact linf constant of 6, and the
+    # conjugacy built on it came out ok too
+    matrix = [[0.5, 1.0, 0.0], [0.0, 0.5, 0.0], [0.0, 0.0, 3.0]]
+    cfg = {
+        "operator": {"kind": "dense", "matrix": matrix, "norm": "linf"},
+        "tasks": ["classify", "bounds", "conjugacy"],
+    }
+    tasks = run_scenario(cfg)["tasks"]
+    assert tasks["classify"]["result"]["class"] == "Undetermined"
+    for name in ("bounds", "conjugacy"):
+        assert not tasks[name]["ok"]
+        assert tasks[name]["error"] == "NOT_CERTIFIED"
+
+
 SHADOW_CFG = {
     "name": "unit-saddle-shadow",
     "operator": {"kind": "dense", "matrix": [[0.5, 0.0], [0.0, 2.0]], "norm": "linf"},

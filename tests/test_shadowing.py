@@ -152,8 +152,8 @@ def test_series_constants_saddle():
     sc = series_constants(SADDLE, SPLIT)
     assert abs(sc.series_A - 2.0) < 1e-9
     assert abs(sc.series_B - 1.0) < 1e-9
-    assert sc.proj_S_norm == 1.0
-    assert sc.proj_U_norm == 1.0
+    # the first Green's term is ||P_S||, 1 on coordinate axes
+    assert sc.a_terms[0] == 1.0
     assert abs(sc.upper - UPPER) < 1e-9
 
 

@@ -27,7 +27,7 @@ from lindyn import (
     spectral_split,
     verify_contractive_sum,
 )
-from lindyn import stability
+from lindyn import shadowing, stability
 from lindyn.gallery import (
     contraction_half,
     quarter_rotation,
@@ -221,7 +221,7 @@ def test_dense_input_never_takes_the_vector_kind(name, monkeypatch):
     assert res.sup_error <= res.constant_used * po.delta + 1e-9
     for x in points:
         gx = gamma_eval(op, split, bump, x, horizons)
-        assert gx.norm() <= horizons.gamma * bump.sup_norm + 1e-12
+        assert gx.norm() <= horizons.upper * bump.sup_norm + 1e-12
 
 
 def test_conjugacy_solution_certificates():
@@ -282,6 +282,17 @@ def test_query_budget_counts_each_query_alone(monkeypatch):
     monkeypatch.setattr(stability, "QUERY_WALK_CAP", per_miss - 1)
     with pytest.raises(TrajectoryBudget):
         inv.field(points[0] * 0.5)
+
+
+def test_horizons_code_only_the_term_cap_as_a_trajectory_budget(monkeypatch):
+    # a series past its term cap is a budget; a split refused for its
+    # eigenbasis keeps its own code
+    jordan = DenseOp([[0.5, 1.0, 0.0], [0.0, 0.5, 0.0], [0.0, 0.0, 3.0]], LINF)
+    with pytest.raises(NotCertified, match="condition number"):
+        compute_horizons(jordan, spectral_split(jordan), BUMP.sup_norm)
+    monkeypatch.setattr(shadowing, "SERIES_TERM_CAP", 3)
+    with pytest.raises(TrajectoryBudget):
+        compute_horizons(SADDLE, SPLIT, BUMP.sup_norm)
 
 
 def test_conjugacy_requires_contraction():
