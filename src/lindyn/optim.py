@@ -450,7 +450,7 @@ def min_max_norm(A: np.ndarray, e: np.ndarray, tag: str) -> MinMaxNorm:
         # polish with Newton on an active set of pieces: first those of
         # every basic cut, binding at the LP point even at weight 0 (a
         # degenerate vertex); then a piece whose weight turns negative
-        # leaves, or else the most violated piece joins
+        # leaves (stop at the last one), or else the most violated one joins
         act, inv = np.unique(owner[cut_ids], return_inverse=True)
         lam = np.bincount(inv, weights=xb[cut_pos], minlength=len(act))
         xn, tn = x, float(phi[act].max())
@@ -465,7 +465,7 @@ def min_max_norm(A: np.ndarray, e: np.ndarray, tag: str) -> MinMaxNorm:
             a_n, b_n = add(xn, act)
             lower = max(lower, _certificate(a_n, b_n, np.maximum(lam, 0.0), radius))
             worst = int(np.argmax(phi_n))
-            if not gap_open() or (lam.min() >= 0.0 and worst in act):
+            if not gap_open() or (worst in act if lam.min() >= 0.0 else len(act) == 1):
                 break
             if lam.min() < 0.0:
                 keep = np.arange(len(act)) != np.argmin(lam)

@@ -11,16 +11,17 @@ Every orbit computation runs once, on one of two kinds of point that `_kind`
 picks per call: the orbit walk (`_Kind.walk`, which builds pseudo-orbits,
 contraction shadows, window-solve trajectories and the integrated defects of
 linf.shad_estimate_linf), the defect and exactness checks of max_defect and
-verify_shadow, both correction recursions, and Gamma (stability). The row
-kind serves a DenseOp (with a SpectralSplit where one is needed) and
-DenseVectors of its tag and dimension: points are the rows of (n, d) complex
-arrays, A, A_inv, P_S and P_U are matrices, and each array is checked for
-finiteness once. The vector kind serves everything else, sequence operators
-included: points are the vectors, held in object arrays so that array
-arithmetic acts on them one by one, A, A_inv, P_S and P_U are adapters whose
-@ calls apply, apply_P_S and apply_P_U, and each vector is checked as it is
-built. Both do the same arithmetic in the same order, bit for bit; images
-are one M @ x per row, as in DenseOp.apply (rows @ M.T rounds differently).
+verify_shadow, and both correction recursions; Gamma (stability) is dense
+only and runs on coordinate arrays instead. The row kind serves a DenseOp
+(with a SpectralSplit where one is needed) and DenseVectors of its tag and
+dimension: points are the rows of (n, d) complex arrays, A, A_inv, P_S and
+P_U are matrices, and each array is checked for finiteness once. The vector
+kind serves everything else, sequence operators included: points are the
+vectors, held in object arrays so that array arithmetic acts on them one by
+one, A, A_inv, P_S and P_U are adapters whose @ calls apply, apply_P_S and
+apply_P_U, and each vector is checked as it is built. Both do the same
+arithmetic in the same order, bit for bit; images are one M @ x per row, as
+in DenseOp.apply (rows @ M.T rounds differently).
 """
 
 from __future__ import annotations
@@ -52,8 +53,6 @@ from .splitting import (
     classify,
     resolvent_norm_S,
     resolvent_norm_U_inv,
-    restricted_radius_S,
-    restricted_radius_U_inv,
     spectral_split,
 )
 
@@ -91,7 +90,7 @@ class _Apply:
 
 
 class _Kind:
-    """One of the two kinds of point, rows or vectors (see the module docstring)."""
+    """One of the two kinds of point, rows or vectors; Gamma uses neither (see the module docstring)."""
 
     def __init__(self, op: LinOp, split: Optional[Splitting], rows: bool):
         self.op, self.rows, self.tag = op, rows, op.norm_tag
@@ -320,10 +319,8 @@ def series_constants(op: LinOp, split: Splitting, tail: float = SERIES_TAIL) -> 
     sum, so every power is computed once. A spectral split with an
     ill-conditioned eigenbasis is refused (see RestrictedPowers).
     """
-    powers_S = RestrictedPowers(op, split, "S")
-    r_s = restricted_radius_S(op, split, powers=powers_S)
-    powers_U = RestrictedPowers(op, split, "U")
-    r_u = restricted_radius_U_inv(op, split, powers=powers_U)
+    powers_S, powers_U = RestrictedPowers(op, split, "S"), RestrictedPowers(op, split, "U")
+    r_s, r_u = powers_S.radius(), powers_U.radius()
     for r, side in ((r_s, "S"), (r_u, "U")):
         if r >= 1.0:
             raise NotCertified(

@@ -288,23 +288,16 @@ class RestrictedPowers:
             return _ReprojectedPowers(split.P_S, matrix, split.norm_tag)
         return _ReprojectedPowers(split.P_U, np.linalg.inv(matrix), split.norm_tag)
 
-
-def restricted_radius_S(
-    op: LinOp, split: Splitting, powers: Optional[RestrictedPowers] = None
-) -> float:
-    """Spectral radius of L on S; powers, when given, is the side's sequence."""
-    if isinstance(split, SpectralSplit):
-        return float(np.abs(split.lam_S).max()) if split.lam_S.size else 0.0
-    return gelfand_envelope(powers or RestrictedPowers(op, split, "S"))[0]
-
-
-def restricted_radius_U_inv(
-    op: LinOp, split: Splitting, powers: Optional[RestrictedPowers] = None
-) -> float:
-    """Spectral radius of L^{-1} on U; powers, when given, is the side's sequence."""
-    if isinstance(split, SpectralSplit):
-        return float(np.abs(1.0 / split.lam_U).max()) if split.lam_U.size else 0.0
-    return gelfand_envelope(powers or RestrictedPowers(op, split, "U"))[0]
+    def radius(self) -> float:
+        """Spectral radius of L on S (side "S") or of L^{-1} on U (side "U"):
+        the largest eigenvalue modulus of the side (of 1/lam_U on U) on a
+        spectral split, the Gelfand envelope of these terms on a coordinate
+        split."""
+        split = self.split
+        if isinstance(split, SpectralSplit):
+            lam = split.lam_S if self.side == "S" else 1.0 / split.lam_U
+            return float(np.abs(lam).max()) if lam.size else 0.0
+        return gelfand_envelope(self)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -500,8 +493,8 @@ def _classify_coordinate(op: LinOp, split: CoordinateSplit) -> HyperbolicityRepo
         raise InvalidSplitting(
             "operator moves support upward; the coordinate S is not invariant",
         )
-    r_S = restricted_radius_S(op, split)
-    r_U_inv = restricted_radius_U_inv(op, split)
+    r_S = RestrictedPowers(op, split, "S").radius()
+    r_U_inv = RestrictedPowers(op, split, "U").radius()
     gap = min(abs(1.0 - r_S), abs(1.0 - r_U_inv))
     if abs(r_S - 1.0) < UNDETERMINED_BAND or abs(r_U_inv - 1.0) < UNDETERMINED_BAND:
         klass, witness = UNDETERMINED, None
@@ -535,8 +528,8 @@ def _classify_spectral(op: LinOp, split: SpectralSplit) -> HyperbolicityReport:
         raise NotInvertible("classification requires an invertible operator")
     moduli = np.abs(np.linalg.eigvals(matrix))
     gap = float(np.min(np.abs(moduli - 1.0))) if moduli.size else 0.0
-    r_S = restricted_radius_S(op, split)
-    r_U_inv = restricted_radius_U_inv(op, split)
+    r_S = RestrictedPowers(op, split, "S").radius()
+    r_U_inv = RestrictedPowers(op, split, "U").radius()
     if split.cond > DEFECTIVE_COND:
         return HyperbolicityReport(
             klass=UNDETERMINED,

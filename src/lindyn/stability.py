@@ -13,21 +13,25 @@ Both directions of the conjugacy are one memoized field, ConjugacyField:
   h_1 = Gamma(beta), h_{m+1} = Gamma(beta o (id + h_m)), along L;
 - the inverse one is the depth-1 field Gamma(-beta) along the trajectories
   of the perturbed map L + beta.
-Fields are evaluated lazily at query points, memoized per depth, and one
-query may walk at most QUERY_WALK_CAP trajectory points over its memo
-misses before it is refused with TrajectoryBudget.
+Fields and trajectory maps map coordinate arrays of the dense operator's
+matrix; DenseVectors are taken, returned and checked only at the public
+calls (gamma_eval, a ConjugacyField call, the residual checks). Fields are
+evaluated lazily at query points, memoized per depth, and one query may walk
+at most QUERY_WALK_CAP trajectory points over its memo misses before it is
+refused with TrajectoryBudget.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .errors import (
     CircleEigenvalue,
+    KindMismatch,
     NoConvergence,
     NotCertified,
     NotContraction,
@@ -35,12 +39,12 @@ from .errors import (
     TrajectoryBudget,
 )
 from .gallery import DifferentiableMap
-from .linalg import DenseVector, array_norm
+from .linalg import DenseVector, array_norm, check_finite, row_norms
 from .operators import DenseOp, LinOp
 from .sampling import rng_from_seed, unit_dense_samples
-from .shadowing import SERIES_TAIL, SERIES_TERM_CAP, SeriesConstants, _Apply, _kind
+from .shadowing import SERIES_TAIL, SERIES_TERM_CAP, SeriesConstants
 from .shadowing import _sum_until_tail, series_constants
-from .splitting import Splitting, spectral_split
+from .splitting import SpectralSplit, Splitting, spectral_split
 
 PHI_LIP_MAX = 8.0 / (3.0 * math.sqrt(3.0))
 MEMO_QUANTUM = 1e-12
@@ -103,9 +107,9 @@ class BumpPerturbation:
     def support_radius(self) -> float:
         return self.center.norm() + self.radius
 
-    def __call__(self, x: DenseVector) -> DenseVector:
-        r = (x - self.center).norm() / self.radius
-        return self.direction * (self.amplitude * _bump(r))
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        r = array_norm(x - self.center.coords, self.norm_tag) / self.radius
+        return self.direction.coords * complex(self.amplitude * _bump(r))
 
     def verify_lipschitz(self, pairs: int = 1000, rng_seed: int = 0) -> float:
         """Sampled ratio check against the certified constant; returns the
@@ -122,7 +126,7 @@ class BumpPerturbation:
             gap = (x - y).norm()
             if gap < 1e-12:
                 continue
-            ratio = (self(x) - self(y)).norm() / gap
+            ratio = array_norm(self(x.coords) - self(y.coords), self.norm_tag) / gap
             worst = max(worst, ratio)
             if ratio > self.lip * (1.0 + 1e-9):
                 raise NotCertified(
@@ -153,8 +157,8 @@ class ConstantField:
     def support_radius(self) -> float:
         return math.inf
 
-    def __call__(self, x: DenseVector) -> DenseVector:
-        return self.value
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        return self.value.coords
 
 
 class _NegatedField:
@@ -180,9 +184,9 @@ class _ComposedField:
         self.sup_norm = beta.sup_norm
         self.support_radius = beta.support_radius + h_bound
 
-    def __call__(self, y: DenseVector) -> DenseVector:
-        if y.norm() > self.support_radius:
-            return y * 0.0
+    def __call__(self, y: np.ndarray) -> np.ndarray:
+        if array_norm(y, self.norm_tag) > self.support_radius:
+            return y * 0j
         return self.beta(y + self.h(y))
 
 
@@ -230,51 +234,53 @@ def gamma_eval(
     sum_{k>=1} L^{-k} P_U alpha(R^{k-1} x). Both Horner-evaluated with
     re-projection each step so roundoff stays on the contracting side.
 
-    Runs on either kind of point (see the shadowing module) with the same
-    arithmetic and the same order of alpha calls, so both kinds give the
-    same bits. Each trajectory is walked whole before alpha sees any of its
-    points, so an overflowing one is refused first.
+    Dense operators only (a dense composition is lowered to its matrix): a
+    sequence operator, or a split, point or field not of the operator's tag
+    and dimension, is refused with KindMismatch before any work. Each
+    trajectory is walked whole before alpha sees any of its points, so an
+    overflowing one is refused first.
     """
+    A, tag = op.dense_matrix(), op.norm_tag
+    key = (tag, A.shape[0])
+    if not isinstance(split, SpectralSplit) or (split.norm_tag, split.dim) != key:
+        raise KindMismatch("Gamma needs a spectral split of the operator's tag and dimension")
+    if not isinstance(x, DenseVector) or (x.norm_tag, x.dim) != key:
+        raise KindMismatch("Gamma's point must be a dense vector of the operator's tag and dimension")
+    if getattr(alpha, "norm_tag", tag) != tag:
+        raise KindMismatch("field and operator disagree in norm tag")
+    A_inv = op.inverse().dense_matrix()
     if horizons is None:
         horizons = compute_horizons(op, split, alpha.sup_norm)
-    k = _kind(op, split, [x])
-    A, A_inv, P_S, P_U = k.A, k.A_inv, k.P_S, k.P_U
-    start = k.point(x)
+    P_S, P_U = split.P_S, split.P_U
+    start = x.coords
     zero = start * 0j
     reach = getattr(alpha, "support_radius", math.inf)
-
-    def walk(traj, default):
-        """The trajectory map traj, which takes vectors, as an @ on points."""
-        if traj is None:
-            return default
-        return _Apply(lambda p: k.point(traj(k.vectors([p])[0])))
 
     def values(P, R, count: int, from_x: bool) -> list:
         """P @ alpha(pt) at the first count points of x, R x, R^2 x, ...
         (from_x) or of R x, R^2 x, ...; P @ zero where pt is beyond reach."""
-        pts = k.empty(count)
+        pts = np.empty((count, start.size), dtype=complex)
         pt = start
         for i in range(count):
             if i or not from_x:
-                pt = R @ pt
+                pt = R(pt)
             pts[i] = pt
-        pts = k.finite(pts)
+        check_finite(pts)
         out = [P @ zero] * count
-        inside = np.flatnonzero(~(k.norms(pts) > reach))
-        for i, v in zip(inside, k.vectors(pts[inside])):
-            out[i] = P @ k.point(alpha(v))
+        for i in np.flatnonzero(~(row_norms(pts, tag) > reach)):
+            out[i] = P @ alpha(pts[i])
         return out
 
     k_fwd, k_bwd = len(horizons.a_terms), len(horizons.b_terms)
-    # a non-finite step or sum is refused by the kind's checks
+    # a non-finite step or sum is refused by check_finite
     with np.errstate(over="ignore", invalid="ignore"):
         acc_f = zero
-        for v in reversed(values(P_S, walk(traj_backward, A_inv), k_fwd, False)):
+        for v in reversed(values(P_S, traj_backward or (lambda p: A_inv @ p), k_fwd, False)):
             acc_f = P_S @ (A @ acc_f) + v
         acc_b = zero
-        for u in reversed(values(P_U, walk(traj_forward, A), k_bwd, True)):
+        for u in reversed(values(P_U, traj_forward or (lambda p: A @ p), k_bwd, True)):
             acc_b = P_U @ (A_inv @ (acc_b + u))
-        return k.vectors([acc_f - acc_b])[0]
+        return DenseVector(acc_f - acc_b, tag)
 
 
 # ---------------------------------------------------------------------------
@@ -282,8 +288,7 @@ def gamma_eval(
 # ---------------------------------------------------------------------------
 
 
-def _memo_key(x: DenseVector, depth: int):
-    coords = x.coords
+def _memo_key(coords: np.ndarray, depth: int):
     if np.abs(coords).max(initial=0.0) > MEMO_COORD_CAP:
         return None
     scaled = np.round(coords / MEMO_QUANTUM)
@@ -294,8 +299,9 @@ class ConjugacyField:
     """h_m from the Picard iteration h_1 = Gamma(beta), h_{m+1} =
     Gamma(beta o (id + h_m)) along the trajectory maps (the operator by
     default), evaluated lazily at query points with per-depth memoization.
-    One call may walk at most QUERY_WALK_CAP trajectory points over its memo
-    misses; past that it raises TrajectoryBudget.
+    A call takes and returns a DenseVector; eval and the memo work on
+    coordinates. One call may walk at most QUERY_WALK_CAP trajectory points
+    over its memo misses; past that it raises TrajectoryBudget.
     """
 
     def __init__(
@@ -315,15 +321,14 @@ class ConjugacyField:
         self.horizons = horizons
         self.traj_forward = traj_forward
         self.traj_backward = traj_backward
-        self.h_bound = horizons.upper * beta.sup_norm
-        self.sup_norm = self.h_bound
+        self.h_bound = self.sup_norm = horizons.upper * beta.sup_norm
         self.norm_tag = beta.norm_tag
         self._memo: dict = {}
         self._walked = 0
 
-    def eval(self, x: DenseVector, depth: int) -> DenseVector:
+    def eval(self, x: np.ndarray, depth: int) -> np.ndarray:
         if depth <= 0:
-            return x * 0.0
+            return x * 0j
         key = _memo_key(x, depth)
         if key is not None and key in self._memo:
             return self._memo[key]
@@ -335,16 +340,16 @@ class ConjugacyField:
         alpha = self.beta
         if depth > 1:
             alpha = _ComposedField(self.beta, lambda y: self.eval(y, depth - 1), self.h_bound)
-        out = gamma_eval(
-            self.op, self.split, alpha, x, self.horizons, self.traj_forward, self.traj_backward
-        )
+        point = DenseVector(x, self.norm_tag)
+        fwd, bwd = self.traj_forward, self.traj_backward
+        out = gamma_eval(self.op, self.split, alpha, point, self.horizons, fwd, bwd).coords
         if key is not None:
             self._memo[key] = out
         return out
 
     def __call__(self, x: DenseVector) -> DenseVector:
         self._walked = 0
-        return self.eval(x, self.depth)
+        return DenseVector(self.eval(x.coords, self.depth), self.norm_tag)
 
 
 @dataclass(frozen=True)
@@ -398,8 +403,8 @@ def conjugacy_residual(op: LinOp, beta, h: Callable, points: Sequence[DenseVecto
     worst = 0.0
     for x in points:
         hx = h(x)
-        res = h(op.apply(x)) - op.apply(hx) - beta(x + hx)
-        worst = max(worst, res.norm())
+        res = h(op.apply(x)).coords - op.apply(hx).coords - beta((x + hx).coords)
+        worst = max(worst, array_norm(res, op.norm_tag))
     return worst
 
 
@@ -414,16 +419,17 @@ def perturbed_backward_map(op: LinOp, beta) -> Callable:
     Contracts with factor ||L^-1|| * lip(beta); callers must keep that below
     one, which conjugacy preconditions already enforce.
     """
-    inv = op.inverse()
+    inv, tag = op.inverse().dense_matrix(), op.norm_tag
 
-    def backward(z: DenseVector) -> DenseVector:
-        y = inv.apply(z)
+    def backward(z: np.ndarray) -> np.ndarray:
+        y = inv @ z
         for _ in range(POINTWISE_INVERSE_CAP):
-            y_next = inv.apply(z - beta(y))
-            step = (y_next - y).norm()
+            y_next = inv @ (z - beta(y))
+            step = array_norm(y_next - y, tag)
             y = y_next
-            if step <= POINTWISE_INVERSE_TOL * (1.0 + y.norm()):
+            if step <= POINTWISE_INVERSE_TOL * (1.0 + array_norm(y, tag)):
                 return y
+        check_finite(y)
         raise NoConvergence(
             f"pointwise inverse did not settle in {POINTWISE_INVERSE_CAP} iterations"
         )
@@ -454,8 +460,10 @@ def inverse_conjugacy(
             factor=backward_factor,
         )
 
-    def forward(y: DenseVector) -> DenseVector:
-        return op.apply(y) + beta(y)
+    matrix = op.dense_matrix()
+
+    def forward(y: np.ndarray) -> np.ndarray:
+        return matrix @ y + beta(y)
 
     backward = perturbed_backward_map(op, beta)
     fld = ConjugacyField(op, split, _NegatedField(beta), 1, horizons, forward, backward)
@@ -466,9 +474,10 @@ def inverse_residual(op: LinOp, beta, h_prime: Callable, points: Sequence[DenseV
     """max over points of ||beta(x) + h'(Mx) - L h'(x)|| with M = L + beta."""
     worst = 0.0
     for x in points:
-        mx = op.apply(x) + beta(x)
-        res = beta(x) + h_prime(mx) - op.apply(h_prime(x))
-        worst = max(worst, res.norm())
+        bx = beta(x.coords)
+        mx = DenseVector(op.apply(x).coords + bx, op.norm_tag)
+        res = bx + h_prime(mx).coords - op.apply(h_prime(x)).coords
+        worst = max(worst, array_norm(res, op.norm_tag))
     return worst
 
 
@@ -502,12 +511,11 @@ class _CutoffField:
         self.lip = lip
         self.support_radius = 2.0 * radius
 
-    def __call__(self, y: DenseVector) -> DenseVector:
-        t = y.norm() / self.radius
+    def __call__(self, y: np.ndarray) -> np.ndarray:
+        t = array_norm(y, self.norm_tag) / self.radius
         if t >= 2.0:
-            return y * 0.0
-        lin = DenseVector(self.matrix @ y.coords, y.norm_tag)
-        return (self.G(y) - lin) * _cutoff(t)
+            return y * 0j
+        return (self.G(y) - self.matrix @ y) * complex(_cutoff(t))
 
 
 def _sample_field_constants(G, matrix, radius, dim, tag, rng):
@@ -517,19 +525,19 @@ def _sample_field_constants(G, matrix, radius, dim, tag, rng):
     for u in unit_dense_samples(dim, tag, 160, rng):
         y = u * (2.0 * radius * rng.uniform(0.0, 1.0) ** 0.5)
         pts.append(y)
-        sup = max(sup, raw(y).norm())
+        sup = max(sup, array_norm(raw(y.coords), tag))
     lip = 0.0
     for i in range(len(pts)):
         x = pts[i]
         y = pts[(i + 1) % len(pts)]
         gap = (x - y).norm()
         if gap > 1e-9:
-            lip = max(lip, (raw(x) - raw(y)).norm() / gap)
+            lip = max(lip, array_norm(raw(x.coords) - raw(y.coords), tag) / gap)
     for u in unit_dense_samples(dim, tag, 160, rng):
         y = u * (2.0 * radius * rng.uniform(0.0, 1.0))
         d = unit_dense_samples(dim, tag, 1, rng)[0] * (radius * 1e-4)
         gap = d.norm()
-        lip = max(lip, (raw(y) - raw(y + d)).norm() / gap)
+        lip = max(lip, array_norm(raw(y.coords) - raw((y + d).coords), tag) / gap)
     return sup * 1.25, lip * 1.5
 
 
@@ -597,8 +605,8 @@ def grobman_hartman_local(
     rng = rng_from_seed(rng_seed)
     dim = p_vec.dim
 
-    def G(z: DenseVector) -> DenseVector:
-        return DenseVector(map_obj(z.coords + p_arr) - p_arr, map_obj.norm_tag)
+    def G(z: np.ndarray) -> np.ndarray:
+        return check_finite(map_obj(z + p_arr) - p_arr)
 
     radius = box_radius
     while True:
@@ -660,8 +668,6 @@ def verify_contractive_sum(
             f"spectral radius {radius:.9g} is not below 1", radius=radius
         )
     gamma, _ = _sum_until_tail(op.power_norm, 0, SERIES_TAIL, None)
-    if op.vector_kind != "dense":
-        raise NotCertified("the replay harness samples dense vectors only")
     dim = op.dense_matrix().shape[0]
     rng = rng_from_seed(rng_seed)
     violations = 0

@@ -63,6 +63,29 @@ def test_min_max_norm_capped_early_still_brackets(tag, monkeypatch):
         assert capped.lower <= capped.value
 
 
+def test_min_max_norm_polish_keeps_its_last_piece(monkeypatch):
+    # Newton weights that turn negative make the polish drop pieces; on a
+    # single-piece problem (N = 1) it must stop rather than drop the last one
+    rng = np.random.default_rng(0)
+    problems = []
+    for k in range(60):
+        tag = (L1, L2, LINF)[k % 3]
+        A = rng.standard_normal((1, 6, 2)) + 1j * rng.standard_normal((1, 6, 2))
+        e = rng.standard_normal((1, 6)) + 1j * rng.standard_normal((1, 6))
+        problems.append((A, e, tag, min_max_norm(A, e, tag)))
+    newton = optim._newton
+
+    def negative(*args):
+        out = newton(*args)
+        return None if out is None else (out[0], out[1], out[2] - 2.0)
+
+    monkeypatch.setattr(optim, "_newton", negative)
+    for A, e, tag, full in problems:
+        sol = min_max_norm(A, e, tag)
+        assert sol.lower <= sol.value
+        assert sol.lower <= full.value * (1.0 + 1e-12)
+
+
 def test_min_max_norm_refuses_a_rank_deficient_problem():
     A = np.zeros((4, 2, 2), dtype=complex)
     A[:, 0, 0] = 1.0

@@ -32,11 +32,7 @@ from lindyn.gallery import (
     shifted_weighted_contraction,
 )
 from lindyn.operators import ApproachOneWeights, CompositionOp, SignWeights, TableWeights
-from lindyn.splitting import (
-    RestrictedPowers,
-    restricted_radius_S,
-    restricted_radius_U_inv,
-)
+from lindyn.splitting import RestrictedPowers
 
 # Upper triangular [[3/2, 1], [0, 1/3]]: stable eigenvector of 1/3 solves
 # (7/6) v1 + v2 = 0, i.e. (-6/7, 1); unstable eigenvector of 3/2 is (1, 0).
@@ -89,15 +85,15 @@ def test_restricted_power_norms_bound_skew_basis():
         exact_u = 1.5 ** (-n)
         got_u = RestrictedPowers(op, split, "U")(n)
         assert exact_u - 1e-12 <= got_u <= 4.0 * exact_u
-    assert abs(restricted_radius_S(op, split) - 1.0 / 3.0) < 0.05
-    assert abs(restricted_radius_U_inv(op, split) - 2.0 / 3.0) < 0.05
+    assert abs(RestrictedPowers(op, split, "S").radius() - 1.0 / 3.0) < 0.05
+    assert abs(RestrictedPowers(op, split, "U").radius() - 2.0 / 3.0) < 0.05
 
 
 def test_restricted_radii_saddle():
     op = saddle()
     split = spectral_split(op)
-    assert abs(restricted_radius_S(op, split) - 0.5) < 1e-9
-    assert abs(restricted_radius_U_inv(op, split) - 0.5) < 1e-9
+    assert abs(RestrictedPowers(op, split, "S").radius() - 0.5) < 1e-9
+    assert abs(RestrictedPowers(op, split, "U").radius() - 0.5) < 1e-9
 
 
 def test_resolvent_norms_saddle():

@@ -9,11 +9,14 @@ from lindyn import (
     LINF,
     BumpPerturbation,
     ConstantField,
+    CoordinateSplit,
     DenseOp,
     DenseVector,
+    KindMismatch,
     NotCertified,
     NotContraction,
     NotContractiveSpectrum,
+    SparseBiSeq,
     TrajectoryBudget,
     classify,
     conjugacy_residual,
@@ -34,7 +37,9 @@ from lindyn.gallery import (
     rotation_cubic_map,
     saddle,
     saddle_cubic_map,
+    shifted_weighted_contraction,
 )
+from lindyn.linalg import array_norm
 from lindyn.operators import CompositionOp
 from lindyn.sampling import random_margin_matrix, rng_from_seed, unit_dense_samples
 from lindyn.splitting import SpectralSplit
@@ -72,10 +77,10 @@ def test_bump_certificates():
 
 
 def test_bump_vanishes_outside_support():
-    far = DenseVector([10.0, 10.0], LINF)
-    assert BUMP(far).norm() == 0.0
-    at_center = BUMP(BUMP.center)
-    assert abs(at_center.norm() - 0.01 * BUMP.direction.norm()) < 1e-15
+    far = np.array([10.0, 10.0], dtype=complex)
+    assert array_norm(BUMP(far), LINF) == 0.0
+    at_center = BUMP(BUMP.center.coords)
+    assert abs(array_norm(at_center, LINF) - 0.01 * BUMP.direction.norm()) < 1e-15
 
 
 def test_bump_sampled_lipschitz_stays_under_certificate():
@@ -101,13 +106,13 @@ def test_gamma_constant_field_closed_form():
 def test_gamma_functional_equation():
     # Gamma(alpha)(Lx) = L Gamma(alpha)(x) + alpha(x) pointwise
     for x in sample_points(12, seed=4):
-        lhs = gamma_eval(SADDLE, SPLIT, BUMP, SADDLE.apply(x))
-        rhs = SADDLE.apply(gamma_eval(SADDLE, SPLIT, BUMP, x)) + BUMP(x)
-        assert (lhs - rhs).norm() < 1e-9
+        lhs = gamma_eval(SADDLE, SPLIT, BUMP, SADDLE.apply(x)).coords
+        rhs = SADDLE.apply(gamma_eval(SADDLE, SPLIT, BUMP, x)).coords + BUMP(x.coords)
+        assert array_norm(lhs - rhs, LINF) < 1e-9
 
 
 class RecordingField:
-    """A field that logs the coords of every point it is evaluated at."""
+    """A field that logs every point it is evaluated at."""
 
     def __init__(self, base):
         self.base = base
@@ -117,7 +122,7 @@ class RecordingField:
         self.seen = []
 
     def __call__(self, x):
-        self.seen.append(x.coords.tobytes())
+        self.seen.append(x.tobytes())
         return self.base(x)
 
 
@@ -148,23 +153,94 @@ DENSE_CASES = ["saddle", "random2_1", "random2_2", "random3_1", "random3_4"]
 
 
 def raw(v):
-    return v.coords.tobytes()
+    return (v.coords if isinstance(v, DenseVector) else v).tobytes()
+
+
+def reference_gamma(op, split, alpha, x, horizons, traj_forward=None, traj_backward=None):
+    """Gamma on DenseVectors, the reference for gamma_eval: the same Horner
+    sums in the same order through op.apply, op.inverse().apply and the
+    split's apply_P_S and apply_P_U, with alpha and the trajectory maps
+    called on coordinates."""
+    tag, inv = op.norm_tag, op.inverse()
+
+    def vector_map(traj, default):
+        return default if traj is None else (lambda v: DenseVector(traj(v.coords), tag))
+
+    def values(P, R, count, from_x):
+        pts, pt = [], x
+        for i in range(count):
+            if i or not from_x:
+                pt = R(pt)
+            pts.append(pt)
+        # the whole trajectory is walked before alpha sees any point
+        return [
+            P(x * 0j) if p.norm() > alpha.support_radius else P(DenseVector(alpha(p.coords), tag))
+            for p in pts
+        ]
+
+    acc_f = x * 0j
+    backward = vector_map(traj_backward, inv.apply)
+    for v in reversed(values(split.apply_P_S, backward, len(horizons.a_terms), False)):
+        acc_f = split.apply_P_S(op.apply(acc_f)) + v
+    acc_b = x * 0j
+    forward = vector_map(traj_forward, op.apply)
+    for u in reversed(values(split.apply_P_U, forward, len(horizons.b_terms), True)):
+        acc_b = split.apply_P_U(inv.apply(acc_b + u))
+    return acc_f - acc_b
+
+
+class ReferenceComposedField:
+    """beta o (id + h) on coordinates, for a reference field h on DenseVectors."""
+
+    def __init__(self, beta, h, h_bound):
+        self.beta, self.h = beta, h
+        self.support_radius = beta.support_radius + h_bound
+
+    def __call__(self, y):
+        v = DenseVector(y, self.beta.norm_tag)
+        if v.norm() > self.support_radius:
+            return (v * 0j).coords
+        return self.beta((v + self.h(v)).coords)
+
+
+class ReferenceConjugacyField:
+    """A ConjugacyField's Picard field on DenseVectors through
+    reference_gamma, memoized on the same keys."""
+
+    def __init__(self, field):
+        self.field = field
+        self._memo = {}
+
+    def eval(self, x, depth):
+        f = self.field
+        if depth <= 0:
+            return x * 0j
+        key = stability._memo_key(x.coords, depth)
+        if key is not None and key in self._memo:
+            return self._memo[key]
+        alpha = f.beta
+        if depth > 1:
+            alpha = ReferenceComposedField(f.beta, lambda y: self.eval(y, depth - 1), f.h_bound)
+        out = reference_gamma(f.op, f.split, alpha, x, f.horizons, f.traj_forward, f.traj_backward)
+        if key is not None:
+            self._memo[key] = out
+        return out
+
+    def __call__(self, x):
+        return self.eval(x, self.field.depth)
 
 
 @pytest.mark.parametrize("tag", [L1, L2, LINF])
 @pytest.mark.parametrize("name", DENSE_CASES)
 def test_gamma_array_path_matches_per_vector_path_bit_for_bit(name, tag):
-    # a one-factor composition applies the DenseOp vector by vector, so it
-    # takes gamma_eval's per-vector loop with the same arithmetic
     op, split, bump, points = dense_case(name, tag)
-    ref = CompositionOp([op])
     horizons = compute_horizons(op, split, bump.sup_norm)
     const = ConstantField(bump.direction * 0.01)
     for field in (const, bump):
         fast, slow = RecordingField(field), RecordingField(field)
         for x in points:
             assert raw(gamma_eval(op, split, fast, x, horizons)) == raw(
-                gamma_eval(ref, split, slow, x, horizons)
+                reference_gamma(op, split, slow, x, horizons)
             )
         # the field sees the same points in the same order
         assert fast.seen == slow.seen
@@ -175,14 +251,12 @@ def test_gamma_array_path_matches_per_vector_path_bit_for_bit(name, tag):
 @pytest.mark.parametrize("name", DENSE_CASES)
 def test_conjugacy_fields_on_array_path_match_bit_for_bit(name, tag):
     op, split, bump, points = dense_case(name, tag)
-    ref = CompositionOp([op])
     horizons = compute_horizons(op, split, bump.sup_norm, tail_tol=1e-8)
     fast = ConjugacyField(op, split, bump, 2, horizons)
-    slow = ConjugacyField(ref, split, bump, 2, horizons)
-    inv = inverse_conjugacy(op, split, bump, tol=1e-6).field
-    maps = (inv.traj_forward, inv.traj_backward)
-    inv_fast = ConjugacyField(op, split, inv.beta, 1, inv.horizons, *maps)
-    inv_slow = ConjugacyField(ref, split, inv.beta, 1, inv.horizons, *maps)
+    slow = ReferenceConjugacyField(fast)
+    # the inverse field walks its trajectory maps, which map coordinates
+    inv_fast = inverse_conjugacy(op, split, bump, tol=1e-6).field
+    inv_slow = ReferenceConjugacyField(inv_fast)
     for x in points:
         hx = fast(x)
         assert raw(hx) == raw(slow(x))
@@ -200,6 +274,37 @@ def test_gamma_array_path_refuses_overflow():
     for op in (SADDLE, CompositionOp([SADDLE])):
         with pytest.raises(ValueError, match="coordinates must be finite"):
             gamma_eval(op, SPLIT, BUMP, huge)
+
+
+def test_gamma_refuses_what_is_not_dense_before_any_horizon(monkeypatch):
+    def no_horizons(*args, **kwargs):
+        raise AssertionError("horizons computed before the checks")
+
+    monkeypatch.setattr(stability, "compute_horizons", no_horizons)
+    _, _, seq_op, cut = shifted_weighted_contraction()
+    e0 = SparseBiSeq.basis(0, L1)
+    field = ConstantField(DenseVector([0.01, 0.0], LINF))
+    x = DenseVector([0.5, -0.5], LINF)
+    other = DenseOp([[0.5, 0.0, 0.0], [0.0, 2.0, 0.0], [0.0, 0.0, 3.0]], LINF)
+    cases = [
+        # a sequence operator, with its own point or a dense one
+        (seq_op, cut, field, e0),
+        (seq_op, cut, field, x),
+        # a point that is not a dense vector of the operator's tag and dimension
+        (SADDLE, SPLIT, field, e0),
+        (SADDLE, SPLIT, field, x.coords),
+        (SADDLE, SPLIT, field, DenseVector([0.5, -0.5], L1)),
+        (SADDLE, SPLIT, field, DenseVector([0.5, -0.5, 0.0], LINF)),
+        # a split of another tag, dimension or kind
+        (SADDLE, spectral_split(DenseOp(SADDLE.matrix, L1)), field, x),
+        (SADDLE, spectral_split(other), field, x),
+        (SADDLE, CoordinateSplit(0, LINF), field, x),
+        # a field of another tag
+        (SADDLE, SPLIT, ConstantField(DenseVector([0.01, 0.0], L1)), x),
+    ]
+    for op, split, alpha, point in cases:
+        with pytest.raises(KindMismatch):
+            gamma_eval(op, split, alpha, point)
 
 
 @pytest.mark.parametrize("name", DENSE_CASES)
@@ -249,8 +354,8 @@ def test_conjugacy_field_vanishes_far_out():
 def test_perturbed_backward_map_inverts():
     backward = perturbed_backward_map(SADDLE, BUMP)
     for z in sample_points(10, seed=6):
-        y = backward(z)
-        assert (SADDLE.apply(y) + BUMP(y) - z).norm() < 1e-10
+        y = backward(z.coords)
+        assert array_norm(SADDLE.matrix @ y + BUMP(y) - z.coords, LINF) < 1e-10
 
 
 def test_inverse_conjugacy_round_trip():
