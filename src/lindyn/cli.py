@@ -348,7 +348,7 @@ def _task_expansivity(sc: Scenario) -> dict:
             "moduli": [_num(m) for m in rep.eigen.moduli],
         }
     out["uniform_m"] = None if rep.uniform is None else rep.uniform.m
-    out["window_growth"] = [[n, _num(v)] for n, v in rep.window_growth]
+    out["window_growth"] = [[n, _num(g.lower), _num(g.value)] for n, g in rep.window_growth]
     return out
 
 

@@ -3,7 +3,11 @@ central-window growth minimized over the unit sphere.
 
 For invertible matrices the clean criterion is spectral: no eigenvalue on the
 unit circle. The other two diagnostics probe the same property dynamically,
-which also makes sense for operators given only through their action.
+which also makes sense for operators given only through their action. The
+window growth is a bracket [lower, value] from pinned min_max_norm solves:
+value is the objective at a unit vector, and lower holds up to the rounding
+of min_max_norm's dual sums. Under linf the bracket closes; where it stays
+open, the descent can only lower the value.
 """
 
 from __future__ import annotations
@@ -16,10 +20,24 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import KindMismatch, NonFinite, NotCertified
-from .linalg import DenseVector, matrix_powers
+from .linalg import L1, L2, LINF, array_norm, matrix_powers, max_row_norm
 from .operators import LinOp
-from .optim import NormRatio, coordinate_directions, descend, diagonal_directions
-from .sampling import dense_basis, rng_from_seed, unit_dense_samples, unit_seq_samples
+from .optim import (
+    MIN_MAX_RTOL,
+    MinMaxNorm,
+    NormRatio,
+    coordinate_directions,
+    descend,
+    diagonal_directions,
+    min_max_norm,
+)
+from .sampling import (
+    dense_basis,
+    rng_from_seed,
+    unit_dense_rows,
+    unit_dense_samples,
+    unit_seq_samples,
+)
 
 EXPANSIVE = "Expansive"
 NOT_EXPANSIVE = "NotExpansive"
@@ -114,21 +132,65 @@ def uniform_expansivity_search(
     return UniformExpansivity(m=worst, threshold=UNIFORM_THRESHOLD, table=tuple(table))
 
 
-def _growth_objective(forward, backward, N: int, tag: str) -> NormRatio:
-    """v -> max_{|n| <= N} ||L^n v|| / ||v|| from the lists of powers
-    L^0, L^1, .. and L^0, L^-1, .. (the latter just [I] without an inverse)."""
-    stack = np.stack(forward[: N + 1] + backward[1 : N + 1])
+def _growth_objective(stack: np.ndarray, tag: str) -> NormRatio:
+    """v -> max_{|n| <= N} ||L^n v|| / ||v|| from the stacked powers
+    L^0, .., L^N, L^-1, .., L^-N (just L^0, .., L^N without an inverse)."""
     return NormRatio(partial(np.matmul, stack), np.atleast_2d, tag, floor=1e-12)
 
 
-def central_window_growth(op: LinOp, n_list: Sequence[int], rng_seed: int = 0) -> dict[int, float]:
-    """min over the unit sphere of max_{|n| <= N} ||L^n x||, per N.
+def _pinned_growth(stack: np.ndarray, growth: NormRatio, tag: str) -> tuple[MinMaxNorm, list]:
+    """The growth bracket from d pinned convex solves, with the pinned points.
+
+    Solve j is min_max_norm over v with v_j = 1: min_w max_n ||L^n (e_j + w)||
+    over the other coordinates, whose stacked columns have full rank through
+    the identity block n = 0, even when L is singular. Its normalized point
+    is a unit vector, so the least objective over the d points is an upper
+    bound. A unit vector has a coordinate of modulus at least 1/c, with c = 1
+    under linf, sqrt(d) under l2 and d under l1, and the n = 0 term is 1, so
+    max(1, min_j lower_j / c) is a lower bound; under linf the bracket closes.
+    Each solve sees the stack scaled by the power of two that brings its
+    value at w = 0 into [0.5, 1), so that squared residuals do not overflow
+    on large powers, and the scale is divided out exactly.
+    """
+    d = stack.shape[-1]
+    points, lowers = [], []
+    for j in range(d):
+        x = np.zeros(d, dtype=complex)
+        x[j] = 1.0
+        others = np.arange(d) != j
+        if others.any():
+            scale = 0.5 ** math.frexp(max_row_norm(stack[:, :, j], tag))[1]
+            sol = min_max_norm(stack[:, :, others] * scale, stack[:, :, j] * scale, tag)
+            x[others] = sol.w
+            lowers.append(sol.lower / scale)
+        else:
+            # a 1x1 operator: the only unit vectors are the phases of e_1
+            lowers.append(growth(x))
+        points.append(x / array_norm(x, tag))
+    values = [growth(x) for x in points]
+    best = int(np.argmin(values))
+    c = {LINF: 1.0, L2: math.sqrt(d), L1: float(d)}[tag]
+    lower = min(max(1.0, min(lowers) / c), values[best])
+    return MinMaxNorm(points[best], values[best], lower), points
+
+
+def central_window_growth(
+    op: LinOp, n_list: Sequence[int], rng_seed: int = 0
+) -> dict[int, MinMaxNorm]:
+    """min over the unit sphere of max_{|n| <= N} ||L^n x||, per N, as a
+    bracket lower <= min <= value with the unit point x of value.
 
     Dense only, dimension capped at 8. A hyperbolic operator forces growth
-    so the value climbs with N; an isometry pins it at 1. Minimization runs
-    the deterministic descent over normalized vectors from basis and random
-    seeds, so reported values are upper bounds for the true min. Powers
-    that overflow are refused with NonFinite before any descent.
+    so the value climbs with N; an isometry pins it at 1. Each N takes d
+    pinned min_max_norm solves (see _pinned_growth). Under linf, and
+    wherever else their bracket closes to MIN_MAX_RTOL, that is the answer.
+    Where it stays open (l1, most of l2, or a solve stopped at its caps), the
+    deterministic descent runs from the basis, random unit seeds and the
+    pinned points, and the value is the least it reaches; the lower bound
+    stays the pinned one. The seeds are drawn for every N, whether or not
+    the descent runs. The bracket holds up to the rounding of min_max_norm's
+    dual sums. Powers that overflow are refused with NonFinite before any
+    solve.
     """
     if op.vector_kind != "dense":
         raise KindMismatch("window growth needs a dense operator")
@@ -142,20 +204,23 @@ def central_window_growth(op: LinOp, n_list: Sequence[int], rng_seed: int = 0) -
     top = max(n_list, default=0)
     forward = matrix_powers(matrix, top)
     backward = matrix_powers(np.linalg.inv(matrix), top) if op.invertible() else forward[:1]
+    basis = list(np.eye(dim, dtype=complex))
     rng = rng_from_seed(rng_seed)
-    out: dict[int, float] = {}
+    out: dict[int, MinMaxNorm] = {}
     for N in n_list:
         if N == 0:
-            out[0] = 1.0
+            out[0] = MinMaxNorm(basis[0], 1.0, 1.0)
             continue
-        growth = _growth_objective(forward, backward, N, op.norm_tag)
-        seeds = [b.coords for b in dense_basis(dim, op.norm_tag)]
-        seeds += [s.coords for s in unit_dense_samples(dim, op.norm_tag, GROWTH_RANDOM_SEEDS, rng)]
-        dirs = coordinate_directions(dim) + diagonal_directions(dim)
-        best = np.inf
-        for s in seeds:
-            x, val = descend(growth, s.astype(complex), dirs, scale=0.5)
-            best = min(best, val)
+        stack = np.stack(forward[: N + 1] + backward[1 : N + 1])
+        growth = _growth_objective(stack, op.norm_tag)
+        random_seeds = list(unit_dense_rows(dim, op.norm_tag, GROWTH_RANDOM_SEEDS, rng))
+        best, pinned = _pinned_growth(stack, growth, op.norm_tag)
+        if best.value - best.lower > MIN_MAX_RTOL * best.value:
+            dirs = coordinate_directions(dim) + diagonal_directions(dim)
+            for s in basis + random_seeds + pinned:
+                x, val = descend(growth, s, dirs, scale=0.5)
+                if val < best.value:
+                    best = MinMaxNorm(x / array_norm(x, op.norm_tag), val, best.lower)
         out[N] = best
     return out
 
@@ -208,6 +273,9 @@ def ecs_membership(op: LinOp, x, c: float, beta: float, horizon: int) -> EcsResu
 
 @dataclass(frozen=True)
 class ExpansivityReport:
+    """The diagnostics that apply; window_growth holds (N, bracket) pairs
+    from central_window_growth, in increasing N."""
+
     eigen: Optional[EigenExpansivity]
     uniform: Optional[UniformExpansivity]
     window_growth: tuple

@@ -3,16 +3,19 @@
 Two tools, neither drawing random numbers, so repeated runs agree bit for
 bit. The derivative-free descent (golden-section line searches along a
 fixed direction list, steps taken only when they decrease the objective)
-serves linf's injectivity margin and the expansivity search; it gives an
-upper estimate of a minimum and certifies nothing. Both of its objectives
-are a NormRatio, a ratio of the largest row norms of two linear maps, so
-along a line each row is affine in the step: a line search builds the rows
-the direction moves once and evaluates them on Python scalars, with every
-row it does not move folded into a constant. min_max_norm solves the
+serves linf's injectivity margin, and the window growth where its pinned
+min_max_norm bracket stays open; it gives an upper estimate of a minimum
+and certifies nothing. Both of its objectives are a NormRatio, a ratio of
+the largest row norms of two linear maps, so along a line each row is
+affine in the step: a line search builds the rows the direction moves once
+and evaluates them on Python scalars, with every row it does not move
+folded into a constant. min_max_norm solves the
 convex problem min_w max_n ||A_n w + e_n|| of the window solve: a cutting
 plane LP (a revised simplex, warm-started between rounds) polished by
-Newton's method on the active pieces, returning its point with a certified
-lower bound from the Lagrangian dual. There is no restart minimizer.
+Newton's method on the active pieces, returning its point with a lower
+bound from the Lagrangian dual, certified up to the rounding of the dual
+sums. The window solve and the window growth call it. There is no restart
+minimizer.
 """
 
 from __future__ import annotations
@@ -247,7 +250,8 @@ NEWTON_STEPS = 10
 @dataclass(frozen=True)
 class MinMaxNorm:
     """A point w of min_w max_n ||A_n w + e_n|| with a certified bracket:
-    lower <= optimum <= value, where value is the objective at w."""
+    lower <= optimum <= value, where value is the objective at w. The window
+    growth reports its bracket in this form too, with w a unit vector."""
 
     w: np.ndarray
     value: float

@@ -151,6 +151,17 @@ def test_main_run_bundled(capsys):
     assert result["criterion"]["visit_times"] == [25, 50, 75]
 
 
+def test_expansivity_report_brackets_the_window_growth():
+    cfg = load_scenario_file("saddle_diag")
+    cfg["tasks"] = ["expansivity"]
+    rows = run_scenario(cfg)["tasks"]["expansivity"]["result"]["window_growth"]
+    # [N, lower, value]: the saddle's growth 2^N, with a closed bracket
+    assert [n for n, _, _ in rows] == [1, 2, 4]
+    for n, lower, value in rows:
+        assert value == pytest.approx(2.0**n, rel=1e-12)
+        assert lower <= value <= lower * (1.0 + 1e-9)
+
+
 def test_main_exit_codes(tmp_path, capsys):
     # invalid file -> 2
     missing = tmp_path / "nope.json"

@@ -86,6 +86,41 @@ def test_min_max_norm_polish_keeps_its_last_piece(monkeypatch):
         assert sol.lower <= full.value * (1.0 + 1e-12)
 
 
+def _grid_min(A, e, tag, center, width, points=101):
+    """The least objective over a square grid of complex w around center,
+    for one unknown, and the grid point that attains it."""
+    axis = np.linspace(-width, width, points)
+    w = (center + axis[:, None] + 1j * axis[None, :]).ravel()
+    r = np.abs(A[None, :, :, 0] * w[:, None, None] + e[None])
+    norms = {L1: r.sum(axis=-1), L2: np.sqrt((r * r).sum(axis=-1)), LINF: r.max(axis=-1)}[tag]
+    f = norms.max(axis=-1)
+    k = int(np.argmin(f))
+    return float(f[k]), w[k]
+
+
+@pytest.mark.parametrize("tag", [L1, L2, LINF])
+def test_min_max_norm_with_one_unknown_matches_a_grid(tag):
+    # the shape of a pinned growth solve on a 2x2 operator at N = 4
+    rng = np.random.default_rng(21)
+    for _ in range(4):
+        A = rng.standard_normal((9, 2, 1)) + 1j * rng.standard_normal((9, 2, 1))
+        e = rng.standard_normal((9, 2)) + 1j * rng.standard_normal((9, 2))
+        sol = min_max_norm(A, e, tag)
+        assert sol.value - sol.lower <= 1e-9 * sol.value
+        # a grid over a box that holds the optimum (||A w|| <= 2 f(0)), then
+        # finer ones around the best point so far; every grid value is feasible
+        width = 2.0 * float(np.abs(e).sum() / np.linalg.norm(A))
+        best, grid = 0.0, math.inf
+        for _ in range(7):
+            value, best = _grid_min(A, e, tag, best, width)
+            grid = min(grid, value)
+            width /= 5.0
+        assert sol.lower <= sol.value <= grid * (1.0 + 1e-12)
+        # the grid comes close enough to make lower <= grid a sharp test; a
+        # square grid closes in on a kink in a slanted valley only slowly
+        assert grid <= sol.value * (1.0 + 1e-5)
+
+
 def test_min_max_norm_refuses_a_rank_deficient_problem():
     A = np.zeros((4, 2, 2), dtype=complex)
     A[:, 0, 0] = 1.0
@@ -175,9 +210,8 @@ def test_growth_line_equals_the_objective_along_the_line(tag, dim):
     op = DenseOp(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)), tag)
     N = 3
     matrix = op.dense_matrix()
-    objective = _growth_objective(
-        matrix_powers(matrix, N), matrix_powers(np.linalg.inv(matrix), N), N, tag
-    )
+    stack = np.stack(matrix_powers(matrix, N) + matrix_powers(np.linalg.inv(matrix), N)[1:])
+    objective = _growth_objective(stack, tag)
     x = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     eye = np.eye(dim)
     directions = [eye[0], 1j * eye[-1], eye[0] + 1j * eye[-1], eye[0] - eye[-1]]
@@ -221,7 +255,8 @@ DESCENT_SLACK = 1e-8
 
 def _descent_values(op, N, rng_seed=0):
     growth = central_window_growth(op, (1, 2, 4), rng_seed=rng_seed)
-    return (linf_injectivity_margin(WindowedLinf(op, N), rng_seed=rng_seed), *growth.values())
+    margin = linf_injectivity_margin(WindowedLinf(op, N), rng_seed=rng_seed)
+    return (margin, *(g.value for g in growth.values()))
 
 
 @pytest.mark.parametrize("dim, tag", sorted(PINNED_DESCENTS))
