@@ -17,7 +17,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigInvalid, LindynError, NonFinite, ReportIOError
-from .expansivity import expansivity_scan
+from .expansivity import EXPANSIVE, expansive_eigen_test, expansivity_scan
 from .hypercyclic import adjoint_eigen_obstruction, criterion_witness, rolewicz
 from .gallery import NAMED_MAPS
 from .homoclinic import homoclinic_dichotomy
@@ -497,15 +497,14 @@ def run_scenario(cfg: dict) -> dict:
 
 
 def _suite_finite_dim_equivalence(seed: int, size: int) -> dict:
-    from .expansivity import EXPANSIVE, expansive_eigen_test
-
     rng = rng_from_seed(seed)
     failures = []
     for i in range(size):
         m = random_margin_matrix(4, rng, margin=0.05)
         op = DenseOp(m, "l2")
-        klass = classify(op, spectral_split(op)).klass
-        finite = math.isfinite(shad_bounds(op, spectral_split(op)).upper)
+        split = spectral_split(op)
+        klass = classify(op, split).klass
+        finite = math.isfinite(shad_bounds(op, split).upper)
         expansive = expansive_eigen_test(op).verdict == EXPANSIVE
         if not (klass == "Hyperbolic" and finite and expansive):
             failures.append({"index": i, "class": klass, "finite": finite, "expansive": expansive})

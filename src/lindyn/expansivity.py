@@ -20,7 +20,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import KindMismatch, NonFinite, NotCertified
-from .linalg import L1, L2, LINF, array_norm, matrix_powers, max_row_norm
+from .linalg import L1, L2, LINF, array_norm, dense_eig, matrix_powers, max_row_norm
 from .operators import LinOp
 from .optim import (
     MIN_MAX_RTOL,
@@ -63,8 +63,6 @@ def expansive_eigen_test(op: LinOp, gap: float = 1e-6) -> EigenExpansivity:
     """
     if op.vector_kind != "dense":
         raise KindMismatch("eigen test needs a dense operator")
-    from .linalg import dense_eig
-
     pairs = dense_eig(op.dense_matrix())
     moduli = tuple(abs(lam) for lam, _ in pairs)
     circle_gap = min(abs(m - 1.0) for m in moduli)

@@ -120,8 +120,10 @@ def linf_injectivity_margin(w: WindowedLinf, rng_seed: int = 0) -> float:
     zero-extension output (interior differences plus both boundary outputs).
 
     Near-circle spectrum shows up as a margin decaying like 1/N; a margin
-    bounded away from zero across N is the hyperbolic signature. N = 0 has
-    no dynamics to constrain, returned as the infinity sentinel.
+    bounded away from zero across N is the hyperbolic signature. On an
+    isometry the descent stops at the triangular taper's 1/N, above the
+    minimum 1/(N+1) that a linear ramp nonzero at both window ends attains.
+    N = 0 has no dynamics to constrain, returned as the infinity sentinel.
     """
     if w.window_N == 0:
         return math.inf

@@ -5,7 +5,12 @@ shifts, the one-sided scaled backward shift, and compositions of these act on
 finitely supported bilateral sequences. Every sequence operator here sends a
 basis vector to a scalar multiple of a single basis vector, so norms and
 powers reduce to suprema of finite weight products. That reduction is exact
-and is what the splitting and shadowing layers lean on.
+and is what the splitting and shadowing layers lean on; each sequence
+operator builds it once, as its MonomialForm `monomial`.
+
+A weight rule gives `value(k)`, the weight at index k; `features`, the
+indices beyond which the modulus is constant or monotone toward its limit;
+and `limits`, the complex weight limits toward -inf and +inf.
 """
 
 from __future__ import annotations
@@ -60,12 +65,8 @@ class SignWeights:
         return (0, 1)
 
     @property
-    def left_tail(self) -> Optional[complex]:
-        return self.neg_and_zero
-
-    @property
-    def right_tail(self) -> Optional[complex]:
-        return self.pos
+    def limits(self) -> tuple[complex, complex]:
+        return complex(self.neg_and_zero), complex(self.pos)
 
     def to_config(self) -> dict:
         return {
@@ -101,12 +102,8 @@ class TableWeights:
         return tuple(idx for idx, _ in self.table)
 
     @property
-    def left_tail(self) -> Optional[complex]:
-        return self.default
-
-    @property
-    def right_tail(self) -> Optional[complex]:
-        return self.default
+    def limits(self) -> tuple[complex, complex]:
+        return complex(self.default), complex(self.default)
 
     def to_config(self) -> dict:
         return {
@@ -133,12 +130,8 @@ class ApproachOneWeights:
         return (0,)
 
     @property
-    def left_tail(self) -> Optional[complex]:
-        return None
-
-    @property
-    def right_tail(self) -> Optional[complex]:
-        return None
+    def limits(self) -> tuple[complex, complex]:
+        return complex(-1.0), complex(-1.0)
 
     def to_config(self) -> dict:
         return {"named": "approach_one"}
@@ -158,29 +151,14 @@ class InverseWeights:
         return self.base.features
 
     @property
-    def left_tail(self) -> Optional[complex]:
-        t = self.base.left_tail
-        return None if t is None else 1.0 / t
-
-    @property
-    def right_tail(self) -> Optional[complex]:
-        t = self.base.right_tail
-        return None if t is None else 1.0 / t
+    def limits(self) -> tuple[complex, complex]:
+        left, right = self.base.limits
+        if left == 0 or right == 0:
+            raise NotInvertible("base weights tend to 0; their reciprocals are unbounded")
+        return 1.0 / left, 1.0 / right
 
     def to_config(self) -> dict:
         raise ConfigInvalid("inverse weight rules are not serializable")
-
-
-def _rule_limit_abs(rule, side: str) -> float:
-    tail = rule.left_tail if side == "left" else rule.right_tail
-    if tail is not None:
-        return abs(tail)
-    if isinstance(rule, ApproachOneWeights):
-        return 1.0
-    if isinstance(rule, InverseWeights):
-        base = _rule_limit_abs(rule.base, side)
-        return math.inf if base == 0.0 else 1.0 / base
-    raise ValueError(f"rule {rule!r} has no tail information")
 
 
 # ---------------------------------------------------------------------------
@@ -196,72 +174,8 @@ class MonomialForm:
     left_limit_abs: float
     right_limit_abs: float
     # Complex coefficient limits toward -inf / +inf, used by resolvent sums.
-    left_limit: Optional[complex] = None
-    right_limit: Optional[complex] = None
-
-
-def _rule_limit_value(rule, side: str) -> Optional[complex]:
-    tail = rule.left_tail if side == "left" else rule.right_tail
-    if tail is not None:
-        return complex(tail)
-    if isinstance(rule, ApproachOneWeights):
-        return complex(-1.0)
-    if isinstance(rule, InverseWeights):
-        base = _rule_limit_value(rule.base, side)
-        if base is None or base == 0:
-            return None
-        return 1.0 / base
-    return None
-
-
-def monomial_form(op: "LinOp") -> Optional[MonomialForm]:
-    """Monomial reduction of a sequence operator, or None for dense ops."""
-    if isinstance(op, DiagonalOp):
-        rule = op.rule
-        return MonomialForm(
-            shift=0,
-            coeff=rule.value,
-            features=rule.features,
-            left_limit_abs=_rule_limit_abs(rule, "left"),
-            right_limit_abs=_rule_limit_abs(rule, "right"),
-            left_limit=_rule_limit_value(rule, "left"),
-            right_limit=_rule_limit_value(rule, "right"),
-        )
-    if isinstance(op, ShiftOp):
-        return MonomialForm(
-            shift=-op.offset,
-            coeff=lambda _j: 1.0 + 0j,
-            features=(0,),
-            left_limit_abs=1.0,
-            right_limit_abs=1.0,
-            left_limit=1.0 + 0j,
-            right_limit=1.0 + 0j,
-        )
-    if isinstance(op, BackwardScaledOp):
-        fac = op.factor
-
-        def coeff(j: int, _f=fac) -> complex:
-            return _f if j >= 1 else 0.0 + 0j
-
-        return MonomialForm(
-            shift=-1,
-            coeff=coeff,
-            features=(0, 1),
-            left_limit_abs=0.0,
-            right_limit_abs=abs(fac),
-            left_limit=0.0 + 0j,
-            right_limit=complex(fac),
-        )
-    if isinstance(op, CompositionOp):
-        forms = [monomial_form(f) for f in op.factors]
-        if any(f is None for f in forms):
-            return None
-        # factors[0] is applied last; build up from the right.
-        cur = forms[-1]
-        for nxt in reversed(forms[:-1]):
-            cur = _compose_monomials(nxt, cur)
-        return cur
-    return None
+    left_limit: complex
+    right_limit: complex
 
 
 def _compose_monomials(outer: MonomialForm, inner: MonomialForm) -> MonomialForm:
@@ -273,20 +187,14 @@ def _compose_monomials(outer: MonomialForm, inner: MonomialForm) -> MonomialForm
 
     feats = set(inner.features)
     feats.update(f - inner.shift for f in outer.features)
-
-    def _mul(a: Optional[complex], b: Optional[complex]) -> Optional[complex]:
-        if a is None or b is None:
-            return None
-        return a * b
-
     return MonomialForm(
         shift=shift,
         coeff=coeff,
         features=tuple(sorted(feats)),
         left_limit_abs=inner.left_limit_abs * outer.left_limit_abs,
         right_limit_abs=inner.right_limit_abs * outer.right_limit_abs,
-        left_limit=_mul(inner.left_limit, outer.left_limit),
-        right_limit=_mul(inner.right_limit, outer.right_limit),
+        left_limit=inner.left_limit * outer.left_limit,
+        right_limit=inner.right_limit * outer.right_limit,
     )
 
 
@@ -422,6 +330,10 @@ class LinOp:
     # "dense" operators act on DenseVector, "seq" ones on SparseBiSeq.
     vector_kind: str = "abstract"
 
+    # Sequence operators build their monomial form once, at construction;
+    # dense operators have none.
+    monomial: Optional[MonomialForm] = None
+
     def apply(self, v):
         raise NotImplementedError
 
@@ -432,7 +344,10 @@ class LinOp:
         raise NotImplementedError
 
     def operator_norm(self) -> float:
-        raise NotImplementedError
+        """||L||: the monomial sup at n = 1, else the norm of the dense matrix."""
+        if self.monomial is not None:
+            return monomial_power_sup(self.monomial, 1)
+        return mat_norm(self.dense_matrix(), self.norm_tag)
 
     def to_config(self) -> dict:
         raise NotImplementedError
@@ -459,12 +374,11 @@ class LinOp:
         operators take the min envelope of ||L^n||^(1/n) over
         n <= GELFAND_HORIZON, stopping early once the envelope stagnates.
         """
-        mono = monomial_form(self)
-        if mono is None:
+        if self.monomial is None:
             m = self.dense_matrix()
             vals = [abs(lam) for lam, _ in dense_eig(m)]
             return (max(vals), 0)
-        return gelfand_envelope(MonomialPowers(mono).sup)
+        return gelfand_envelope(MonomialPowers(self.monomial).sup)
 
     def dense_matrix(self) -> np.ndarray:
         raise KindMismatch(f"{self.kind} operator has no dense matrix")
@@ -475,9 +389,8 @@ class LinOp:
             raise ValueError("power_norm takes n >= 0")
         if n == 0:
             return 1.0
-        mono = monomial_form(self)
-        if mono is not None:
-            return monomial_power_sup(mono, n)
+        if self.monomial is not None:
+            return monomial_power_sup(self.monomial, n)
         m = self.dense_matrix()
         p = np.linalg.matrix_power(m, n)
         return mat_norm(p, self.norm_tag)
@@ -528,9 +441,6 @@ class DenseOp(LinOp):
             self._inverse = DenseOp(np.linalg.inv(self.matrix), self.norm_tag, invertible=True)
         return self._inverse
 
-    def operator_norm(self) -> float:
-        return mat_norm(self.matrix, self.norm_tag)
-
     def to_config(self) -> dict:
         return {
             "kind": "dense",
@@ -547,18 +457,25 @@ class _SeqOp(LinOp):
         if v.norm_tag != self.norm_tag:
             raise KindMismatch("sequence disagrees with operator in norm tag")
 
-    def operator_norm(self) -> float:
-        return monomial_power_sup(monomial_form(self), 1)
-
 
 class DiagonalOp(_SeqOp):
     kind = "diag"
 
-    __slots__ = ("rule", "norm_tag")
+    __slots__ = ("rule", "norm_tag", "monomial")
 
     def __init__(self, rule, norm_tag: str):
         self.rule = rule
         self.norm_tag = check_norm_tag(norm_tag)
+        left, right = rule.limits
+        self.monomial = MonomialForm(
+            shift=0,
+            coeff=rule.value,
+            features=rule.features,
+            left_limit_abs=abs(left),
+            right_limit_abs=abs(right),
+            left_limit=left,
+            right_limit=right,
+        )
 
     def apply(self, v):
         self._check_vec(v)
@@ -567,9 +484,8 @@ class DiagonalOp(_SeqOp):
         )
 
     def invertible(self) -> bool:
-        mono = monomial_form(self)
-        inf = monomial_power_inf(mono, 1)
-        sup = monomial_power_sup(mono, 1)
+        inf = monomial_power_inf(self.monomial, 1)
+        sup = monomial_power_sup(self.monomial, 1)
         return inf > 0.0 and math.isfinite(sup)
 
     def inverse(self) -> "DiagonalOp":
@@ -586,11 +502,20 @@ class ShiftOp(_SeqOp):
 
     kind = "shift"
 
-    __slots__ = ("offset", "norm_tag")
+    __slots__ = ("offset", "norm_tag", "monomial")
 
     def __init__(self, offset: int, norm_tag: str):
         self.offset = int(offset)
         self.norm_tag = check_norm_tag(norm_tag)
+        self.monomial = MonomialForm(
+            shift=-self.offset,
+            coeff=lambda _j: 1.0 + 0j,
+            features=(0,),
+            left_limit_abs=1.0,
+            right_limit_abs=1.0,
+            left_limit=1.0 + 0j,
+            right_limit=1.0 + 0j,
+        )
 
     def apply(self, v):
         self._check_vec(v)
@@ -617,11 +542,20 @@ class BackwardScaledOp(_SeqOp):
 
     kind = "backward_scaled"
 
-    __slots__ = ("factor", "norm_tag")
+    __slots__ = ("factor", "norm_tag", "monomial")
 
     def __init__(self, factor, norm_tag: str):
-        self.factor = check_scalar(factor)
+        self.factor = fac = check_scalar(factor)
         self.norm_tag = check_norm_tag(norm_tag)
+        self.monomial = MonomialForm(
+            shift=-1,
+            coeff=lambda j: fac if j >= 1 else 0.0 + 0j,
+            features=(0, 1),
+            left_limit_abs=0.0,
+            right_limit_abs=abs(fac),
+            left_limit=0.0 + 0j,
+            right_limit=complex(fac),
+        )
 
     def apply(self, v):
         self._check_vec(v)
@@ -649,7 +583,7 @@ class CompositionOp(LinOp):
 
     kind = "compose"
 
-    __slots__ = ("factors", "norm_tag")
+    __slots__ = ("factors", "norm_tag", "monomial")
 
     def __init__(self, factors):
         factors = tuple(factors)
@@ -665,6 +599,13 @@ class CompositionOp(LinOp):
             raise KindMismatch("dense composition factors must share a dimension")
         self.factors = factors
         self.norm_tag = factors[0].norm_tag
+        if kinds == {"seq"}:
+            # factors[0] is applied last; build up from the right.
+            self.monomial = factors[-1].monomial
+            for f in reversed(factors[:-1]):
+                self.monomial = _compose_monomials(f.monomial, self.monomial)
+        else:
+            self.monomial = None
 
     @property
     def vector_kind(self) -> str:  # type: ignore[override]
@@ -694,12 +635,6 @@ class CompositionOp(LinOp):
         if not np.isfinite(m).all():
             raise NonFinite("the product of the dense composition factors overflows")
         return m
-
-    def operator_norm(self) -> float:
-        mono = monomial_form(self)
-        if mono is not None:
-            return monomial_power_sup(mono, 1)
-        return mat_norm(self.dense_matrix(), self.norm_tag)
 
     def to_config(self) -> dict:
         return {

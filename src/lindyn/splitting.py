@@ -13,7 +13,7 @@ and Undetermined when a rate estimate sits within 1e-6 of 1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -43,7 +43,6 @@ from .operators import (
     MonomialPowers,
     _candidate_anchors,
     gelfand_envelope,
-    monomial_form,
     monomial_power_sup,
 )
 
@@ -218,7 +217,7 @@ def _check_projection_identities(split: SpectralSplit) -> None:
 
 
 def _coordinate_monomial(op: LinOp) -> MonomialForm:
-    mono = monomial_form(op)
+    mono = op.monomial
     if mono is None:
         raise KindMismatch("coordinate splitting needs a weighted-shift-family operator")
     return mono
@@ -326,14 +325,11 @@ def _monomial_geom_sum(
         # Row sums of T equal column sums of the index-reversed monomial:
         # the backward product over c(r - s), c(r - 2s), ... is the forward
         # product of coeff'(j) = coeff(j - s) with displacement -s.
-        rev = MonomialForm(
+        rev = replace(
+            mono,
             shift=-mono.shift,
             coeff=lambda j, _m=mono: _m.coeff(j - _m.shift),
             features=tuple(f + mono.shift for f in mono.features),
-            left_limit_abs=mono.left_limit_abs,
-            right_limit_abs=mono.right_limit_abs,
-            left_limit=mono.left_limit,
-            right_limit=mono.right_limit,
         )
         return _monomial_geom_sum(rev, lo, hi, tag, rows=False, from_one=from_one)
     shift = mono.shift
@@ -342,9 +338,9 @@ def _monomial_geom_sum(
     if shift == 0:
         cands, into_left, into_right = _candidate_anchors(mono, 1, lo, hi)
         weights = [mono.coeff(j) for j in cands]
-        if into_left and mono.left_limit is not None:
+        if into_left:
             weights.append(mono.left_limit)
-        if into_right and mono.right_limit is not None:
+        if into_right:
             weights.append(mono.right_limit)
         # a diagonal weight or tail equal to 1 leaves I - L singular there
         if any(c == 1.0 for c in weights):
@@ -469,93 +465,54 @@ def classify(op: LinOp, split: Splitting) -> HyperbolicityReport:
 
     Raises InvalidSplitting when S fails forward invariance or U fails
     backward invariance; those directions are prerequisites for every class
-    except Neither-by-rates.
+    except Neither-by-rates. A spectral split whose eigenbasis condition
+    number exceeds DEFECTIVE_COND is Undetermined, unchecked for invariance.
     """
     if isinstance(split, CoordinateSplit):
-        return _classify_coordinate(op, split)
-    if isinstance(split, SpectralSplit):
-        return _classify_spectral(op, split)
-    raise KindMismatch(f"unknown splitting type {type(split).__name__}")
-
-
-def _classify_coordinate(op: LinOp, split: CoordinateSplit) -> HyperbolicityReport:
-    mono = _coordinate_monomial(op)
+        shift = _coordinate_monomial(op).shift
+    elif isinstance(split, SpectralSplit):
+        matrix = op.dense_matrix()
+        # Finite dimension plus injectivity force L(S) = S once L(S) lies in
+        # S, so a certified spectral split behaves as an unshifted one: the
+        # images are equal and no witness can exist.
+        shift = 0
+    else:
+        raise KindMismatch(f"unknown splitting type {type(split).__name__}")
     if op.norm_tag != split.norm_tag:
         raise KindMismatch("operator and splitting disagree in norm tag")
     if not op.invertible():
         raise NotInvertible("classification requires an invertible operator")
-    shift = mono.shift
-    fwd_S = shift <= 0
-    bwd_U = shift <= 0
-    S_in_image = shift >= 0
-    U_in_image = shift >= 0
-    if not (fwd_S and bwd_U):
+    if shift > 0:
         raise InvalidSplitting(
             "operator moves support upward; the coordinate S is not invariant",
         )
     r_S = RestrictedPowers(op, split, "S").radius()
     r_U_inv = RestrictedPowers(op, split, "U").radius()
-    gap = min(abs(1.0 - r_S), abs(1.0 - r_U_inv))
-    if abs(r_S - 1.0) < UNDETERMINED_BAND or abs(r_U_inv - 1.0) < UNDETERMINED_BAND:
-        klass, witness = UNDETERMINED, None
-    elif r_S > 1.0 or r_U_inv > 1.0:
-        klass, witness = NEITHER, None
-    elif shift < 0:
-        k = split.cutoff + 1
-        img = op.apply(SparseBiSeq.basis(k, op.norm_tag))
-        witness = img * (1.0 / img.norm())
-        klass = GENERALIZED
+    certified = True
+    if isinstance(split, CoordinateSplit):
+        gap = min(abs(1.0 - r_S), abs(1.0 - r_U_inv))
     else:
-        klass, witness = HYPERBOLIC, None
-    return HyperbolicityReport(
-        klass=klass,
-        r_S=r_S,
-        r_U_inv=r_U_inv,
-        fwd_S_invariant=fwd_S,
-        bwd_U_invariant=bwd_U,
-        S_in_image=S_in_image,
-        U_in_image=U_in_image,
-        witness=witness,
-        circle_gap=gap,
-    )
-
-
-def _classify_spectral(op: LinOp, split: SpectralSplit) -> HyperbolicityReport:
-    matrix = op.dense_matrix()
-    if op.norm_tag != split.norm_tag:
-        raise KindMismatch("operator and splitting disagree in norm tag")
-    if not op.invertible():
-        raise NotInvertible("classification requires an invertible operator")
-    moduli = np.abs(np.linalg.eigvals(matrix))
-    gap = float(np.min(np.abs(moduli - 1.0))) if moduli.size else 0.0
-    r_S = RestrictedPowers(op, split, "S").radius()
-    r_U_inv = RestrictedPowers(op, split, "U").radius()
-    if split.cond > DEFECTIVE_COND:
-        return HyperbolicityReport(
-            klass=UNDETERMINED,
-            r_S=r_S,
-            r_U_inv=r_U_inv,
-            fwd_S_invariant=True,
-            bwd_U_invariant=True,
-            S_in_image=True,
-            U_in_image=True,
-            witness=None,
-            circle_gap=gap,
-        )
-    scale = max(1.0, mat_norm(matrix, split.norm_tag))
-    inv = np.linalg.inv(matrix)
-    res_fwd = float(np.abs(split.P_U @ matrix @ split.P_S).max())
-    res_bwd = float(np.abs(split.P_S @ inv @ split.P_U).max())
-    if res_fwd > INVARIANCE_RESIDUAL * scale or res_bwd > INVARIANCE_RESIDUAL * scale:
-        raise InvalidSplitting(
-            f"invariance residuals {res_fwd:.3g}, {res_bwd:.3g} exceed tolerance"
-        )
-    # Finite dimension plus injectivity force L(S) = S once L(S) lies in S,
-    # so certified invariance upgrades to equality and no witness can exist.
-    if abs(r_S - 1.0) < UNDETERMINED_BAND or abs(r_U_inv - 1.0) < UNDETERMINED_BAND:
+        moduli = np.abs(np.linalg.eigvals(matrix))
+        gap = float(np.min(np.abs(moduli - 1.0))) if moduli.size else 0.0
+        certified = split.cond <= DEFECTIVE_COND
+        if certified:
+            tol = INVARIANCE_RESIDUAL * max(1.0, mat_norm(matrix, split.norm_tag))
+            res_fwd = float(np.abs(split.P_U @ matrix @ split.P_S).max())
+            res_bwd = float(np.abs(split.P_S @ np.linalg.inv(matrix) @ split.P_U).max())
+            if res_fwd > tol or res_bwd > tol:
+                raise InvalidSplitting(
+                    f"invariance residuals {res_fwd:.3g}, {res_bwd:.3g} exceed tolerance"
+                )
+    witness = None
+    if not certified or abs(r_S - 1.0) < UNDETERMINED_BAND or abs(r_U_inv - 1.0) < UNDETERMINED_BAND:
         klass = UNDETERMINED
     elif r_S > 1.0 or r_U_inv > 1.0:
         klass = NEITHER
+    elif shift < 0:
+        # the downward shift carries e_{cutoff+1} from U into S
+        img = op.apply(SparseBiSeq.basis(split.cutoff + 1, op.norm_tag))
+        witness = img * (1.0 / img.norm())
+        klass = GENERALIZED
     else:
         klass = HYPERBOLIC
     return HyperbolicityReport(
@@ -564,9 +521,9 @@ def _classify_spectral(op: LinOp, split: SpectralSplit) -> HyperbolicityReport:
         r_U_inv=r_U_inv,
         fwd_S_invariant=True,
         bwd_U_invariant=True,
-        S_in_image=True,
-        U_in_image=True,
-        witness=None,
+        S_in_image=shift == 0,
+        U_in_image=shift == 0,
+        witness=witness,
         circle_gap=gap,
     )
 
@@ -592,8 +549,8 @@ def composition_gh_check(w_op: LinOp, r_op: LinOp, split: Splitting) -> Hyperbol
     for name, f in (("W", w_op), ("R", r_op)):
         if not f.invertible():
             raise NotInvertible(f"factor {name} is not invertible")
-    mono_w = monomial_form(w_op)
-    mono_r = monomial_form(r_op)
+    mono_w = w_op.monomial
+    mono_r = r_op.monomial
     if mono_w is None or mono_r is None:
         raise KindMismatch("factors must belong to the weighted-shift family")
 
@@ -607,7 +564,7 @@ def composition_gh_check(w_op: LinOp, r_op: LinOp, split: Splitting) -> Hyperbol
     _hypo(mono_r.shift <= 0, "R_inverse_unstable_invariant", "R^{-1} moves support downward")
 
     cut = split.cutoff
-    w_inv_u = monomial_power_sup(monomial_form(w_op.inverse()), 1, cut + 1, None)
+    w_inv_u = monomial_power_sup(w_op.inverse().monomial, 1, cut + 1, None)
     r_inv = r_op.inverse().operator_norm()
     r_norm = r_op.operator_norm()
     w_s = monomial_power_sup(mono_w, 1, None, cut)
@@ -623,7 +580,7 @@ def composition_gh_check(w_op: LinOp, r_op: LinOp, split: Splitting) -> Hyperbol
     )
 
     composed = CompositionOp([r_op, w_op])
-    shift_l = monomial_form(composed).shift
+    shift_l = composed.monomial.shift
     witness = None
     if mono_r.shift < 0:
         # U is inside W(U), so R(e_k) crossing the cut lands in L(U) and S.

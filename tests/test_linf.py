@@ -13,6 +13,7 @@ from lindyn import (
     shadowing_robustness_scan,
 )
 from lindyn.gallery import quarter_rotation, saddle
+from lindyn.linf import _margin_objective
 
 SADDLE = saddle()
 ROTATION = quarter_rotation()
@@ -64,10 +65,28 @@ def test_margin_saddle_hits_reciprocal_shadowing_constant():
 
 
 def test_margin_rotation_decays_like_inverse_window():
-    # the triangular eigen taper is extremal for an isometry: margin 1/N
+    # on an isometry the descent stops at the triangular eigen taper's 1/N,
+    # above the minimum 1/(N+1) (see the ramp test below)
     for N in (8, 16):
         got = linf_injectivity_margin(WindowedLinf(ROTATION, N))
         assert abs(got - 1.0 / N) < 1e-9
+
+
+def test_margin_rotation_ramp_reaches_inverse_window_plus_one():
+    # the L + 1 outputs of an isometry must climb to a unit point and back,
+    # so the largest is at least 1/(N+1); the linear ramp x_n =
+    # min(n+1, 2N+1-n)/(N+1) L^n e_1, nonzero at both window ends, attains it
+    matrix = ROTATION.dense_matrix()
+    for N in (8, 16):
+        w = WindowedLinf(ROTATION, N)
+        xs = np.zeros((w.window_length, w.dim), dtype=complex)
+        x = np.array([1.0, 0.0], dtype=complex)
+        for n in range(w.window_length):
+            xs[n] = min(n + 1, 2 * N + 1 - n) / (N + 1) * x
+            x = matrix @ x
+        ramp = _margin_objective(w)(xs.reshape(-1))
+        assert abs(ramp - 1.0 / (N + 1)) < 1e-12
+        assert ramp < linf_injectivity_margin(w)
 
 
 def test_margin_is_scale_free():

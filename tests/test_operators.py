@@ -23,9 +23,9 @@ from lindyn.gallery import shifted_weighted_contraction
 from lindyn.operators import (
     ApproachOneWeights,
     BackwardScaledOp,
+    InverseWeights,
     SignWeights,
     TableWeights,
-    monomial_form,
     monomial_power_sup,
     scalar_from_json,
 )
@@ -62,7 +62,7 @@ def test_power_norm_exact_values():
 
 
 def test_monomial_composition_shift():
-    mono = monomial_form(COMP)
+    mono = COMP.monomial
     assert mono is not None
     assert mono.shift == -1
     assert monomial_power_sup(mono, 1) == 2.0
@@ -121,6 +121,15 @@ def test_table_weights_inverse():
     inv = op.inverse()
     x = SparseBiSeq({0: 1.0, 5: 2.0}, L1)
     assert inv.apply(op.apply(x)).entries == x.entries
+
+
+def test_inverse_of_a_zero_tail_is_refused():
+    # weights 0 on indices <= 0: the reciprocal weights are unbounded
+    rule = InverseWeights(SignWeights(neg_and_zero=0.0, pos=2.0))
+    with pytest.raises(NotInvertible):
+        DiagonalOp(rule, L1)
+    with pytest.raises(NotInvertible):
+        DiagonalOp(SignWeights(neg_and_zero=0.0, pos=2.0), L1).inverse()
 
 
 def test_operator_report_radius_below_norm():

@@ -37,7 +37,6 @@ from lindyn.operators import (
     SignWeights,
     TableWeights,
     _candidate_anchors,
-    monomial_form,
     monomial_power_inf,
     monomial_power_sup,
 )
@@ -94,7 +93,7 @@ def ref_restricted_power(op, split, n, side, inverse):
         return 1.0
     if isinstance(split, CoordinateSplit):
         base = op.inverse() if inverse else op
-        mono = monomial_form(base)
+        mono = base.monomial
         if side == "S":
             return ref_power_sup(mono, n, None, split.cutoff)
         return ref_power_sup(mono, n, split.cutoff + 1, None)
@@ -144,7 +143,7 @@ def sequence_ops(rule, tag):
 @pytest.mark.parametrize("rule", RULES)
 def test_monomial_powers_match_per_n_products(rule):
     for op in sequence_ops(RULES[rule], L1).values():
-        mono = monomial_form(op)
+        mono = op.monomial
         for lo, hi in ((None, None), (None, 0), (1, None), (-3, 5)):
             want = [ref_power_sup(mono, n, lo, hi) for n in range(N + 1)]
             check_orders(lambda: MonomialPowers(mono, lo, hi).sup, want)
@@ -155,7 +154,7 @@ def test_monomial_powers_match_per_n_products(rule):
 def test_monomial_power_inf_matches_per_n_products():
     for rule in RULES.values():
         for op in sequence_ops(rule, L1).values():
-            mono = monomial_form(op)
+            mono = op.monomial
             for n in (0, 1, 2, 7):
                 cands, into_left, into_right = _candidate_anchors(mono, n, None, None)
                 want = min(ref_product_abs(mono, j, n) for j in cands) if n else 1.0
@@ -371,8 +370,7 @@ class CountingWeights:
         return self.base.value(k)
 
     features = property(lambda self: self.base.features)
-    left_tail = property(lambda self: self.base.left_tail)
-    right_tail = property(lambda self: self.base.right_tail)
+    limits = property(lambda self: self.base.limits)
 
 
 def test_linf_probe_walks_only_inside_the_side():

@@ -7,6 +7,7 @@ from lindyn import (
     GENERALIZED,
     HYPERBOLIC,
     L1,
+    L2,
     LINF,
     UNDETERMINED,
     CircleEigenvalue,
@@ -17,6 +18,7 @@ from lindyn import (
     InvalidSplitting,
     KindMismatch,
     NotCertified,
+    NotInvertible,
     ShiftOp,
     SparseBiSeq,
     classify,
@@ -31,7 +33,14 @@ from lindyn.gallery import (
     saddle,
     shifted_weighted_contraction,
 )
-from lindyn.operators import ApproachOneWeights, CompositionOp, SignWeights, TableWeights
+from lindyn.operators import (
+    ApproachOneWeights,
+    BackwardScaledOp,
+    CompositionOp,
+    SignWeights,
+    TableWeights,
+)
+from lindyn.sampling import random_margin_matrix, rng_from_seed
 from lindyn.splitting import RestrictedPowers
 
 # Upper triangular [[3/2, 1], [0, 1/3]]: stable eigenvector of 1/3 solves
@@ -165,8 +174,66 @@ def test_classify_rejects_upward_shift():
 
 
 def test_classify_kind_mismatch():
-    with pytest.raises(KindMismatch):
-        classify(saddle(), CoordinateSplit(cutoff=0, norm_tag=LINF))
+    s = saddle()
+    mismatches = [
+        (s, CoordinateSplit(cutoff=0, norm_tag=LINF)),
+        (COMP, spectral_split(s)),
+        (DenseOp(s.matrix, L1), spectral_split(s)),
+        # the norm tag is checked before invertibility
+        (BackwardScaledOp(2.0, L1), CoordinateSplit(cutoff=0, norm_tag=LINF)),
+    ]
+    for op, split in mismatches:
+        with pytest.raises(KindMismatch):
+            classify(op, split)
+
+
+def test_classify_refuses_a_non_invertible_operator():
+    with pytest.raises(NotInvertible):
+        classify(BackwardScaledOp(2.0, L1), CoordinateSplit(cutoff=0, norm_tag=L1))
+
+
+def report_fields(rep):
+    witness = None if rep.witness is None else rep.witness.entries
+    return (
+        rep.klass,
+        rep.r_S,
+        rep.r_U_inv,
+        rep.fwd_S_invariant,
+        rep.bwd_U_invariant,
+        rep.S_in_image,
+        rep.U_in_image,
+        witness,
+        rep.circle_gap,
+    )
+
+
+def test_classify_full_reports():
+    # every field of the report, on both split types and every verdict path
+    jordan = DenseOp([[0.5, 1.0, 0.0], [0.0, 0.5, 0.0], [0.0, 0.0, 3.0]], LINF)
+    diag = DiagonalOp(SignWeights(neg_and_zero=0.5, pos=2.0), L1)
+    cases = {
+        "saddle": (saddle(), spectral_split(saddle())),
+        # the eigenbasis condition number fails the gate: no verdict
+        "jordan": (jordan, spectral_split(jordan)),
+        "shift": (COMP, CUT0),
+        "diagonal": (diag, CoordinateSplit(cutoff=0, norm_tag=L1)),
+        "sup_one": diagonal_sup_one(),
+    }
+    want = {
+        "saddle": (HYPERBOLIC, 0.5, 0.5, True, True, True, True, None, 0.5),
+        "jordan": (UNDETERMINED, 0.5, 1.0 / 3.0, True, True, True, True, None, 0.5),
+        "shift": (GENERALIZED, 0.5, 0.5, True, True, False, False, {0: 1.0}, 0.5),
+        "diagonal": (HYPERBOLIC, 0.5, 0.5, True, True, True, True, None, 0.5),
+        "sup_one": (UNDETERMINED, 1.0, 1.5, True, True, True, True, None, 0.0),
+    }
+    for name, (op, split) in cases.items():
+        assert report_fields(classify(op, split)) == want[name], name
+    op = DenseOp(random_margin_matrix(3, rng_from_seed(7)), L2)
+    klass, r_S, r_U_inv, *flags, witness, gap = report_fields(classify(op, spectral_split(op)))
+    assert (klass, *flags, witness) == (HYPERBOLIC, True, True, True, True, None)
+    assert (r_S, r_U_inv, gap) == pytest.approx(
+        (0.08969435910507796, 0.7203647771310131, 0.388185585617729), rel=1e-12
+    )
 
 
 def test_composition_certificate_weighted_shift():
