@@ -14,10 +14,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
+import numpy as np
+
 from .errors import NotAChain, NotCertified, NotHomoclinic
-from .linalg import SparseBiSeq
+from .linalg import SparseBiSeq, check_scalar
 from .operators import LinOp
-from .shadowing import PseudoOrbit, max_defect
+from .shadowing import PseudoOrbit, _stack, _stored, max_defect
 from .splitting import CoordinateSplit
 
 # A half orbit decays when its last norm is below HOMOCLINIC_TOL relative to
@@ -173,8 +175,8 @@ def homoclinic_dichotomy(
 
 def chain_scale(po: PseudoOrbit, lam: complex) -> PseudoOrbit:
     """Scale a chain by a scalar; defects scale with |lam| by linearity."""
-    points = tuple(p * lam for p in po.points)
-    return PseudoOrbit(n0=po.n0, points=points, delta=abs(lam) * po.delta)
+    points = _stored(po.points * check_scalar(lam))
+    return PseudoOrbit(po.n0, points, abs(lam) * po.delta, po.norm_tag)
 
 
 def chain_combine(op: LinOp, chains: Sequence[Sequence], delta: float) -> PseudoOrbit:
@@ -188,26 +190,23 @@ def chain_combine(op: LinOp, chains: Sequence[Sequence], delta: float) -> Pseudo
     """
     if delta <= 0:
         raise ValueError("delta must be positive")
-    chains = [list(c) for c in chains]
-    if not chains or any(not c for c in chains):
+    parts = [_stack(op, c) for c in chains]
+    if not parts:
         raise ValueError("chains must be nonempty")
-    for i, c in enumerate(chains):
-        worst = max_defect(op, c)
+    for i, points in enumerate(parts):
+        worst = max_defect(op, PseudoOrbit(0, points, delta / 2.0, op.norm_tag))
         if worst > (delta / 2.0) * (1.0 + 1e-12):
             raise NotAChain(
                 f"chain {i} has defect {worst:.6g}, over delta/2 = {delta / 2.0:.6g}",
                 index=i,
             )
-    zero = chains[0][0] * 0.0
-    combined: list = []
-    for i, c in enumerate(chains):
-        if i > 0:
-            combined.append(zero)
-        combined.extend(c)
+    zero = parts[0][:1] * 0.0
+    pieces = [x for points in parts for x in (zero, points)][1:]
+    combined = PseudoOrbit(0, _stored(np.concatenate(pieces)), delta, op.norm_tag)
     worst = max_defect(op, combined)
     if worst > delta * (1.0 + 1e-12):
         raise NotAChain(
             f"combined chain has junction defect {worst:.6g}, over delta = {delta:.6g}",
             index=-1,
         )
-    return PseudoOrbit(n0=0, points=tuple(combined), delta=delta)
+    return combined

@@ -210,13 +210,14 @@ def shad_estimate_linf(w: WindowedLinf, z_samples: int = 64, rng_seed: int = 0) 
         raise ValueError("z_samples must be positive")
     floor = 1.0 / (1.0 + w.base.operator_norm()) - 1e-9
     tag = w.base.norm_tag
-    zero = DenseVector(np.zeros(w.dim), tag)
-    k = _kind(w.base, None, [zero])
+    zero = np.zeros((1, w.dim), dtype=complex)
+    k = _kind(w.base, None, zero, tag)
+    start = k.load(zero)[0]
     best = 0.0
     for z_rows in _defect_samples(w, z_samples, rng_seed):
-        zs = k.from_rows(z_rows, tag)
-        points = k.walk(k.point(zero), len(zs), lambda i, img: img + zs[i])
-        po = PseudoOrbit(n0=-w.window_N, points=k.vectors(points), delta=1.0)
+        zs = k.load(z_rows)
+        points = k.walk(start, len(zs), lambda i, img: img + zs[i])
+        po = PseudoOrbit(-w.window_N, k.store(points), 1.0, tag)
         lower = shadow_window_solve(w.base, po).lower
         if lower < floor:
             raise NotCertified(f"window lower bound {lower:.6g} fell below the one-step floor")

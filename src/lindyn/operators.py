@@ -144,7 +144,10 @@ class InverseWeights:
     base: object
 
     def value(self, k: int) -> complex:
-        return 1.0 / self.base.value(k)
+        w = self.base.value(k)
+        if w == 0:
+            raise NotInvertible(f"base weight at {k} is 0; it has no reciprocal")
+        return 1.0 / w
 
     @property
     def features(self) -> tuple[int, ...]:

@@ -459,7 +459,12 @@ def min_max_norm(A: np.ndarray, e: np.ndarray, tag: str) -> MinMaxNorm:
         lam = np.bincount(inv, weights=xb[cut_pos], minlength=len(act))
         xn, tn = x, float(phi[act].max())
         for _ in range(2 * nv):
-            polished = _newton(B[act], c[act], xn, tn, lam, radius)
+            # squares past about 1e154 overflow, and lstsq then raises LinAlgError
+            try:
+                with np.errstate(over="ignore", invalid="ignore"):
+                    polished = _newton(B[act], c[act], xn, tn, lam, radius)
+            except np.linalg.LinAlgError:
+                break
             if polished is None:
                 break
             xn, tn, lam = polished

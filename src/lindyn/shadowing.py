@@ -7,21 +7,18 @@ and the unstable part backward. On a finite window with zero extension both
 series are finite sums, computed here by recursions that re-project onto the
 invariant side at every step so roundoff never excites the expanding block.
 
-Every orbit computation runs once, on one of two kinds of point that `_kind`
-picks per call: the orbit walk (`_Kind.walk`, which builds pseudo-orbits,
-contraction shadows, window-solve trajectories and the integrated defects of
-linf.shad_estimate_linf), the defect and exactness checks of max_defect and
-verify_shadow, and both correction recursions; Gamma (stability) is dense
-only and runs on coordinate arrays instead. The row kind serves a DenseOp
-(with a SpectralSplit where one is needed) and DenseVectors of its tag and
-dimension: points are the rows of (n, d) complex arrays, A, A_inv, P_S and
-P_U are matrices, and each array is checked for finiteness once. The vector
-kind serves everything else, sequence operators included: points are the
-vectors, held in object arrays so that array arithmetic acts on them one by
-one, A, A_inv, P_S and P_U are adapters whose @ calls apply, apply_P_S and
-apply_P_U, and each vector is checked as it is built. Both do the same
-arithmetic in the same order, bit for bit; images are one M @ x per row, as
-in DenseOp.apply (rows @ M.T rounds differently).
+PseudoOrbit.points and ShadowResult.trajectory are one read-only array: the
+rows of an (n, d) complex array for a dense orbit, an (n,) object array of
+vectors for a sequence one. Vectors become points once, where they enter
+(pseudo_orbit, generate_pseudo_orbit's seed), with their kind, norm tag,
+dimension and finiteness checked; every entry point compares the orbit's
+tag and width with the operator's once (`_kind`). All orbit arithmetic runs
+on `_Kind`: rows for a DenseOp, where the maps A, P_S and P_U are one M @ x
+per row, as in DenseOp.apply (rows @ M.T rounds differently); vectors for
+every other operator, where they are apply, apply_P_S and apply_P_U, called
+on the vectors of object arrays one by one (a dense CompositionOp's rows are
+wrapped as DenseVectors). Both kinds do the same arithmetic in the same
+order, bit for bit. Gamma (stability) runs on coordinate arrays instead.
 """
 
 from __future__ import annotations
@@ -35,6 +32,7 @@ import numpy as np
 from .errors import KindMismatch, LindynError, NonContracting, NotCertified, NotInvertible
 from .linalg import (
     DenseVector,
+    SparseBiSeq,
     array_norm,
     check_finite,
     max_row_norm,
@@ -66,62 +64,68 @@ SERIES_TERM_CAP = 10_000
 CONTRACTION_SLACK = 1e-10
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PseudoOrbit:
-    """Points indexed n0 .. n0 + len(points) - 1 with certified defect delta."""
+    """Points indexed n0 .. n0 + len(points) - 1 with certified defect delta,
+    stored as the module docstring says, in the norm norm_tag."""
 
     n0: int
-    points: tuple
+    points: np.ndarray
     delta: float
+    norm_tag: str
 
     @property
     def n1(self) -> int:
         return self.n0 + len(self.points) - 1
 
 
-class _Apply:
-    """The vector kind's stand-in for a matrix: M @ v calls a vector map."""
+def _stored(points: np.ndarray) -> np.ndarray:
+    """points as an orbit stores them, made read-only: dense rows are
+    checked finite here, vectors were checked as they were built."""
+    if points.dtype != object:
+        check_finite(points)
+    points.setflags(write=False)
+    return points
 
-    def __init__(self, f):
-        self.f = f
 
-    def __matmul__(self, v):
-        return self.f(v)
+def _stack(op: LinOp, vectors: Sequence) -> np.ndarray:
+    """The stored points of vectors entering as an orbit of op: all of op's
+    kind of vector and norm tag, dense ones of one dimension."""
+    vectors = tuple(vectors)
+    if not vectors:
+        raise ValueError("a pseudo-orbit needs at least one point")
+    dense = op.vector_kind == "dense"
+    cls = DenseVector if dense else SparseBiSeq
+    if not all(isinstance(v, cls) and v.norm_tag == op.norm_tag for v in vectors) or (
+        dense and len({v.dim for v in vectors}) > 1
+    ):
+        raise KindMismatch("points disagree with the operator in kind, norm tag or dimension")
+    return _stored(np.array([v.coords for v in vectors]) if dense else np.fromiter(vectors, object))
 
 
 class _Kind:
     """One of the two kinds of point, rows or vectors; Gamma uses neither (see the module docstring)."""
 
-    def __init__(self, op: LinOp, split: Optional[Splitting], rows: bool):
-        self.op, self.rows, self.tag = op, rows, op.norm_tag
-        self.A = op.matrix if rows else _Apply(op.apply)
+    def __init__(self, op: LinOp, split: Optional[Splitting], rows: bool, wrap: bool):
+        self.op, self.rows, self.wrap, self.tag = op, rows, wrap, op.norm_tag
+        # A, A_inv, P_S and P_U map one point: M @ x on a row, a vector map on a vector
+        self.A = op.matrix.__matmul__ if rows else op.apply
         if split is not None:
-            self.P_S = split.P_S if rows else _Apply(split.apply_P_S)
-            self.P_U = split.P_U if rows else _Apply(split.apply_P_U)
+            self.P_S = split.P_S.__matmul__ if rows else split.apply_P_S
+            self.P_U = split.P_U.__matmul__ if rows else split.apply_P_U
 
     @property
     def A_inv(self):
         inv = self.op.inverse()
-        return inv.matrix if self.rows else _Apply(inv.apply)
+        return inv.matrix.__matmul__ if self.rows else inv.apply
 
-    def empty(self, n: int) -> np.ndarray:
-        return np.empty((n, self.op.dim), dtype=complex) if self.rows else np.empty(n, dtype=object)
+    def load(self, points: np.ndarray) -> np.ndarray:
+        """The kind's points for stored ones (see _kind for wrap)."""
+        return np.fromiter(DenseVector.from_rows(points, self.tag), object) if self.wrap else points
 
-    def point(self, v):
-        return v.coords if self.rows else v
-
-    def points(self, vectors: Sequence) -> np.ndarray:
-        out = self.empty(len(vectors))
-        for k, v in enumerate(vectors):
-            out[k] = self.point(v)
-        return out
-
-    def from_rows(self, rows: np.ndarray, tag: str) -> np.ndarray:
-        """Points from the rows of an (n, d) array, as dense vectors of tag."""
-        return rows if self.rows else self.points(DenseVector.from_rows(rows, tag))
-
-    def vectors(self, points) -> tuple:
-        return DenseVector.from_rows(points, self.tag) if self.rows else tuple(points)
+    def store(self, points: np.ndarray) -> np.ndarray:
+        """The stored form of the kind's points (see _stored)."""
+        return _stored(np.array([p.coords for p in points]) if self.wrap else points)
 
     def finite(self, points: np.ndarray) -> np.ndarray:
         return check_finite(points) if self.rows else points
@@ -149,11 +153,12 @@ class _Kind:
         once it starts, so rows are checked every 64 steps, which refuses an
         overflowing walk near its first non-finite row, not at its end."""
         A = self.A
-        points = self.empty(steps + 1)
+        n = steps + 1
+        points = np.empty((n, self.op.dim), dtype=complex) if self.rows else np.empty(n, object)
         points[0] = x = start
         with np.errstate(over="ignore", invalid="ignore"):
             for i in range(steps):
-                img = A @ x
+                img = A(x)
                 x = img if step is None else step(i, img)
                 points[i + 1] = x
                 if self.rows and i % 64 == 0:
@@ -161,45 +166,50 @@ class _Kind:
         return points
 
 
-def _kind(op: LinOp, split: Optional[Splitting], vectors: Sequence) -> _Kind:
-    """Rows for a DenseOp, a SpectralSplit or no split, and dense vectors, all
-    of one norm tag and dimension; for everything else vectors, whose
-    arithmetic also raises the mismatch errors."""
-    rows = False
-    if isinstance(op, DenseOp) and vectors:
-        key = (op.norm_tag, op.dim)
-        rows = (
-            split is None or isinstance(split, SpectralSplit) and (split.norm_tag, split.dim) == key
-        ) and all(isinstance(v, DenseVector) and (v.norm_tag, v.dim) == key for v in vectors)
-    return _Kind(op, split, rows)
+def _kind(op: LinOp, split: Optional[Splitting], points: np.ndarray, tag: str) -> _Kind:
+    """The kind for the stored points, of norm tag tag, of an orbit of op,
+    once their tag, kind and (for a DenseOp) width match op's. Rows serve a
+    DenseOp with a SpectralSplit of its own or no split; vectors serve the
+    rest, wrapping dense rows, and their arithmetic refuses any mismatch."""
+    dense, rows = points.ndim == 2, isinstance(op, DenseOp)
+    mismatch = tag != op.norm_tag or dense != (op.vector_kind == "dense")
+    if mismatch or rows and points.shape[1] != op.dim:
+        raise KindMismatch("orbit disagrees with the operator in norm tag, kind or dimension")
+    if rows and split is not None:
+        rows = isinstance(split, SpectralSplit) and (split.norm_tag, split.dim) == (tag, op.dim)
+    return _Kind(op, split, rows, wrap=dense and not rows)
 
 
 def _images(A, points: np.ndarray) -> np.ndarray:
-    """A @ x for every point x; the kind refuses overflowed images as non-finite."""
+    """A(x) for every point x; the kind refuses overflowed images as non-finite."""
     out = np.empty_like(points)
     with np.errstate(over="ignore", invalid="ignore"):
         for k, x in enumerate(points):
-            out[k] = A @ x
+            out[k] = A(x)
     return out
 
 
-def max_defect(op: LinOp, points: Sequence) -> float:
-    k = _kind(op, None, points)
-    pts = k.points(points)
+def max_defect(op: LinOp, po: PseudoOrbit) -> float:
+    """The largest one-step defect of the orbit po under op."""
+    k = _kind(op, None, po.points, po.norm_tag)
+    pts = k.load(po.points)
     return k.sup(k.finite(pts[1:] - _images(k.A, pts[:-1])))
 
 
-def pseudo_orbit(op: LinOp, n0: int, points: Sequence, delta: float) -> PseudoOrbit:
-    """Build a pseudo-orbit, re-verifying every defect against delta."""
-    pts = tuple(points)
-    if not pts:
-        raise ValueError("a pseudo-orbit needs at least one point")
-    if delta < 0:
+def _certified(op: LinOp, po: PseudoOrbit) -> PseudoOrbit:
+    """po, once every defect is re-verified against its delta."""
+    if po.delta < 0:
         raise ValueError("delta must be nonnegative")
-    worst = max_defect(op, pts)
-    if worst > delta * (1.0 + 1e-12) + 1e-300:
-        raise ValueError(f"defect {worst:.6g} exceeds declared delta {delta:.6g}")
-    return PseudoOrbit(n0=n0, points=pts, delta=delta)
+    worst = max_defect(op, po)
+    if worst > po.delta * (1.0 + 1e-12) + 1e-300:
+        raise ValueError(f"defect {worst:.6g} exceeds declared delta {po.delta:.6g}")
+    return po
+
+
+def pseudo_orbit(op: LinOp, n0: int, vectors: Sequence, delta: float) -> PseudoOrbit:
+    """Build a pseudo-orbit from vectors, checked as they enter (see
+    _stack), re-verifying every defect against delta."""
+    return _certified(op, PseudoOrbit(n0, _stack(op, vectors), delta, op.norm_tag))
 
 
 def generate_pseudo_orbit(
@@ -222,10 +232,11 @@ def generate_pseudo_orbit(
         raise NotInvertible("negative window start needs an invertible operator")
     rng = rng_from_seed(rng_seed)
     steps = n1 - n0
-    k = _kind(op, None, [seed])
+    start = _stack(op, [seed])
+    k = _kind(op, None, start, op.norm_tag)
     dirs = None
     if isinstance(seed, DenseVector):
-        dirs = k.from_rows(unit_dense_rows(seed.dim, seed.norm_tag, steps, rng), seed.norm_tag)
+        dirs = k.load(unit_dense_rows(seed.dim, seed.norm_tag, steps, rng))
 
     def unit(i: int, img):
         if dirs is not None:
@@ -242,8 +253,8 @@ def generate_pseudo_orbit(
         # declared delta stays certified
         return img if k.norm(x - img) > delta else x
 
-    points = k.walk(k.point(seed), steps, perturb)
-    return pseudo_orbit(op, n0, k.vectors(points), delta)
+    points = k.walk(k.load(start)[0], steps, perturb)
+    return _certified(op, PseudoOrbit(n0, k.store(points), delta, op.norm_tag))
 
 
 # ---------------------------------------------------------------------------
@@ -274,40 +285,29 @@ class SeriesConstants:
 
 def _sum_until_tail(term_fn, start: int, tail: float, certified_ratio: Optional[float]):
     terms: list[float] = []
-    total = 0.0
     ratios: list[float] = []
-    k = start
-    while True:
+    total = 0.0
+    for k in range(start, start + SERIES_TERM_CAP + 1):
         t = term_fn(k)
         terms.append(t)
         total += t
         if t == 0.0:
-            break
+            return total, tuple(terms)
         if len(terms) >= 2 and terms[-2] > 0.0:
-            ratios.append(t / terms[-2])
-            ratios = ratios[-4:]
-        q_candidates = []
-        if certified_ratio is not None and certified_ratio < 1.0:
-            q_candidates.append(certified_ratio)
-        if len(ratios) >= 3:
-            q_obs = max(ratios)
-            if q_obs < 1.0:
-                q_candidates.append(q_obs)
-        if q_candidates:
-            q = min(q_candidates)
+            ratios = (ratios + [t / terms[-2]])[-4:]
+        observed = max(ratios) if len(ratios) >= 3 else None
+        qs = [q for q in (certified_ratio, observed) if q is not None and q < 1.0]
+        if qs:
+            q = min(qs)
             rem = t * q / (1.0 - q)
             if rem < tail:
                 # close the series with the geometric remainder so the total
                 # stays an upper bound of the full sum
-                total += rem
-                break
-        k += 1
-        if k - start > SERIES_TERM_CAP:
-            raise NotCertified(
-                f"series did not certify convergence within {SERIES_TERM_CAP} terms",
-                terms=SERIES_TERM_CAP,
-            )
-    return total, tuple(terms)
+                return total + rem, tuple(terms)
+    raise NotCertified(
+        f"series did not certify convergence within {SERIES_TERM_CAP} terms",
+        terms=SERIES_TERM_CAP,
+    )
 
 
 def series_constants(op: LinOp, split: Splitting, tail: float = SERIES_TAIL) -> SeriesConstants:
@@ -353,9 +353,7 @@ def shad_bounds(op: LinOp, split: Splitting) -> ShadBounds:
     upper = sc.upper
     lower = max(resolvent_norm_S(op, split), resolvent_norm_U_inv(op, split))
     if lower > upper + 1e-9:
-        raise NotCertified(
-            f"lower bound {lower:.9g} exceeds upper bound {upper:.9g}",
-        )
+        raise NotCertified(f"lower bound {lower:.9g} exceeds upper bound {upper:.9g}")
     return ShadBounds(
         upper=upper,
         lower=lower,
@@ -369,19 +367,20 @@ def shad_bounds(op: LinOp, split: Splitting) -> ShadBounds:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ShadowResult:
     """An exact orbit over the window and its distance to the pseudo-orbit.
 
-    sup_error is the distance of the stored trajectory to the points, as
-    verify_shadow measures it, and constant_used * delta bounds it. lower is
-    set by the window solve alone (see shadow_window_solve): a certified
-    lower bound on the distance of every exact orbit, so the best orbit
-    lies in [lower, sup_error]. Every other method leaves it None.
+    trajectory is stored as the pseudo-orbit's points are, and its first
+    point is the shadow's seed. sup_error is the distance of the trajectory
+    to the points, as verify_shadow measures it, and constant_used * delta
+    bounds it. lower is set by the window solve alone (see
+    shadow_window_solve): a certified lower bound on the distance of every
+    exact orbit, so the best orbit lies in [lower, sup_error]. Every other
+    method leaves it None.
     """
 
-    shadow_seed: object
-    trajectory: tuple
+    trajectory: np.ndarray
     sup_error: float
     constant_used: float
     method: str
@@ -390,11 +389,11 @@ class ShadowResult:
 
 def verify_shadow(op: LinOp, po: PseudoOrbit, res: ShadowResult) -> None:
     """Re-check the two invariants: exact orbit, and the error bound."""
+    k = _kind(op, None, po.points, po.norm_tag)
     traj = res.trajectory
-    if len(traj) != len(po.points):
-        raise NotCertified("trajectory length does not match the window")
-    k = _kind(op, None, (*traj, *po.points))
-    pts = k.points(traj)
+    if traj.shape != po.points.shape:
+        raise NotCertified("trajectory shape does not match the window")
+    pts = k.load(traj)
     imgs = _images(k.A, pts[:-1])
     diffs = pts[1:] - imgs
     defects = k.norms(diffs)
@@ -407,7 +406,7 @@ def verify_shadow(op: LinOp, po: PseudoOrbit, res: ShadowResult) -> None:
         raise NotCertified(
             f"trajectory defect {defects[i]:.3g} at offset {i} breaks orbit exactness"
         )
-    sup = k.sup(k.finite(pts - k.points(po.points)))
+    sup = k.sup(k.finite(pts - k.load(po.points)))
     if sup > res.constant_used * po.delta + 1e-9:
         raise NotCertified(
             f"sup error {sup:.6g} exceeds {res.constant_used:.6g} * delta + 1e-9"
@@ -440,10 +439,10 @@ def _series_points(k: _Kind, rows: np.ndarray) -> np.ndarray:
     F[0] = Bwd[-1] = f = b = rows[0] * 0j
     with np.errstate(over="ignore", invalid="ignore"):
         for i, z in enumerate(zs):
-            f = P_S @ (A @ f + P_S @ z)
+            f = P_S(A(f) + P_S(z))
             F[i + 1] = f
         for i in range(len(zs) - 1, -1, -1):
-            b = P_U @ (A_inv @ (b + P_U @ zs[i]))
+            b = P_U(A_inv(b + P_U(zs[i])))
             Bwd[i] = b
         return rows + (F - Bwd)
 
@@ -472,13 +471,11 @@ def shadow_splitting_series(
         )
     if "constants" not in memo:
         memo["constants"] = series_constants(op, split)
-    k = _kind(op, split, po.points)
-    rows = k.points(po.points)
+    k = _kind(op, split, po.points, po.norm_tag)
+    rows = k.load(po.points)
     points = _series_points(k, rows)
-    trajectory = k.vectors(points)
     result = ShadowResult(
-        shadow_seed=trajectory[0],
-        trajectory=trajectory,
+        trajectory=k.store(points),
         sup_error=k.sup(k.finite(points - rows)),
         constant_used=memo["constants"].upper,
         method="splitting_series",
@@ -497,8 +494,8 @@ def shadow_contraction(op: LinOp, po: PseudoOrbit) -> ShadowResult:
         raise NonContracting(
             f"operator norm {lam:.6g} is not below 1", ratio=lam, bound=1.0
         )
-    k = _kind(op, None, po.points)
-    points = k.points(po.points)
+    k = _kind(op, None, po.points, po.norm_tag)
+    points = k.load(po.points)
     traj = k.walk(points[0], len(points) - 1)
     sup_error = k.sup(k.finite(traj - points))
     constant = 1.0 / (1.0 - lam)
@@ -506,10 +503,8 @@ def shadow_contraction(op: LinOp, po: PseudoOrbit) -> ShadowResult:
         raise NotCertified(
             f"contraction shadow error {sup_error:.6g} exceeds delta/(1-lambda) + tol"
         )
-    trajectory = k.vectors(traj)
     result = ShadowResult(
-        shadow_seed=trajectory[0],
-        trajectory=trajectory,
+        trajectory=k.store(traj),
         sup_error=sup_error,
         constant_used=constant,
         method="contraction_fixed_point",
@@ -556,25 +551,22 @@ def shadow_window_solve(op: LinOp, po: PseudoOrbit) -> ShadowResult:
     below, up to the rounding of the stored points; it is capped at
     sup_error, whose trajectory is one such orbit.
     """
-    if not isinstance(po.points[0], DenseVector):
+    rows = po.points
+    if rows.ndim != 2:
         raise KindMismatch("window solving works on dense vectors")
-    dim = po.points[0].dim
+    count, dim = rows.shape
     if dim > WINDOW_SOLVE_MAX_DIM:
         raise ValueError(f"window solving is limited to dimension {WINDOW_SOLVE_MAX_DIM}")
-    if len(po.points) > WINDOW_SOLVE_MAX_LEN:
+    if count > WINDOW_SOLVE_MAX_LEN:
         raise ValueError(f"window solving is limited to {WINDOW_SOLVE_MAX_LEN} points")
     tag = op.norm_tag
-    if any(p.norm_tag != tag or p.dim != dim for p in po.points):
-        raise KindMismatch("dense vectors disagree in norm tag or dimension")
     dense = op if isinstance(op, DenseOp) else DenseOp(op.dense_matrix(), tag)
     try:
         split: Optional[SpectralSplit] = spectral_split(dense)
         M_inv = dense.inverse().matrix
     except LindynError:
         split = None
-    k = _kind(dense, split, po.points)
-    rows = k.points(po.points)
-    count = len(rows)
+    k = _kind(dense, split, rows, po.norm_tag)
     if split is None:
         particular = k.walk(rows[0], count - 1)
         A = _orbit_basis(dense.matrix, np.eye(dim, dtype=complex), count)
@@ -600,7 +592,6 @@ def shadow_window_solve(op: LinOp, po: PseudoOrbit) -> ShadowResult:
         dist = max_row_norm(k.finite(candidate - rows), tag)
         if dist < sup_error:
             points, sup_error = candidate, dist
-    traj = k.vectors(points)
     if sup_error == 0.0:
         constant = 0.0
     elif po.delta > 0.0:
@@ -613,8 +604,7 @@ def shadow_window_solve(op: LinOp, po: PseudoOrbit) -> ShadowResult:
     else:
         constant = math.inf
     result = ShadowResult(
-        shadow_seed=traj[0],
-        trajectory=traj,
+        trajectory=k.store(points),
         sup_error=sup_error,
         constant_used=constant,
         method="window_solve",

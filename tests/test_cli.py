@@ -103,6 +103,9 @@ def test_gh_weighted_shift_witnesses_and_bounds():
     assert tasks["homoclinic"]["result"]["witness"] == e0
     bounds = tasks["bounds"]["result"]
     assert (bounds["lower"], bounds["upper"]) == (2.0, 3.0)
+    # the only bundled shadow on a sequence operator, so on object arrays
+    series = tasks["shadow"]["result"]["methods"]["splitting_series"]
+    assert (series["constant_used"], series["sup_error"]) == (3.0, 0.00014820297883599273)
 
 
 def test_run_scenario_rejects_unknown_keys():

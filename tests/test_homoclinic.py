@@ -109,7 +109,7 @@ def test_chain_combine_splices_through_zero():
     c2 = [e(1, 0.4 * delta)]
     combined = chain_combine(COMP, [c1, c2], delta)
     assert combined.delta == delta
-    assert max_defect(COMP, combined.points) <= delta
+    assert max_defect(COMP, combined) <= delta
     # zero padding sits between the pieces
     assert any(p.is_zero() for p in combined.points)
 

@@ -132,6 +132,12 @@ def test_inverse_of_a_zero_tail_is_refused():
         DiagonalOp(SignWeights(neg_and_zero=0.0, pos=2.0), L1).inverse()
 
 
+def test_inverse_of_a_zero_feature_weight_is_refused():
+    # a zero weight at a feature index, not a tail: no reciprocal exists
+    with pytest.raises(NotInvertible):
+        DiagonalOp(InverseWeights(TableWeights.from_mapping({0: 0.0}, 1.0)), "l1").operator_norm()
+
+
 def test_operator_report_radius_below_norm():
     rep = operator_report(COMP)
     assert rep.op_norm == 2.0

@@ -16,7 +16,7 @@ from lindyn import (
 )
 from lindyn import optim
 from lindyn.expansivity import _growth_objective
-from lindyn.linalg import matrix_powers
+from lindyn.linalg import matrix_powers, max_row_norm
 from lindyn.linf import _margin_objective
 from lindyn.optim import min_max_norm
 from lindyn.sampling import random_margin_matrix, rng_from_seed
@@ -127,6 +127,19 @@ def test_min_max_norm_refuses_a_rank_deficient_problem():
     e = np.ones((4, 2), dtype=complex)
     with pytest.raises(ValueError, match="full column rank"):
         min_max_norm(A, e, LINF)
+
+
+@pytest.mark.parametrize("tag", [L1, L2, LINF])
+def test_min_max_norm_survives_an_overflowing_polish(tag):
+    # powers of [[1e40, 1], [0.3, 0.5]] up to +-4 reach 1e160, so Newton's
+    # squared residuals overflow; the polish ends there, without an escaped
+    # LinAlgError or RuntimeWarning, and the bracket still holds
+    M = np.array([[1e40, 1.0], [0.3, 0.5]])
+    stack = np.stack(matrix_powers(M, 4) + matrix_powers(np.linalg.inv(M), 4)[1:])
+    e = stack[:, :, 1]
+    sol = min_max_norm(stack[:, :, [0]], e, tag)
+    assert 0.0 <= sol.lower <= sol.value <= max_row_norm(e, tag)
+    assert math.isfinite(sol.value)
 
 
 def test_min_max_norm_zero_offsets_are_exact():

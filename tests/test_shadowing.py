@@ -1,5 +1,5 @@
-import dataclasses
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -27,14 +27,17 @@ from lindyn import (
     spectral_split,
     verify_shadow,
 )
-from lindyn.errors import LindynError
-from lindyn.gallery import contraction_half, saddle
+from lindyn.errors import KindMismatch, LindynError
+from lindyn.gallery import contraction_half, saddle, shifted_weighted_contraction
+from lindyn.linalg import SparseBiSeq, max_row_norm
 from lindyn.operators import CompositionOp
 from lindyn.sampling import random_margin_matrix, rng_from_seed
 from lindyn.shadowing import PseudoOrbit, ShadowResult, classify, max_defect
 
 SADDLE = saddle()
 SPLIT = spectral_split(SADDLE)
+# a sequence operator: R o W under l1
+COMP = shifted_weighted_contraction()[2]
 
 # diag(1/2, 2) under sup norm: A = sum 2^-k = 2, B = sum_{k>=1} 2^-k = 1,
 # both projections have norm 1, so upper = 3; the resolvent lower bound is 2
@@ -57,13 +60,14 @@ def test_pseudo_orbit_factory_verifies_delta():
 
 def test_generated_orbit_respects_delta():
     po = orbit_of(SADDLE, DenseVector([0.3, -0.2], LINF), 50, 1e-3)
-    assert max_defect(SADDLE, po.points) <= 1e-3
+    assert max_defect(SADDLE, po) <= 1e-3
     assert len(po.points) == 51
 
 
 def test_generated_orbit_per_step_defects():
     po = generate_pseudo_orbit(SADDLE, DenseVector([1.0, 1.0], LINF), (0, 10), 1e-3, 42)
-    for cur, nxt in zip(po.points, po.points[1:]):
+    vectors = DenseVector.from_rows(po.points, LINF)
+    for cur, nxt in zip(vectors, vectors[1:]):
         assert (nxt - SADDLE.apply(cur)).norm() <= 1e-3
 
 
@@ -71,7 +75,7 @@ def test_generated_orbit_long_expanding_window_stays_certified():
     # far out the orbit magnitude passes delta / ulp; perturbations that
     # would round above delta must be dropped, not mis-declared
     po = orbit_of(SADDLE, DenseVector([0.1, 0.4], LINF), 80, 1e-3, rng_seed=5)
-    assert max_defect(SADDLE, po.points) <= 1e-3
+    assert max_defect(SADDLE, po) <= 1e-3
 
 
 def test_generated_orbit_overflow_is_refused():
@@ -102,12 +106,13 @@ def test_non_diagonal_operator_orbit_and_shadows_certify():
     rng = rng_from_seed(0)
     op = DenseOp(random_margin_matrix(3, rng, margin=0.2), LINF)
     po = generate_pseudo_orbit(op, DenseVector(rng.standard_normal(3), LINF), (0, 200), 1e-3, 0)
-    assert max(p.norm() for p in po.points) > 1e30
-    assert max_defect(op, po.points) <= 1e-3
+    assert max_row_norm(po.points, LINF) > 1e30
+    assert max_defect(op, po) <= 1e-3
     split = spectral_split(op)
     for res in (shadow_splitting_series(op, split, po), shadow_window_solve(op, po)):
         verify_shadow(op, po, res)
-        assert max_defect(op, res.trajectory) <= 1e-12 * max(p.norm() for p in res.trajectory)
+        exact = replace(po, points=res.trajectory)
+        assert max_defect(op, exact) <= 1e-12 * max_row_norm(res.trajectory, LINF)
 
 
 @pytest.mark.parametrize("tag", [L1, L2, LINF])
@@ -122,8 +127,8 @@ def test_dense_array_path_matches_per_vector_path_bit_for_bit(tag):
     report = classify(op, split)
     po = generate_pseudo_orbit(op, seed, (0, 200), 1e-3, 3)
 
-    def raw(vectors):
-        return [v.coords.tobytes() for v in vectors]
+    def raw(points):
+        return points.tobytes()
 
     def series(o, orbit):
         return shadow_splitting_series(o, split, orbit, report=report)
@@ -137,7 +142,7 @@ def test_dense_array_path_matches_per_vector_path_bit_for_bit(tag):
         return raw(res.trajectory), res.sup_error
 
     assert raw(po.points) == raw(generate_pseudo_orbit(ref, seed, (0, 200), 1e-3, 3).points)
-    assert max_defect(op, po.points) == max_defect(ref, po.points)
+    assert max_defect(op, po) == max_defect(ref, po)
     for solve in (series, shadow_window_solve):
         assert outcome(solve, op) == outcome(solve, ref)
 
@@ -145,7 +150,7 @@ def test_dense_array_path_matches_per_vector_path_bit_for_bit(tag):
 def test_single_point_window_is_vacuous():
     po = generate_pseudo_orbit(SADDLE, DenseVector([1.0, 1.0], LINF), (0, 0), 1e-3, 1)
     assert len(po.points) == 1
-    assert max_defect(SADDLE, po.points) == 0.0
+    assert max_defect(SADDLE, po) == 0.0
 
 
 def test_series_constants_saddle():
@@ -170,7 +175,7 @@ def test_series_shadow_is_exact_orbit():
     # verify_shadow has already checked the orbit property; re-check sup
     assert res.sup_error <= UPPER * po.delta * (1.0 + 1e-9)
     assert res.method == "splitting_series"
-    assert max_defect(SADDLE, res.trajectory) < 1e-12
+    assert max_defect(SADDLE, replace(po, points=res.trajectory)) < 1e-12
 
 
 def test_series_classifies_and_sums_once_per_operator_and_split(monkeypatch):
@@ -241,7 +246,7 @@ def _reference_bracket(op, po, start, k=64):
     """
     optimize = pytest.importorskip("scipy.optimize")
     tag = op.norm_tag
-    xs = np.stack([p.coords for p in po.points])
+    xs = po.points
     n, d = xs.shape
     P = np.empty((n, d, d), dtype=complex)
     P[0] = np.eye(d)
@@ -305,7 +310,7 @@ def test_window_bracket_holds_against_a_reference_solve(tag):
         po = generate_pseudo_orbit(op, DenseVector(rng.standard_normal(dim), tag), (0, 12), 0.05, trial)
         res = shadow_window_solve(op, po)
         series = shadow_splitting_series(op, spectral_split(op), po)
-        lo, hi = _reference_bracket(op, po, res.shadow_seed.coords)
+        lo, hi = _reference_bracket(op, po, res.trajectory[0])
         assert hi - lo <= 2e-3 * hi
         assert res.lower <= hi * (1.0 + 1e-9)
         assert lo <= res.sup_error * (1.0 + 1e-9)
@@ -319,7 +324,7 @@ def test_shadow_contraction_constant():
     # 1/(1 - 1/2) = 2
     assert res.constant_used == 2.0
     assert res.sup_error <= 2.0 * po.delta * (1.0 + 1e-9)
-    assert max_defect(op, res.trajectory) < 1e-12
+    assert max_defect(op, replace(po, points=res.trajectory)) < 1e-12
 
 
 def test_shadow_contraction_rejects_expanding_norm():
@@ -331,11 +336,10 @@ def test_shadow_contraction_rejects_expanding_norm():
 def test_verify_shadow_rejects_tampered_result():
     po = orbit_of(SADDLE, DenseVector([0.2, 0.2], LINF), 20, 1e-3)
     res = shadow_splitting_series(SADDLE, SPLIT, po)
-    bad_traj = list(res.trajectory)
-    bad_traj[5] = bad_traj[5] + DenseVector([0.1, 0.0], LINF)
+    bad_traj = res.trajectory.copy()
+    bad_traj[5] += [0.1, 0.0]
     tampered = ShadowResult(
-        shadow_seed=res.shadow_seed,
-        trajectory=tuple(bad_traj),
+        trajectory=bad_traj,
         sup_error=res.sup_error,
         constant_used=res.constant_used,
         method=res.method,
@@ -347,9 +351,9 @@ def test_verify_shadow_rejects_tampered_result():
 def test_verify_shadow_names_first_bad_offset():
     po = orbit_of(SADDLE, DenseVector([0.2, 0.2], LINF), 20, 1e-3)
     res = shadow_splitting_series(SADDLE, SPLIT, po)
-    bad_traj = list(res.trajectory)
-    bad_traj[5] = bad_traj[5] + DenseVector([0.1, 0.0], LINF)
-    tampered = dataclasses.replace(res, trajectory=tuple(bad_traj))
+    bad_traj = res.trajectory.copy()
+    bad_traj[5] += [0.1, 0.0]
+    tampered = replace(res, trajectory=bad_traj)
     # traj[5] is first wrong as the image of traj[4]
     with pytest.raises(NotCertified, match="at offset 4 breaks orbit exactness"):
         verify_shadow(SADDLE, po, tampered)
@@ -360,14 +364,59 @@ def test_verify_shadow_overflow_and_defect_order():
     op = DenseOp(2.0 * np.eye(2), LINF)
 
     def check(coords):
-        traj = tuple(DenseVector(c, LINF) for c in coords)
-        res = ShadowResult(traj[0], traj, 0.0, 1.0, "test")
-        verify_shadow(op, PseudoOrbit(0, traj, 1.0), res)
+        traj = np.array(coords, dtype=complex)
+        res = ShadowResult(traj, 0.0, 1.0, "test")
+        verify_shadow(op, PseudoOrbit(0, traj, 1.0, LINF), res)
 
     with pytest.raises(ValueError, match="coordinates must be finite"):
         check([[1e308, 1.0], [1.0, 1.0]])
     with pytest.raises(NotCertified, match="at offset 0 "):
         check([[1.0, 1.0], [3.0, 3.0], [1e308, 1.0], [1.0, 1.0]])
+
+
+def test_every_entry_point_refuses_an_orbit_of_another_tag_or_dimension():
+    # the orbit's tag and width are compared with the operator's once, at
+    # each entry point; a mismatch is a KindMismatch, never arithmetic
+    op = contraction_half()
+    split = spectral_split(op)
+    po = orbit_of(op, DenseVector([1.0, -1.0], LINF), 20, 1e-3)
+    res = shadow_splitting_series(op, split, po)
+    wide = orbit_of(contraction_half(dim=3), DenseVector([1.0, -1.0, 0.5], LINF), 20, 1e-3)
+    seq = orbit_of(COMP, SparseBiSeq.basis(0, L1), 20, 1e-3)
+    entry_points = {
+        "max_defect": lambda orbit: max_defect(op, orbit),
+        "verify_shadow": lambda orbit: verify_shadow(op, orbit, res),
+        "shadow_splitting_series": lambda orbit: shadow_splitting_series(op, split, orbit),
+        "shadow_contraction": lambda orbit: shadow_contraction(op, orbit),
+        "shadow_window_solve": lambda orbit: shadow_window_solve(op, orbit),
+    }
+    for name, call in entry_points.items():
+        for orbit in (replace(po, norm_tag=L1), wide, seq):
+            with pytest.raises(KindMismatch):
+                call(orbit)
+    # a sequence orbit of another tag, and a dense orbit of a sequence operator
+    with pytest.raises(KindMismatch):
+        max_defect(COMP, replace(seq, norm_tag=L2))
+    with pytest.raises(KindMismatch):
+        max_defect(COMP, po)
+
+
+def test_vectors_are_checked_where_they_enter():
+    p0 = DenseVector([1.0, 0.0], LINF)
+    for p1 in (DenseVector([0.5, 0.0], L1), DenseVector([0.5, 0.0, 0.0], LINF)):
+        with pytest.raises(KindMismatch):
+            pseudo_orbit(SADDLE, 0, [p0, p1], 1.0)
+    with pytest.raises(KindMismatch):
+        generate_pseudo_orbit(SADDLE, SparseBiSeq.basis(0, LINF), (0, 3), 1e-3, 1)
+    with pytest.raises(KindMismatch):
+        generate_pseudo_orbit(COMP, DenseVector([1.0, 0.0], L1), (0, 3), 1e-3, 1)
+    # the stored points are one read-only array
+    po = orbit_of(SADDLE, DenseVector([0.3, -0.2], LINF), 5, 1e-3)
+    assert po.points.shape == (6, 2) and po.points.dtype == complex
+    assert (po.norm_tag, po.points.flags.writeable) == (LINF, False)
+    seq = generate_pseudo_orbit(COMP, SparseBiSeq.basis(0, L1), (0, 5), 1e-3, 1)
+    assert seq.points.shape == (6,) and seq.points.dtype == object
+    assert all(isinstance(p, SparseBiSeq) for p in seq.points)
 
 
 def test_window_solve_guards():
