@@ -284,6 +284,23 @@ class MonomialPowers:
         return 1.0 if n == 0 else max([0.0, *self.products(n, stay)])
 
 
+class MatrixPowers:
+    """n -> ||X_n|| for X_0 = P, X_{n+1} = (P M) X_n, memoized, each power one
+    product from the last. With P = I this is ||M^n||; where P projects onto
+    an M-invariant side it is ||M^n P||, and projecting again at every step
+    keeps rounding from exciting the other side."""
+
+    def __init__(self, P: np.ndarray, M: np.ndarray, tag: str):
+        self.step, self.X, self.tag = P @ M, P, tag
+        self.norms = [mat_norm(P, tag)]
+
+    def __call__(self, n: int) -> float:
+        while len(self.norms) <= n:
+            self.X = self.step @ self.X
+            self.norms.append(mat_norm(self.X, self.tag))
+        return self.norms[n]
+
+
 def monomial_power_sup(
     mono: MonomialForm, n: int, lo: Optional[int] = None, hi: Optional[int] = None
 ) -> float:
@@ -386,17 +403,20 @@ class LinOp:
     def dense_matrix(self) -> np.ndarray:
         raise KindMismatch(f"{self.kind} operator has no dense matrix")
 
+    def power_norms(self) -> Callable[[int], float]:
+        """n -> ||L^n|| for n >= 0, memoized, each power one step from the
+        last (MonomialPowers, or MatrixPowers of the dense matrix), so a run
+        over n = 0, 1, 2, ... costs one step a term."""
+        if self.monomial is not None:
+            return MonomialPowers(self.monomial).sup
+        m = self.dense_matrix()
+        return MatrixPowers(np.eye(m.shape[0]), m, self.norm_tag)
+
     def power_norm(self, n: int) -> float:
-        """Exact ||L^n|| for n >= 0."""
+        """||L^n|| for n >= 0 (one term of power_norms)."""
         if n < 0:
             raise ValueError("power_norm takes n >= 0")
-        if n == 0:
-            return 1.0
-        if self.monomial is not None:
-            return monomial_power_sup(self.monomial, n)
-        m = self.dense_matrix()
-        p = np.linalg.matrix_power(m, n)
-        return mat_norm(p, self.norm_tag)
+        return self.power_norms()(n)
 
 
 class DenseOp(LinOp):

@@ -347,8 +347,8 @@ def _newton(B, c, x, t, lam, radius: float):
     sum lam_p = 1, piece_p(x) = t. Each step is the least-squares solution,
     which stays put along a flat face of optima where the system is
     singular. Returns (x, t, lam), or None where a block vanishes (a kink of
-    the piece) or x leaves the box |x_i| <= radius that holds every
-    optimum."""
+    the piece), the system overflows, or x leaves the box |x_i| <= radius
+    that holds every optimum."""
     nv, k = B.shape[-1], len(lam)
     BtB = np.einsum("pbkx,pbky->pbxy", B, B)
     J = np.zeros((nv + 1 + k, nv + 1 + k))
@@ -366,6 +366,9 @@ def _newton(B, c, x, t, lam, radius: float):
         J[:nv, nv + 1 :] = G.T
         J[nv + 1 :, :nv] = G
         F = np.concatenate([G.T @ lam, [lam.sum() - 1.0], nrm.sum(axis=1) - t])
+        if not (np.isfinite(J).all() and np.isfinite(F).all()):
+            # overflowed squares; LAPACK would only complain on stdout
+            return None
         step = np.linalg.lstsq(J, -F, rcond=1e-12)[0]
         x, t, lam = x + step[:nv], t + step[nv], lam + step[nv + 1 :]
         if not np.abs(x).max() <= radius:

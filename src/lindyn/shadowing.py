@@ -4,8 +4,8 @@ A delta-pseudo-orbit is a finite point sequence whose one-step defects stay
 below delta. The central construction corrects such a sequence into an exact
 orbit: split every defect through P_S and P_U, map the stable part forward
 and the unstable part backward. On a finite window with zero extension both
-series are finite sums, computed here by recursions that re-project onto the
-invariant side at every step so roundoff never excites the expanding block.
+series are finite sums of re-projected steps (P_S L forward, P_U L^-1
+backward), so roundoff never excites the expanding block.
 
 PseudoOrbit.points and ShadowResult.trajectory are one read-only array: the
 rows of an (n, d) complex array for a dense orbit, an (n,) object array of
@@ -13,18 +13,21 @@ vectors for a sequence one. Vectors become points once, where they enter
 (pseudo_orbit, generate_pseudo_orbit's seed), with their kind, norm tag,
 dimension and finiteness checked; every entry point compares the orbit's
 tag and width with the operator's once (`_kind`). All orbit arithmetic runs
-on `_Kind`: rows for a DenseOp, where the maps A, P_S and P_U are one M @ x
-per row, as in DenseOp.apply (rows @ M.T rounds differently); vectors for
-every other operator, where they are apply, apply_P_S and apply_P_U, called
-on the vectors of object arrays one by one (a dense CompositionOp's rows are
-wrapped as DenseVectors). Both kinds do the same arithmetic in the same
-order, bit for bit. Gamma (stability) runs on coordinate arrays instead.
+on `_Kind`: rows for a DenseOp, vectors for every other operator, where the
+maps are apply, apply_P_S and apply_P_U, called on the vectors of object
+arrays one by one (a dense CompositionOp's rows are wrapped as
+DenseVectors). A walk and the one-step defects take one M @ x per row, as in
+DenseOp.apply, and so round as the vector kind does: rows @ M.T rounds
+differently, by an ulp of images that can pass 1e60. The correction series
+(_series_points) is a doubling scan on rows and a step recursion on vectors,
+and the exactness check batches its images; both are far inside their
+tolerances. Gamma (stability) runs on coordinate arrays instead.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
@@ -67,12 +70,21 @@ CONTRACTION_SLACK = 1e-10
 @dataclass(frozen=True, eq=False)
 class PseudoOrbit:
     """Points indexed n0 .. n0 + len(points) - 1 with certified defect delta,
-    stored as the module docstring says, in the norm norm_tag."""
+    stored as the module docstring says, in the norm norm_tag.
+
+    defects is set where delta is certified (pseudo_orbit,
+    generate_pseudo_orbit) to (op, rows, z): the one-step defects
+    z_n = L(x_n) - x_{n+1} that certified it, one image per point, with the
+    operator they were measured under and whether they are rows (see
+    _Kind). The correction series reuses them under that same operator
+    object only (see _series_points); dataclasses.replace leaves them out.
+    """
 
     n0: int
     points: np.ndarray
     delta: float
     norm_tag: str
+    defects: Optional[tuple] = field(default=None, init=False, repr=False)
 
     @property
     def n1(self) -> int:
@@ -107,17 +119,9 @@ class _Kind:
     """One of the two kinds of point, rows or vectors; Gamma uses neither (see the module docstring)."""
 
     def __init__(self, op: LinOp, split: Optional[Splitting], rows: bool, wrap: bool):
-        self.op, self.rows, self.wrap, self.tag = op, rows, wrap, op.norm_tag
-        # A, A_inv, P_S and P_U map one point: M @ x on a row, a vector map on a vector
+        self.op, self.split, self.rows, self.wrap, self.tag = op, split, rows, wrap, op.norm_tag
+        # A maps one point: M @ x on a row, apply on a vector
         self.A = op.matrix.__matmul__ if rows else op.apply
-        if split is not None:
-            self.P_S = split.P_S.__matmul__ if rows else split.apply_P_S
-            self.P_U = split.P_U.__matmul__ if rows else split.apply_P_U
-
-    @property
-    def A_inv(self):
-        inv = self.op.inverse()
-        return inv.matrix.__matmul__ if self.rows else inv.apply
 
     def load(self, points: np.ndarray) -> np.ndarray:
         """The kind's points for stored ones (see _kind for wrap)."""
@@ -189,20 +193,28 @@ def _images(A, points: np.ndarray) -> np.ndarray:
     return out
 
 
+def _defects(k: _Kind, pts: np.ndarray) -> np.ndarray:
+    """The one-step defects z_n = A(x_n) - x_{n+1} of the kind's points."""
+    return k.finite(_images(k.A, pts[:-1]) - pts[1:])
+
+
 def max_defect(op: LinOp, po: PseudoOrbit) -> float:
     """The largest one-step defect of the orbit po under op."""
     k = _kind(op, None, po.points, po.norm_tag)
-    pts = k.load(po.points)
-    return k.sup(k.finite(pts[1:] - _images(k.A, pts[:-1])))
+    return k.sup(_defects(k, k.load(po.points)))
 
 
 def _certified(op: LinOp, po: PseudoOrbit) -> PseudoOrbit:
-    """po, once every defect is re-verified against its delta."""
+    """po, once every defect is re-verified against its delta, carrying the
+    defects measured under op (see PseudoOrbit)."""
     if po.delta < 0:
         raise ValueError("delta must be nonnegative")
-    worst = max_defect(op, po)
+    k = _kind(op, None, po.points, po.norm_tag)
+    zs = _defects(k, k.load(po.points))
+    worst = k.sup(zs)
     if worst > po.delta * (1.0 + 1e-12) + 1e-300:
         raise ValueError(f"defect {worst:.6g} exceeds declared delta {po.delta:.6g}")
+    object.__setattr__(po, "defects", (op, k.rows, zs))
     return po
 
 
@@ -394,7 +406,12 @@ def verify_shadow(op: LinOp, po: PseudoOrbit, res: ShadowResult) -> None:
     if traj.shape != po.points.shape:
         raise NotCertified("trajectory shape does not match the window")
     pts = k.load(traj)
-    imgs = _images(k.A, pts[:-1])
+    if k.rows:
+        # one batched product; its rounding is far inside the 1e-12 tolerance
+        with np.errstate(over="ignore", invalid="ignore"):
+            imgs = pts[:-1] @ k.op.matrix.T
+    else:
+        imgs = _images(k.A, pts[:-1])
     diffs = pts[1:] - imgs
     defects = k.norms(diffs)
     # non-finite rows fail too, so the first failing offset decides between
@@ -424,26 +441,61 @@ def _series_memo(op: LinOp, split: Splitting) -> dict:
     return memo
 
 
-def _series_points(k: _Kind, rows: np.ndarray) -> np.ndarray:
-    """The points x_n + e_n of the splitting-series orbit through rows.
+def _scan(K: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """The rows X_0 = 0, X_{i+1} = K X_i + c_i, i < len(c), as a doubling
+    scan: the pass with P = K^s adds P X_{j-s} to every X_j, so after it
+    each X_j holds the terms K^m c_{j-1-m} with m < 2s, and about
+    log2(len(c)) batched products cover the window."""
+    X = np.zeros((len(c) + 1, K.shape[0]), dtype=complex)
+    X[1:] = c
+    s, P = 1, K
+    while s < len(X):
+        X[s:] += X[:-s] @ P.T
+        s *= 2
+        if s < len(X):
+            P = P @ P
+    return X
+
+
+def _series_points(k: _Kind, po: PseudoOrbit, rows: np.ndarray) -> np.ndarray:
+    """The points x_n + e_n of the splitting-series orbit through po, whose
+    points are rows in the kind k.
 
     Defect convention x_{n+1} = L(x_n) - z_n, so the corrections solve
     e_{n+1} = L(e_n) + z_n: the stable part runs forward from 0 and the
-    unstable part backward through the inverse from 0, re-projected every
-    step. A non-finite correction makes its point non-finite, which the
-    caller's kind refuses.
+    unstable part backward through the inverse from 0. The defects z_n are
+    the ones that certified po's delta when po carries them from k's
+    operator (see PseudoOrbit), else they are measured here the same way,
+    one image per point, so both give the same bits. On rows, each part is
+    a doubling scan (_scan) of its re-projected step, K_S = P_S M forward
+    on P_S P_S z and K_U = P_U M^-1 backward on K_U P_U z; K_S and K_U vanish
+    on the other side, so rounding never excites the expanding block. On
+    vectors, each part is a step recursion, re-projected every step. A
+    non-finite correction makes its point non-finite, which the caller's
+    kind refuses.
     """
-    zs = k.finite(_images(k.A, rows[:-1]) - rows[1:])
-    A, A_inv, P_S, P_U = k.A, k.A_inv, k.P_S, k.P_U
-    F, Bwd = np.empty_like(rows), np.empty_like(rows)
-    F[0] = Bwd[-1] = f = b = rows[0] * 0j
+    held = po.defects
+    if held is not None and held[0] is k.op and held[1] == k.rows:
+        zs = held[2]
+    else:
+        zs = _defects(k, rows)
+    split = k.split
     with np.errstate(over="ignore", invalid="ignore"):
-        for i, z in enumerate(zs):
-            f = P_S(A(f) + P_S(z))
-            F[i + 1] = f
-        for i in range(len(zs) - 1, -1, -1):
-            b = P_U(A_inv(b + P_U(zs[i])))
-            Bwd[i] = b
+        if k.rows:
+            P_S, P_U = split.P_S, split.P_U
+            K_S, K_U = P_S @ k.op.matrix, P_U @ k.op.inverse().matrix
+            F = _scan(K_S, zs @ P_S.T @ P_S.T)
+            Bwd = _scan(K_U, (zs[::-1] @ P_U.T) @ K_U.T)[::-1]
+        else:
+            A, A_inv, P_S, P_U = k.A, k.op.inverse().apply, split.apply_P_S, split.apply_P_U
+            F, Bwd = np.empty_like(rows), np.empty_like(rows)
+            F[0] = Bwd[-1] = f = b = rows[0] * 0j
+            for i, z in enumerate(zs):
+                f = P_S(A(f) + P_S(z))
+                F[i + 1] = f
+            for i in range(len(zs) - 1, -1, -1):
+                b = P_U(A_inv(b + P_U(zs[i])))
+                Bwd[i] = b
         return rows + (F - Bwd)
 
 
@@ -453,9 +505,10 @@ def shadow_splitting_series(
     """Correct a pseudo-orbit into an exact orbit through the splitting.
 
     Needs a Hyperbolic or GeneralizedHyperbolic certificate. On the finite
-    window both correction series are finite sums; they are evaluated by a
-    forward recursion on the stable side and a backward recursion through
-    the inverse on the unstable side, re-projecting every step (see
+    window both correction series are finite sums, forward on the stable
+    side and backward through the inverse on the unstable side: doubling
+    scans on a DenseOp's rows, step recursions on vectors, both on the
+    defects that certified po when it carries them from op (see
     _series_points). sup_error is the distance of the stored trajectory to
     the points, as verify_shadow measures it. The classification and the
     series constants are computed once per (op, split).
@@ -473,7 +526,7 @@ def shadow_splitting_series(
         memo["constants"] = series_constants(op, split)
     k = _kind(op, split, po.points, po.norm_tag)
     rows = k.load(po.points)
-    points = _series_points(k, rows)
+    points = _series_points(k, po, rows)
     result = ShadowResult(
         trajectory=k.store(points),
         sup_error=k.sup(k.finite(points - rows)),
@@ -535,9 +588,10 @@ def shadow_window_solve(op: LinOp, po: PseudoOrbit) -> ShadowResult:
     min_w max_n ||A_n w + e_n|| with e_n = p_n - x_n (optim.min_max_norm).
     Where the operator has a spectral split and an inverse, the problem is
     posed in defect coordinates: p is the splitting-series orbit, bit for
-    bit, and A_n w = L^n Q_S a + L^(n-N) Q_U b, with Q_S and Q_U orthonormal
-    bases of the ranges of P_S and P_U carried forward by P_S L and backward
-    by P_U L^-1, so no coefficient grows past the eigenbasis condition. Where
+    bit (the same scans of the same defects, see _series_points), and
+    A_n w = L^n Q_S a + L^(n-N) Q_U b, with Q_S and Q_U orthonormal bases of
+    the ranges of P_S and P_U carried forward by P_S L and backward by
+    P_U L^-1, so no coefficient grows past the eigenbasis condition. Where
     there is no split (a spectrum touching the circle), the problem is posed
     in seed coordinates: p is the orbit of the first point and A_n = L^n.
 
@@ -571,7 +625,7 @@ def shadow_window_solve(op: LinOp, po: PseudoOrbit) -> ShadowResult:
         particular = k.walk(rows[0], count - 1)
         A = _orbit_basis(dense.matrix, np.eye(dim, dtype=complex), count)
     else:
-        particular = _series_points(k, rows)
+        particular = _series_points(k, po, rows)
         Q_S = np.linalg.qr(split.V_S)[0]
         Q_U = np.linalg.qr(split.V_U)[0]
         A = np.concatenate(

@@ -39,6 +39,7 @@ from .operators import (
     CompositionOp,
     DenseOp,
     LinOp,
+    MatrixPowers,
     MonomialForm,
     MonomialPowers,
     _candidate_anchors,
@@ -223,31 +224,15 @@ def _coordinate_monomial(op: LinOp) -> MonomialForm:
     return mono
 
 
-class _ReprojectedPowers:
-    """n -> ||X_n|| for X_0 = P, X_{n+1} = (P M) X_n, which is M^n P when P
-    projects onto an M-invariant side; projecting again at every step keeps
-    rounding from exciting the other side."""
-
-    def __init__(self, P: np.ndarray, M: np.ndarray, tag: str):
-        self.step, self.X, self.tag = P @ M, P, tag
-        self.norms = [mat_norm(P, tag)]
-
-    def __call__(self, n: int) -> float:
-        while len(self.norms) <= n:
-            self.X = self.step @ self.X
-            self.norms.append(mat_norm(self.X, self.tag))
-        return self.norms[n]
-
-
 class RestrictedPowers:
     """The Green's-function terms n -> ||L^n P_S|| (side "S") and
     n -> ||L^{-n} P_U|| (side "U").
 
     On a coordinate split the projections have norm 1 and the value is the
     exact restricted norm ||L^{+-n}|_side||, 1 at n = 0. On a spectral split
-    it is the norm of the re-projected power (see _ReprojectedPowers), which
-    bounds the restricted norm above and is the term the correction series
-    multiplies each defect by; n = 0 gives ||P_side||. A spectral split whose
+    it is the norm of the re-projected power (see operators.MatrixPowers),
+    which bounds the restricted norm above and is the term the correction
+    series multiplies each defect by; n = 0 gives ||P_side||. A spectral split whose
     eigenbasis condition number exceeds DEFECTIVE_COND is refused with
     NotCertified: its projections are not trustworthy. Values are memoized
     per n, and the side's invariants are computed once, at the first n >= 1
@@ -284,8 +269,8 @@ class RestrictedPowers:
             )
         matrix = op.dense_matrix()
         if side == "S":
-            return _ReprojectedPowers(split.P_S, matrix, split.norm_tag)
-        return _ReprojectedPowers(split.P_U, np.linalg.inv(matrix), split.norm_tag)
+            return MatrixPowers(split.P_S, matrix, split.norm_tag)
+        return MatrixPowers(split.P_U, np.linalg.inv(matrix), split.norm_tag)
 
     def radius(self) -> float:
         """Spectral radius of L on S (side "S") or of L^{-1} on U (side "U"):

@@ -667,7 +667,10 @@ def verify_contractive_sum(
         raise NotContractiveSpectrum(
             f"spectral radius {radius:.9g} is not below 1", radius=radius
         )
-    gamma, _ = _sum_until_tail(op.power_norm, 0, SERIES_TAIL, None)
+    # closed as series_constants closes a stable side, at the radius or the
+    # observed decay: rounded powers of a contraction can settle on a
+    # subnormal cycle whose observed ratio never falls below 1
+    gamma, _ = _sum_until_tail(op.power_norms(), 0, SERIES_TAIL, radius)
     dim = op.dense_matrix().shape[0]
     rng = rng_from_seed(rng_seed)
     violations = 0

@@ -130,16 +130,19 @@ def test_min_max_norm_refuses_a_rank_deficient_problem():
 
 
 @pytest.mark.parametrize("tag", [L1, L2, LINF])
-def test_min_max_norm_survives_an_overflowing_polish(tag):
+def test_min_max_norm_survives_an_overflowing_polish(tag, capfd):
     # powers of [[1e40, 1], [0.3, 0.5]] up to +-4 reach 1e160, so Newton's
     # squared residuals overflow; the polish ends there, without an escaped
-    # LinAlgError or RuntimeWarning, and the bracket still holds
+    # LinAlgError or RuntimeWarning and without handing LAPACK the
+    # non-finite system (its DLASCL complaint), and the bracket still holds
     M = np.array([[1e40, 1.0], [0.3, 0.5]])
     stack = np.stack(matrix_powers(M, 4) + matrix_powers(np.linalg.inv(M), 4)[1:])
     e = stack[:, :, 1]
     sol = min_max_norm(stack[:, :, [0]], e, tag)
     assert 0.0 <= sol.lower <= sol.value <= max_row_norm(e, tag)
     assert math.isfinite(sol.value)
+    out, err = capfd.readouterr()
+    assert "DLASCL" not in out + err
 
 
 def test_min_max_norm_zero_offsets_are_exact():

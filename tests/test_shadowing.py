@@ -3,6 +3,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lindyn import (
     L1,
@@ -29,7 +31,7 @@ from lindyn import (
 )
 from lindyn.errors import KindMismatch, LindynError
 from lindyn.gallery import contraction_half, saddle, shifted_weighted_contraction
-from lindyn.linalg import SparseBiSeq, max_row_norm
+from lindyn.linalg import SparseBiSeq, max_row_norm, row_norms
 from lindyn.operators import CompositionOp
 from lindyn.sampling import random_margin_matrix, rng_from_seed
 from lindyn.shadowing import PseudoOrbit, ShadowResult, classify, max_defect
@@ -118,14 +120,17 @@ def test_non_diagonal_operator_orbit_and_shadows_certify():
 @pytest.mark.parametrize("tag", [L1, L2, LINF])
 def test_dense_array_path_matches_per_vector_path_bit_for_bit(tag):
     # a one-factor composition runs DenseOp.apply vector by vector, so it
-    # takes the per-vector code path with the same arithmetic
+    # takes the per-vector code path; the walk and the defects do the same
+    # arithmetic bit for bit, while the series, a doubling scan on rows and
+    # a step recursion on vectors, agree within a bound far below delta
     rng = rng_from_seed(1)
     op = DenseOp(random_margin_matrix(3, rng, margin=0.2), tag)
     ref = CompositionOp([op])
     seed = DenseVector(rng.standard_normal(3), tag)
     split = spectral_split(op)
     report = classify(op, split)
-    po = generate_pseudo_orbit(op, seed, (0, 200), 1e-3, 3)
+    delta = 1e-3
+    po = generate_pseudo_orbit(op, seed, (0, 200), delta, 3)
 
     def raw(points):
         return points.tobytes()
@@ -141,10 +146,14 @@ def test_dense_array_path_matches_per_vector_path_bit_for_bit(tag):
         verify_shadow(ref, po, res)
         return raw(res.trajectory), res.sup_error
 
-    assert raw(po.points) == raw(generate_pseudo_orbit(ref, seed, (0, 200), 1e-3, 3).points)
+    assert raw(po.points) == raw(generate_pseudo_orbit(ref, seed, (0, 200), delta, 3).points)
     assert max_defect(op, po) == max_defect(ref, po)
-    for solve in (series, shadow_window_solve):
-        assert outcome(solve, op) == outcome(solve, ref)
+    # the window solve wraps ref's matrix in a DenseOp, so both run on rows
+    assert outcome(shadow_window_solve, op) == outcome(shadow_window_solve, ref)
+    rows, vecs = series(op, po), series(ref, po)
+    verify_shadow(ref, po, rows)
+    assert np.abs(rows.trajectory - vecs.trajectory).max() <= 1e-12 * delta
+    assert abs(rows.sup_error - vecs.sup_error) <= 1e-12 * vecs.sup_error
 
 
 def test_single_point_window_is_vacuous():
@@ -208,6 +217,125 @@ def test_series_classifies_and_sums_once_per_operator_and_split(monkeypatch):
     shadow_splitting_series(op, split, po)
     assert calls == ["classify", "constants"] * 2
     assert first[0].constant_used == first[2].constant_used
+
+
+# ---------------------------------------------------------------------------
+# The correction series as a doubling scan on rows
+# ---------------------------------------------------------------------------
+
+EPS = np.finfo(float).eps
+# a strongly non-normal saddle: eigenvalues 0.5, 0.6 and 2 with couplings of
+# 1e3 (eigenbasis condition 1.7e7, series upper bound 5e6)
+NON_NORMAL = np.array([[0.5, 1e3, 0.0], [0.0, 0.6, 1e3], [0.0, 0.0, 2.0]])
+
+
+def _scan_matches_steps(matrix, tag, seed, steps=200, delta=1e-3):
+    # rows (a DenseOp, the scan) against vectors (a one-factor composition,
+    # the step recursion) on one orbit: the two evaluations of the same
+    # finite sums differ by rounding, bounded by 1e-12 * upper * delta plus
+    # a few ulps of each point, which the correction is added to
+    rng = rng_from_seed(seed)
+    op = DenseOp(matrix, tag)
+    split = spectral_split(op)
+    seed_vec = DenseVector(rng.standard_normal(len(matrix)), tag)
+    po = generate_pseudo_orbit(op, seed_vec, (0, steps), delta, seed)
+    rows = shadow_splitting_series(op, split, po)
+    vecs = shadow_splitting_series(CompositionOp([op]), split, po)
+    verify_shadow(op, po, rows)
+    gap = row_norms(rows.trajectory - vecs.trajectory, tag)
+    bound = 1e-12 * rows.constant_used * delta + 4 * EPS * row_norms(po.points, tag)
+    assert (gap <= bound).all()
+    assert rows.constant_used == vecs.constant_used
+    assert abs(rows.sup_error - vecs.sup_error) <= 1e-12 * rows.constant_used * delta
+    return rows
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 10**6),
+    dim=st.integers(2, 8),
+    margin=st.sampled_from([0.2, 1e-2]),
+    tag=st.sampled_from([L1, L2, LINF]),
+)
+def test_series_scan_matches_the_step_recursion(seed, dim, margin, tag):
+    _scan_matches_steps(random_margin_matrix(dim, rng_from_seed(seed), margin=margin), tag, seed)
+
+
+@pytest.mark.parametrize("tag", [L1, L2, LINF])
+def test_series_scan_matches_the_step_recursion_when_non_normal(tag):
+    _scan_matches_steps(NON_NORMAL, tag, 7)
+
+
+@pytest.mark.parametrize("steps", [0, 1])
+def test_series_scan_on_windows_of_one_and_two_points(steps):
+    res = _scan_matches_steps(NON_NORMAL, LINF, 3, steps=steps)
+    assert len(res.trajectory) == steps + 1
+    if steps == 0:
+        assert res.sup_error == 0.0
+
+
+def _spy_series(monkeypatch):
+    import lindyn.shadowing as shadowing
+
+    out, measured = [], []
+
+    def series(k, po, rows):
+        out.append(series_points(k, po, rows))
+        return out[-1]
+
+    def defects(k, pts):
+        measured.append(k.op)
+        return measure(k, pts)
+
+    series_points, measure = shadowing._series_points, shadowing._defects
+    monkeypatch.setattr(shadowing, "_series_points", series)
+    monkeypatch.setattr(shadowing, "_defects", defects)
+    return out, measured
+
+
+def test_window_particular_orbit_is_the_series_trajectory_bit_for_bit(monkeypatch):
+    rng = rng_from_seed(4)
+    op = DenseOp(random_margin_matrix(3, rng, margin=0.2), L2)
+    po = generate_pseudo_orbit(op, DenseVector(rng.standard_normal(3), L2), (0, 120), 1e-3, 4)
+    series = shadow_splitting_series(op, spectral_split(op), po)
+    out, measured = _spy_series(monkeypatch)
+    shadow_window_solve(op, po)
+    # the orbit carries the defects that certified it under op
+    assert len(out) == 1 and measured == []
+    assert out[0].tobytes() == series.trajectory.tobytes()
+    # re-measured under a wrapping operator, the defects and the particular
+    # orbit come out the same bits
+    shadow_window_solve(CompositionOp([op]), po)
+    assert len(out) == 2 and len(measured) == 1
+    assert out[1].tobytes() == series.trajectory.tobytes()
+
+
+def test_carried_defects_serve_only_their_own_operator_and_points(monkeypatch):
+    rng = rng_from_seed(5)
+    op = DenseOp(random_margin_matrix(3, rng, margin=0.2), LINF)
+    split = spectral_split(op)
+    po = generate_pseudo_orbit(op, DenseVector(rng.standard_normal(3), LINF), (0, 60), 1e-3, 5)
+    assert po.defects[0] is op
+    fresh = replace(po, points=po.points)
+    assert fresh.defects is None
+    _, measured = _spy_series(monkeypatch)
+    carried = shadow_splitting_series(op, split, po)
+    assert measured == []
+    again = shadow_splitting_series(op, split, fresh)
+    assert measured == [op]
+    assert again.trajectory.tobytes() == carried.trajectory.tobytes()
+    # an equal operator that is another object measures its own
+    twin = DenseOp(op.matrix, LINF)
+    shadow_splitting_series(twin, spectral_split(twin), po)
+    assert measured == [op, twin]
+    # under another matrix the carried defects would give an orbit of op,
+    # not of other: the series measures other's, and its orbit is exact
+    other = DenseOp(op.matrix * (1.0 + 1e-9), LINF)
+    short = generate_pseudo_orbit(op, DenseVector([0.1, 0.2, 0.3], LINF), (0, 5), 1e-3, 1)
+    res = shadow_splitting_series(other, spectral_split(other), short)
+    assert measured[-1] is other
+    exact = replace(short, points=res.trajectory)
+    assert max_defect(other, exact) <= 1e-12 * max_row_norm(res.trajectory, LINF)
 
 
 def test_window_solve_matches_series():
