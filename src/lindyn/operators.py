@@ -412,12 +412,6 @@ class LinOp:
         m = self.dense_matrix()
         return MatrixPowers(np.eye(m.shape[0]), m, self.norm_tag)
 
-    def power_norm(self, n: int) -> float:
-        """||L^n|| for n >= 0 (one term of power_norms)."""
-        if n < 0:
-            raise ValueError("power_norm takes n >= 0")
-        return self.power_norms()(n)
-
 
 class DenseOp(LinOp):
     kind = "dense"

@@ -27,7 +27,7 @@ tolerances. Gamma (stability) runs on coordinate arrays instead.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -63,6 +63,7 @@ WINDOW_SOLVE_MAX_LEN = 512
 # and refused past SERIES_TERM_CAP terms.
 SERIES_TAIL = 1e-12
 SERIES_TERM_CAP = 10_000
+_TINY = np.finfo(float).tiny
 # Absolute slack on the contraction shadow's error bound.
 CONTRACTION_SLACK = 1e-10
 
@@ -70,21 +71,14 @@ CONTRACTION_SLACK = 1e-10
 @dataclass(frozen=True, eq=False)
 class PseudoOrbit:
     """Points indexed n0 .. n0 + len(points) - 1 with certified defect delta,
-    stored as the module docstring says, in the norm norm_tag.
-
-    defects is set where delta is certified (pseudo_orbit,
-    generate_pseudo_orbit) to (op, rows, z): the one-step defects
-    z_n = L(x_n) - x_{n+1} that certified it, one image per point, with the
-    operator they were measured under and whether they are rows (see
-    _Kind). The correction series reuses them under that same operator
-    object only (see _series_points); dataclasses.replace leaves them out.
-    """
+    stored as the module docstring says, in the norm norm_tag. Its one-step
+    defects are measured wherever they are needed, under the operator at
+    hand (see _defects)."""
 
     n0: int
     points: np.ndarray
     delta: float
     norm_tag: str
-    defects: Optional[tuple] = field(default=None, init=False, repr=False)
 
     @property
     def n1(self) -> int:
@@ -205,16 +199,12 @@ def max_defect(op: LinOp, po: PseudoOrbit) -> float:
 
 
 def _certified(op: LinOp, po: PseudoOrbit) -> PseudoOrbit:
-    """po, once every defect is re-verified against its delta, carrying the
-    defects measured under op (see PseudoOrbit)."""
+    """po, once every defect is re-verified against its delta."""
     if po.delta < 0:
         raise ValueError("delta must be nonnegative")
-    k = _kind(op, None, po.points, po.norm_tag)
-    zs = _defects(k, k.load(po.points))
-    worst = k.sup(zs)
+    worst = max_defect(op, po)
     if worst > po.delta * (1.0 + 1e-12) + 1e-300:
         raise ValueError(f"defect {worst:.6g} exceeds declared delta {po.delta:.6g}")
-    object.__setattr__(po, "defects", (op, k.rows, zs))
     return po
 
 
@@ -303,7 +293,11 @@ def _sum_until_tail(term_fn, start: int, tail: float, certified_ratio: Optional[
         t = term_fn(k)
         terms.append(t)
         total += t
-        if t == 0.0:
+        if t < _TINY:
+            # the terms are norms of powers, so the rest of the sum is at
+            # most t times the whole sum, below rounding; a rounded power
+            # of a contraction can also settle on a subnormal cycle whose
+            # observed ratio never falls below 1
             return total, tuple(terms)
         if len(terms) >= 2 and terms[-2] > 0.0:
             ratios = (ratios + [t / terms[-2]])[-4:]
@@ -457,16 +451,14 @@ def _scan(K: np.ndarray, c: np.ndarray) -> np.ndarray:
     return X
 
 
-def _series_points(k: _Kind, po: PseudoOrbit, rows: np.ndarray) -> np.ndarray:
-    """The points x_n + e_n of the splitting-series orbit through po, whose
-    points are rows in the kind k.
+def _series_points(k: _Kind, rows: np.ndarray) -> np.ndarray:
+    """The points x_n + e_n of the splitting-series orbit through rows.
 
     Defect convention x_{n+1} = L(x_n) - z_n, so the corrections solve
     e_{n+1} = L(e_n) + z_n: the stable part runs forward from 0 and the
     unstable part backward through the inverse from 0. The defects z_n are
-    the ones that certified po's delta when po carries them from k's
-    operator (see PseudoOrbit), else they are measured here the same way,
-    one image per point, so both give the same bits. On rows, each part is
+    measured as max_defect measures them, one image per point (_defects),
+    so they are the ones that certified the orbit's delta. On rows, each part is
     a doubling scan (_scan) of its re-projected step, K_S = P_S M forward
     on P_S P_S z and K_U = P_U M^-1 backward on K_U P_U z; K_S and K_U vanish
     on the other side, so rounding never excites the expanding block. On
@@ -474,11 +466,7 @@ def _series_points(k: _Kind, po: PseudoOrbit, rows: np.ndarray) -> np.ndarray:
     non-finite correction makes its point non-finite, which the caller's
     kind refuses.
     """
-    held = po.defects
-    if held is not None and held[0] is k.op and held[1] == k.rows:
-        zs = held[2]
-    else:
-        zs = _defects(k, rows)
+    zs = _defects(k, rows)
     split = k.split
     with np.errstate(over="ignore", invalid="ignore"):
         if k.rows:
@@ -508,7 +496,7 @@ def shadow_splitting_series(
     window both correction series are finite sums, forward on the stable
     side and backward through the inverse on the unstable side: doubling
     scans on a DenseOp's rows, step recursions on vectors, both on the
-    defects that certified po when it carries them from op (see
+    defects that certified po, measured again under op (see
     _series_points). sup_error is the distance of the stored trajectory to
     the points, as verify_shadow measures it. The classification and the
     series constants are computed once per (op, split).
@@ -526,7 +514,7 @@ def shadow_splitting_series(
         memo["constants"] = series_constants(op, split)
     k = _kind(op, split, po.points, po.norm_tag)
     rows = k.load(po.points)
-    points = _series_points(k, po, rows)
+    points = _series_points(k, rows)
     result = ShadowResult(
         trajectory=k.store(points),
         sup_error=k.sup(k.finite(points - rows)),
@@ -625,7 +613,7 @@ def shadow_window_solve(op: LinOp, po: PseudoOrbit) -> ShadowResult:
         particular = k.walk(rows[0], count - 1)
         A = _orbit_basis(dense.matrix, np.eye(dim, dtype=complex), count)
     else:
-        particular = _series_points(k, po, rows)
+        particular = _series_points(k, rows)
         Q_S = np.linalg.qr(split.V_S)[0]
         Q_U = np.linalg.qr(split.V_U)[0]
         A = np.concatenate(

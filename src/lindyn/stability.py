@@ -667,10 +667,9 @@ def verify_contractive_sum(
         raise NotContractiveSpectrum(
             f"spectral radius {radius:.9g} is not below 1", radius=radius
         )
-    # closed as series_constants closes a stable side, at the radius or the
-    # observed decay: rounded powers of a contraction can settle on a
-    # subnormal cycle whose observed ratio never falls below 1
-    gamma, _ = _sum_until_tail(op.power_norms(), 0, SERIES_TAIL, radius)
+    # closed at the observed decay, not the spectral radius: on a non-normal
+    # operator the radius does not bound ||L^(n+1)|| / ||L^n||
+    gamma, _ = _sum_until_tail(op.power_norms(), 0, SERIES_TAIL, None)
     dim = op.dense_matrix().shape[0]
     rng = rng_from_seed(rng_seed)
     violations = 0

@@ -55,10 +55,10 @@ def test_weighted_composition_powers_exact():
 
 def test_power_norm_exact_values():
     # ||L^3|| is the best product of three consecutive weights, 2*2*2
-    assert COMP.power_norm(3) == 8.0
+    assert COMP.power_norms()(3) == 8.0
     assert COMP.operator_norm() == 2.0
     assert COMP.inverse().operator_norm() == 2.0
-    assert COMP.power_norm(0) == 1.0
+    assert COMP.power_norms()(0) == 1.0
 
 
 def test_monomial_composition_shift():
@@ -76,7 +76,7 @@ def test_dense_op_apply_and_powers():
 
     v = DenseVector([1.0, 1.0], LINF)
     assert np.allclose(m.apply_power(4, v).coords, [0.0625, 16.0])
-    assert m.power_norm(4) == 16.0
+    assert m.power_norms()(4) == 16.0
     assert m.operator_norm() == 2.0
 
 

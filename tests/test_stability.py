@@ -26,6 +26,7 @@ from lindyn import (
     grobman_hartman_local,
     inverse_conjugacy,
     inverse_residual,
+    shad_bounds,
     shadow_splitting_series,
     spectral_split,
     verify_contractive_sum,
@@ -41,7 +42,12 @@ from lindyn.gallery import (
 )
 from lindyn.linalg import array_norm
 from lindyn.operators import CompositionOp
-from lindyn.sampling import random_margin_matrix, rng_from_seed, unit_dense_samples
+from lindyn.sampling import (
+    random_margin_matrix,
+    random_spectral_contraction,
+    rng_from_seed,
+    unit_dense_samples,
+)
 from lindyn.splitting import SpectralSplit
 from lindyn.stability import (
     PHI_LIP_MAX,
@@ -433,6 +439,30 @@ def test_contractive_sum_half():
     assert rep.spectral_radius == 0.5
     assert rep.violations == 0
     assert rep.max_ratio <= 1.0 + 1e-9
+
+
+def test_contractive_sum_of_a_nilpotent_contraction_keeps_every_power():
+    # spectral radius 0, but ||L|| = 5: the sum is 1 + 5, closed at the zero
+    # term L^2, not at the radius after the first term
+    rep = verify_contractive_sum(DenseOp([[0.0, 5.0], [0.0, 0.0]], L2), trials=50, seq_len=12)
+    assert rep.gamma == 6.0
+    assert rep.spectral_radius == 0.0
+    assert rep.violations == 0
+
+
+def test_contractive_sum_closes_on_a_subnormal_power():
+    # draw 137 of the contractive_sum suite at seed 0: two conjugate pairs of
+    # modulus 0.87, so the observed ratio of consecutive power norms keeps
+    # reaching 1 and the sum closes only where a power turns subnormal
+    rng = rng_from_seed(0)
+    for _ in range(138):
+        dim = int(rng.integers(2, 5))
+        m = random_spectral_contraction(dim, rng)
+    op = DenseOp(m, L2)
+    rep = verify_contractive_sum(op, trials=20, seq_len=20, rng_seed=137)
+    upper = shad_bounds(op, spectral_split(op)).upper
+    assert abs(rep.gamma - upper) <= 1e-9 * upper
+    assert rep.violations == 0
 
 
 def test_contractive_sum_rejects_saddle():
