@@ -59,11 +59,10 @@ from .splitting import (
 
 WINDOW_SOLVE_MAX_DIM = 8
 WINDOW_SOLVE_MAX_LEN = 512
-# A series is closed once its geometric remainder falls below SERIES_TAIL,
+# A series is closed once its block-geometric remainder falls below SERIES_TAIL,
 # and refused past SERIES_TERM_CAP terms.
 SERIES_TAIL = 1e-12
 SERIES_TERM_CAP = 10_000
-_TINY = np.finfo(float).tiny
 # Absolute slack on the contraction shadow's error bound.
 CONTRACTION_SLACK = 1e-10
 
@@ -285,31 +284,33 @@ class SeriesConstants:
         return self.series_A + self.series_B
 
 
-def _sum_until_tail(term_fn, start: int, tail: float, certified_ratio: Optional[float]):
+def _sum_until_tail(term_fn, start: int, tail: float):
+    """sum_{k >= start} term_fn(k) as (upper bound, terms summed).
+
+    The terms are norms of powers of one operator on an invariant side, so
+    t(k + m) <= t(m) t(k). Once some m >= 1 has rho = t(m) < 1, the terms
+    after the last m computed ones sum, block by block, to at most their sum
+    times rho / (1 - rho); the series closes when that remainder falls below
+    tail. m is the computed index with the smallest rate rho^(1/m) so far,
+    and the window sums come from prefix sums, so a term costs O(1).
+    """
     terms: list[float] = []
-    ratios: list[float] = []
-    total = 0.0
+    prefix = [0.0]
+    m, rate = 0, 1.0
     for k in range(start, start + SERIES_TERM_CAP + 1):
         t = term_fn(k)
         terms.append(t)
-        total += t
-        if t < _TINY:
-            # the terms are norms of powers, so the rest of the sum is at
-            # most t times the whole sum, below rounding; a rounded power
-            # of a contraction can also settle on a subnormal cycle whose
-            # observed ratio never falls below 1
-            return total, tuple(terms)
-        if len(terms) >= 2 and terms[-2] > 0.0:
-            ratios = (ratios + [t / terms[-2]])[-4:]
-        observed = max(ratios) if len(ratios) >= 3 else None
-        qs = [q for q in (certified_ratio, observed) if q is not None and q < 1.0]
-        if qs:
-            q = min(qs)
-            rem = t * q / (1.0 - q)
+        prefix.append(prefix[-1] + t)
+        if k >= 1 and t < 1.0 and t ** (1.0 / k) < rate:
+            m, rate = k, t ** (1.0 / k)
+        if m:
+            rho = terms[m - start]
+            # the window's last term is t, which a difference of two large
+            # prefix sums can round away
+            window = max(prefix[-1] - prefix[-1 - m], t)
+            rem = window * rho / (1.0 - rho)
             if rem < tail:
-                # close the series with the geometric remainder so the total
-                # stays an upper bound of the full sum
-                return total + rem, tuple(terms)
+                return prefix[-1] + rem, tuple(terms)
     raise NotCertified(
         f"series did not certify convergence within {SERIES_TERM_CAP} terms",
         terms=SERIES_TERM_CAP,
@@ -319,22 +320,19 @@ def _sum_until_tail(term_fn, start: int, tail: float, certified_ratio: Optional[
 def series_constants(op: LinOp, split: Splitting, tail: float = SERIES_TAIL) -> SeriesConstants:
     """Certified sums A = sum_{k>=0} ||L^k P_S|| and B = sum_{k>=1} ||L^-k P_U||.
 
-    Remainders are bounded by the certified side rate when one is available
-    (spectral splits) and otherwise by the observed decay after onset. Each
-    side's terms form one sequence, shared by the radius envelope and the
-    sum, so every power is computed once. A spectral split with an
-    ill-conditioned eigenbasis is refused (see RestrictedPowers).
+    Each sum is closed with the block-geometric remainder of _sum_until_tail.
+    Each side's terms form one sequence, shared by the radius envelope and
+    the sum, so every power is computed once. On a spectral split the sums
+    hold up to the rounding of the computed P_S (see SpectralSplit).
     """
     powers_S, powers_U = RestrictedPowers(op, split, "S"), RestrictedPowers(op, split, "U")
-    r_s, r_u = powers_S.radius(), powers_U.radius()
-    for r, side in ((r_s, "S"), (r_u, "U")):
+    for r, side in ((powers_S.radius(), "S"), (powers_U.radius(), "U")):
         if r >= 1.0:
             raise NotCertified(
                 f"restricted radius on {side} is {r:.6g} >= 1; series cannot converge",
             )
-    # both radii are below 1 here, or NaN, which _sum_until_tail ignores
-    A, a_terms = _sum_until_tail(powers_S, 0, tail, r_s)
-    B, b_terms = _sum_until_tail(powers_U, 1, tail, r_u)
+    A, a_terms = _sum_until_tail(powers_S, 0, tail)
+    B, b_terms = _sum_until_tail(powers_U, 1, tail)
     return SeriesConstants(series_A=A, series_B=B, a_terms=a_terms, b_terms=b_terms)
 
 
@@ -362,7 +360,8 @@ def shad_bounds(op: LinOp, split: Splitting) -> ShadBounds:
         raise NotCertified(f"lower bound {lower:.9g} exceeds upper bound {upper:.9g}")
     return ShadBounds(
         upper=upper,
-        lower=lower,
+        # the resolvent and the series round apart where the two meet
+        lower=min(lower, upper),
         series_A=sc.series_A,
         series_B=sc.series_B,
     )
@@ -577,11 +576,13 @@ def shadow_window_solve(op: LinOp, po: PseudoOrbit) -> ShadowResult:
     Where the operator has a spectral split and an inverse, the problem is
     posed in defect coordinates: p is the splitting-series orbit, bit for
     bit (the same scans of the same defects, see _series_points), and
-    A_n w = L^n Q_S a + L^(n-N) Q_U b, with Q_S and Q_U orthonormal bases of
-    the ranges of P_S and P_U carried forward by P_S L and backward by
-    P_U L^-1, so no coefficient grows past the eigenbasis condition. Where
-    there is no split (a spectrum touching the circle), the problem is posed
-    in seed coordinates: p is the orbit of the first point and A_n = L^n.
+    A_n w = L^n Q_S a + L^(n-N) Q_U b, with Q_S and Q_U the split's
+    orthonormal bases of the ranges of P_S and P_U carried forward by P_S L
+    and backward by P_U L^-1, so the coefficients of a side vector never
+    exceed its l2 norm. The orbit is exact up to the rounding of the
+    computed P_S, within verify_shadow's tolerance. Where there is no split
+    (a spectrum touching the circle), the problem is posed in seed
+    coordinates: p is the orbit of the first point and A_n = L^n.
 
     sup_error is the distance of the returned trajectory to the points, as
     verify_shadow measures it, and never exceeds that of p (w = 0), so in
@@ -614,12 +615,10 @@ def shadow_window_solve(op: LinOp, po: PseudoOrbit) -> ShadowResult:
         A = _orbit_basis(dense.matrix, np.eye(dim, dtype=complex), count)
     else:
         particular = _series_points(k, rows)
-        Q_S = np.linalg.qr(split.V_S)[0]
-        Q_U = np.linalg.qr(split.V_U)[0]
         A = np.concatenate(
             [
-                _orbit_basis(split.P_S @ dense.matrix, Q_S, count),
-                _orbit_basis(split.P_U @ M_inv, Q_U, count)[::-1],
+                _orbit_basis(split.P_S @ dense.matrix, split.Q_S, count),
+                _orbit_basis(split.P_U @ M_inv, split.Q_U, count)[::-1],
             ],
             axis=2,
         )

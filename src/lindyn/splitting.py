@@ -1,8 +1,9 @@
 """Stable/unstable splittings and hyperbolicity classification.
 
 A splitting decomposes the space as S + U with projections P_S, P_U. Dense
-operators get spectral splittings built from eigendata; weighted-shift-family
-operators on sequences get coordinate splittings cut at an index. The
+operators get spectral splittings, whose P_S is the matrix sign function of a
+Cayley transform and whose side radii are eigenvalue moduli; weighted-shift-
+family operators on sequences get coordinate splittings cut at an index. The
 classifier distinguishes four outcomes: Hyperbolic (both subspaces invariant
 in both directions with contracting rates), GeneralizedHyperbolic (forward
 invariance of S and backward invariance of U only, certified by a witness
@@ -23,6 +24,8 @@ from .errors import (
     HypothesisFailed,
     InvalidSplitting,
     KindMismatch,
+    NoConvergence,
+    NonFinite,
     NotCertified,
     NotInvertible,
 )
@@ -32,7 +35,6 @@ from .linalg import (
     SparseBiSeq,
     array_norm,
     check_norm_tag,
-    dense_eig,
     mat_norm,
 )
 from .operators import (
@@ -51,7 +53,13 @@ DEFAULT_CIRCLE_GAP_TOL = 1e-6
 UNDETERMINED_BAND = 1e-6
 INVARIANCE_RESIDUAL = 1e-9
 PROJECTION_RESIDUAL = 1e-10
-DEFECTIVE_COND = 1e10
+# Cayley poles for spectral_split, real ones first, so that a real matrix
+# whose spectrum ties keeps a real transform
+CAYLEY_POLES = np.array([1, -1, 1j, -1j, *np.exp(0.25j * np.pi * np.array([1, 3, 5, 7]))])
+# the sign iteration stops once a step moves X by at most SIGN_TOL relative,
+# and is refused past SIGN_NEWTON_CAP steps
+SIGN_TOL = 1e-10
+SIGN_NEWTON_CAP = 50
 
 
 @dataclass(frozen=True)
@@ -74,40 +82,27 @@ class CoordinateSplit:
 
 
 class SpectralSplit:
-    """Eigenspace splitting of a dense operator.
+    """Spectral splitting of a dense operator.
 
-    Carries the projections, per-side bases with their eigenvalues, and the
-    eigenbasis condition number. When a side happens to be spanned by
-    standard basis vectors the coordinate indices are recorded, which makes
-    its restricted resolvent norm exact instead of a lower estimate. memo
-    holds work done once per operator on this split, as on a CoordinateSplit.
+    Carries the projections, orthonormal bases Q_S and Q_U of their ranges
+    and the eigenvalues of each side. The projections come from the matrix
+    sign function (see spectral_split), never from eigenvectors, so every
+    bound built on them holds up to the rounding of the computed P_S, whose
+    residual ||P_S^2 - P_S|| spectral_split keeps within PROJECTION_RESIDUAL
+    * ||P_S||^2. memo holds work done once per operator on this split, as on
+    a CoordinateSplit.
     """
 
-    __slots__ = (
-        "norm_tag",
-        "P_S",
-        "P_U",
-        "V_S",
-        "lam_S",
-        "V_U",
-        "lam_U",
-        "cond",
-        "axes_S",
-        "axes_U",
-        "memo",
-    )
+    __slots__ = ("norm_tag", "P_S", "P_U", "Q_S", "lam_S", "Q_U", "lam_U", "memo")
 
-    def __init__(self, norm_tag, P_S, P_U, V_S, lam_S, V_U, lam_U, cond):
+    def __init__(self, norm_tag, P_S, P_U, Q_S, lam_S, Q_U, lam_U):
         self.norm_tag = check_norm_tag(norm_tag)
         self.P_S = P_S
         self.P_U = P_U
-        self.V_S = V_S
+        self.Q_S = Q_S
         self.lam_S = np.asarray(lam_S, dtype=complex)
-        self.V_U = V_U
+        self.Q_U = Q_U
         self.lam_U = np.asarray(lam_U, dtype=complex)
-        self.cond = float(cond)
-        self.axes_S = _coordinate_axes(V_S)
-        self.axes_U = _coordinate_axes(V_U)
         self.memo: dict = {}
 
     @property
@@ -124,92 +119,87 @@ class SpectralSplit:
 Splitting = CoordinateSplit | SpectralSplit
 
 
-def _coordinate_axes(V: np.ndarray) -> Optional[tuple[int, ...]]:
-    if V.shape[1] == 0:
-        return ()
-    axes = []
-    for col in V.T:
-        mags = np.abs(col)
-        top = mags.max()
-        if top == 0.0:
-            return None
-        nz = np.nonzero(mags > 1e-12 * top)[0]
-        if nz.size != 1:
-            return None
-        axes.append(int(nz[0]))
-    if len(set(axes)) != len(axes):
-        return None
-    return tuple(axes)
-
-
 def spectral_split(op: DenseOp, circle_gap_tol: float = DEFAULT_CIRCLE_GAP_TOL) -> SpectralSplit:
     """Split along eigenvalue moduli strictly inside/outside the unit circle.
 
     Raises CircleEigenvalue when any modulus is within circle_gap_tol of 1,
-    because no modulus-based splitting is trustworthy there.
+    because no modulus-based splitting is trustworthy there. The stable
+    projection is P_S = (I - sign C) / 2 for the Cayley transform
+    C = (M - zI)^{-1} (M + zI), which maps |lam| < 1 into Re < 0; the pole z
+    is the point of CAYLEY_POLES farthest from the spectrum. The sign
+    function is Newton's iteration (Higham, Functions of Matrices, 2008,
+    ch. 5), so defective sides need no eigenvectors. A side with no
+    eigenvalue gets its projection exactly.
     """
     if not isinstance(op, DenseOp):
         raise KindMismatch("spectral splitting is defined for dense operators")
-    pairs = dense_eig(op.matrix)
-    for lam, _ in pairs:
+    with np.errstate(all="ignore"):
+        try:
+            lams = np.linalg.eigvals(op.matrix)
+        except np.linalg.LinAlgError as exc:
+            raise NoConvergence(f"eigenvalues did not converge: {exc}") from None
+        if not np.isfinite(np.abs(lams)).all():
+            raise NonFinite("eigenvalue moduli must be finite")
+    for lam in lams:
         if abs(abs(lam) - 1.0) < circle_gap_tol:
             raise CircleEigenvalue(
                 f"eigenvalue {lam:.12g} has modulus within {circle_gap_tol:g} of 1",
                 eigenvalue=lam,
             )
-    stable = [(lam, v) for lam, v in pairs if abs(lam) < 1.0]
-    unstable = [(lam, v) for lam, v in pairs if abs(lam) > 1.0]
-    d = op.dim
-    V_S = (
-        np.column_stack([v for _, v in stable])
-        if stable
-        else np.zeros((d, 0), dtype=complex)
-    )
-    V_U = (
-        np.column_stack([v for _, v in unstable])
-        if unstable
-        else np.zeros((d, 0), dtype=complex)
-    )
-    V = np.column_stack([V_S, V_U]) if V_S.size or V_U.size else np.zeros((d, 0))
-    if V.shape[1] != d:
-        raise InvalidSplitting("eigenvectors do not span the space")
-    cond = float(np.linalg.cond(V))
-    try:
-        Vinv = np.linalg.inv(V)
-    except np.linalg.LinAlgError:
-        raise InvalidSplitting("eigenvectors do not span the space") from None
-    k = V_S.shape[1]
-    sel_S = np.zeros((d, d), dtype=complex)
-    sel_S[:k, :k] = np.eye(k)
-    P_S = V @ sel_S @ Vinv
-    P_U = np.eye(d, dtype=complex) - P_S
-    split = SpectralSplit(
-        norm_tag=op.norm_tag,
-        P_S=P_S,
-        P_U=P_U,
-        V_S=V_S,
-        lam_S=np.array([lam for lam, _ in stable]),
-        V_U=V_U,
-        lam_U=np.array([lam for lam, _ in unstable]),
-        cond=cond,
-    )
-    _check_projection_identities(split)
-    return split
-
-
-def _check_projection_identities(split: SpectralSplit) -> None:
-    d = split.dim
-    eye = np.eye(d)
-    scale = max(1.0, split.cond)
-    checks = (
-        np.abs(split.P_S + split.P_U - eye).max(),
-        np.abs(split.P_S @ split.P_S - split.P_S).max(),
-        np.abs(split.P_S @ split.P_U).max(),
-    )
-    if max(checks) > PROJECTION_RESIDUAL * scale:
+    stable = np.abs(lams) < 1.0
+    d, k = op.dim, int(stable.sum())
+    eye = np.eye(d, dtype=complex)
+    if k in (0, d):
+        # one side holds the whole spectrum: P_S is I or 0
+        P_S = eye * (k == d)
+    else:
+        z = CAYLEY_POLES[np.abs(lams[None, :] - CAYLEY_POLES[:, None]).min(axis=1).argmax()]
+        P_S = (eye - _cayley_sign(op.matrix, z)) / 2
+    P_U = eye - P_S
+    U_S, s_S, _ = np.linalg.svd(P_S)
+    U_U = np.linalg.svd(P_U)[0]
+    residual = float(np.abs(P_S @ P_S - P_S).max())
+    if residual > PROJECTION_RESIDUAL * max(1.0, s_S[0] ** 2):
         raise InvalidSplitting(
-            f"projection identities fail at {max(checks):.3g} (tol {PROJECTION_RESIDUAL:g})"
+            f"projection residual {residual:.3g} exceeds {PROJECTION_RESIDUAL:g} * ||P_S||^2"
         )
+    # the rank of a projection is its trace; eigenvalues that rounding moved
+    # across the circle disagree with it, and the side radii come from them
+    if abs(np.trace(P_S) - k) > 0.5:
+        raise InvalidSplitting(
+            f"the projection has rank {np.trace(P_S).real:.3g}, "
+            f"against {k} stable eigenvalues"
+        )
+    return SpectralSplit(
+        op.norm_tag, P_S, P_U, U_S[:, :k], lams[stable], U_U[:, : d - k], lams[~stable]
+    )
+
+
+def _cayley_sign(M: np.ndarray, z: complex) -> np.ndarray:
+    """sign(C) of C = (M - zI)^{-1} (M + zI) by Newton's iteration
+    X <- (mu X + (mu X)^{-1}) / 2, with the determinant scaling
+    mu = |det X|^{-1/d} while a step still moves X by more than 1e-2
+    relative; refused past SIGN_NEWTON_CAP steps or at a non-finite or
+    singular iterate."""
+    d = M.shape[0]
+    eye = np.eye(d)
+    scaled = True
+    with np.errstate(all="ignore"):
+        try:
+            X = np.linalg.solve(M - z * eye, M + z * eye)
+            for _ in range(SIGN_NEWTON_CAP):
+                mu = np.exp(-np.linalg.slogdet(X)[1] / d) if scaled else 1.0
+                step = (mu * X + np.linalg.inv(X) / mu) / 2
+                if not np.isfinite(step).all():
+                    raise InvalidSplitting("the sign iteration leaves the finite range")
+                change = np.abs(step - X).max() / np.abs(step).max()
+                X = step
+                if change <= SIGN_TOL:
+                    return X
+                scaled = scaled and change > 1e-2
+        except np.linalg.LinAlgError:
+            raise InvalidSplitting("the sign iteration meets a singular iterate") from None
+    raise InvalidSplitting(f"the sign iteration did not converge in {SIGN_NEWTON_CAP} steps")
 
 
 # ---------------------------------------------------------------------------
@@ -232,9 +222,8 @@ class RestrictedPowers:
     exact restricted norm ||L^{+-n}|_side||, 1 at n = 0. On a spectral split
     it is the norm of the re-projected power (see operators.MatrixPowers),
     which bounds the restricted norm above and is the term the correction
-    series multiplies each defect by; n = 0 gives ||P_side||. A spectral split whose
-    eigenbasis condition number exceeds DEFECTIVE_COND is refused with
-    NotCertified: its projections are not trustworthy. Values are memoized
+    series multiplies each defect by; n = 0 gives ||P_side||. Both hold up to
+    the rounding of the computed P_S (see SpectralSplit). Values are memoized
     per n, and the side's invariants are computed once, at the first n >= 1
     on a coordinate split and at the first n on a spectral one.
     """
@@ -244,7 +233,7 @@ class RestrictedPowers:
         self._values, self._term = {}, None
         if isinstance(split, CoordinateSplit):
             self._values[0] = 1.0
-        elif (split.V_S if side == "S" else split.V_U).size == 0:
+        elif (split.Q_S if side == "S" else split.Q_U).size == 0:
             # an empty side has norm 0 at every n, n = 0 included
             self._term = lambda n: 0.0
 
@@ -262,15 +251,9 @@ class RestrictedPowers:
             mono = _coordinate_monomial(op.inverse() if side == "U" else op)
             lo, hi = (None, split.cutoff) if side == "S" else (split.cutoff + 1, None)
             return MonomialPowers(mono, lo, hi).sup
-        if split.cond > DEFECTIVE_COND:
-            raise NotCertified(
-                f"eigenbasis condition number {split.cond:.3g} exceeds {DEFECTIVE_COND:g}; "
-                "the side projections are not trustworthy"
-            )
-        matrix = op.dense_matrix()
         if side == "S":
-            return MatrixPowers(split.P_S, matrix, split.norm_tag)
-        return MatrixPowers(split.P_U, np.linalg.inv(matrix), split.norm_tag)
+            return MatrixPowers(split.P_S, op.dense_matrix(), split.norm_tag)
+        return MatrixPowers(split.P_U, op.inverse().dense_matrix(), split.norm_tag)
 
     def radius(self) -> float:
         """Spectral radius of L on S (side "S") or of L^{-1} on U (side "U"):
@@ -394,8 +377,8 @@ def resolvent_norm_U_inv(op: LinOp, split: Splitting) -> float:
 
 
 def _spectral_resolvent(op: LinOp, split: SpectralSplit, side: str) -> float:
-    V = split.V_S if side == "S" else split.V_U
-    if V.shape[1] == 0:
+    Q = split.Q_S if side == "S" else split.Q_U
+    if Q.shape[1] == 0:
         return 0.0
     matrix = op.dense_matrix()
     d = matrix.shape[0]
@@ -403,15 +386,16 @@ def _spectral_resolvent(op: LinOp, split: SpectralSplit, side: str) -> float:
     # (I - L)^{-1} leaves S invariant and (L - I)^{-1} leaves U invariant, so
     # restricted norms of either never exceed the full resolvent norm.
     system = eye - matrix if side == "S" else matrix - eye
-    axes = split.axes_S if side == "S" else split.axes_U
-    if axes is not None:
+    # a side spanned by coordinate axes has as many nonzero rows in Q as columns
+    axes = np.nonzero(np.abs(Q).max(axis=1) > 1e-12)[0]
+    if axes.size == Q.shape[1]:
         sub = system[np.ix_(axes, axes)]
         return mat_norm(np.linalg.inv(sub), split.norm_tag)
     # Probe estimate: valid lower bound via solves restricted to the side.
-    probes = [V[:, j] for j in range(V.shape[1])]
-    if V.shape[1] > 1:
-        probes.append(V.sum(axis=1))
-        probes.append(V @ np.cos(np.arange(V.shape[1])))
+    probes = [Q[:, j] for j in range(Q.shape[1])]
+    if Q.shape[1] > 1:
+        probes.append(Q.sum(axis=1))
+        probes.append(Q @ np.cos(np.arange(Q.shape[1])))
     best = 0.0
     for v in probes:
         vn = array_norm(v, split.norm_tag)
@@ -450,8 +434,9 @@ def classify(op: LinOp, split: Splitting) -> HyperbolicityReport:
 
     Raises InvalidSplitting when S fails forward invariance or U fails
     backward invariance; those directions are prerequisites for every class
-    except Neither-by-rates. A spectral split whose eigenbasis condition
-    number exceeds DEFECTIVE_COND is Undetermined, unchecked for invariance.
+    except Neither-by-rates. On a spectral split the invariance residuals
+    are measured on the computed projections, so the verdict holds up to
+    their rounding (see SpectralSplit).
     """
     if isinstance(split, CoordinateSplit):
         shift = _coordinate_monomial(op).shift
@@ -473,23 +458,20 @@ def classify(op: LinOp, split: Splitting) -> HyperbolicityReport:
         )
     r_S = RestrictedPowers(op, split, "S").radius()
     r_U_inv = RestrictedPowers(op, split, "U").radius()
-    certified = True
     if isinstance(split, CoordinateSplit):
         gap = min(abs(1.0 - r_S), abs(1.0 - r_U_inv))
     else:
         moduli = np.abs(np.linalg.eigvals(matrix))
         gap = float(np.min(np.abs(moduli - 1.0))) if moduli.size else 0.0
-        certified = split.cond <= DEFECTIVE_COND
-        if certified:
-            tol = INVARIANCE_RESIDUAL * max(1.0, mat_norm(matrix, split.norm_tag))
-            res_fwd = float(np.abs(split.P_U @ matrix @ split.P_S).max())
-            res_bwd = float(np.abs(split.P_S @ np.linalg.inv(matrix) @ split.P_U).max())
-            if res_fwd > tol or res_bwd > tol:
-                raise InvalidSplitting(
-                    f"invariance residuals {res_fwd:.3g}, {res_bwd:.3g} exceed tolerance"
-                )
+        tol = INVARIANCE_RESIDUAL * max(1.0, mat_norm(matrix, split.norm_tag))
+        res_fwd = float(np.abs(split.P_U @ matrix @ split.P_S).max())
+        res_bwd = float(np.abs(split.P_S @ op.inverse().dense_matrix() @ split.P_U).max())
+        if res_fwd > tol or res_bwd > tol:
+            raise InvalidSplitting(
+                f"invariance residuals {res_fwd:.3g}, {res_bwd:.3g} exceed tolerance"
+            )
     witness = None
-    if not certified or abs(r_S - 1.0) < UNDETERMINED_BAND or abs(r_U_inv - 1.0) < UNDETERMINED_BAND:
+    if abs(r_S - 1.0) < UNDETERMINED_BAND or abs(r_U_inv - 1.0) < UNDETERMINED_BAND:
         klass = UNDETERMINED
     elif r_S > 1.0 or r_U_inv > 1.0:
         klass = NEITHER

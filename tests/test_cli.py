@@ -51,20 +51,20 @@ def test_run_scenario_records_task_failures():
     assert task["error"] == "NOT_CERTIFIED"
 
 
-def test_run_scenario_refuses_bounds_on_a_defective_eigenbasis():
+def test_run_scenario_bounds_a_defective_eigenbasis():
     # the Jordan block's two eigenvectors agree to rounding; the bound once
-    # came out ok at 2.5 against an exact linf constant of 6, and the
-    # conjugacy built on it came out ok too
+    # came out ok at 2.5 against an exact linf constant of 6, then was
+    # refused; the sign-function projection needs no eigenvectors, so the
+    # split is certified and the bracket holds the exact 6
     matrix = [[0.5, 1.0, 0.0], [0.0, 0.5, 0.0], [0.0, 0.0, 3.0]]
     cfg = {
         "operator": {"kind": "dense", "matrix": matrix, "norm": "linf"},
         "tasks": ["classify", "bounds", "conjugacy"],
     }
     tasks = run_scenario(cfg)["tasks"]
-    assert tasks["classify"]["result"]["class"] == "Undetermined"
-    for name in ("bounds", "conjugacy"):
-        assert not tasks[name]["ok"]
-        assert tasks[name]["error"] == "NOT_CERTIFIED"
+    assert tasks["classify"]["result"]["class"] == "Hyperbolic"
+    assert all(tasks[name]["ok"] for name in ("bounds", "conjugacy"))
+    assert tasks["bounds"]["result"]["lower"] <= 6.0 <= tasks["bounds"]["result"]["upper"]
 
 
 SHADOW_CFG = {
@@ -265,8 +265,8 @@ def test_main_refuses_bad_parameters(tmp_path, capsys, task, params, code):
             ["shadow"], {}, 2,
         ),
         ({"kind": "dense", "matrix": [[2.0]]}, ["conjugacy"], {"map": {}}, 2),
-        # overflow, a defective eigenbasis and an underflowing eigenvalue
-        # angle end in coded task errors
+        # overflow, a singular matrix and an underflowing eigenvalue angle
+        # end in coded task errors
         ({"kind": "diag", "rule": {"neg_and_zero": 1e308, "pos": 1e-200}}, ["bounds"], {}, 3),
         ({"kind": "diag", "rule": {"neg_and_zero": -1e-161, "pos": 2.0}}, ["homoclinic"], {}, 3),
         (
@@ -280,6 +280,8 @@ def test_main_refuses_bad_parameters(tmp_path, capsys, task, params, code):
             {"kind": "dense", "matrix": [[1e308, 1e308], [[1.8, -1e-38], 1e-272]]},
             ["classify"], {}, 3,
         ),
+        # a singular matrix has no inverse for its unstable side
+        ({"kind": "dense", "matrix": [[0, 5, 0], [0, 0, 0], [0, 0, 3]]}, ["bounds"], {}, 3),
     ],
 )
 def test_main_codes_malformed_and_overflowing_operators(

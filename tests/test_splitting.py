@@ -74,6 +74,16 @@ def test_spectral_split_rejects_circle_spectrum():
         spectral_split(quarter_rotation())
 
 
+def test_spectral_split_refuses_eigenvalues_rounded_across_the_circle():
+    # a Jordan block at 0.99999 with coupling 1e7, in a rotated basis: its
+    # computed eigenvalues split to about 0.957 and 1.043, while the sign
+    # function puts both dimensions on the stable side
+    rot = np.array([[0.6, -0.8], [0.8, 0.6]])
+    M = rot @ np.array([[0.99999, 1e7], [0.0, 0.99999]]) @ rot.T
+    with pytest.raises(InvalidSplitting, match="rank 2, against 1 stable"):
+        spectral_split(DenseOp(M, L2))
+
+
 def test_restricted_power_norms_exact_on_axes():
     op = saddle()
     split = spectral_split(op)
@@ -213,7 +223,7 @@ def test_classify_full_reports():
     diag = DiagonalOp(SignWeights(neg_and_zero=0.5, pos=2.0), L1)
     cases = {
         "saddle": (saddle(), spectral_split(saddle())),
-        # the eigenbasis condition number fails the gate: no verdict
+        # a defective stable side: the sign-function projection splits it
         "jordan": (jordan, spectral_split(jordan)),
         "shift": (COMP, CUT0),
         "diagonal": (diag, CoordinateSplit(cutoff=0, norm_tag=L1)),
@@ -221,7 +231,7 @@ def test_classify_full_reports():
     }
     want = {
         "saddle": (HYPERBOLIC, 0.5, 0.5, True, True, True, True, None, 0.5),
-        "jordan": (UNDETERMINED, 0.5, 1.0 / 3.0, True, True, True, True, None, 0.5),
+        "jordan": (HYPERBOLIC, 0.5, 1.0 / 3.0, True, True, True, True, None, 0.5),
         "shift": (GENERALIZED, 0.5, 0.5, True, True, False, False, {0: 1.0}, 0.5),
         "diagonal": (HYPERBOLIC, 0.5, 0.5, True, True, True, True, None, 0.5),
         "sup_one": (UNDETERMINED, 1.0, 1.5, True, True, True, True, None, 0.0),

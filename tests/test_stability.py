@@ -12,6 +12,7 @@ from lindyn import (
     CoordinateSplit,
     DenseOp,
     DenseVector,
+    DiagonalOp,
     KindMismatch,
     NotCertified,
     NotContraction,
@@ -41,7 +42,7 @@ from lindyn.gallery import (
     shifted_weighted_contraction,
 )
 from lindyn.linalg import array_norm
-from lindyn.operators import CompositionOp
+from lindyn.operators import CompositionOp, SignWeights
 from lindyn.sampling import (
     random_margin_matrix,
     random_spectral_contraction,
@@ -396,11 +397,12 @@ def test_query_budget_counts_each_query_alone(monkeypatch):
 
 
 def test_horizons_code_only_the_term_cap_as_a_trajectory_budget(monkeypatch):
-    # a series past its term cap is a budget; a split refused for its
-    # eigenbasis keeps its own code
-    jordan = DenseOp([[0.5, 1.0, 0.0], [0.0, 0.5, 0.0], [0.0, 0.0, 3.0]], LINF)
-    with pytest.raises(NotCertified, match="condition number"):
-        compute_horizons(jordan, spectral_split(jordan), BUMP.sup_norm)
+    # a series past its term cap is a budget; a side whose radius is not
+    # below 1 keeps its own code
+    growing = DiagonalOp(SignWeights(neg_and_zero=2.0, pos=3.0), L1)
+    with pytest.raises(NotCertified, match="restricted radius") as exc:
+        compute_horizons(growing, CoordinateSplit(cutoff=0, norm_tag=L1), BUMP.sup_norm)
+    assert not isinstance(exc.value, TrajectoryBudget)
     monkeypatch.setattr(shadowing, "SERIES_TERM_CAP", 3)
     with pytest.raises(TrajectoryBudget):
         compute_horizons(SADDLE, SPLIT, BUMP.sup_norm)
@@ -452,8 +454,9 @@ def test_contractive_sum_of_a_nilpotent_contraction_keeps_every_power():
 
 def test_contractive_sum_closes_on_a_subnormal_power():
     # draw 137 of the contractive_sum suite at seed 0: two conjugate pairs of
-    # modulus 0.87, so the observed ratio of consecutive power norms keeps
-    # reaching 1 and the sum closes only where a power turns subnormal
+    # modulus 0.87, so the ratio of consecutive power norms keeps reaching 1;
+    # closed at that ratio the sum ran on until a power turned subnormal
+    # (5,206 terms), and the block-geometric bound closes it after 222
     rng = rng_from_seed(0)
     for _ in range(138):
         dim = int(rng.integers(2, 5))
