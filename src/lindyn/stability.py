@@ -6,7 +6,9 @@ The functional Gamma(alpha)(x) pushes the stable projection of a field
 forward along the trajectory through x and the unstable projection backward,
 so it satisfies Gamma(alpha)(R(x)) = L(Gamma(alpha)(x)) + alpha(x) exactly.
 Its series are truncated at horizons read off the splitting's series
-constants (compute_horizons).
+constants (compute_horizons). A field is evaluated only at trajectory points
+within its support_radius; every term past the last such point is an exact
+zero, and the sums skip them.
 
 Both directions of the conjugacy are one memoized field, ConjugacyField:
 - the direct one conjugates L to L + beta as the Picard limit of
@@ -15,10 +17,12 @@ Both directions of the conjugacy are one memoized field, ConjugacyField:
   of the perturbed map L + beta.
 Fields and trajectory maps map coordinate arrays of the dense operator's
 matrix; DenseVectors are taken, returned and checked only at the public
-calls (gamma_eval, a ConjugacyField call, the residual checks). Fields are
-evaluated lazily at query points, memoized per depth, and one query may walk
-at most QUERY_WALK_CAP trajectory points over its memo misses before it is
-refused with TrajectoryBudget.
+calls (gamma_eval, a ConjugacyField call, the residual checks). A
+ConjugacyField checks its operator, split and field once, when it is built,
+and its recursion evaluates Gamma on coordinates. Fields are evaluated lazily
+at query points, memoized per depth, and one query may walk at most
+QUERY_WALK_CAP trajectory points over its memo misses before it is refused
+with TrajectoryBudget.
 """
 
 from __future__ import annotations
@@ -219,6 +223,69 @@ def compute_horizons(
         ) from exc
 
 
+def _dense_parts(op: LinOp, split: Splitting, alpha) -> tuple:
+    """(A, A^-1, P_S, P_U, tag) for Gamma of alpha along a dense operator (a
+    dense composition is lowered to its matrix). A sequence operator, or a
+    split or field not of the operator's tag and dimension, is refused with
+    KindMismatch; a singular operator with NotInvertible."""
+    A, tag = op.dense_matrix(), op.norm_tag
+    if not isinstance(split, SpectralSplit) or (split.norm_tag, split.dim) != (tag, A.shape[0]):
+        raise KindMismatch("Gamma needs a spectral split of the operator's tag and dimension")
+    if getattr(alpha, "norm_tag", tag) != tag:
+        raise KindMismatch("field and operator disagree in norm tag")
+    return A, op.inverse().dense_matrix(), split.P_S, split.P_U, tag
+
+
+def _check_point(x, parts: tuple) -> None:
+    A, tag = parts[0], parts[4]
+    if not isinstance(x, DenseVector) or (x.norm_tag, x.dim) != (tag, A.shape[0]):
+        raise KindMismatch("Gamma's point must be a dense vector of the operator's tag and dimension")
+
+
+def _gamma(parts: tuple, alpha, start, k_fwd: int, k_bwd: int, traj_forward, traj_backward):
+    """Gamma(alpha) at the coordinates start: k_fwd terms of the forward
+    part, walked back from start, and k_bwd of the backward part, walked
+    forward. parts come from _dense_parts; nothing is checked again."""
+    A, A_inv, P_S, P_U, tag = parts
+    zero = start * 0j
+    reach = getattr(alpha, "support_radius", math.inf)
+
+    def horner(P, R, count: int, from_x: bool, step: Callable) -> np.ndarray:
+        """The Horner sum acc <- step(acc, P @ alpha(pt)) over the first count
+        points of x, R x, R^2 x, ... (from_x) or of R x, R^2 x, ..., last
+        point first. Beyond reach alpha is zero: a term past the last point
+        in reach adds exact zeros, so one zero step stands for all of them
+        and keeps the signed zeros of the full sum."""
+        pts = np.empty((count, start.size), dtype=complex)
+        pt = start
+        for i in range(count):
+            if i or not from_x:
+                pt = R(pt)
+            pts[i] = pt
+        check_finite(pts)
+        near = np.flatnonzero(~(row_norms(pts, tag) > reach))
+        p_zero = P @ zero
+        terms = [p_zero] * (near[-1] + 1 if near.size else 0)
+        for i in near:
+            terms[i] = P @ alpha(pts[i])
+        acc = zero if len(terms) == count else step(zero, p_zero)
+        for v in reversed(terms):
+            acc = step(acc, v)
+        return acc
+
+    # a non-finite step or sum is refused by check_finite
+    with np.errstate(over="ignore", invalid="ignore"):
+        acc_f = horner(
+            P_S, traj_backward or (lambda p: A_inv @ p), k_fwd, False,
+            lambda acc, v: P_S @ (A @ acc) + v,
+        )
+        acc_b = horner(
+            P_U, traj_forward or (lambda p: A @ p), k_bwd, True,
+            lambda acc, u: P_U @ (A_inv @ (acc + u)),
+        )
+        return check_finite(acc_f - acc_b)
+
+
 def gamma_eval(
     op: LinOp,
     split: Splitting,
@@ -238,49 +305,19 @@ def gamma_eval(
     sequence operator, or a split, point or field not of the operator's tag
     and dimension, is refused with KindMismatch before any work. Each
     trajectory is walked whole before alpha sees any of its points, so an
-    overflowing one is refused first.
+    overflowing one is refused first. alpha is evaluated only at points
+    within its support_radius; the terms past the last such point are exact
+    zeros, and each sum starts at that point. A ConjugacyField makes these
+    checks once, when it is built, and evaluates Gamma on coordinates.
     """
-    A, tag = op.dense_matrix(), op.norm_tag
-    key = (tag, A.shape[0])
-    if not isinstance(split, SpectralSplit) or (split.norm_tag, split.dim) != key:
-        raise KindMismatch("Gamma needs a spectral split of the operator's tag and dimension")
-    if not isinstance(x, DenseVector) or (x.norm_tag, x.dim) != key:
-        raise KindMismatch("Gamma's point must be a dense vector of the operator's tag and dimension")
-    if getattr(alpha, "norm_tag", tag) != tag:
-        raise KindMismatch("field and operator disagree in norm tag")
-    A_inv = op.inverse().dense_matrix()
+    parts = _dense_parts(op, split, alpha)
+    _check_point(x, parts)
     if horizons is None:
         horizons = compute_horizons(op, split, alpha.sup_norm)
-    P_S, P_U = split.P_S, split.P_U
-    start = x.coords
-    zero = start * 0j
-    reach = getattr(alpha, "support_radius", math.inf)
-
-    def values(P, R, count: int, from_x: bool) -> list:
-        """P @ alpha(pt) at the first count points of x, R x, R^2 x, ...
-        (from_x) or of R x, R^2 x, ...; P @ zero where pt is beyond reach."""
-        pts = np.empty((count, start.size), dtype=complex)
-        pt = start
-        for i in range(count):
-            if i or not from_x:
-                pt = R(pt)
-            pts[i] = pt
-        check_finite(pts)
-        out = [P @ zero] * count
-        for i in np.flatnonzero(~(row_norms(pts, tag) > reach)):
-            out[i] = P @ alpha(pts[i])
-        return out
-
     k_fwd, k_bwd = len(horizons.a_terms), len(horizons.b_terms)
-    # a non-finite step or sum is refused by check_finite
-    with np.errstate(over="ignore", invalid="ignore"):
-        acc_f = zero
-        for v in reversed(values(P_S, traj_backward or (lambda p: A_inv @ p), k_fwd, False)):
-            acc_f = P_S @ (A @ acc_f) + v
-        acc_b = zero
-        for u in reversed(values(P_U, traj_forward or (lambda p: A @ p), k_bwd, True)):
-            acc_b = P_U @ (A_inv @ (acc_b + u))
-        return DenseVector(acc_f - acc_b, tag)
+    return DenseVector(
+        _gamma(parts, alpha, x.coords, k_fwd, k_bwd, traj_forward, traj_backward), parts[4]
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -299,9 +336,11 @@ class ConjugacyField:
     """h_m from the Picard iteration h_1 = Gamma(beta), h_{m+1} =
     Gamma(beta o (id + h_m)) along the trajectory maps (the operator by
     default), evaluated lazily at query points with per-depth memoization.
-    A call takes and returns a DenseVector; eval and the memo work on
-    coordinates. One call may walk at most QUERY_WALK_CAP trajectory points
-    over its memo misses; past that it raises TrajectoryBudget.
+    The operator, split and field are checked once, here, as gamma_eval
+    checks them; a call takes and returns a DenseVector of the operator's tag
+    and dimension, and eval and the memo work on coordinates. One call may
+    walk at most QUERY_WALK_CAP trajectory points over its memo misses; past
+    that it raises TrajectoryBudget.
     """
 
     def __init__(
@@ -314,6 +353,7 @@ class ConjugacyField:
         traj_forward: Optional[Callable] = None,
         traj_backward: Optional[Callable] = None,
     ):
+        self._parts = _dense_parts(op, split, beta)
         self.op = op
         self.split = split
         self.beta = beta
@@ -332,7 +372,8 @@ class ConjugacyField:
         key = _memo_key(x, depth)
         if key is not None and key in self._memo:
             return self._memo[key]
-        self._walked += len(self.horizons.a_terms) + len(self.horizons.b_terms)
+        k_fwd, k_bwd = len(self.horizons.a_terms), len(self.horizons.b_terms)
+        self._walked += k_fwd + k_bwd
         if self._walked > QUERY_WALK_CAP:
             raise TrajectoryBudget(
                 f"one query walked more than {QUERY_WALK_CAP} trajectory points"
@@ -340,14 +381,14 @@ class ConjugacyField:
         alpha = self.beta
         if depth > 1:
             alpha = _ComposedField(self.beta, lambda y: self.eval(y, depth - 1), self.h_bound)
-        point = DenseVector(x, self.norm_tag)
         fwd, bwd = self.traj_forward, self.traj_backward
-        out = gamma_eval(self.op, self.split, alpha, point, self.horizons, fwd, bwd).coords
+        out = _gamma(self._parts, alpha, x, k_fwd, k_bwd, fwd, bwd)
         if key is not None:
             self._memo[key] = out
         return out
 
     def __call__(self, x: DenseVector) -> DenseVector:
+        _check_point(x, self._parts)
         self._walked = 0
         return DenseVector(self.eval(x.coords, self.depth), self.norm_tag)
 
@@ -370,8 +411,10 @@ def conjugacy_solve(op: LinOp, split: Splitting, beta, tol: float = 1e-8) -> Con
     The iteration contracts with factor horizons.upper * lip(beta); the depth
     is chosen from the geometric residual bound and clamped at PICARD_MAX_DEPTH.
     A clamped depth is reported through reached_tol, and the honest arbiter
-    either way is conjugacy_residual.
+    either way is conjugacy_residual. A singular operator is refused with
+    NotInvertible before any series is summed.
     """
+    op.inverse()  # the field needs it: refuse a singular operator as such, first
     horizons = compute_horizons(op, split, beta.sup_norm, tail_tol=tol * 1e-2)
     factor = horizons.upper * beta.lip
     if factor >= 1.0 - 1e-12:
@@ -452,8 +495,9 @@ def inverse_conjugacy(
     beta,
     tol: float = 1e-8,
 ) -> InverseConjugacy:
+    inv = op.inverse()  # refuse a singular operator as such, first
     horizons = compute_horizons(op, split, beta.sup_norm, tail_tol=tol * 1e-2)
-    backward_factor = op.inverse().operator_norm() * beta.lip
+    backward_factor = inv.operator_norm() * beta.lip
     if backward_factor >= 0.9:
         raise NotContraction(
             f"pointwise inverse factor {backward_factor:.6g} too close to 1",

@@ -251,6 +251,9 @@ def test_main_refuses_bad_parameters(tmp_path, capsys, task, params, code):
         assert json.loads(out)["tasks"][task]["error"] == "NON_FINITE"
 
 
+SINGULAR_STABLE = [[1e-13, 1e-50, -1e-8], [0.0, 0.0, 1e308], [0.0, 0.0, -1e-20]]
+
+
 @pytest.mark.parametrize(
     "operator, tasks, params, code",
     [
@@ -270,10 +273,7 @@ def test_main_refuses_bad_parameters(tmp_path, capsys, task, params, code):
         ({"kind": "diag", "rule": {"neg_and_zero": 1e308, "pos": 1e-200}}, ["bounds"], {}, 3),
         ({"kind": "diag", "rule": {"neg_and_zero": -1e-161, "pos": 2.0}}, ["homoclinic"], {}, 3),
         (
-            {
-                "kind": "dense",
-                "matrix": [[1e-13, 1e-50, -1e-8], [0.0, 0.0, 1e308], [0.0, 0.0, -1e-20]],
-            },
+            {"kind": "dense", "matrix": SINGULAR_STABLE},
             ["conjugacy"], {}, 3,
         ),
         (
@@ -282,6 +282,8 @@ def test_main_refuses_bad_parameters(tmp_path, capsys, task, params, code):
         ),
         # a singular matrix has no inverse for its unstable side
         ({"kind": "dense", "matrix": [[0, 5, 0], [0, 0, 0], [0, 0, 3]]}, ["bounds"], {}, 3),
+        # a singular matrix split exactly, every eigenvalue stable
+        ({"kind": "dense", "matrix": SINGULAR_STABLE}, ["conjugacy", "classify"], {}, 3),
     ],
 )
 def test_main_codes_malformed_and_overflowing_operators(
@@ -292,6 +294,19 @@ def test_main_codes_malformed_and_overflowing_operators(
     path.write_text(json.dumps(cfg))
     assert main(["run", str(path)]) == code
     capsys.readouterr()
+
+
+def test_conjugacy_task_names_a_singular_operator_as_classify_does(tmp_path, capsys):
+    # the missing inverse is named, not the Picard factor of 9.6e305
+    cfg = {
+        "operator": {"kind": "dense", "matrix": SINGULAR_STABLE, "norm": "l1"},
+        "tasks": ["conjugacy", "classify"],
+    }
+    path = tmp_path / "singular.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["run", str(path)]) == 3
+    tasks = json.loads(capsys.readouterr().out)["tasks"]
+    assert tasks["conjugacy"]["error"] == tasks["classify"]["error"] == "NOT_INVERTIBLE"
 
 
 # a 9x9 diagonal saddle, one dimension past the window solve

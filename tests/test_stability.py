@@ -17,6 +17,7 @@ from lindyn import (
     NotCertified,
     NotContraction,
     NotContractiveSpectrum,
+    NotInvertible,
     SparseBiSeq,
     TrajectoryBudget,
     classify,
@@ -312,6 +313,160 @@ def test_gamma_refuses_what_is_not_dense_before_any_horizon(monkeypatch):
     for op, split, alpha, point in cases:
         with pytest.raises(KindMismatch):
             gamma_eval(op, split, alpha, point)
+
+
+def walks(op, x, horizons):
+    """The points Gamma at x walks: len(a_terms) steps back from x, and x
+    with len(b_terms) - 1 steps forward, as coordinate arrays."""
+    A, A_inv = op.dense_matrix(), op.inverse().dense_matrix()
+    back, pt = [], x.coords
+    for _ in horizons.a_terms:
+        pt = A_inv @ pt
+        back.append(pt)
+    fwd, pt = [], x.coords
+    for i in range(len(horizons.b_terms)):
+        if i:
+            pt = A @ pt
+        fwd.append(pt)
+    return back, fwd
+
+
+class SpotField:
+    """value at the given points, matched bit for bit, and zero elsewhere;
+    its support radius is the largest norm among them (or radius, if given).
+    It logs every point it is evaluated at."""
+
+    def __init__(self, points, value, radius=None):
+        self.spots = {p.tobytes() for p in points}
+        self.value = value.coords
+        self.norm_tag = value.norm_tag
+        self.sup_norm = value.norm()
+        self.support_radius = (
+            max(array_norm(p, self.norm_tag) for p in points) if radius is None else radius
+        )
+        self.seen = []
+
+    def __call__(self, x):
+        self.seen.append(x.tobytes())
+        return self.value if x.tobytes() in self.spots else x * 0j
+
+
+def check_gamma_edge(op, split, horizons, make_field, x, alpha_x):
+    """Gamma at x of a fresh field from make_field against reference_gamma,
+    bit for bit and point for point, and Gamma(Lx) = L Gamma(x) + alpha(x)
+    to 1e-12; returns Gamma(x) and the points the field saw."""
+    fast, slow = make_field(), make_field()
+    gx = gamma_eval(op, split, fast, x, horizons)
+    assert raw(gx) == raw(reference_gamma(op, split, slow, x, horizons))
+    assert fast.seen == slow.seen
+    seen = list(fast.seen)
+    glx = gamma_eval(op, split, fast, op.apply(x), horizons)
+    assert array_norm(glx.coords - op.apply(gx).coords - alpha_x, op.norm_tag) <= 1e-12
+    return gx, seen
+
+
+@pytest.mark.parametrize("tag", [L1, L2, LINF])
+@pytest.mark.parametrize("name", ["saddle", "random2_2"])
+def test_gamma_sums_run_from_the_last_point_in_reach(name, tag):
+    op, split, bump, points = dense_case(name, tag)
+    horizons = compute_horizons(op, split, bump.sup_norm)
+    # the functional equation misses by the first terms past the horizons,
+    # each below 2.5e-10 |alpha|, so |alpha| = 1e-3 keeps it within 1e-12
+    value = bump.direction * 1e-3
+    for x in [p for p in points if p.norm() > 0]:
+        back, fwd = walks(op, x, horizons)
+        lx_back, lx_fwd = walks(op, op.apply(x), horizons)
+        nearest = min(array_norm(p, tag) for p in back + fwd + lx_back + lx_fwd)
+        assert nearest > 0.0
+        # reaches no point walked from x or Lx: never called, and every term
+        # is a signed zero
+        gx, seen = check_gamma_edge(
+            op, split, horizons, lambda: SpotField([], value, radius=0.5 * nearest), x, 0.0
+        )
+        assert seen == [] and not np.any(gx.coords)
+        # reaches as far as the last point of each walk, and is nonzero only
+        # there: each sum runs whole, and its first term counts
+        gx, seen = check_gamma_edge(
+            op, split, horizons, lambda: SpotField([back[-1], fwd[-1]], value), x, 0.0
+        )
+        assert back[-1].tobytes() in seen and fwd[-1].tobytes() in seen
+        assert np.any(gx.coords)
+        # every point in reach
+        check_gamma_edge(
+            op, split, horizons, lambda: RecordingField(ConstantField(value)), x, value.coords
+        )
+
+
+def test_conjugacy_field_checks_its_inputs_once_when_built():
+    horizons = compute_horizons(SADDLE, SPLIT, BUMP.sup_norm)
+    other = DenseOp([[0.5, 0.0, 0.0], [0.0, 2.0, 0.0], [0.0, 0.0, 3.0]], LINF)
+    cases = [
+        (CoordinateSplit(0, LINF), BUMP),
+        (spectral_split(DenseOp(SADDLE.matrix, L1)), BUMP),
+        (spectral_split(other), BUMP),
+        (SPLIT, ConstantField(DenseVector([0.01, 0.0], L1))),
+    ]
+    for split, beta in cases:
+        with pytest.raises(KindMismatch):
+            ConjugacyField(SADDLE, split, beta, 2, horizons)
+    field = ConjugacyField(SADDLE, SPLIT, BUMP, 2, horizons)
+    for x in (DenseVector([0.5, -0.5], L1), DenseVector([0.5, -0.5, 0.0], LINF)):
+        with pytest.raises(KindMismatch):
+            field(x)
+    assert field._memo == {}
+
+
+def test_a_deep_conjugacy_query_builds_no_vector_inside(monkeypatch):
+    # AC06's bump on the saddle, one level deeper than its solution
+    sol = conjugacy_solve(SADDLE, SPLIT, BUMP, tol=1e-8)
+    field = ConjugacyField(SADDLE, SPLIT, BUMP, 5, sol.horizons)
+    x = DenseVector([0.3, -0.2], LINF)
+    built = []
+    init = DenseVector.__init__
+
+    def counting_init(self, coords, norm_tag):
+        built.append(1)
+        init(self, coords, norm_tag)
+
+    monkeypatch.setattr(DenseVector, "__init__", counting_init)
+    hx = field(x)
+    monkeypatch.undo()
+    assert len(built) <= 2
+    assert {key[0] for key in field._memo} == {1, 2, 3, 4, 5}
+    assert 0.0 < hx.norm() <= sol.h_bound
+
+
+def test_a_deep_conjugacy_query_past_the_walk_cap_is_refused(monkeypatch):
+    sol = conjugacy_solve(SADDLE, SPLIT, BUMP, tol=1e-8)
+    x = DenseVector([0.3, -0.2], LINF)
+    field = ConjugacyField(SADDLE, SPLIT, BUMP, 5, sol.horizons)
+    field(x)
+    walked = field._walked
+    per_miss = len(sol.horizons.a_terms) + len(sol.horizons.b_terms)
+    assert walked > 5 * per_miss
+    monkeypatch.setattr(stability, "QUERY_WALK_CAP", walked - 1)
+    with pytest.raises(TrajectoryBudget):
+        ConjugacyField(SADDLE, SPLIT, BUMP, 5, sol.horizons)(x)
+    monkeypatch.setattr(stability, "QUERY_WALK_CAP", walked)
+    fresh = ConjugacyField(SADDLE, SPLIT, BUMP, 5, sol.horizons)
+    assert raw(fresh(x)) == raw(field(x))
+
+
+def test_conjugacies_refuse_a_singular_operator_as_not_invertible():
+    # every eigenvalue is stable, so the split is exact (P_S = I), and the
+    # Picard factor is 9.6e305: the missing inverse must be named first
+    op = DenseOp([[1e-13, 1e-50, -1e-8], [0.0, 0.0, 1e308], [0.0, 0.0, -1e-20]], L1)
+    split = spectral_split(op)
+    bump = BumpPerturbation(
+        center=DenseVector(np.zeros(3), L1),
+        radius=1.6,
+        amplitude=0.01,
+        direction=DenseVector([1.0, 0.0, 0.0], L1),
+    )
+    with pytest.raises(NotInvertible):
+        conjugacy_solve(op, split, bump)
+    with pytest.raises(NotInvertible):
+        inverse_conjugacy(op, split, bump)
 
 
 @pytest.mark.parametrize("name", DENSE_CASES)
