@@ -68,8 +68,9 @@ SUITES = ("finite_dim_equivalence", "block_product", "calculus", "contractive_su
 MAX_SUITE_SIZE = 10_000
 # the shadow task's walk and pseudo-orbit hold all n1 - n0 + 1 points at once
 MAX_SHADOW_STEPS = 100_000
-# the linf task solves one window per sample, 4-8 ms each at linf_N 8 to 32,
-# so this many samples take seconds, not hours
+# the linf task solves one window per sample where the operator has no
+# split (one more under l1 and l2 where it has one), 4-8 ms each at linf_N 8
+# to 32, so this many samples take seconds, not hours
 MAX_LINF_SAMPLES = 1024
 
 
@@ -313,8 +314,8 @@ def _task_linf(sc: Scenario) -> dict:
     params = sc.parameters
     n = _count(params, "linf_N", 16)
     samples = _count(params, "linf_samples", 24)
-    # the estimate window-solves 2 N + 1 points per sample: refuse what the
-    # window solve would, before the margin descent runs
+    # every window the estimate solves holds 2 N + 1 points: refuse what
+    # the window solve would, before the margin descent runs
     for name, val, cap in (
         ("linf_N", n, (WINDOW_SOLVE_MAX_LEN - 1) // 2),
         ("linf_samples", samples, MAX_LINF_SAMPLES),

@@ -16,22 +16,50 @@ from typing import Sequence
 import numpy as np
 
 from .errors import KindMismatch, LindynError, NotCertified
-from .linalg import DenseVector, dense_eig, mat_norm, matrix_powers, max_row_norm, row_norms
+from .linalg import (
+    L1,
+    L2,
+    LINF,
+    DenseVector,
+    dense_eig,
+    mat_norm,
+    matrix_powers,
+    max_row_norm,
+    row_norms,
+)
 from .operators import DenseOp, LinOp
 from .optim import NormRatio, descend
 from .sampling import rng_from_seed
-from .shadowing import PseudoOrbit, _kind, shad_bounds, shadow_window_solve
-from .splitting import spectral_split
+from .shadowing import (
+    PseudoOrbit,
+    _as_dense,
+    _certified,
+    _correction,
+    _defect_split,
+    _kind,
+    _orbit_basis,
+    max_defect,
+    shad_bounds,
+    shadow_window_solve,
+)
+from .splitting import SpectralSplit, spectral_split
 
 MAX_WINDOW_VARIABLES = 4096
+# A sample walk is refused once its rounding, eps times its peak, reaches
+# this fraction of its unit defects; below it the re-verified defects stay
+# within pseudo_orbit's 1e-12 relative tolerance.
+WALK_ROUNDING = 1e-12
+EPS = float(np.finfo(float).eps)
+DUAL_TAG = {L1: LINF, L2: L2, LINF: L1}
 
 
 @dataclass(frozen=True)
 class WindowedLinf:
     """The difference operator restricted to windows indexed -N .. N.
 
-    A base whose powers up to 2N overflow is refused with NonFinite: the
-    estimates walk pseudo-orbits across the whole window.
+    A base whose powers up to 2N overflow is refused with NonFinite: where
+    the base has no split, the estimate walks pseudo-orbits across the
+    whole window.
     """
 
     base: LinOp
@@ -194,15 +222,108 @@ def _defect_samples(w: WindowedLinf, count: int, rng_seed: int) -> list[np.ndarr
     return samples
 
 
+def _unit_maximizers(g: np.ndarray, tag: str) -> np.ndarray:
+    """For each row g_j of g, a unit vector z_j (in tag) with Re g_j z_j the
+    dual norm of g_j: the conjugate phases under linf, the phase of the
+    largest entry under l1, g_j^H / ||g_j|| under l2. A zero entry takes
+    the phase 1 (of either sign of zero), and a zero row a unit vector too.
+    Moduli are scaled by the row's largest before they divide, so subnormal
+    entries do not overflow."""
+    mags = np.abs(g)
+    live = mags > 0
+    phases = np.ones_like(g)
+    phases[live] = np.exp(-1j * np.angle(g[live]))
+    if tag == LINF:
+        return phases
+    top = mags.argmax(axis=1)
+    rows = np.arange(len(g))
+    z = np.zeros_like(g)
+    if tag == L1:
+        z[rows, top] = phases[rows, top]
+        return z
+    peak = mags[rows, top]
+    nonzero = peak > 0
+    scaled = mags[nonzero] / peak[nonzero, None]
+    z[nonzero] = phases[nonzero] * scaled / row_norms(scaled, L2)[:, None]
+    z[~nonzero, 0] = 1.0
+    return z
+
+
+def _extremal_defect(dense: DenseOp, split: SpectralSplit, N: int) -> np.ndarray:
+    """The unit defects that the window's midpoint correction answers most to.
+
+    Over a window of 2N defects, the correction at the midpoint is
+    e_N = sum_j G_j z_j with G_j = Gamma(N, j): (P_S M)^(N-1-j) P_S for
+    j < N and -(P_U M^-1)^(j-N+1) P_U for j >= N, the re-projected steps of
+    _correction. Row i* has the largest sum over j of the dual norms of
+    G_j[i, :], and z_j is the unit dual maximizer of G_j[i*, :]
+    (_unit_maximizers), so entry i* of e_N is that sum: under linf the
+    largest midpoint correction that unit defects can force.
+    """
+    P_S, P_U = split.P_S, split.P_U
+    K_U = P_U @ dense.inverse().matrix
+    G = np.concatenate(
+        [
+            _orbit_basis(P_S @ dense.matrix, P_S, N)[::-1],
+            -_orbit_basis(K_U, K_U @ P_U, N),
+        ]
+    )
+    duals = row_norms(G.reshape(-1, G.shape[2]), DUAL_TAG[dense.norm_tag])
+    i_star = int(duals.reshape(G.shape[:2]).sum(axis=0).argmax())
+    return _unit_maximizers(G[:, i_star, :], dense.norm_tag)
+
+
+def _bounded_orbit(w: WindowedLinf, k, zs: np.ndarray) -> PseudoOrbit:
+    """The pseudo-orbit x = -e with defects zs, e their bounded correction
+    (_correction): 0 is an exact orbit within sup |e|, so no point grows
+    past about the shadowing constant times the defects. Its delta is its
+    measured largest defect."""
+    points = k.store(-_correction(k, zs, None))
+    tag = w.base.norm_tag
+    delta = max_defect(w.base, PseudoOrbit(-w.window_N, points, 1.0, tag))
+    return PseudoOrbit(-w.window_N, points, delta, tag)
+
+
+def _walked_orbit(w: WindowedLinf, k, start, zs: np.ndarray) -> PseudoOrbit:
+    """The pseudo-orbit walked forward from start with unit defects zs, and
+    delta 1. A walk whose rounding, eps times its peak, reaches WALK_ROUNDING
+    of delta no longer resolves its defects, and is refused; the defects of
+    the rest are re-verified against delta, as pseudo_orbit does."""
+    points = k.walk(start, len(zs), lambda i, img: img + zs[i])
+    peak = k.sup(points)
+    if peak * EPS >= WALK_ROUNDING:
+        raise NotCertified(
+            f"the sample walk peaks at {peak:.6g}, where rounding passes "
+            f"{WALK_ROUNDING:g} of its unit defects"
+        )
+    try:
+        return _certified(w.base, PseudoOrbit(-w.window_N, k.store(points), 1.0, w.base.norm_tag))
+    except ValueError as exc:
+        raise NotCertified(f"the sample walk peaks at {peak:.6g}: {exc}") from None
+
+
 def shad_estimate_linf(w: WindowedLinf, z_samples: int = 64, rng_seed: int = 0) -> float:
     """Lower estimate of the shadowing constant from windowed defects.
 
-    Each unit defect sequence is integrated into a pseudo-orbit with delta 1
-    and solved for the best exact orbit over the window; the window solve's
-    certified lower bound on the distance of every exact orbit is a lower
-    bound for the constant. No exact orbit can come closer than
-    1 / (1 + ||L||) (the one-step inequality), so a lower bound below that
-    means the solve stopped short, and is refused per sample.
+    Each sample is a pseudo-orbit over the window with delta its largest
+    defect, solved for the best exact orbit (shadow_window_solve); the
+    solve's certified lower bound on the distance of every exact orbit,
+    over delta, is a lower bound for the constant. Which samples run:
+
+    - Where the window solve poses its problem in defect coordinates (a
+      spectral split and an inverse), each orbit is x = -e, e the bounded
+      correction of its defects, and the first sample is the extremal
+      defect (_extremal_defect). Under linf it is the only sample and
+      z_samples is not used; under l1 and l2 the z_samples mixed samples
+      (_defect_samples) follow it.
+    - Without a split (a spectrum touching the circle) each of the
+      z_samples mixed samples is walked forward from 0 with delta 1, and a
+      walk too large to resolve its unit defects is refused (_walked_orbit).
+
+    The estimate holds up to the rounding of the window solve's dual sums.
+    No exact orbit can come closer than 1 / (1 + ||L||) (the one-step
+    inequality), so a lower bound below that means the solve stopped short,
+    and is refused per sample.
     """
     if w.window_N < 1:
         raise ValueError("estimates need window_N >= 1")
@@ -211,14 +332,23 @@ def shad_estimate_linf(w: WindowedLinf, z_samples: int = 64, rng_seed: int = 0) 
     floor = 1.0 / (1.0 + w.base.operator_norm()) - 1e-9
     tag = w.base.norm_tag
     zero = np.zeros((1, w.dim), dtype=complex)
-    k = _kind(w.base, None, zero, tag)
-    start = k.load(zero)[0]
+    dense = _as_dense(w.base)
+    split = _defect_split(dense)
+    if split is None:
+        k = _kind(w.base, None, zero, tag)
+        start = k.load(zero)[0]
+        orbits = (
+            _walked_orbit(w, k, start, k.load(z_rows))
+            for z_rows in _defect_samples(w, z_samples, rng_seed)
+        )
+    else:
+        k = _kind(dense, split, zero, tag)
+        mixed = [] if tag == LINF else _defect_samples(w, z_samples, rng_seed)
+        samples = [_extremal_defect(dense, split, w.window_N), *mixed]
+        orbits = (_bounded_orbit(w, k, zs) for zs in samples)
     best = 0.0
-    for z_rows in _defect_samples(w, z_samples, rng_seed):
-        zs = k.load(z_rows)
-        points = k.walk(start, len(zs), lambda i, img: img + zs[i])
-        po = PseudoOrbit(-w.window_N, k.store(points), 1.0, tag)
-        lower = shadow_window_solve(w.base, po).lower
+    for po in orbits:
+        lower = shadow_window_solve(w.base, po).lower / po.delta
         if lower < floor:
             raise NotCertified(f"window lower bound {lower:.6g} fell below the one-step floor")
         best = max(best, lower)

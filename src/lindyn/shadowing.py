@@ -450,22 +450,17 @@ def _scan(K: np.ndarray, c: np.ndarray) -> np.ndarray:
     return X
 
 
-def _series_points(k: _Kind, rows: np.ndarray) -> np.ndarray:
-    """The points x_n + e_n of the splitting-series orbit through rows.
-
-    Defect convention x_{n+1} = L(x_n) - z_n, so the corrections solve
-    e_{n+1} = L(e_n) + z_n: the stable part runs forward from 0 and the
-    unstable part backward through the inverse from 0. The defects z_n are
-    measured as max_defect measures them, one image per point (_defects),
-    so they are the ones that certified the orbit's delta. On rows, each part is
-    a doubling scan (_scan) of its re-projected step, K_S = P_S M forward
-    on P_S P_S z and K_U = P_U M^-1 backward on K_U P_U z; K_S and K_U vanish
+def _correction(k: _Kind, zs: np.ndarray, zero) -> np.ndarray:
+    """The bounded correction e of the defects zs over the window: e_0 .. e_n
+    with e_{i+1} = L(e_i) + z_i, the stable part run forward from 0 and the
+    unstable part backward through the inverse from 0. On rows, each part is
+    a doubling scan (_scan) of its re-projected step, K_S = P_S M forward on
+    P_S P_S z and K_U = P_U M^-1 backward on K_U P_U z; K_S and K_U vanish
     on the other side, so rounding never excites the expanding block. On
     vectors, each part is a step recursion, re-projected every step. A
-    non-finite correction makes its point non-finite, which the caller's
-    kind refuses.
+    non-finite correction is returned as such, for the caller's kind to
+    refuse. zero, the kind's zero point, starts the vector recursions.
     """
-    zs = _defects(k, rows)
     split = k.split
     with np.errstate(over="ignore", invalid="ignore"):
         if k.rows:
@@ -475,15 +470,28 @@ def _series_points(k: _Kind, rows: np.ndarray) -> np.ndarray:
             Bwd = _scan(K_U, (zs[::-1] @ P_U.T) @ K_U.T)[::-1]
         else:
             A, A_inv, P_S, P_U = k.A, k.op.inverse().apply, split.apply_P_S, split.apply_P_U
-            F, Bwd = np.empty_like(rows), np.empty_like(rows)
-            F[0] = Bwd[-1] = f = b = rows[0] * 0j
+            F, Bwd = np.empty(len(zs) + 1, object), np.empty(len(zs) + 1, object)
+            F[0] = Bwd[-1] = f = b = zero
             for i, z in enumerate(zs):
                 f = P_S(A(f) + P_S(z))
                 F[i + 1] = f
             for i in range(len(zs) - 1, -1, -1):
                 b = P_U(A_inv(b + P_U(zs[i])))
                 Bwd[i] = b
-        return rows + (F - Bwd)
+        return F - Bwd
+
+
+def _series_points(k: _Kind, rows: np.ndarray) -> np.ndarray:
+    """The points x_n + e_n of the splitting-series orbit through rows.
+
+    Defect convention x_{n+1} = L(x_n) - z_n, so the corrections solve
+    e_{n+1} = L(e_n) + z_n (_correction). The defects z_n are measured as
+    max_defect measures them, one image per point (_defects), so they are
+    the ones that certified the orbit's delta.
+    """
+    zs = _defects(k, rows)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return rows + _correction(k, zs, rows[0] * 0j)
 
 
 def shadow_splitting_series(
@@ -567,6 +575,22 @@ def _orbit_basis(K: np.ndarray, Q: np.ndarray, count: int) -> np.ndarray:
     return out
 
 
+def _as_dense(op: LinOp) -> DenseOp:
+    """op as a DenseOp: itself, or its dense matrix under its norm tag."""
+    return op if isinstance(op, DenseOp) else DenseOp(op.dense_matrix(), op.norm_tag)
+
+
+def _defect_split(dense: DenseOp) -> Optional[SpectralSplit]:
+    """The spectral split on which the window solve poses its problem in
+    defect coordinates, or None where dense has no split or no inverse."""
+    try:
+        split = spectral_split(dense)
+        dense.inverse()
+    except LindynError:
+        return None
+    return split
+
+
 def shadow_window_solve(op: LinOp, po: PseudoOrbit) -> ShadowResult:
     """The best exact orbit over the window, with a certified bracket.
 
@@ -603,12 +627,8 @@ def shadow_window_solve(op: LinOp, po: PseudoOrbit) -> ShadowResult:
     if count > WINDOW_SOLVE_MAX_LEN:
         raise ValueError(f"window solving is limited to {WINDOW_SOLVE_MAX_LEN} points")
     tag = op.norm_tag
-    dense = op if isinstance(op, DenseOp) else DenseOp(op.dense_matrix(), tag)
-    try:
-        split: Optional[SpectralSplit] = spectral_split(dense)
-        M_inv = dense.inverse().matrix
-    except LindynError:
-        split = None
+    dense = _as_dense(op)
+    split = _defect_split(dense)
     k = _kind(dense, split, rows, po.norm_tag)
     if split is None:
         particular = k.walk(rows[0], count - 1)
@@ -618,7 +638,7 @@ def shadow_window_solve(op: LinOp, po: PseudoOrbit) -> ShadowResult:
         A = np.concatenate(
             [
                 _orbit_basis(split.P_S @ dense.matrix, split.Q_S, count),
-                _orbit_basis(split.P_U @ M_inv, split.Q_U, count)[::-1],
+                _orbit_basis(split.P_U @ dense.inverse().matrix, split.Q_U, count)[::-1],
             ],
             axis=2,
         )

@@ -2,11 +2,12 @@ import copy
 import json
 import time
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from lindyn import cli
+from lindyn import DenseOp, cli, spectral_split
 from lindyn.cli import (
     SUITES,
     TASKS,
@@ -18,6 +19,8 @@ from lindyn.cli import (
 )
 from lindyn.errors import ConfigInvalid, NotCertified
 from lindyn.shadowing import WINDOW_SOLVE_MAX_LEN
+
+from families import exact_linf_constant
 
 SADDLE_CFG = {
     "name": "unit-saddle",
@@ -49,6 +52,28 @@ def test_run_scenario_records_task_failures():
     task = report["tasks"]["bounds"]
     assert not task["ok"]
     assert task["error"] == "NOT_CERTIFIED"
+
+
+def test_run_scenario_linf_estimate_stays_below_the_exact_constant():
+    # a window_estimate random saddle on which the walked samples reported
+    # 5.99996, inside bounds [4.485, 6.691] but above the exact 5.5106
+    matrix = [
+        [0.9839744608664207, -0.3771247957317838],
+        [1.767914663080649, -2.4450312255367144],
+    ]
+    cfg = {
+        "name": "random-saddle",
+        "operator": {"kind": "dense", "matrix": matrix, "norm": "linf"},
+        "tasks": ["linf", "bounds"],
+        "parameters": {"linf_N": 32, "linf_samples": 6},
+        "rng_seed": 0,
+    }
+    tasks = run_scenario(cfg)["tasks"]
+    estimate = tasks["linf"]["result"]["shad_estimate"]
+    exact = exact_linf_constant(np.array(matrix), spectral_split(DenseOp(matrix, "linf")).P_S)
+    assert exact == pytest.approx(5.5106, abs=1e-4)
+    assert estimate <= exact * (1.0 + 1e-9)
+    assert estimate <= tasks["bounds"]["result"]["upper"]
 
 
 def test_run_scenario_bounds_a_defective_eigenbasis():

@@ -49,6 +49,8 @@ from lindyn.splitting import (
     resolvent_norm_U_inv,
 )
 
+from families import exact_linf_constant, jordan_family
+
 N = 24
 
 
@@ -279,39 +281,6 @@ def test_dense_upper_never_exceeds_the_old_formula(tag):
         split = spectral_split(op)
         check_green_terms(op, split, rng)
         assert shad_bounds(op, split).upper <= old_upper(op, split) * (1.0 + 1e-12)
-
-
-def jordan_family(basis, count, seed):
-    """J(r, c) + (u) with r in +-[0.2, 0.8], c in {0.5, 1, 2, 5} and u in
-    +-[1.3, 3], written in coordinates, in a permuted basis or in a random
-    orthogonal one; yields the matrix and its exact stable projection."""
-    rng = rng_from_seed(seed)
-    for _ in range(count):
-        r = rng.uniform(0.2, 0.8) * rng.choice([-1.0, 1.0])
-        c = rng.choice([0.5, 1.0, 2.0, 5.0])
-        u = rng.uniform(1.3, 3.0) * rng.choice([-1.0, 1.0])
-        J = np.array([[r, c, 0.0], [0.0, r, 0.0], [0.0, 0.0, u]])
-        if basis == "coordinates":
-            Q = np.eye(3)
-        elif basis == "permuted":
-            Q = np.eye(3)[rng.permutation(3)]
-        else:
-            Q = np.linalg.qr(rng.standard_normal((3, 3)))[0]
-        yield Q @ J @ Q.T, Q @ np.diag([1.0, 1.0, 0.0]) @ Q.T
-
-
-def exact_linf_constant(M, P_S):
-    """max_i sum_k sum_j |G_k[i, j]| for the Green's function G_k = M^k P_S
-    (k >= 0) and -M^-k P_U (k >= 1), the exact linf shadowing constant,
-    with re-projected powers summed until they vanish in double precision."""
-    P_U = np.eye(len(M)) - P_S
-    acc = np.zeros_like(M)
-    for P, step in ((P_S, P_S @ M), (P_U, P_U @ np.linalg.inv(M))):
-        X = P if P is P_S else step @ P
-        while np.abs(X).max() > 1e-20:
-            acc += np.abs(X)
-            X = step @ X
-    return float(acc.sum(axis=1).max())
 
 
 @pytest.mark.parametrize("basis, seed", [("coordinates", 41), ("permuted", 41), ("orthogonal", 43)])
