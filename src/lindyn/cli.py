@@ -313,6 +313,9 @@ def _task_shadow(sc: Scenario) -> dict:
 def _task_linf(sc: Scenario) -> dict:
     params = sc.parameters
     n = _count(params, "linf_N", 16)
+    # linf_samples changes only the estimates that draw mixed samples: a
+    # split-less operator (spectrum on the circle) or an l1 or l2 norm; under
+    # linf on a split operator shad_estimate_linf runs one extremal solve
     samples = _count(params, "linf_samples", 24)
     # every window the estimate solves holds 2 N + 1 points: refuse what
     # the window solve would, before the margin descent runs

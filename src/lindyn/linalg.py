@@ -293,6 +293,21 @@ def mat_norm(m: np.ndarray, tag: str) -> float:
     return float(np.linalg.norm(m, 2))
 
 
+def mat_norms(stack: np.ndarray, tag: str) -> list[float]:
+    """mat_norm of each matrix in a (k, rows, cols) stack, in one call.
+
+    Each matrix gets the same LAPACK call (the singular values, under l2)
+    or the same reduction (column or row sums, under l1 or linf) that
+    mat_norm makes on it alone, so every norm is the same float.
+    """
+    check_norm_tag(tag)
+    if stack[0].size == 0:
+        return [0.0] * len(stack)
+    if tag == L2:
+        return np.linalg.svd(stack, compute_uv=False).max(-1).tolist()
+    return np.abs(stack).sum(axis=1 if tag == L1 else 2).max(-1).tolist()
+
+
 def matrix_powers(matrix: np.ndarray, top: int) -> list[np.ndarray]:
     """[M^0, M^1, ..., M^top] for a square matrix, refused with NonFinite
     where a power overflows."""

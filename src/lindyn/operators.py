@@ -39,6 +39,7 @@ from .linalg import (
     check_scalar,
     dense_eig,
     mat_norm,
+    mat_norms,
 )
 
 # ---------------------------------------------------------------------------
@@ -243,6 +244,18 @@ class MonomialPowers:
         # anchor -> (factors taken, their product)
         self._runs: dict[int, tuple[int, float]] = {}
 
+    def abs_coeffs(self, idx: np.ndarray) -> np.ndarray:
+        """|coeff(i)| at each index of an integer array, read as products
+        reads them: each index once, through Python abs."""
+        absc, coeff = self._abs, self.mono.coeff
+        out = []
+        for i in idx.tolist():
+            c = absc.get(i)
+            if c is None:
+                c = absc[i] = abs(coeff(i))
+            out.append(c)
+        return np.array(out)
+
     def products(self, n: int, stay: bool = False) -> list[float]:
         """The n-step product of every candidate anchor, in candidate order,
         then |limit|^n of each tail that [lo, hi] sticks out into. With stay,
@@ -284,21 +297,58 @@ class MonomialPowers:
         return 1.0 if n == 0 else max([0.0, *self.products(n, stay)])
 
 
+# Fewest and most powers a MatrixPowers block computes at once.
+MATRIX_BLOCK_MIN = 4
+MATRIX_BLOCK_MAX = 64
+
+
 class MatrixPowers:
     """n -> ||X_n|| for X_0 = P, X_{n+1} = (P M) X_n, memoized, each power one
     product from the last. With P = I this is ||M^n||; where P projects onto
     an M-invariant side it is ||M^n P||, and projecting again at every step
-    keeps rounding from exciting the other side."""
+    keeps rounding from exciting the other side.
+
+    Powers past the memo are computed in blocks: the products one by one, as
+    above, then the block's norms in one stacked call (linalg.mat_norms),
+    which gives each norm as mat_norm takes it. A block holds as many powers
+    as were computed before it, from MATRIX_BLOCK_MIN to MATRIX_BLOCK_MAX, so
+    a series that stops early computes at most about twice the terms it
+    reads. A block ends before its first non-finite product; that power and
+    every later one is computed and normed alone, with mat_norm, when it is
+    asked for.
+    """
 
     def __init__(self, P: np.ndarray, M: np.ndarray, tag: str):
         self.step, self.X, self.tag = P @ M, P, tag
         self.norms = [mat_norm(P, tag)]
+        self._finite = True
 
     def __call__(self, n: int) -> float:
         while len(self.norms) <= n:
+            self._extend()
+        return self.norms[n]
+
+    def _extend(self) -> None:
+        size = min(max(len(self.norms) - 1, MATRIX_BLOCK_MIN), MATRIX_BLOCK_MAX)
+        good = 0
+        # past a non-finite power every power is non-finite: no more blocks
+        if self._finite:
+            stack = np.empty((size, *self.X.shape), dtype=np.result_type(self.step, self.X))
+            X = self.X
+            # powers past an overflow are never normed in a block, so its
+            # warnings belong to the lone product below, if that power is read
+            with np.errstate(over="ignore", invalid="ignore"):
+                for out in stack:
+                    X = np.matmul(self.step, X, out=out)
+            finite = np.isfinite(stack).all(axis=(1, 2))
+            good = size if finite.all() else int(finite.argmin())
+            self._finite = good == size
+        if good:
+            self.X = stack[good - 1].copy()
+            self.norms.extend(mat_norms(stack[:good], self.tag))
+        else:
             self.X = self.step @ self.X
             self.norms.append(mat_norm(self.X, self.tag))
-        return self.norms[n]
 
 
 def monomial_power_sup(

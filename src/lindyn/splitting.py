@@ -13,6 +13,7 @@ and Undetermined when a rate estimate sits within 1e-6 of 1.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
 from typing import Optional
@@ -60,6 +61,12 @@ CAYLEY_POLES = np.array([1, -1, 1j, -1j, *np.exp(0.25j * np.pi * np.array([1, 3,
 # and is refused past SIGN_NEWTON_CAP steps
 SIGN_TOL = 1e-10
 SIGN_NEWTON_CAP = 50
+# A coordinate resolvent sum probes window widths up to RESOLVENT_PROBE_CAP
+# steps and walks each anchor at most RESOLVENT_TERM_CAP terms. The sum is a
+# lower bound, a max over anchors of sums of nonnegative terms, so meeting
+# either cap is safe: dropping terms or anchors can only lower it.
+RESOLVENT_PROBE_CAP = 512
+RESOLVENT_TERM_CAP = 10_000
 
 
 @dataclass(frozen=True)
@@ -230,27 +237,25 @@ class RestrictedPowers:
 
     def __init__(self, op: LinOp, split: Splitting, side: str):
         self.op, self.split, self.side = op, split, side
-        self._values, self._term = {}, None
-        if isinstance(split, CoordinateSplit):
-            self._values[0] = 1.0
-        elif (split.Q_S if side == "S" else split.Q_U).size == 0:
+        self._term = None
+        if isinstance(split, SpectralSplit) and (split.Q_S if side == "S" else split.Q_U).size == 0:
             # an empty side has norm 0 at every n, n = 0 included
             self._term = lambda n: 0.0
 
     def __call__(self, n: int) -> float:
-        val = self._values.get(n)
-        if val is None:
-            if self._term is None:
-                self._term = self._build_term()
-            val = self._values[n] = self._term(n)
-        return val
+        term = self._term
+        if term is None:
+            if n == 0 and isinstance(self.split, CoordinateSplit):
+                return 1.0
+            term = self._term = self._build_term()
+        return term(n)
 
     def _build_term(self):
         op, split, side = self.op, self.split, self.side
         if isinstance(split, CoordinateSplit):
             mono = _coordinate_monomial(op.inverse() if side == "U" else op)
             lo, hi = (None, split.cutoff) if side == "S" else (split.cutoff + 1, None)
-            return MonomialPowers(mono, lo, hi).sup
+            return functools.cache(MonomialPowers(mono, lo, hi).sup)
         if side == "S":
             return MatrixPowers(split.P_S, op.dense_matrix(), split.norm_tag)
         return MatrixPowers(split.P_U, op.inverse().dense_matrix(), split.norm_tag)
@@ -301,8 +306,6 @@ def _monomial_geom_sum(
         )
         return _monomial_geom_sum(rev, lo, hi, tag, rows=False, from_one=from_one)
     shift = mono.shift
-    best = 0.0
-    k_cap = 10_000
     if shift == 0:
         cands, into_left, into_right = _candidate_anchors(mono, 1, lo, hi)
         weights = [mono.coeff(j) for j in cands]
@@ -324,27 +327,39 @@ def _monomial_geom_sum(
     # a walk that leaves [lo, hi] ends there (see below), so it is not probed.
     powers = MonomialPowers(mono, lo, hi)
     probe_n = 1
-    while powers.sup(probe_n, stay=True) > 1e-16 and probe_n < 512:
+    while powers.sup(probe_n, stay=True) > 1e-16 and probe_n < RESOLVENT_PROBE_CAP:
         probe_n += 1
     cands, into_left, into_right = _candidate_anchors(mono, probe_n, lo, hi)
-    for anchor in cands:
-        # Column sums accumulate forward products p_k = |c(j)...c(j+(k-1)s)|;
-        # row sums accumulate backward products over c(r - s), c(r - 2s), ...
-        # Term k lands on index anchor + k * shift, and the walk ends where
-        # that index leaves [lo, hi]: the restriction has no entry there.
-        total = 0.0
-        term = 1.0
-        k = 0
-        while term > 1e-16 * max(1.0, total) and k < k_cap:
-            landing = anchor + k * shift
-            if (lo is not None and landing < lo) or (hi is not None and landing > hi):
+    # Column sums accumulate forward products p_k = |c(j)...c(j+(k-1)s)|;
+    # row sums accumulate backward products over c(r - s), c(r - 2s), ...
+    # Term k lands on index anchor + k * shift, and the walk ends where
+    # that index leaves [lo, hi]: the restriction has no entry there. All
+    # anchors walk at once, one elementwise step per k, each with the
+    # float operations of a walk of its own; a walk that ends leaves the
+    # arrays and its total goes into top.
+    anchors, total, term = np.array(cands), np.zeros(len(cands)), np.ones(len(cands))
+    top = 0.0
+    # a product overflows to inf quietly, as the Python floats did
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(RESOLVENT_TERM_CAP):
+            landing = anchors + k * shift
+            live = term > 1e-16 * np.maximum(1.0, total)
+            if lo is not None:
+                live &= landing >= lo
+            if hi is not None:
+                live &= landing <= hi
+            if not live.all():
+                top = max(top, float(total[~live].max()))
+                anchors, total, term, landing = anchors[live], total[live], term[live], landing[live]
+            if not anchors.size:
                 break
             if k > 0 or not from_one:
                 total += term if tag != L2 else term * term
-            term = term * abs(mono.coeff(anchor + k * shift))
-            k += 1
-        val = math.sqrt(total) if tag == L2 else total
-        best = max(best, val)
+            term = term * powers.abs_coeffs(landing)
+    # walks still running at the cap; sqrt is monotone, so the root of the
+    # largest sum is the largest root
+    top = max(top, float(total.max(initial=0.0)))
+    best = math.sqrt(top) if tag == L2 else top
     for flag, lim in ((into_left, mono.left_limit_abs), (into_right, mono.right_limit_abs)):
         if flag and lim < 1.0:
             if tag == L2:

@@ -10,6 +10,10 @@ must bound every restricted power from above and never give a larger
 shadowing upper bound than the old formulas did.
 """
 
+import math
+import warnings
+from collections import Counter
+from dataclasses import replace
 from functools import partial
 
 import numpy as np
@@ -25,14 +29,19 @@ from lindyn import (
     DenseOp,
     DiagonalOp,
     KindMismatch,
+    NotCertified,
     ShiftOp,
     shad_bounds,
     spectral_split,
+    verify_contractive_sum,
 )
-from lindyn.linalg import array_norm, mat_norm
+from lindyn import splitting
+from lindyn.linalg import array_norm, mat_norm, mat_norms
 from lindyn.operators import (
+    MATRIX_BLOCK_MIN,
     ApproachOneWeights,
     InverseWeights,
+    MatrixPowers,
     MonomialPowers,
     SignWeights,
     TableWeights,
@@ -322,16 +331,18 @@ def test_weighted_shift_bounds_match_closed_forms(tag, a, b):
 
 
 class CountingWeights:
-    """A weight rule that counts how often its weights are read."""
+    """A weight rule that counts how often its weights are read, and keeps
+    the index of each read."""
 
     def __init__(self, base):
         self.base = base
-        self.reads = 0
+        self.read_at = []
 
     def value(self, k):
-        self.reads += 1
+        self.read_at.append(k)
         return self.base.value(k)
 
+    reads = property(lambda self: len(self.read_at))
     features = property(lambda self: self.base.features)
     limits = property(lambda self: self.base.limits)
 
@@ -348,3 +359,178 @@ def test_linf_probe_walks_only_inside_the_side():
         assert (bounds.lower, bounds.upper) == (2.0, 2.5)
         reads[tag] = rule.reads
     assert 0 < reads[LINF] <= reads[L1]
+
+
+def test_resolvent_sums_read_each_weight_once(monkeypatch):
+    # the window probe and the anchor walk of one resolvent sum share one
+    # table of |coeff|, so no weight is read twice within a call
+    inner = splitting._monomial_geom_sum
+    for tag in (L1, LINF):
+        rule = CountingWeights(SignWeights(neg_and_zero=0.5, pos=3.0))
+        counts = []
+
+        def counted(*args, **kwargs):
+            rule.read_at.clear()
+            out = inner(*args, **kwargs)
+            counts.append(Counter(rule.read_at))
+            return out
+
+        monkeypatch.setattr(splitting, "_monomial_geom_sum", counted)
+        op = CompositionOp([ShiftOp(1, tag), DiagonalOp(rule, tag)])
+        bounds = shad_bounds(op, CoordinateSplit(cutoff=0, norm_tag=tag))
+        assert (bounds.lower, bounds.upper) == (2.0, 2.5)
+        assert len(counts) >= 2 and all(counts)
+        assert all(max(c.values()) == 1 for c in counts)
+
+
+# ---------------------------------------------------------------------------
+# Blocks against the per-term code they replace
+# ---------------------------------------------------------------------------
+
+
+def ref_matrix_powers(P, M, tag, top):
+    """||X_n|| for n = 0..top, X_{n+1} = (P M) X_n, one mat_norm per term."""
+    step, X = P @ M, P
+    out = [mat_norm(P, tag)]
+    for _ in range(top):
+        X = step @ X
+        out.append(mat_norm(X, tag))
+    return out
+
+
+@pytest.mark.parametrize("tag", [L1, L2, LINF])
+def test_stacked_norms_match_mat_norm(tag):
+    rng = rng_from_seed(11)
+    for side in range(1, 7):
+        stack = rng.standard_normal((9, side, side)) + 1j * rng.standard_normal((9, side, side))
+        stack *= rng.uniform(1e-3, 1e3, size=(9, 1, 1))
+        assert_same_floats(mat_norms(stack, tag), [mat_norm(m, tag) for m in stack])
+
+
+def test_green_terms_match_per_term_products():
+    # 40 terms span the blocks of 4, 4, 8, 16 and 32 powers
+    top = 40
+    for seed in range(20):
+        rng = rng_from_seed(300 + seed)
+        op = DenseOp(random_margin_matrix(2 + seed % 5, rng, margin=0.05), (L1, L2, LINF)[seed % 3])
+        split = spectral_split(op)
+        for side, P, M in (
+            ("S", split.P_S, op.dense_matrix()),
+            ("U", split.P_U, op.inverse().dense_matrix()),
+        ):
+            if (split.Q_S if side == "S" else split.Q_U).size == 0:
+                want = [0.0] * (top + 1)
+            else:
+                want = ref_matrix_powers(P, M, split.norm_tag, top)
+            check_orders(lambda: RestrictedPowers(op, split, side), want)
+
+
+@pytest.mark.parametrize("tag", [L1, L2, LINF])
+def test_matrix_powers_look_ahead_past_an_overflow_quietly(tag):
+    # the block after 1e200 overflows at its second power; reading the
+    # first neither raises nor warns
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        powers = MatrixPowers(np.eye(1), [[1e200]], tag)
+        assert powers(1) == 1e200
+    # the overflowing power is computed and normed alone, as it always was
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        value = powers(2)
+    if tag != L2:
+        assert value == math.inf
+
+
+class CountingMatrix(np.ndarray):
+    """An ndarray that counts the matrix products it takes part in."""
+
+    products = 0
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        if ufunc is np.matmul:
+            CountingMatrix.products += 1
+        return getattr(ufunc, method)(*(np.asarray(x) for x in inputs), **kwargs)
+
+
+def test_matrix_powers_take_one_product_per_power_past_an_overflow(monkeypatch):
+    # a block that meets an overflow stops, and every later power, which is
+    # non-finite too, costs one product, not a block of them
+    powers = MatrixPowers(np.eye(1), [[1e200]], L1)
+    monkeypatch.setattr(CountingMatrix, "products", 0)
+    powers.step = powers.step.view(CountingMatrix)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        assert powers(20) == math.inf
+    assert CountingMatrix.products == MATRIX_BLOCK_MIN + 19
+
+
+@pytest.mark.parametrize("tag", [L1, L2, LINF])
+def test_contractive_sum_of_a_transient_contraction_keeps_its_gamma(tag):
+    # ||L^n|| rises from 1 to about 79 before it decays, over about 400 terms
+    M = np.array([[0.9, 25.0], [0.0, 0.85]])
+    gamma, _ = _sum_until_tail(
+        lambda n, terms=ref_matrix_powers(np.eye(2), M, tag, 2000): terms[n], 0, SERIES_TAIL
+    )
+    assert verify_contractive_sum(DenseOp(M, tag), trials=2).gamma.hex() == gamma.hex()
+
+
+def ref_monomial_geom_sum(mono, lo, hi, tag, rows, from_one=False):
+    """The per-anchor resolvent walk, one Python loop per anchor."""
+    if rows and mono.shift != 0:
+        rev = replace(
+            mono,
+            shift=-mono.shift,
+            coeff=lambda j, _m=mono: _m.coeff(j - _m.shift),
+            features=tuple(f + mono.shift for f in mono.features),
+        )
+        return ref_monomial_geom_sum(rev, lo, hi, tag, rows=False, from_one=from_one)
+    for end, lim in ((lo, mono.left_limit_abs), (hi, mono.right_limit_abs)):
+        if end is None and lim >= 1.0:
+            raise NotCertified("tail of modulus >= 1")
+    shift = mono.shift
+    powers = MonomialPowers(mono, lo, hi)
+    probe_n = 1
+    while powers.sup(probe_n, stay=True) > 1e-16 and probe_n < 512:
+        probe_n += 1
+    cands, into_left, into_right = _candidate_anchors(mono, probe_n, lo, hi)
+    best = 0.0
+    for anchor in cands:
+        total = 0.0
+        term = 1.0
+        k = 0
+        while term > 1e-16 * max(1.0, total) and k < 10_000:
+            landing = anchor + k * shift
+            if (lo is not None and landing < lo) or (hi is not None and landing > hi):
+                break
+            if k > 0 or not from_one:
+                total += term if tag != L2 else term * term
+            term = term * abs(mono.coeff(anchor + k * shift))
+            k += 1
+        best = max(best, math.sqrt(total) if tag == L2 else total)
+    for flag, lim in ((into_left, mono.left_limit_abs), (into_right, mono.right_limit_abs)):
+        if flag and lim < 1.0:
+            if tag == L2:
+                start = lim * lim if from_one else 1.0
+                best = max(best, math.sqrt(start / (1.0 - lim * lim)))
+            else:
+                best = max(best, (lim if from_one else 1.0) / (1.0 - lim))
+    return best
+
+
+def resolvent_outcome(fn, *args):
+    try:
+        return fn(*args).hex()
+    except NotCertified:
+        return "NotCertified"
+
+
+@pytest.mark.parametrize("tag", [L1, L2, LINF])
+@pytest.mark.parametrize("rule", ["sign", "sign_complex", "table", "approach_one"])
+def test_anchor_walk_matches_per_anchor_loop(rule, tag):
+    ops = sequence_ops(RULES[rule], tag)
+    for name in ("shift1", "shift2", "composition", "backward_scaled"):
+        mono = ops[name].monomial
+        for lo, hi in ((None, 0), (1, None), (-3, 5), (-20, 12)):
+            for from_one in (False, True):
+                args = (mono, lo, hi, tag, tag == LINF, from_one)
+                want = resolvent_outcome(ref_monomial_geom_sum, *args)
+                assert resolvent_outcome(splitting._monomial_geom_sum, *args) == want
