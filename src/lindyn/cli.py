@@ -304,9 +304,9 @@ def _task_shadow(sc: Scenario) -> dict:
             }
         except LindynError as exc:
             methods["window_solve"] = {"error": exc.code, "message": str(exc)}
-    ok = [m for m, r in methods.items() if "error" not in r]
-    if not ok:
-        raise LindynError(f"no shadowing method succeeded out of {sorted(methods)}")
+    if all("error" in r for r in methods.values()):
+        refused = ", ".join(f"{m}: {r['error']}" for m, r in sorted(methods.items()))
+        raise LindynError(f"no shadowing method succeeded out of [{refused}]")
     return {"delta": delta, "points": len(po.points), "methods": methods}
 
 

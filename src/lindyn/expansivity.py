@@ -20,7 +20,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import KindMismatch, NonFinite, NotCertified
-from .linalg import L1, L2, LINF, array_norm, dense_eig, matrix_powers, max_row_norm
+from .linalg import L1, L2, LINF, array_norm, dense_eig, max_row_norm, power_stack
 from .operators import LinOp
 from .optim import (
     MIN_MAX_RTOL,
@@ -188,7 +188,7 @@ def central_window_growth(
     stays the pinned one. The seeds are drawn for every N, whether or not
     the descent runs. The bracket holds up to the rounding of min_max_norm's
     dual sums. Powers that overflow are refused with NonFinite before any
-    solve.
+    solve: one forward and one backward linalg.power_stack serve every N.
     """
     if op.vector_kind != "dense":
         raise KindMismatch("window growth needs a dense operator")
@@ -200,8 +200,9 @@ def central_window_growth(
         raise ValueError("window half-lengths must be nonnegative")
     # powers up to the largest N, shared by every N and checked once
     top = max(n_list, default=0)
-    forward = matrix_powers(matrix, top)
-    backward = matrix_powers(np.linalg.inv(matrix), top) if op.invertible() else forward[:1]
+    eye = np.eye(dim)
+    forward = power_stack(matrix, eye, top + 1)
+    backward = power_stack(np.linalg.inv(matrix), eye, top + 1) if op.invertible() else forward[:1]
     basis = list(np.eye(dim, dtype=complex))
     rng = rng_from_seed(rng_seed)
     out: dict[int, MinMaxNorm] = {}
@@ -209,7 +210,7 @@ def central_window_growth(
         if N == 0:
             out[0] = MinMaxNorm(basis[0], 1.0, 1.0)
             continue
-        stack = np.stack(forward[: N + 1] + backward[1 : N + 1])
+        stack = np.concatenate([forward[: N + 1], backward[1 : N + 1]])
         growth = _growth_objective(stack, op.norm_tag)
         random_seeds = list(unit_dense_rows(dim, op.norm_tag, GROWTH_RANDOM_SEEDS, rng))
         best, pinned = _pinned_growth(stack, growth, op.norm_tag)

@@ -301,23 +301,30 @@ def mat_norms(stack: np.ndarray, tag: str) -> list[float]:
     mat_norm makes on it alone, so every norm is the same float.
     """
     check_norm_tag(tag)
-    if stack[0].size == 0:
+    if stack.size == 0:
         return [0.0] * len(stack)
     if tag == L2:
         return np.linalg.svd(stack, compute_uv=False).max(-1).tolist()
     return np.abs(stack).sum(axis=1 if tag == L1 else 2).max(-1).tolist()
 
 
-def matrix_powers(matrix: np.ndarray, top: int) -> list[np.ndarray]:
-    """[M^0, M^1, ..., M^top] for a square matrix, refused with NonFinite
-    where a power overflows."""
-    powers = [np.eye(matrix.shape[0], dtype=complex)]
+def power_stack(K: np.ndarray, Q: np.ndarray, count: int) -> np.ndarray:
+    """K^n Q for n = 0 .. count - 1 as a (count, *Q.shape) complex array, in
+    about log2(count) doubling passes, each multiplying the powers filled so
+    far by the next power of K; refused with NonFinite where one overflows."""
+    out = np.empty((count, *Q.shape), dtype=complex)
+    out[0] = Q
+    filled, power = 1, K
     with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(top):
-            powers.append(matrix @ powers[-1])
-            if not np.isfinite(powers[-1]).all():
-                raise NonFinite(f"powers of the matrix up to {top} overflow")
-    return powers
+        while filled < count:
+            step = min(filled, count - filled)
+            out[filled : filled + step] = power @ out[:step]
+            filled += step
+            if filled < count:
+                power = power @ power
+    if not np.isfinite(out).all():
+        raise NonFinite(f"powers of the matrix up to {count - 1} overflow")
+    return out
 
 
 @dataclass(frozen=True)

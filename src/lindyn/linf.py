@@ -23,8 +23,8 @@ from .linalg import (
     DenseVector,
     dense_eig,
     mat_norm,
-    matrix_powers,
     max_row_norm,
+    power_stack,
     row_norms,
 )
 from .operators import DenseOp, LinOp
@@ -37,7 +37,6 @@ from .shadowing import (
     _correction,
     _defect_split,
     _kind,
-    _orbit_basis,
     max_defect,
     shad_bounds,
     shadow_window_solve,
@@ -57,9 +56,9 @@ DUAL_TAG = {L1: LINF, L2: L2, LINF: L1}
 class WindowedLinf:
     """The difference operator restricted to windows indexed -N .. N.
 
-    A base whose powers up to 2N overflow is refused with NonFinite: where
-    the base has no split, the estimate walks pseudo-orbits across the
-    whole window.
+    A base whose powers up to 2N overflow is refused with NonFinite
+    (linalg.power_stack): where the base has no split, the estimate walks
+    pseudo-orbits across the whole window.
     """
 
     base: LinOp
@@ -76,7 +75,7 @@ class WindowedLinf:
                 f"window holds {dim * (2 * self.window_N + 1)} variables, "
                 f"over the cap {MAX_WINDOW_VARIABLES}"
             )
-        matrix_powers(self.base.dense_matrix(), 2 * self.window_N)
+        power_stack(self.base.dense_matrix(), np.eye(dim), 2 * self.window_N + 1)
 
     @property
     def dim(self) -> int:
@@ -264,8 +263,8 @@ def _extremal_defect(dense: DenseOp, split: SpectralSplit, N: int) -> np.ndarray
     K_U = P_U @ dense.inverse().matrix
     G = np.concatenate(
         [
-            _orbit_basis(P_S @ dense.matrix, P_S, N)[::-1],
-            -_orbit_basis(K_U, K_U @ P_U, N),
+            power_stack(P_S @ dense.matrix, P_S, N)[::-1],
+            -power_stack(K_U, K_U @ P_U, N),
         ]
     )
     duals = row_norms(G.reshape(-1, G.shape[2]), DUAL_TAG[dense.norm_tag])

@@ -313,15 +313,15 @@ class MatrixPowers:
     which gives each norm as mat_norm takes it. A block holds as many powers
     as were computed before it, from MATRIX_BLOCK_MIN to MATRIX_BLOCK_MAX, so
     a series that stops early computes at most about twice the terms it
-    reads. A block ends before its first non-finite product; that power and
-    every later one is computed and normed alone, with mat_norm, when it is
-    asked for.
+    reads. A block ends before its first power whose product or norm is not
+    finite, and records its index: reading that power, or any later one,
+    raises NonFinite.
     """
 
     def __init__(self, P: np.ndarray, M: np.ndarray, tag: str):
         self.step, self.X, self.tag = P @ M, P, tag
         self.norms = [mat_norm(P, tag)]
-        self._finite = True
+        self.end = None
 
     def __call__(self, n: int) -> float:
         while len(self.norms) <= n:
@@ -329,26 +329,24 @@ class MatrixPowers:
         return self.norms[n]
 
     def _extend(self) -> None:
+        if len(self.norms) == self.end:
+            raise NonFinite(f"power {self.end} of the matrix overflows")
         size = min(max(len(self.norms) - 1, MATRIX_BLOCK_MIN), MATRIX_BLOCK_MAX)
-        good = 0
-        # past a non-finite power every power is non-finite: no more blocks
-        if self._finite:
-            stack = np.empty((size, *self.X.shape), dtype=np.result_type(self.step, self.X))
-            X = self.X
-            # powers past an overflow are never normed in a block, so its
-            # warnings belong to the lone product below, if that power is read
-            with np.errstate(over="ignore", invalid="ignore"):
-                for out in stack:
-                    X = np.matmul(self.step, X, out=out)
+        stack = np.empty((size, *self.X.shape), dtype=np.result_type(self.step, self.X))
+        X = self.X
+        with np.errstate(over="ignore", invalid="ignore"):
+            for out in stack:
+                X = np.matmul(self.step, X, out=out)
             finite = np.isfinite(stack).all(axis=(1, 2))
             good = size if finite.all() else int(finite.argmin())
-            self._finite = good == size
+            norms = mat_norms(stack[:good], self.tag)
+        # finite entries can still sum past the largest float
+        good = norms.index(math.inf) if math.inf in norms else good
+        if good < size:
+            self.end = len(self.norms) + good
         if good:
             self.X = stack[good - 1].copy()
-            self.norms.extend(mat_norms(stack[:good], self.tag))
-        else:
-            self.X = self.step @ self.X
-            self.norms.append(mat_norm(self.X, self.tag))
+            self.norms.extend(norms[:good])
 
 
 def monomial_power_sup(

@@ -39,6 +39,7 @@ from .linalg import (
     array_norm,
     check_finite,
     max_row_norm,
+    power_stack,
     row_norms,
 )
 from .operators import DenseOp, LinOp
@@ -48,9 +49,9 @@ from .splitting import (
     GENERALIZED,
     HYPERBOLIC,
     HyperbolicityReport,
-    RestrictedPowers,
     SpectralSplit,
     Splitting,
+    _series_memo,
     classify,
     resolvent_norm_S,
     resolvent_norm_U_inv,
@@ -321,11 +322,14 @@ def series_constants(op: LinOp, split: Splitting, tail: float = SERIES_TAIL) -> 
     """Certified sums A = sum_{k>=0} ||L^k P_S|| and B = sum_{k>=1} ||L^-k P_U||.
 
     Each sum is closed with the block-geometric remainder of _sum_until_tail.
-    Each side's terms form one sequence, shared by the radius envelope and
-    the sum, so every power is computed once. On a spectral split the sums
-    hold up to the rounding of the computed P_S (see SpectralSplit).
+    Each side's terms form one sequence per (op, split), held by
+    _series_memo and shared by classify, the radius envelope and the sum, so
+    every power is computed once; a power that overflows is refused with
+    NonFinite. On a spectral split the sums hold up to the rounding of the
+    computed P_S (see SpectralSplit).
     """
-    powers_S, powers_U = RestrictedPowers(op, split, "S"), RestrictedPowers(op, split, "U")
+    memo = _series_memo(op, split)
+    powers_S, powers_U = memo["S"], memo["U"]
     for r, side in ((powers_S.radius(), "S"), (powers_U.radius(), "U")):
         if r >= 1.0:
             raise NotCertified(
@@ -421,17 +425,6 @@ def verify_shadow(op: LinOp, po: PseudoOrbit, res: ShadowResult) -> None:
         raise NotCertified(
             f"sup error {sup:.6g} exceeds {res.constant_used:.6g} * delta + 1e-9"
         )
-
-
-def _series_memo(op: LinOp, split: Splitting) -> dict:
-    """The memo of classify and series_constants for (op, split), held on the
-    split like DenseOp's inverse; the entry keeps op, so its id is not reused
-    while the entry lives."""
-    held, memo = split.memo.get(id(op), (None, None))
-    if held is not op:
-        memo = {}
-        split.memo[id(op)] = (op, memo)
-    return memo
 
 
 def _scan(K: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -561,20 +554,6 @@ def shadow_contraction(op: LinOp, po: PseudoOrbit) -> ShadowResult:
     return result
 
 
-def _orbit_basis(K: np.ndarray, Q: np.ndarray, count: int) -> np.ndarray:
-    """K^n Q for n = 0 .. count - 1 as a (count, d, k) array, by doubling."""
-    out = np.empty((count, *Q.shape), dtype=complex)
-    out[0] = Q
-    filled, power = 1, K
-    while filled < count:
-        step = min(filled, count - filled)
-        out[filled : filled + step] = power @ out[:step]
-        filled += step
-        if filled < count:
-            power = power @ power
-    return out
-
-
 def _as_dense(op: LinOp) -> DenseOp:
     """op as a DenseOp: itself, or its dense matrix under its norm tag."""
     return op if isinstance(op, DenseOp) else DenseOp(op.dense_matrix(), op.norm_tag)
@@ -606,7 +585,9 @@ def shadow_window_solve(op: LinOp, po: PseudoOrbit) -> ShadowResult:
     exceed its l2 norm. The orbit is exact up to the rounding of the
     computed P_S, within verify_shadow's tolerance. Where there is no split
     (a spectrum touching the circle), the problem is posed in seed
-    coordinates: p is the orbit of the first point and A_n = L^n.
+    coordinates: p is the orbit of the first point and A_n = L^n. Either
+    basis is a doubling stack (linalg.power_stack), refused with NonFinite
+    where a power overflows.
 
     sup_error is the distance of the returned trajectory to the points, as
     verify_shadow measures it, and never exceeds that of p (w = 0), so in
@@ -632,18 +613,18 @@ def shadow_window_solve(op: LinOp, po: PseudoOrbit) -> ShadowResult:
     k = _kind(dense, split, rows, po.norm_tag)
     if split is None:
         particular = k.walk(rows[0], count - 1)
-        A = _orbit_basis(dense.matrix, np.eye(dim, dtype=complex), count)
+        A = power_stack(dense.matrix, np.eye(dim), count)
     else:
         particular = _series_points(k, rows)
         A = np.concatenate(
             [
-                _orbit_basis(split.P_S @ dense.matrix, split.Q_S, count),
-                _orbit_basis(split.P_U @ dense.inverse().matrix, split.Q_U, count)[::-1],
+                power_stack(split.P_S @ dense.matrix, split.Q_S, count),
+                power_stack(split.P_U @ dense.inverse().matrix, split.Q_U, count)[::-1],
             ],
             axis=2,
         )
     offsets = k.finite(particular - rows)
-    sol = min_max_norm(k.finite(A), offsets, tag)
+    sol = min_max_norm(A, offsets, tag)
     points, sup_error = particular, max_row_norm(offsets, tag)
     if sol.value < sup_error:
         if split is None:

@@ -73,8 +73,7 @@ RESOLVENT_TERM_CAP = 10_000
 class CoordinateSplit:
     """S = span{e_k : k <= cutoff}, U = span{e_k : k > cutoff}.
 
-    memo holds work done once per operator on this split (shadowing keeps
-    the classification and the series constants there).
+    memo holds work done once per operator on this split (_series_memo).
     """
 
     cutoff: int
@@ -166,7 +165,9 @@ def spectral_split(op: DenseOp, circle_gap_tol: float = DEFAULT_CIRCLE_GAP_TOL) 
     U_S, s_S, _ = np.linalg.svd(P_S)
     U_U = np.linalg.svd(P_U)[0]
     residual = float(np.abs(P_S @ P_S - P_S).max())
-    if residual > PROJECTION_RESIDUAL * max(1.0, s_S[0] ** 2):
+    # residual > tol * max(1, ||P_S||)^2, with no square to overflow
+    scale = max(1.0, float(s_S[0]))
+    if residual / scale > PROJECTION_RESIDUAL * scale:
         raise InvalidSplitting(
             f"projection residual {residual:.3g} exceeds {PROJECTION_RESIDUAL:g} * ||P_S||^2"
         )
@@ -270,6 +271,17 @@ class RestrictedPowers:
             lam = split.lam_S if self.side == "S" else 1.0 / split.lam_U
             return float(np.abs(lam).max()) if lam.size else 0.0
         return gelfand_envelope(self)[0]
+
+
+def _series_memo(op: LinOp, split: Splitting) -> dict:
+    """Work done once per (op, split), held on the split: both sides'
+    RestrictedPowers ("S", "U"), read by classify and series_constants, and
+    shadowing's results. The entry keeps op, so its id is not reused."""
+    held, memo = split.memo.get(id(op), (None, None))
+    if held is not op:
+        memo = {side: RestrictedPowers(op, split, side) for side in "SU"}
+        split.memo[id(op)] = (op, memo)
+    return memo
 
 
 # ---------------------------------------------------------------------------
@@ -471,8 +483,8 @@ def classify(op: LinOp, split: Splitting) -> HyperbolicityReport:
         raise InvalidSplitting(
             "operator moves support upward; the coordinate S is not invariant",
         )
-    r_S = RestrictedPowers(op, split, "S").radius()
-    r_U_inv = RestrictedPowers(op, split, "U").radius()
+    memo = _series_memo(op, split)
+    r_S, r_U_inv = memo["S"].radius(), memo["U"].radius()
     if isinstance(split, CoordinateSplit):
         gap = min(abs(1.0 - r_S), abs(1.0 - r_U_inv))
     else:

@@ -276,6 +276,34 @@ def test_main_refuses_bad_parameters(tmp_path, capsys, task, params, code):
         assert json.loads(out)["tasks"][task]["error"] == "NON_FINITE"
 
 
+# a stable Jordan block (spectral radius 0.99) whose powers pass the largest
+# float at n = 23
+OVERFLOWING_POWERS = [[0.99, 1e307], [0.0, 0.99]]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("norm", ["l1", "l2", "linf"])
+def test_overflowing_powers_are_refused_under_every_norm(tmp_path, capsys, norm):
+    # bounds once met a LinAlgError from an l2 norm of a non-finite power,
+    # and under l1 and linf summed 10,000 non-finite terms before refusing
+    cfg = {
+        "operator": {"kind": "dense", "matrix": OVERFLOWING_POWERS, "norm": norm},
+        "tasks": ["bounds", "shadow"],
+    }
+    tasks = run_scenario(cfg)["tasks"]
+    assert tasks["bounds"]["error"] == "NON_FINITE"
+    assert tasks["shadow"]["message"] == (
+        "no shadowing method succeeded out of "
+        "[splitting_series: NOT_INVERTIBLE, window_solve: NON_FINITE]"
+    )
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["run", str(path)]) == 3
+    out, err = capsys.readouterr()
+    assert json.loads(out)["tasks"]["bounds"]["error"] == "NON_FINITE"
+    assert "Traceback" not in err
+
+
 SINGULAR_STABLE = [[1e-13, 1e-50, -1e-8], [0.0, 0.0, 1e308], [0.0, 0.0, -1e-20]]
 
 

@@ -23,7 +23,7 @@ from lindyn import (
 from lindyn import expansivity
 from lindyn.expansivity import GROWTH_RANDOM_SEEDS, _growth_objective
 from lindyn.gallery import quarter_rotation, saddle, shifted_weighted_contraction
-from lindyn.linalg import DenseVector, array_norm, matrix_powers
+from lindyn.linalg import DenseVector, array_norm, power_stack
 from lindyn.optim import coordinate_directions, descend, diagonal_directions, min_max_norm
 from lindyn.sampling import dense_basis, random_margin_matrix, rng_from_seed, unit_dense_samples
 
@@ -162,12 +162,13 @@ def _descent_reference(op, n_list, rng_seed=0):
     GROWTH_RANDOM_SEEDS random unit seeds, drawn for each N in turn."""
     matrix = op.dense_matrix()
     dim, tag, top = matrix.shape[0], op.norm_tag, max(n_list)
-    forward = matrix_powers(matrix, top)
-    backward = matrix_powers(np.linalg.inv(matrix), top) if op.invertible() else forward[:1]
+    eye = np.eye(dim)
+    forward = power_stack(matrix, eye, top + 1)
+    backward = power_stack(np.linalg.inv(matrix), eye, top + 1) if op.invertible() else forward[:1]
     rng = rng_from_seed(rng_seed)
     out = {}
     for N in n_list:
-        growth = _growth_objective(np.stack(forward[: N + 1] + backward[1 : N + 1]), tag)
+        growth = _growth_objective(np.concatenate([forward[: N + 1], backward[1 : N + 1]]), tag)
         seeds = [b.coords for b in dense_basis(dim, tag)]
         seeds += [s.coords for s in unit_dense_samples(dim, tag, GROWTH_RANDOM_SEEDS, rng)]
         dirs = coordinate_directions(dim) + diagonal_directions(dim)

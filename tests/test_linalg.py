@@ -11,11 +11,13 @@ from lindyn import (
     LINF,
     DenseVector,
     NonContracting,
+    NonFinite,
     SparseBiSeq,
     banach_fixed_point,
     dense_eig,
 )
-from lindyn.linalg import array_norm, mat_norm, max_row_norm, row_norms
+from lindyn.linalg import array_norm, mat_norm, max_row_norm, power_stack, row_norms
+from lindyn.sampling import random_margin_matrix, rng_from_seed
 
 SQRT2 = math.sqrt(2.0)
 # roots of z^2 - z - 1, the characteristic polynomial of [[0, 1], [1, 1]]
@@ -183,6 +185,36 @@ def test_l2_norms_of_huge_finite_coordinates_stay_finite():
     # only an overflowing sum is redone, and a non-finite row keeps its max
     assert max_row_norm(rows[1:], L2) == 5.0
     assert row_norms(np.array([[np.inf, 1.0]]), L2).tolist() == [np.inf]
+
+
+def test_power_stack_of_one_power_is_q():
+    Q = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
+    got = power_stack(np.full((3, 3), 7.0), Q, 1)
+    assert got.shape == (1, 3, 2) and got.dtype == complex
+    assert (got[0] == Q).all()
+
+
+def test_power_stack_matches_sequential_products():
+    # counts that end a doubling pass early and on a power of two
+    for seed in range(30):
+        rng = rng_from_seed(700 + seed)
+        d = 2 + seed % 5
+        M = random_margin_matrix(d, rng, margin=0.05)
+        Q = rng.standard_normal((d, 2))
+        for count in (2, 5, 16, 33):
+            got = power_stack(M, Q, count)
+            X = Q.astype(complex)
+            for n in range(count):
+                assert np.abs(got[n] - X).max() <= 1e-12 * np.abs(X).max()
+                X = M @ X
+
+
+@pytest.mark.filterwarnings("error")
+def test_power_stack_refuses_an_overflow_quietly():
+    # 1e200 squared overflows; the refusal names it and prints no warning
+    assert power_stack(np.array([[1e200]]), np.eye(1), 2)[1, 0, 0] == 1e200
+    with pytest.raises(NonFinite, match="overflow"):
+        power_stack(np.array([[1e200]]), np.eye(1), 3)
 
 
 def test_dense_vectors_from_rows_share_one_checked_array():

@@ -16,10 +16,17 @@ from lindyn import (
 )
 from lindyn import optim
 from lindyn.expansivity import _growth_objective
-from lindyn.linalg import matrix_powers, max_row_norm
+from lindyn.linalg import max_row_norm, power_stack
 from lindyn.linf import _margin_objective
 from lindyn.optim import min_max_norm
 from lindyn.sampling import random_margin_matrix, rng_from_seed
+
+
+def two_sided_powers(M, N):
+    """M^0 .. M^N, then M^-1 .. M^-N, as one (2 N + 1, d, d) stack."""
+    eye = np.eye(len(M))
+    backward = power_stack(np.linalg.inv(M), eye, N + 1)[1:]
+    return np.concatenate([power_stack(M, eye, N + 1), backward])
 
 
 def collinear(n, d, u):
@@ -136,7 +143,7 @@ def test_min_max_norm_survives_an_overflowing_polish(tag, capfd):
     # LinAlgError or RuntimeWarning and without handing LAPACK the
     # non-finite system (its DLASCL complaint), and the bracket still holds
     M = np.array([[1e40, 1.0], [0.3, 0.5]])
-    stack = np.stack(matrix_powers(M, 4) + matrix_powers(np.linalg.inv(M), 4)[1:])
+    stack = two_sided_powers(M, 4)
     e = stack[:, :, 1]
     sol = min_max_norm(stack[:, :, [0]], e, tag)
     assert 0.0 <= sol.lower <= sol.value <= max_row_norm(e, tag)
@@ -226,7 +233,7 @@ def test_growth_line_equals_the_objective_along_the_line(tag, dim):
     op = DenseOp(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)), tag)
     N = 3
     matrix = op.dense_matrix()
-    stack = np.stack(matrix_powers(matrix, N) + matrix_powers(np.linalg.inv(matrix), N)[1:])
+    stack = two_sided_powers(matrix, N)
     objective = _growth_objective(stack, tag)
     x = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     eye = np.eye(dim)

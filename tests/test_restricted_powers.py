@@ -29,8 +29,10 @@ from lindyn import (
     DenseOp,
     DiagonalOp,
     KindMismatch,
+    NonFinite,
     NotCertified,
     ShiftOp,
+    classify,
     shad_bounds,
     spectral_split,
     verify_contractive_sum,
@@ -38,7 +40,6 @@ from lindyn import (
 from lindyn import splitting
 from lindyn.linalg import array_norm, mat_norm, mat_norms
 from lindyn.operators import (
-    MATRIX_BLOCK_MIN,
     ApproachOneWeights,
     InverseWeights,
     MatrixPowers,
@@ -383,12 +384,35 @@ def test_resolvent_sums_read_each_weight_once(monkeypatch):
         assert all(max(c.values()) == 1 for c in counts)
 
 
+@pytest.mark.parametrize("tag", [L1, LINF])
+def test_classify_then_bounds_take_each_weight_product_once(monkeypatch, tag):
+    # classify's radii and series_constants read one RestrictedPowers per
+    # side, held on the split, so the series sums the envelope's terms
+    # instead of computing them again; the resolvent sums' window probes
+    # (stay=True) keep their own tables and are left out of the count
+    taken = []
+
+    class CountedPowers(MonomialPowers):
+        def products(self, n, stay=False):
+            if not stay:
+                taken.append((self.lo, self.hi, n))
+            return super().products(n, stay)
+
+    monkeypatch.setattr(splitting, "MonomialPowers", CountedPowers)
+    op = CompositionOp([ShiftOp(1, tag), DiagonalOp(SignWeights(neg_and_zero=0.5, pos=3.0), tag)])
+    split = CoordinateSplit(cutoff=0, norm_tag=tag)
+    classify(op, split)
+    assert {(lo, hi) for lo, hi, _ in taken} == {(None, 0), (1, None)}
+    assert shad_bounds(op, split).upper == 2.5
+    assert max(Counter(taken).values()) == 1
+
+
 # ---------------------------------------------------------------------------
 # Blocks against the per-term code they replace
 # ---------------------------------------------------------------------------
 
 
-def ref_matrix_powers(P, M, tag, top):
+def ref_power_norms(P, M, tag, top):
     """||X_n|| for n = 0..top, X_{n+1} = (P M) X_n, one mat_norm per term."""
     step, X = P @ M, P
     out = [mat_norm(P, tag)]
@@ -421,46 +445,34 @@ def test_green_terms_match_per_term_products():
             if (split.Q_S if side == "S" else split.Q_U).size == 0:
                 want = [0.0] * (top + 1)
             else:
-                want = ref_matrix_powers(P, M, split.norm_tag, top)
+                want = ref_power_norms(P, M, split.norm_tag, top)
             check_orders(lambda: RestrictedPowers(op, split, side), want)
 
 
 @pytest.mark.parametrize("tag", [L1, L2, LINF])
 def test_matrix_powers_look_ahead_past_an_overflow_quietly(tag):
     # the block after 1e200 overflows at its second power; reading the
-    # first neither raises nor warns
+    # first neither raises nor warns, and reading the overflowing power, or
+    # any later one, is refused, still without a warning
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         powers = MatrixPowers(np.eye(1), [[1e200]], tag)
         assert powers(1) == 1e200
-    # the overflowing power is computed and normed alone, as it always was
-    with pytest.warns(RuntimeWarning, match="overflow"):
-        value = powers(2)
-    if tag != L2:
-        assert value == math.inf
+        for n in (2, 2, 5):
+            with pytest.raises(NonFinite, match="power 2 "):
+                powers(n)
+        assert powers(1) == 1e200
 
 
-class CountingMatrix(np.ndarray):
-    """An ndarray that counts the matrix products it takes part in."""
-
-    products = 0
-
-    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
-        if ufunc is np.matmul:
-            CountingMatrix.products += 1
-        return getattr(ufunc, method)(*(np.asarray(x) for x in inputs), **kwargs)
-
-
-def test_matrix_powers_take_one_product_per_power_past_an_overflow(monkeypatch):
-    # a block that meets an overflow stops, and every later power, which is
-    # non-finite too, costs one product, not a block of them
-    powers = MatrixPowers(np.eye(1), [[1e200]], L1)
-    monkeypatch.setattr(CountingMatrix, "products", 0)
-    powers.step = powers.step.view(CountingMatrix)
+@pytest.mark.parametrize("tag", [L1, L2])
+def test_power_norms_refuse_a_norm_past_the_float_range(tag):
+    # both entries of the first power are finite, but its column sum and
+    # its largest singular value pass the largest float
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        assert powers(20) == math.inf
-    assert CountingMatrix.products == MATRIX_BLOCK_MIN + 19
+        warnings.simplefilter("error")
+        powers = MatrixPowers(np.eye(2), [[1.5e308, 0.0], [1.5e308, 0.0]], tag)
+        with pytest.raises(NonFinite, match="power 1 "):
+            powers(1)
 
 
 @pytest.mark.parametrize("tag", [L1, L2, LINF])
@@ -468,7 +480,7 @@ def test_contractive_sum_of_a_transient_contraction_keeps_its_gamma(tag):
     # ||L^n|| rises from 1 to about 79 before it decays, over about 400 terms
     M = np.array([[0.9, 25.0], [0.0, 0.85]])
     gamma, _ = _sum_until_tail(
-        lambda n, terms=ref_matrix_powers(np.eye(2), M, tag, 2000): terms[n], 0, SERIES_TAIL
+        lambda n, terms=ref_power_norms(np.eye(2), M, tag, 2000): terms[n], 0, SERIES_TAIL
     )
     assert verify_contractive_sum(DenseOp(M, tag), trials=2).gamma.hex() == gamma.hex()
 

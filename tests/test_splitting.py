@@ -84,6 +84,15 @@ def test_spectral_split_refuses_eigenvalues_rounded_across_the_circle():
         spectral_split(DenseOp(M, L2))
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_spectral_split_gates_a_projection_whose_norm_squared_overflows():
+    # ||P_S|| is about 6.7e199: the residual gate once squared it into a
+    # RuntimeWarning; the projection itself is exact
+    split = spectral_split(DenseOp([[0.5, 1e200], [0.0, 2.0]], L2))
+    assert split.P_S[0, 0] == 1.0 and (split.P_S[1] == 0.0).all()
+    assert split.P_S[0, 1] == pytest.approx(-1e200 / 1.5, rel=1e-12)
+
+
 def test_restricted_power_norms_exact_on_axes():
     op = saddle()
     split = spectral_split(op)
