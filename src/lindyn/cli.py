@@ -68,10 +68,6 @@ SUITES = ("finite_dim_equivalence", "block_product", "calculus", "contractive_su
 MAX_SUITE_SIZE = 10_000
 # the shadow task's walk and pseudo-orbit hold all n1 - n0 + 1 points at once
 MAX_SHADOW_STEPS = 100_000
-# the linf task solves one window per sample where the operator has no
-# split (one more under l1 and l2 where it has one), 4-8 ms each at linf_N 8
-# to 32, so this many samples take seconds, not hours
-MAX_LINF_SAMPLES = 1024
 
 
 def _num(x: float):
@@ -313,17 +309,11 @@ def _task_shadow(sc: Scenario) -> dict:
 def _task_linf(sc: Scenario) -> dict:
     params = sc.parameters
     n = _count(params, "linf_N", 16)
-    # linf_samples changes only the estimates that draw mixed samples: a
-    # split-less operator (spectrum on the circle) or an l1 or l2 norm; under
-    # linf on a split operator shad_estimate_linf runs one extremal solve
-    samples = _count(params, "linf_samples", 24)
-    # every window the estimate solves holds 2 N + 1 points: refuse what
+    # the estimate's defect samples are fixed (no parameter sets their
+    # number), and each window it solves holds 2 N + 1 points: refuse what
     # the window solve would, before the margin descent runs
-    for name, val, cap in (
-        ("linf_N", n, (WINDOW_SOLVE_MAX_LEN - 1) // 2),
-        ("linf_samples", samples, MAX_LINF_SAMPLES),
-    ):
-        _require(val <= cap, f"{name} must be at most {cap}", f"$.parameters.{name}")
+    cap = (WINDOW_SOLVE_MAX_LEN - 1) // 2
+    _require(n <= cap, f"linf_N must be at most {cap}", "$.parameters.linf_N")
     try:
         w = WindowedLinf(sc.op, n)
     except NonFinite:
@@ -338,7 +328,7 @@ def _task_linf(sc: Scenario) -> dict:
     return {
         "window_N": n,
         "injectivity_margin": _num(float(linf_injectivity_margin(w, rng_seed=sc.rng_seed))),
-        "shad_estimate": _num(shad_estimate_linf(w, samples, rng_seed=sc.rng_seed)),
+        "shad_estimate": _num(shad_estimate_linf(w)),
     }
 
 

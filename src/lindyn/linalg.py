@@ -165,7 +165,11 @@ class SparseBiSeq:
         if self.norm_tag == L1:
             return float(vals.sum())
         if self.norm_tag == L2:
-            return float(math.sqrt(float((vals * vals).sum())))
+            # Python abs keeps each modulus's bits; only an overflowing sum
+            # of squares is redone, scaled, as array_norm does
+            with np.errstate(over="ignore"):
+                sq = float((vals * vals).sum())
+            return math.sqrt(sq) if math.isfinite(sq) else float(_scaled_l2(vals[None, :])[0])
         return float(vals.max())
 
     def _require_same(self, other: "SparseBiSeq") -> None:

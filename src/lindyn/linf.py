@@ -180,44 +180,20 @@ def linf_injectivity_margin(w: WindowedLinf, rng_seed: int = 0) -> float:
     return descend(objective, ranked[0], dirs, scale=0.25)[1]
 
 
-def _defect_samples(w: WindowedLinf, count: int, rng_seed: int) -> list[np.ndarray]:
-    """Deterministic defect mix: iid unit rows, constant directions (basis
-    first), and resonant rows riding the operator's own powers."""
-    rng = rng_from_seed(rng_seed)
-    matrix = w.base.dense_matrix()
-    dim = w.dim
-    tag = w.base.norm_tag
-    steps = 2 * w.window_N
+def _defect_samples(w: WindowedLinf) -> list[np.ndarray]:
+    """The fixed defect set: for each basis vector u, in order, the constant
+    defects (u at every step) and the resonant ones (M^(i+1) u normalized,
+    u again where a power underflows), 2 dim samples in all."""
+    steps, M = 2 * w.window_N, w.base.dense_matrix()
+    # column b of M^(i+1) for i = 0 .. steps - 1, one sample per column
+    resonant = power_stack(M, M, steps)
     samples = []
-    basis_cursor = 0
-    for j in range(count):
-        kind = j % 3
-        rows = np.zeros((steps, dim), dtype=complex)
-        if kind == 0:
-            raw = rng.standard_normal((steps, dim)) + 1j * rng.standard_normal((steps, dim))
-            norms = row_norms(raw, tag)
-            rows = raw / norms[:, None]
-        elif kind == 1:
-            if basis_cursor < dim:
-                u = np.zeros(dim, dtype=complex)
-                u[basis_cursor] = 1.0
-                basis_cursor += 1
-            else:
-                raw = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-                u = raw / row_norms(raw[None, :], tag)[0]
-            rows[:] = u
-        else:
-            raw = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-            u = raw / row_norms(raw[None, :], tag)[0]
-            cur = u
-            for i in range(steps):
-                cur = matrix @ cur
-                nrm = row_norms(cur[None, :], tag)[0]
-                if nrm < 1e-300:
-                    cur = u
-                    nrm = 1.0
-                rows[i] = cur / nrm
-        samples.append(rows)
+    for u, rows in zip(np.eye(w.dim, dtype=complex), resonant.transpose(2, 0, 1)):
+        norms = row_norms(rows, w.base.norm_tag)
+        tiny = norms < 1e-300
+        rows = rows / np.where(tiny, 1.0, norms)[:, None]
+        rows[tiny] = u
+        samples += [np.tile(u, (steps, 1)), rows]
     return samples
 
 
@@ -249,27 +225,35 @@ def _unit_maximizers(g: np.ndarray, tag: str) -> np.ndarray:
 
 
 def _extremal_defect(dense: DenseOp, split: SpectralSplit, N: int) -> np.ndarray:
-    """The unit defects that the window's midpoint correction answers most to.
+    """The unit defects that one correction of the window answers most to.
 
-    Over a window of 2N defects, the correction at the midpoint is
-    e_N = sum_j G_j z_j with G_j = Gamma(N, j): (P_S M)^(N-1-j) P_S for
-    j < N and -(P_U M^-1)^(j-N+1) P_U for j >= N, the re-projected steps of
-    _correction. Row i* has the largest sum over j of the dual norms of
-    G_j[i, :], and z_j is the unit dual maximizer of G_j[i*, :]
-    (_unit_maximizers), so entry i* of e_N is that sum: under linf the
-    largest midpoint correction that unit defects can force.
+    Over a window of 2N defects, the correction at offset m (0 .. 2N) is
+    e_m = sum_j Gamma(m, j) z_j with Gamma(m, j) = (P_S M)^(m-1-j) P_S for
+    j < m and -(P_U M^-1)^(j-m+1) P_U for j >= m, the re-projected steps of
+    _correction. Row i of e_m sums, over j, the dual norms of the rows
+    Gamma(m, j)[i, :]: m stable powers from the 0th plus 2N - m unstable
+    ones from the 1st, so two cumulative sums give every offset. At the
+    largest sum (at the midpoint m = N where it ties), z_j is the unit dual
+    maximizer of Gamma(m, j)[i, :] (_unit_maximizers), so entry i of e_m is
+    that sum: under linf the largest correction that unit defects can force.
     """
     P_S, P_U = split.P_S, split.P_U
     K_U = P_U @ dense.inverse().matrix
-    G = np.concatenate(
-        [
-            power_stack(P_S @ dense.matrix, P_S, N)[::-1],
-            -power_stack(K_U, K_U @ P_U, N),
-        ]
+    stable = power_stack(P_S @ dense.matrix, P_S, 2 * N)
+    unstable = -power_stack(K_U, K_U @ P_U, 2 * N)
+    dual = DUAL_TAG[dense.norm_tag]
+    stable_sums, unstable_sums = (
+        np.cumsum(row_norms(G.reshape(-1, G.shape[2]), dual).reshape(G.shape[:2]), axis=0)
+        for G in (stable, unstable)
     )
-    duals = row_norms(G.reshape(-1, G.shape[2]), DUAL_TAG[dense.norm_tag])
-    i_star = int(duals.reshape(G.shape[:2]).sum(axis=0).argmax())
-    return _unit_maximizers(G[:, i_star, :], dense.norm_tag)
+    zero = np.zeros((1, dense.dim))
+    # sums[m, i]: row i of e_m, the first m stable and 2N - m unstable terms
+    sums = np.concatenate([zero, stable_sums]) + np.concatenate([zero, unstable_sums])[::-1]
+    m, i = divmod(int(sums.argmax()), sums.shape[1])
+    if sums[N].max() >= sums[m, i]:
+        m, i = N, int(sums[N].argmax())
+    G = np.concatenate([stable[:m][::-1], unstable[: 2 * N - m]])
+    return _unit_maximizers(G[:, i, :], dense.norm_tag)
 
 
 def _bounded_orbit(w: WindowedLinf, k, zs: np.ndarray) -> PseudoOrbit:
@@ -301,23 +285,24 @@ def _walked_orbit(w: WindowedLinf, k, start, zs: np.ndarray) -> PseudoOrbit:
         raise NotCertified(f"the sample walk peaks at {peak:.6g}: {exc}") from None
 
 
-def shad_estimate_linf(w: WindowedLinf, z_samples: int = 64, rng_seed: int = 0) -> float:
+def shad_estimate_linf(w: WindowedLinf) -> float:
     """Lower estimate of the shadowing constant from windowed defects.
 
     Each sample is a pseudo-orbit over the window with delta its largest
     defect, solved for the best exact orbit (shadow_window_solve); the
     solve's certified lower bound on the distance of every exact orbit,
-    over delta, is a lower bound for the constant. Which samples run:
+    over delta, is a lower bound for the constant. The estimate depends on
+    the operator and the window alone. Which samples run:
 
     - Where the window solve poses its problem in defect coordinates (a
       spectral split and an inverse), each orbit is x = -e, e the bounded
       correction of its defects, and the first sample is the extremal
-      defect (_extremal_defect). Under linf it is the only sample and
-      z_samples is not used; under l1 and l2 the z_samples mixed samples
-      (_defect_samples) follow it.
-    - Without a split (a spectrum touching the circle) each of the
-      z_samples mixed samples is walked forward from 0 with delta 1, and a
-      walk too large to resolve its unit defects is refused (_walked_orbit).
+      defect (_extremal_defect). Under linf it is the only sample; under l1
+      and l2 the fixed defect set (_defect_samples) follows it.
+    - Without a split (a spectrum touching the circle) each sample of the
+      fixed defect set is walked forward from 0 with delta 1, and a walk
+      too large to resolve its unit defects is refused (_walked_orbit)
+      before any window is solved.
 
     The estimate holds up to the rounding of the window solve's dual sums.
     No exact orbit can come closer than 1 / (1 + ||L||) (the one-step
@@ -326,8 +311,6 @@ def shad_estimate_linf(w: WindowedLinf, z_samples: int = 64, rng_seed: int = 0) 
     """
     if w.window_N < 1:
         raise ValueError("estimates need window_N >= 1")
-    if z_samples < 1:
-        raise ValueError("z_samples must be positive")
     floor = 1.0 / (1.0 + w.base.operator_norm()) - 1e-9
     tag = w.base.norm_tag
     zero = np.zeros((1, w.dim), dtype=complex)
@@ -336,14 +319,12 @@ def shad_estimate_linf(w: WindowedLinf, z_samples: int = 64, rng_seed: int = 0) 
     if split is None:
         k = _kind(w.base, None, zero, tag)
         start = k.load(zero)[0]
-        orbits = (
-            _walked_orbit(w, k, start, k.load(z_rows))
-            for z_rows in _defect_samples(w, z_samples, rng_seed)
-        )
+        # every walk is checked before the first solve
+        orbits = [_walked_orbit(w, k, start, k.load(zs)) for zs in _defect_samples(w)]
     else:
         k = _kind(dense, split, zero, tag)
-        mixed = [] if tag == LINF else _defect_samples(w, z_samples, rng_seed)
-        samples = [_extremal_defect(dense, split, w.window_N), *mixed]
+        fixed = [] if tag == LINF else _defect_samples(w)
+        samples = [_extremal_defect(dense, split, w.window_N), *fixed]
         orbits = (_bounded_orbit(w, k, zs) for zs in samples)
     best = 0.0
     for po in orbits:

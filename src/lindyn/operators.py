@@ -360,10 +360,6 @@ def monomial_power_sup(
     return MonomialPowers(mono, lo, hi).sup(n)
 
 
-def monomial_power_inf(mono: MonomialForm, n: int) -> float:
-    return 1.0 if n == 0 else min([math.inf, *MonomialPowers(mono).products(n)])
-
-
 # Most power norms a spectral radius estimate consults.
 GELFAND_HORIZON = 64
 
@@ -526,11 +522,12 @@ class _SeqOp(LinOp):
 class DiagonalOp(_SeqOp):
     kind = "diag"
 
-    __slots__ = ("rule", "norm_tag", "monomial")
+    __slots__ = ("rule", "norm_tag", "monomial", "_invertible")
 
     def __init__(self, rule, norm_tag: str):
         self.rule = rule
         self.norm_tag = check_norm_tag(norm_tag)
+        self._invertible = None
         left, right = rule.limits
         self.monomial = MonomialForm(
             shift=0,
@@ -549,9 +546,13 @@ class DiagonalOp(_SeqOp):
         )
 
     def invertible(self) -> bool:
-        inf = monomial_power_inf(self.monomial, 1)
-        sup = monomial_power_sup(self.monomial, 1)
-        return inf > 0.0 and math.isfinite(sup)
+        """Whether the weights are bounded and bounded away from 0, decided
+        on the first call from one pass over them."""
+        if self._invertible is None:
+            # the two limits always close the list, so it is never empty
+            weights = MonomialPowers(self.monomial).products(1)
+            self._invertible = min(weights) > 0.0 and math.isfinite(max(weights))
+        return self._invertible
 
     def inverse(self) -> "DiagonalOp":
         if not self.invertible():

@@ -314,7 +314,8 @@ def _simplex(cols, cost, basis, budget: int):
     rule (the lowest index on both sides) keeps the method from cycling.
     Rounding can still swap two nearly parallel columns back and forth, so
     a run of len(basis) degenerate pivots ends the solve: it leaves the
-    objective where it is, and every basis is feasible."""
+    objective where it is, and every basis is feasible. So does a reduced
+    cost that is not finite."""
     degenerate = 0
     for pivots in range(budget + 1):
         inv = np.linalg.inv(cols[:, basis])
@@ -322,10 +323,15 @@ def _simplex(cols, cost, basis, budget: int):
         # rounding leaves zero basics at about +-1e-17; count them as zero,
         # so that a degenerate pivot is seen as one
         xb = np.where(xb > 1e-13 * np.abs(xb).max(), xb, 0.0)
-        pi = cost[basis] @ inv
-        reduced = cost - pi @ cols
+        # pricing overflows where the cuts pass about 1e308
+        with np.errstate(over="ignore", invalid="ignore"):
+            pi = cost[basis] @ inv
+            reduced = cost - pi @ cols
+            noise = 1e-12 * (np.abs(cost) + np.abs(pi) @ np.abs(cols))
+        if not np.isfinite(reduced).all():
+            return pivots, pi, xb
         # a reduced cost counts only above the rounding of its own terms
-        reduced[reduced <= 1e-12 * (np.abs(cost) + np.abs(pi) @ np.abs(cols))] = 0.0
+        reduced[reduced <= noise] = 0.0
         reduced[basis] = 0.0
         j = int(np.argmax(reduced > 0.0) if degenerate else np.argmax(reduced))
         if reduced[j] == 0.0 or pivots == budget or degenerate > len(basis):

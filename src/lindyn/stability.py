@@ -704,8 +704,10 @@ def verify_contractive_sum(
 
     The same gamma is the shadowing constant of the contraction: its
     spectral splitting is all stable, so the series upper bound collapses
-    to exactly this sum.
+    to exactly this sum. The samples are dense vectors, so an operator
+    without a dense matrix is refused before any power is taken.
     """
+    dim = op.dense_matrix().shape[0]
     radius, _ = op.spectral_radius()
     if radius >= 1.0 - 1e-9:
         raise NotContractiveSpectrum(
@@ -714,7 +716,6 @@ def verify_contractive_sum(
     # closed with the block-geometric remainder, not the spectral radius: on
     # a non-normal operator the radius does not bound ||L^(n+1)|| / ||L^n||
     gamma, _ = _sum_until_tail(op.power_norms(), 0, SERIES_TAIL)
-    dim = op.dense_matrix().shape[0]
     rng = rng_from_seed(rng_seed)
     violations = 0
     max_ratio = 0.0

@@ -59,7 +59,7 @@ def test_acceptance_01_saddle_bounds_and_window_estimate():
     t0 = time.perf_counter()
     op = saddle()
     b = shad_bounds(op, spectral_split(op))
-    est = shad_estimate_linf(WindowedLinf(op, 32), z_samples=64, rng_seed=0)
+    est = shad_estimate_linf(WindowedLinf(op, 32))
     elapsed = time.perf_counter() - t0
     ok = (
         abs(b.upper - 3.0) <= 1e-9
@@ -150,7 +150,7 @@ def test_acceptance_04_rotation_non_shadowing():
     t0 = time.perf_counter()
     op = quarter_rotation()
     sizes = (8, 16, 32, 64)
-    ests = [shad_estimate_linf(WindowedLinf(op, n), z_samples=16, rng_seed=4) for n in sizes]
+    ests = [shad_estimate_linf(WindowedLinf(op, n)) for n in sizes]
     margins = [linf_injectivity_margin(WindowedLinf(op, n)) for n in sizes]
     ratios = [float(margins[i + 1] / margins[i]) for i in range(len(sizes) - 1)]
     elapsed = time.perf_counter() - t0

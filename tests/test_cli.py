@@ -92,6 +92,21 @@ def test_run_scenario_bounds_a_defective_eigenbasis():
     assert tasks["bounds"]["result"]["lower"] <= 6.0 <= tasks["bounds"]["result"]["upper"]
 
 
+@pytest.mark.parametrize("norm", ["l1", "l2", "linf"])
+@pytest.mark.parametrize("matrix", [[[0.5, 0.0], [0.0, 2.0]], [[0.0, -1.0], [1.0, 0.0]]])
+def test_linf_task_ignores_linf_samples(matrix, norm):
+    # the estimate's defect samples are fixed, so linf_samples is a key that
+    # no task reads, with or without a split
+    cfg = {
+        "operator": {"kind": "dense", "matrix": matrix, "norm": norm},
+        "tasks": ["linf"],
+        "parameters": {"linf_N": 8},
+    }
+    with_samples = copy.deepcopy(cfg)
+    with_samples["parameters"]["linf_samples"] = 6
+    assert run_scenario(with_samples) == run_scenario(cfg)
+
+
 SHADOW_CFG = {
     "name": "unit-saddle-shadow",
     "operator": {"kind": "dense", "matrix": [[0.5, 0.0], [0.0, 2.0]], "norm": "linf"},
@@ -248,7 +263,7 @@ def test_suite_size_validation():
         ("shadow", {"delta": -1}, 2),
         ("shadow", {"window": [5, 0]}, 2),
         ("shadow", {"window": [0, True]}, 2),
-        ("linf", {"linf_samples": 0}, 2),
+        ("linf", {"linf_N": 0}, 2),
         ("linf", {"linf_N": 5000}, 2),
         ("conjugacy", {"amplitude": "big"}, 2),
         ("conjugacy", {"radius": 0}, 2),
@@ -285,13 +300,19 @@ OVERFLOWING_POWERS = [[0.99, 1e307], [0.0, 0.99]]
 @pytest.mark.parametrize("norm", ["l1", "l2", "linf"])
 def test_overflowing_powers_are_refused_under_every_norm(tmp_path, capsys, norm):
     # bounds once met a LinAlgError from an l2 norm of a non-finite power,
-    # and under l1 and linf summed 10,000 non-finite terms before refusing
+    # and under l1 and linf summed 10,000 non-finite terms before refusing;
+    # under linf the expansivity LP's pricing overflowed with 66 warnings
     cfg = {
         "operator": {"kind": "dense", "matrix": OVERFLOWING_POWERS, "norm": norm},
-        "tasks": ["bounds", "shadow"],
+        "tasks": ["bounds", "shadow", "expansivity"],
     }
     tasks = run_scenario(cfg)["tasks"]
     assert tasks["bounds"]["error"] == "NON_FINITE"
+    growth = tasks["expansivity"]
+    if growth["ok"]:
+        assert all(1.0 <= lower <= value for _, lower, value in growth["result"]["window_growth"])
+    else:
+        assert growth["error"] in ("NON_FINITE", "NOT_CERTIFIED")
     assert tasks["shadow"]["message"] == (
         "no shadowing method succeeded out of "
         "[splitting_series: NOT_INVERTIBLE, window_solve: NON_FINITE]"
@@ -373,8 +394,8 @@ NINE_SADDLE = [[(0.5 if i < 4 else 2.0) if i == j else 0.0 for j in range(9)] fo
         # the 601-point window with a traceback
         ([[0.5, 0.0], [0.0, 2.0]], {"linf_N": 300}, "$.parameters.linf_N"),
         (NINE_SADDLE, {"linf_N": 2}, "$.operator"),
-        # every sample was built, then solved, for hours
-        ([[0.5, 0.0], [0.0, 2.0]], {"linf_samples": 10**9}, "$.parameters.linf_samples"),
+        # the first window past the cap, on an operator without a split
+        ([[0.0, -1.0], [1.0, 0.0]], {"linf_N": 256}, "$.parameters.linf_N"),
     ],
 )
 def test_linf_task_refuses_what_the_window_solve_cannot_take(
@@ -446,9 +467,10 @@ def test_main_refuses_runaway_work_quickly(tmp_path, capsys, operator, task, err
 # borderline values (zero, unit weights, nan, overflow), half of them with
 # one number or string at any depth replaced by a wrongly typed value. Only
 # the number of examples and the sizes that set a task's running time
-# (windows, linf_N, linf_samples, suite size, matrix side) are kept small,
+# (windows, linf_N, suite size, matrix side) are kept small,
 # so that the test fits tier-1 time. The rare large ones (a 9x9 saddle, a
-# linf_N or linf_samples past its cap) are refused before any work.
+# linf_N past its cap) are refused before any work; linf_samples, large or
+# not, is a key that no task reads.
 JUNK = st.sampled_from([None, True, "x", [], {}, [1, 2, 3]])
 
 
@@ -502,7 +524,7 @@ PARAMETERS = st.fixed_dictionaries(
             st.fixed_dictionaries({"entries": st.dictionaries(INDEX, SCALAR, max_size=2)}),
         ),
         "linf_N": rarely(COUNT, st.just(WINDOW_SOLVE_MAX_LEN // 2 - 1)).map(lambda n: n + 1),
-        "linf_samples": rarely(COUNT, st.just(cli.MAX_LINF_SAMPLES + 1)),
+        "linf_samples": rarely(COUNT, st.just(1025)),
         "eps": NUMBER,
         "map": st.just("saddle_cubic"),
         "box_radius": NUMBER,
@@ -564,10 +586,11 @@ def _linf_scenario(matrix, **params):
 
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(cfg=WELL_TYPED | WELL_TYPED.flatmap(_mutate))
-# the rare draws past the linf task's caps, each at least once
+# the rare draws past the linf task's caps, each at least once, and the
+# rare linf_samples
 @example(cfg=_linf_scenario(NINE_SADDLE, linf_N=2))
 @example(cfg=_linf_scenario([[0.5, 0.0], [0.0, 2.0]], linf_N=WINDOW_SOLVE_MAX_LEN // 2))
-@example(cfg=_linf_scenario([[0.5, 0.0], [0.0, 2.0]], linf_samples=cli.MAX_LINF_SAMPLES + 1))
+@example(cfg=_linf_scenario([[0.5, 0.0], [0.0, 2.0]], linf_samples=1025))
 def test_main_exit_codes_on_mutated_scenarios(tmp_path_factory, cfg):
     path = tmp_path_factory.mktemp("fuzz") / "scenario.json"
     path.write_text(json.dumps(cfg))

@@ -133,5 +133,5 @@ def test_bounded_samples_never_lose_to_the_walked_ones(tag):
     # one window problem; the extremal defect only adds a sample
     for seed, walked in enumerate(WALKED_ESTIMATES[tag]):
         M = random_margin_matrix(2 + seed % 3, rng_from_seed(700 + seed), margin=0.05)
-        estimate = shad_estimate_linf(WindowedLinf(DenseOp(M, tag), 16), 6, rng_seed=seed)
+        estimate = shad_estimate_linf(WindowedLinf(DenseOp(M, tag), 16))
         assert estimate >= walked * (1.0 - 1e-6)

@@ -187,6 +187,18 @@ def test_l2_norms_of_huge_finite_coordinates_stay_finite():
     assert row_norms(np.array([[np.inf, 1.0]]), L2).tolist() == [np.inf]
 
 
+@pytest.mark.filterwarnings("error")
+def test_sparse_l2_norm_of_huge_entries_stays_finite():
+    # the sum of squares overflowed to inf with a RuntimeWarning
+    big = SparseBiSeq({0: 1e200, 1: 1e200}, L2).norm()
+    assert big == DenseVector([1e200, 1e200], L2).norm()
+    assert big == pytest.approx(math.sqrt(2.0) * 1e200, rel=1e-15)
+    # a finite sum keeps its bits: squares of Python abs of each entry
+    entries = {k: complex(0.1 * k + 0.3, 0.7 - 0.2 * k) for k in range(-3, 4)}
+    vals = np.array([abs(v) for v in entries.values()])
+    assert SparseBiSeq(entries, L2).norm() == math.sqrt(float((vals * vals).sum()))
+
+
 def test_power_stack_of_one_power_is_q():
     Q = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
     got = power_stack(np.full((3, 3), 7.0), Q, 1)

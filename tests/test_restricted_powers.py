@@ -47,7 +47,6 @@ from lindyn.operators import (
     SignWeights,
     TableWeights,
     _candidate_anchors,
-    monomial_power_inf,
     monomial_power_sup,
 )
 from lindyn.sampling import random_margin_matrix, rng_from_seed
@@ -171,21 +170,6 @@ def test_monomial_powers_match_per_n_products(rule):
             check_orders(lambda: MonomialPowers(mono, lo, hi).sup, want)
             # the per-n API builds a fresh evaluator for every n
             assert_same_floats([monomial_power_sup(mono, n, lo, hi) for n in range(N + 1)], want)
-
-
-def test_monomial_power_inf_matches_per_n_products():
-    for rule in RULES.values():
-        for op in sequence_ops(rule, L1).values():
-            mono = op.monomial
-            for n in (0, 1, 2, 7):
-                cands, into_left, into_right = _candidate_anchors(mono, n, None, None)
-                want = min(ref_product_abs(mono, j, n) for j in cands) if n else 1.0
-                if n:
-                    if into_left:
-                        want = min(want, mono.left_limit_abs**n)
-                    if into_right:
-                        want = min(want, mono.right_limit_abs**n)
-                assert monomial_power_inf(mono, n) == want
 
 
 @pytest.mark.parametrize("tag", [L1, LINF])
@@ -360,6 +344,19 @@ def test_linf_probe_walks_only_inside_the_side():
         assert (bounds.lower, bounds.upper) == (2.0, 2.5)
         reads[tag] = rule.reads
     assert 0 < reads[LINF] <= reads[L1]
+
+
+def test_diagonal_invertibility_reads_the_weights_once():
+    # each invertible() call read the weights again, twelve reads a call on
+    # R o W, and inverse() asks it once more
+    rule = CountingWeights(SignWeights(neg_and_zero=0.5, pos=3.0))
+    op = CompositionOp([ShiftOp(1, LINF), DiagonalOp(rule, LINF)])
+    assert op.invertible()
+    assert rule.reads > 0
+    rule.read_at.clear()
+    assert op.invertible() and op.factors[1].invertible()
+    op.inverse()
+    assert rule.reads == 0
 
 
 def test_resolvent_sums_read_each_weight_once(monkeypatch):

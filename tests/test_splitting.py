@@ -25,6 +25,7 @@ from lindyn import (
     composition_gh_check,
     resolvent_norm_S,
     resolvent_norm_U_inv,
+    shad_bounds,
     spectral_split,
 )
 from lindyn.gallery import (
@@ -281,3 +282,17 @@ def test_composition_certificate_agrees_with_direct_route():
     assert cert.klass == direct.klass
     diff = cert.witness - direct.witness
     assert diff.norm() < 1e-12
+
+
+@pytest.mark.parametrize("tag", [L1, L2, LINF])
+def test_diagonal_resolvents_sum_each_weight_in_closed_form(tag):
+    # a diagonal operator has no shift, so each side's resolvent is the
+    # largest 1 / |1 - c| (from k = 0) or |c| / |1 - c| (from k = 1) over
+    # its weights and tails: 1 / (1 - 1/2) on S and (1/2) / (1 - 1/2) on U
+    op = DiagonalOp(SignWeights(neg_and_zero=0.5, pos=2.0), tag)
+    split = CoordinateSplit(cutoff=0, norm_tag=tag)
+    assert classify(op, split).klass == HYPERBOLIC
+    bounds = shad_bounds(op, split)
+    assert (bounds.lower, bounds.upper) == (2.0, 3.0)
+    assert resolvent_norm_S(op, split) == 2.0
+    assert resolvent_norm_U_inv(op, split) == 1.0

@@ -43,7 +43,7 @@ from lindyn.gallery import (
     shifted_weighted_contraction,
 )
 from lindyn.linalg import array_norm
-from lindyn.operators import CompositionOp, SignWeights
+from lindyn.operators import CompositionOp, MonomialPowers, SignWeights
 from lindyn.sampling import (
     random_margin_matrix,
     random_spectral_contraction,
@@ -621,6 +621,24 @@ def test_contractive_sum_closes_on_a_subnormal_power():
     upper = shad_bounds(op, spectral_split(op)).upper
     assert abs(rep.gamma - upper) <= 1e-9 * upper
     assert rep.violations == 0
+
+
+def test_contractive_sum_refuses_a_sequence_operator_before_it_sums(monkeypatch):
+    # the series once ran its 10,000 terms before the dense matrix was read,
+    # and the refusal was NOT_CERTIFIED rather than KIND_MISMATCH
+    taken = []
+    products = MonomialPowers.products
+
+    def counted(self, n, stay=False):
+        taken.append(n)
+        return products(self, n, stay)
+
+    monkeypatch.setattr(MonomialPowers, "products", counted)
+    op = DiagonalOp(SignWeights(neg_and_zero=0.9999, pos=0.9999), L1)
+    with pytest.raises(KindMismatch) as refusal:
+        verify_contractive_sum(op)
+    assert refusal.value.code == "KIND_MISMATCH"
+    assert taken == []
 
 
 def test_contractive_sum_rejects_saddle():
