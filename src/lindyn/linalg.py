@@ -428,7 +428,8 @@ def dense_eig(matrix) -> list[tuple[complex, np.ndarray]]:
         pivot = int(np.argmax(np.abs(v)))
         phase = v[pivot] / abs(v[pivot])
         v = v / phase
-        resid = float(np.linalg.norm(m @ v - lam * v))
+        # array_norm, as a sum of squares of entries past 1e154 overflows
+        resid = array_norm(m @ v - lam * v, L2)
         if resid > EIG_RESIDUAL_REL * scale:
             raise NoConvergence(
                 f"eigen residual {resid:.3g} exceeds {EIG_RESIDUAL_REL:.0e} * norm",

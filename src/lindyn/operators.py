@@ -319,7 +319,10 @@ class MatrixPowers:
     """
 
     def __init__(self, P: np.ndarray, M: np.ndarray, tag: str):
-        self.step, self.X, self.tag = P @ M, P, tag
+        # a non-finite step makes power 1 non-finite, refused where it is read
+        with np.errstate(over="ignore", invalid="ignore"):
+            self.step = P @ M
+        self.X, self.tag = P, tag
         self.norms = [mat_norm(P, tag)]
         self.end = None
 
@@ -461,10 +464,13 @@ class DenseOp(LinOp):
     kind = "dense"
     vector_kind = "dense"
 
-    __slots__ = ("matrix", "norm_tag", "_invertible", "_inverse")
+    __slots__ = ("_matrix", "norm_tag", "_invertible", "_inverse", "_split")
 
     def __init__(self, matrix, norm_tag: str, invertible: Optional[bool] = None):
-        self.matrix = as_square_matrix(matrix)
+        # read-only, as the inverse and the spectral split memoized on the
+        # operator (splitting.spectral_split) are computed from it once
+        self._matrix = as_square_matrix(matrix)
+        self._matrix.setflags(write=False)
         self.norm_tag = check_norm_tag(norm_tag)
         sv = np.linalg.svd(self.matrix, compute_uv=False)
         detectable = bool(sv[-1] > 1e-13 * max(1.0, float(sv[0])))
@@ -477,10 +483,15 @@ class DenseOp(LinOp):
         else:
             self._invertible = bool(invertible)
         self._inverse = None
+        self._split = None
+
+    @property
+    def matrix(self) -> np.ndarray:
+        return self._matrix
 
     @property
     def dim(self) -> int:
-        return int(self.matrix.shape[0])
+        return int(self._matrix.shape[0])
 
     def dense_matrix(self) -> np.ndarray:
         return self.matrix

@@ -97,7 +97,9 @@ def line_minimize(phi: Callable[[float], float], phi0: float, scale: float) -> t
 class NormRatio:
     """The objective x -> max_r ||num(x)_r|| / max_r ||den(x)_r|| in the norm
     tag, for linear maps num and den from x to (rows, d) arrays; infinite
-    where the denominator is below floor."""
+    where the denominator is below floor or the ratio is not finite, so an
+    overflowed value is never a minimum. Its callers silence the overflow
+    warnings, once per solve (see descend)."""
 
     num: Callable[[np.ndarray], np.ndarray]
     den: Callable[[np.ndarray], np.ndarray]
@@ -108,7 +110,8 @@ class NormRatio:
         bottom = max_row_norm(self.den(x), self.tag)
         if bottom < self.floor:
             return math.inf
-        return max_row_norm(self.num(x), self.tag) / bottom
+        ratio = max_row_norm(self.num(x), self.tag) / bottom
+        return ratio if ratio < math.inf else math.inf
 
     def line(self, x: np.ndarray, u: np.ndarray) -> Callable[[float], float]:
         """phi(t) = self(x + t u) up to rounding, evaluated on Python scalars.
@@ -118,9 +121,13 @@ class NormRatio:
         phi(t) = max(r_out, max_r ||a_r + t b_r||) / max(r_in, max_r ||c_r + t e_r||)
         over the rows the direction moves, with the constants r_out and r_in
         the largest norms of the rows it does not move. All of these are
-        built once per line.
+        built once per line. Where num(x) or num(u) is not finite, phi is
+        infinite: the row loops would pass over a nan.
         """
-        num = _line_norm(self.num(x), self.num(u), self.tag)
+        a, b = self.num(x), self.num(u)
+        if not (np.isfinite(a).all() and np.isfinite(b).all()):
+            return lambda t: math.inf
+        num = _line_norm(a, b, self.tag)
         den = _line_norm(self.den(x), self.den(u), self.tag)
         floor = self.floor
 
@@ -128,7 +135,8 @@ class NormRatio:
             bottom = den(t)
             if bottom < floor:
                 return math.inf
-            return num(t) / bottom
+            ratio = num(t) / bottom
+            return ratio if ratio < math.inf else math.inf
 
         return phi
 
@@ -183,6 +191,9 @@ def _line_norm(a: np.ndarray, b: np.ndarray, tag: str) -> Callable[[float], floa
     return largest_l2
 
 
+# one errstate per solve: the objective and its lines overflow where powers
+# or cuts pass the largest float, and read an overflow as infinite
+@np.errstate(over="ignore", invalid="ignore")
 def descend(
     objective: NormRatio,
     x0: np.ndarray,
@@ -323,11 +334,11 @@ def _simplex(cols, cost, basis, budget: int):
         # rounding leaves zero basics at about +-1e-17; count them as zero,
         # so that a degenerate pivot is seen as one
         xb = np.where(xb > 1e-13 * np.abs(xb).max(), xb, 0.0)
-        # pricing overflows where the cuts pass about 1e308
-        with np.errstate(over="ignore", invalid="ignore"):
-            pi = cost[basis] @ inv
-            reduced = cost - pi @ cols
-            noise = 1e-12 * (np.abs(cost) + np.abs(pi) @ np.abs(cols))
+        # pricing overflows where the cuts pass about 1e308 (min_max_norm
+        # silences the warnings)
+        pi = cost[basis] @ inv
+        reduced = cost - pi @ cols
+        noise = 1e-12 * (np.abs(cost) + np.abs(pi) @ np.abs(cols))
         if not np.isfinite(reduced).all():
             return pivots, pi, xb
         # a reduced cost counts only above the rounding of its own terms
@@ -384,6 +395,7 @@ def _newton(B, c, x, t, lam, radius: float):
     return x, t, lam
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def min_max_norm(A: np.ndarray, e: np.ndarray, tag: str) -> MinMaxNorm:
     """Minimize max_n ||A_n w + e_n||_tag over complex w, with a dual bound.
 
@@ -405,6 +417,11 @@ def min_max_norm(A: np.ndarray, e: np.ndarray, tag: str) -> MinMaxNorm:
     and the smallest singular value of the stacked A_n, so the residual of
     the dual equality is paid for as R ||sum lam_c a_c||_1 rather than
     assumed zero. The bound holds up to the rounding of these sums.
+
+    The solve runs under one errstate: pieces and cuts overflow where the
+    entries pass about 1e154. An overflowed piece is never taken for a
+    minimum (nan and inf fail every comparison below f_best), and a reduced
+    cost that is not finite ends the simplex.
     """
     N, d, m = A.shape
     B, c = _blocks(A, e, tag)
@@ -470,8 +487,7 @@ def min_max_norm(A: np.ndarray, e: np.ndarray, tag: str) -> MinMaxNorm:
         for _ in range(2 * nv):
             # squares past about 1e154 overflow, and lstsq then raises LinAlgError
             try:
-                with np.errstate(over="ignore", invalid="ignore"):
-                    polished = _newton(B[act], c[act], xn, tn, lam, radius)
+                polished = _newton(B[act], c[act], xn, tn, lam, radius)
             except np.linalg.LinAlgError:
                 break
             if polished is None:

@@ -22,6 +22,13 @@ differently, by an ulp of images that can pass 1e60. The correction series
 (_series_points) is a doubling scan on rows and a step recursion on vectors,
 and the exactness check batches its images; both are far inside their
 tolerances. Gamma (stability) runs on coordinate arrays instead.
+
+The one-step defects of an orbit are measured where it is certified: from
+the images its walk kept (generate_pseudo_orbit on rows) or by max_defect.
+The splitting series measures them once more, under its operator, and keeps
+its points per (op, split) for the last orbit (_series_orbit); the window
+solve of the same orbit reads them there, so neither its defects nor its
+scans are computed again.
 """
 
 from __future__ import annotations
@@ -72,8 +79,10 @@ CONTRACTION_SLACK = 1e-10
 class PseudoOrbit:
     """Points indexed n0 .. n0 + len(points) - 1 with certified defect delta,
     stored as the module docstring says, in the norm norm_tag. Its one-step
-    defects are measured wherever they are needed, under the operator at
-    hand (see _defects)."""
+    defects are not stored: they are measured where the orbit is certified
+    and where the splitting series is first taken on it, under the operator
+    at hand (see the module docstring). It compares by identity, which keys
+    the series points kept for it."""
 
     n0: int
     points: np.ndarray
@@ -198,11 +207,13 @@ def max_defect(op: LinOp, po: PseudoOrbit) -> float:
     return k.sup(_defects(k, k.load(po.points)))
 
 
-def _certified(op: LinOp, po: PseudoOrbit) -> PseudoOrbit:
-    """po, once every defect is re-verified against its delta."""
+def _certified(op: LinOp, po: PseudoOrbit, worst: Optional[float] = None) -> PseudoOrbit:
+    """po, once every defect is re-verified against its delta; worst, if
+    given, is the largest defect as max_defect measures it."""
     if po.delta < 0:
         raise ValueError("delta must be nonnegative")
-    worst = max_defect(op, po)
+    if worst is None:
+        worst = max_defect(op, po)
     if worst > po.delta * (1.0 + 1e-12) + 1e-300:
         raise ValueError(f"defect {worst:.6g} exceeds declared delta {po.delta:.6g}")
     return po
@@ -212,6 +223,45 @@ def pseudo_orbit(op: LinOp, n0: int, vectors: Sequence, delta: float) -> PseudoO
     """Build a pseudo-orbit from vectors, checked as they enter (see
     _stack), re-verifying every defect against delta."""
     return _certified(op, PseudoOrbit(n0, _stack(op, vectors), delta, op.norm_tag))
+
+
+# steps a kicked walk takes between its checks (_kicked_walk)
+WALK_BLOCK = 64
+
+
+def _kicked_walk(M: np.ndarray, start: np.ndarray, kicks: np.ndarray, delta: float, tag: str):
+    """The rows x_0 = start, x_{i+1} = M x_i + kicks[i], and their images
+    M x_i, one M @ x per step as DenseOp.apply takes it.
+
+    A kick whose stored sum differs from the image by more than delta (once
+    the orbit magnitude reaches delta / ulp, rounding can lift it there) is
+    dropped: that point is its image, and the walk goes on from it. Each
+    block of WALK_BLOCK steps is walked, checked finite, which refuses an
+    overflowing walk near its first non-finite row, and then checked for
+    drops in one row_norms call; a block with a drop is walked again from
+    the dropped point.
+    """
+    steps, dim = kicks.shape
+    points = np.empty((steps + 1, dim), dtype=complex)
+    imgs = np.empty((steps, dim), dtype=complex)
+    points[0] = start
+    lo = 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        while lo < steps:
+            hi = min(lo + WALK_BLOCK, steps)
+            x = points[lo]
+            for i in range(lo, hi):
+                img = imgs[i] = M @ x
+                x = points[i + 1] = img + kicks[i]
+            check_finite(points[lo + 1 : hi + 1])
+            over = row_norms(points[lo + 1 : hi + 1] - imgs[lo:hi], tag) > delta
+            if over.any():
+                lo += int(over.argmax())
+                points[lo + 1] = imgs[lo]
+                lo += 1
+            else:
+                lo = hi
+    return points, imgs
 
 
 def generate_pseudo_orbit(
@@ -225,17 +275,30 @@ def generate_pseudo_orbit(
 
     Perturbation directions are unit vectors from the seeded generator and
     magnitudes are uniform in [0, delta), so the declared delta is certified
-    by construction and re-verified on assembly.
+    by construction and re-verified on assembly. On rows (a DenseOp) all
+    directions, then all magnitudes, are drawn at once, and the walk keeps
+    its images (_kicked_walk): the defects certified are the images less
+    the next points, the bits max_defect measures. On vectors each step
+    perturbs the image of the last point.
     """
     n0, n1 = window
     if n1 < n0:
         raise ValueError("window must satisfy n0 <= n1")
+    if delta < 0:
+        raise ValueError("delta must be nonnegative")
     if n0 < 0 and not op.invertible():
         raise NotInvertible("negative window start needs an invertible operator")
     rng = rng_from_seed(rng_seed)
     steps = n1 - n0
     start = _stack(op, [seed])
     k = _kind(op, None, start, op.norm_tag)
+    if k.rows:
+        dirs = unit_dense_rows(seed.dim, seed.norm_tag, steps, rng)
+        mags = rng.uniform(0.0, 1.0, size=steps)
+        kicks = dirs * (delta * mags).astype(complex)[:, None]
+        points, imgs = _kicked_walk(op.matrix, start[0], kicks, delta, op.norm_tag)
+        worst = max_row_norm(imgs - points[1:], op.norm_tag)
+        return _certified(op, PseudoOrbit(n0, _stored(points), delta, op.norm_tag), worst)
     dirs = None
     if isinstance(seed, DenseVector):
         dirs = k.load(unit_dense_rows(seed.dim, seed.norm_tag, steps, rng))
@@ -487,6 +550,21 @@ def _series_points(k: _Kind, rows: np.ndarray) -> np.ndarray:
         return rows + _correction(k, zs, rows[0] * 0j)
 
 
+def _series_orbit(k: _Kind, po: PseudoOrbit, rows: np.ndarray) -> np.ndarray:
+    """The splitting-series points of po, whose kind's points are rows,
+    read-only. They are computed once per (op, split) for the last orbit
+    and kind seen, and kept in _series_memo under the orbit's identity
+    (PseudoOrbit compares by identity), so the splitting series and the
+    window solve of one orbit share them bit for bit."""
+    memo = _series_memo(k.op, k.split)
+    held = memo.get("orbit")
+    if held is None or held[0] is not po or held[1] != k.rows:
+        points = _series_points(k, rows)
+        points.setflags(write=False)
+        held = memo["orbit"] = (po, k.rows, points)
+    return held[2]
+
+
 def shadow_splitting_series(
     op: LinOp, split: Splitting, po: PseudoOrbit, report: Optional[HyperbolicityReport] = None
 ) -> ShadowResult:
@@ -496,8 +574,8 @@ def shadow_splitting_series(
     window both correction series are finite sums, forward on the stable
     side and backward through the inverse on the unstable side: doubling
     scans on a DenseOp's rows, step recursions on vectors, both on the
-    defects that certified po, measured again under op (see
-    _series_points). sup_error is the distance of the stored trajectory to
+    defects that certified po, measured again under op, once per orbit (see
+    _series_orbit). sup_error is the distance of the stored trajectory to
     the points, as verify_shadow measures it. The classification and the
     series constants are computed once per (op, split).
     """
@@ -514,7 +592,7 @@ def shadow_splitting_series(
         memo["constants"] = series_constants(op, split)
     k = _kind(op, split, po.points, po.norm_tag)
     rows = k.load(po.points)
-    points = _series_points(k, rows)
+    points = _series_orbit(k, po, rows)
     result = ShadowResult(
         trajectory=k.store(points),
         sup_error=k.sup(k.finite(points - rows)),
@@ -578,7 +656,8 @@ def shadow_window_solve(op: LinOp, po: PseudoOrbit) -> ShadowResult:
     min_w max_n ||A_n w + e_n|| with e_n = p_n - x_n (optim.min_max_norm).
     Where the operator has a spectral split and an inverse, the problem is
     posed in defect coordinates: p is the splitting-series orbit, bit for
-    bit (the same scans of the same defects, see _series_points), and
+    bit (the same scans of the same defects, read from the series memo
+    where the series was taken on po under op, see _series_orbit), and
     A_n w = L^n Q_S a + L^(n-N) Q_U b, with Q_S and Q_U the split's
     orthonormal bases of the ranges of P_S and P_U carried forward by P_S L
     and backward by P_U L^-1, so the coefficients of a side vector never
@@ -615,7 +694,7 @@ def shadow_window_solve(op: LinOp, po: PseudoOrbit) -> ShadowResult:
         particular = k.walk(rows[0], count - 1)
         A = power_stack(dense.matrix, np.eye(dim), count)
     else:
-        particular = _series_points(k, rows)
+        particular = _series_orbit(k, po, rows)
         A = np.concatenate(
             [
                 power_stack(split.P_S @ dense.matrix, split.Q_S, count),

@@ -25,6 +25,7 @@ from .errors import (
     HypothesisFailed,
     InvalidSplitting,
     KindMismatch,
+    LindynError,
     NoConvergence,
     NonFinite,
     NotCertified,
@@ -136,9 +137,29 @@ def spectral_split(op: DenseOp, circle_gap_tol: float = DEFAULT_CIRCLE_GAP_TOL) 
     function is Newton's iteration (Higham, Functions of Matrices, 2008,
     ch. 5), so defective sides need no eigenvectors. A side with no
     eigenvalue gets its projection exactly.
+
+    At the default gap the split, or its refusal, is memoized on op, as
+    op.inverse() is (op.matrix is read-only), so every caller shares one
+    split and, through it, one _series_memo entry per operator.
     """
     if not isinstance(op, DenseOp):
         raise KindMismatch("spectral splitting is defined for dense operators")
+    if circle_gap_tol != DEFAULT_CIRCLE_GAP_TOL:
+        return _spectral_split(op, circle_gap_tol)
+    held = op._split
+    if held is None:
+        try:
+            held = _spectral_split(op, circle_gap_tol)
+        except LindynError as exc:
+            held = exc.with_traceback(None)
+        op._split = held
+    if isinstance(held, LindynError):
+        raise held.with_traceback(None)
+    return held
+
+
+def _spectral_split(op: DenseOp, circle_gap_tol: float) -> SpectralSplit:
+    """spectral_split without the memo."""
     with np.errstate(all="ignore"):
         try:
             lams = np.linalg.eigvals(op.matrix)
@@ -276,7 +297,9 @@ class RestrictedPowers:
 def _series_memo(op: LinOp, split: Splitting) -> dict:
     """Work done once per (op, split), held on the split: both sides'
     RestrictedPowers ("S", "U"), read by classify and series_constants, and
-    shadowing's results. The entry keeps op, so its id is not reused."""
+    shadowing's results, among them the read-only series points of the last
+    orbit ("orbit", see shadowing._series_orbit). The entry keeps op, so its
+    id is not reused."""
     held, memo = split.memo.get(id(op), (None, None))
     if held is not op:
         memo = {side: RestrictedPowers(op, split, side) for side in "SU"}

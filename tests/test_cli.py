@@ -17,7 +17,7 @@ from lindyn.cli import (
     run_scenario,
     run_suite,
 )
-from lindyn.errors import ConfigInvalid, NotCertified
+from lindyn.errors import ConfigInvalid, LindynError, NotCertified
 from lindyn.shadowing import WINDOW_SOLVE_MAX_LEN
 
 from families import exact_linf_constant
@@ -323,6 +323,50 @@ def test_overflowing_powers_are_refused_under_every_norm(tmp_path, capsys, norm)
     out, err = capsys.readouterr()
     assert json.loads(out)["tasks"]["bounds"]["error"] == "NON_FINITE"
     assert "Traceback" not in err
+
+
+def _named_codes(cls=LindynError):
+    """The codes of every subclass of cls, the generic ERROR left out."""
+    out = set()
+    for sub in cls.__subclasses__():
+        out |= {sub.code} | _named_codes(sub)
+    return out
+
+
+# Fuzz draws that leaked RuntimeWarnings: a huge entry (1e152 to 1e258)
+# beside ordinary ones, or a tiny eigenvalue beside a large one.
+WARNING_LEAKS = [
+    # MatrixPowers' step product P @ M
+    ([[0, -291.4405530031813], [92.41557210107459, 9.037118367375504e257]], "linf", "bounds"),
+    # dense_eig's residual norm, a sum of squares past the largest float
+    (
+        [
+            [0.21075092541857507, 5.538812856914726, -3.5597270543593074],
+            [0.11013951108250891, 7.388167120670683e178, 1.8814525680856655],
+            [4.7211786446790835, 4.6215816857691205, 0.0],
+        ],
+        "l2", "expansivity",
+    ),
+    # NormRatio's products in the growth descent
+    (
+        [
+            [-481.9961704804045, 1.37768459507941, -18.464110899253356],
+            [1.2668874467697018, 0.0, -0.0030926345095662073],
+            [0.0016029168300779196, 1.5998254758064916e152, -0.4900770959589422],
+        ],
+        "l1", "expansivity",
+    ),
+    # min_max_norm's pieces and cuts in the window solve
+    ([[625.7091194780229, -2.3626046444427056], [0, 1.5681419373451997e-226]], "l2", "shadow"),
+]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("matrix, norm, task", WARNING_LEAKS)
+def test_overflowing_draws_leak_no_warning(matrix, norm, task):
+    cfg = {"operator": {"kind": "dense", "matrix": matrix, "norm": norm}, "tasks": [task]}
+    result = run_scenario(cfg)["tasks"][task]
+    assert result["ok"] or result["error"] in _named_codes()
 
 
 SINGULAR_STABLE = [[1e-13, 1e-50, -1e-8], [0.0, 0.0, 1e308], [0.0, 0.0, -1e-20]]

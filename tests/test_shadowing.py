@@ -117,6 +117,42 @@ def test_non_diagonal_operator_orbit_and_shadows_certify():
         assert max_defect(op, exact) <= 1e-12 * max_row_norm(res.trajectory, LINF)
 
 
+# A walk through the band where the orbit magnitude reaches delta / ulp:
+# one kick there rounds above delta and is dropped.
+DROPPING = (DenseOp([[1.5, 0.3], [0, 0.5]], L2), DenseVector([1, 1], L2), 7)
+
+
+def _dropped_steps(op, po):
+    """The steps n at which x_{n+1} == M x_n exactly."""
+    imgs = np.array([op.matrix @ x for x in po.points[:-1]])
+    return np.flatnonzero((imgs == po.points[1:]).all(axis=1))
+
+
+@pytest.mark.parametrize(
+    "op, seed, rng_seed",
+    [
+        # AC02's saddle orbits, which grow past 1e60
+        *((SADDLE, DenseVector(v, LINF), 1000 + i)
+          for i, v in enumerate(rng_from_seed(2).standard_normal((3, 2)))),
+        DROPPING,
+    ],
+)
+def test_rows_walk_is_the_vector_walk_bit_for_bit(op, seed, rng_seed):
+    # the rows walk draws all kicks at once and checks them in blocks; a
+    # one-factor composition walks vector by vector, drawing as it goes
+    po = generate_pseudo_orbit(op, seed, (0, 200), 1e-3, rng_seed)
+    ref = generate_pseudo_orbit(CompositionOp([op]), seed, (0, 200), 1e-3, rng_seed)
+    assert po.points.tobytes() == ref.points.tobytes()
+    assert max_defect(op, po) == max_defect(CompositionOp([op]), ref) <= 1e-3
+
+
+def test_rows_walk_drops_a_kick_that_rounds_above_delta():
+    op, seed, rng_seed = DROPPING
+    po = generate_pseudo_orbit(op, seed, (0, 200), 1e-3, rng_seed)
+    assert len(_dropped_steps(op, po)) > 0
+    assert max_defect(op, po) <= 1e-3
+
+
 @pytest.mark.parametrize("tag", [L1, L2, LINF])
 def test_dense_array_path_matches_per_vector_path_bit_for_bit(tag):
     # a one-factor composition runs DenseOp.apply vector by vector, so it
@@ -293,18 +329,19 @@ def test_window_particular_orbit_is_the_series_trajectory_bit_for_bit(monkeypatc
     series = shadow_splitting_series(op, spectral_split(op), po)
     out = []
 
-    def spy(k, rows):
-        out.append(series_points(k, rows))
+    def spy(k, po, rows):
+        out.append(series_orbit(k, po, rows))
         return out[-1]
 
-    series_points = shadowing._series_points
-    monkeypatch.setattr(shadowing, "_series_points", spy)
+    series_orbit = shadowing._series_orbit
+    monkeypatch.setattr(shadowing, "_series_orbit", spy)
     # under op and under a wrapping operator, whose matrix the window solve
-    # wraps in a DenseOp, the particular orbit is the series trajectory
+    # wraps in a DenseOp, the particular orbit is the series trajectory:
+    # under op it is read from the series memo, under the wrapper computed
     for solver_op in (op, CompositionOp([op])):
         shadow_window_solve(solver_op, po)
         assert out[-1].tobytes() == series.trajectory.tobytes()
-    assert len(out) == 2
+    assert len(out) == 2 and out[0] is series.trajectory
 
 
 def test_window_solve_matches_series():

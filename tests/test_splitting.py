@@ -75,6 +75,21 @@ def test_spectral_split_rejects_circle_spectrum():
         spectral_split(quarter_rotation())
 
 
+def test_spectral_split_is_memoized_on_the_operator():
+    # at the default gap one split, or one refusal, per operator, whose
+    # matrix is read-only; another gap computes its own
+    op = DenseOp(TRIANGULAR, LINF)
+    split = spectral_split(op)
+    assert spectral_split(op) is split
+    assert spectral_split(op, 1e-3) is not split
+    with pytest.raises(ValueError, match="read-only"):
+        op.matrix[0, 0] = 2.0
+    rotation = quarter_rotation()
+    for _ in range(2):
+        with pytest.raises(CircleEigenvalue):
+            spectral_split(rotation)
+
+
 def test_spectral_split_refuses_eigenvalues_rounded_across_the_circle():
     # a Jordan block at 0.99999 with coupling 1e7, in a rotated basis: its
     # computed eigenvalues split to about 0.957 and 1.043, while the sign
