@@ -8,6 +8,7 @@ files, 3 when at least one requested task reported an error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -16,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ConfigInvalid, LindynError, NonFinite, ReportIOError
+from .errors import ConfigInvalid, LindynError, NonFinite, NotCertified, ReportIOError
 from .expansivity import EXPANSIVE, expansive_eigen_test, expansivity_scan
 from .hypercyclic import adjoint_eigen_obstruction, criterion_witness, rolewicz
 from .gallery import NAMED_MAPS
@@ -182,7 +183,11 @@ class Scenario:
             "$.rng_seed",
         )
 
+    @functools.cached_property
     def splitting(self):
+        """The scenario's split, built at first use and kept, so that every
+        task shares it and the work memoized on it; a refusal is not kept,
+        and the next use builds it again."""
         cfg = self.split_cfg
         if cfg is None:
             if self.op.vector_kind == "dense":
@@ -220,7 +225,7 @@ def _default_seed_vector(op: LinOp):
 
 
 def _task_classify(sc: Scenario) -> dict:
-    rep = classify(sc.op, sc.splitting())
+    rep = classify(sc.op, sc.splitting)
     return {
         "class": rep.klass,
         "r_S": _num(rep.r_S),
@@ -231,7 +236,7 @@ def _task_classify(sc: Scenario) -> dict:
 
 
 def _task_bounds(sc: Scenario) -> dict:
-    b = shad_bounds(sc.op, sc.splitting())
+    b = shad_bounds(sc.op, sc.splitting)
     return {
         "upper": _num(b.upper),
         "lower": _num(b.lower),
@@ -267,7 +272,7 @@ def _task_shadow(sc: Scenario) -> dict:
     methods: dict = {}
     split = None
     try:
-        split = sc.splitting()
+        split = sc.splitting
     except LindynError:
         pass
     if split is not None:
@@ -302,7 +307,7 @@ def _task_shadow(sc: Scenario) -> dict:
             methods["window_solve"] = {"error": exc.code, "message": str(exc)}
     if all("error" in r for r in methods.values()):
         refused = ", ".join(f"{m}: {r['error']}" for m, r in sorted(methods.items()))
-        raise LindynError(f"no shadowing method succeeded out of [{refused}]")
+        raise NotCertified(f"no shadowing method succeeded out of [{refused}]")
     return {"delta": delta, "points": len(po.points), "methods": methods}
 
 
@@ -413,7 +418,7 @@ def _task_conjugacy(sc: Scenario) -> dict:
         amplitude=amplitude,
         direction=direction,
     )
-    split = sc.splitting()
+    split = sc.splitting
     sol = conjugacy_solve(sc.op, split, bump)
     inv_sol = inverse_conjugacy(sc.op, split, bump)
     rng = rng_from_seed(sc.rng_seed)
@@ -431,7 +436,7 @@ def _task_conjugacy(sc: Scenario) -> dict:
 
 
 def _task_homoclinic(sc: Scenario) -> dict:
-    split = sc.splitting()
+    split = sc.splitting
     _require(
         isinstance(split, CoordinateSplit),
         "the homoclinic search needs a coordinate splitting",

@@ -68,6 +68,10 @@ class NotCertified(LindynError):
     code = "NOT_CERTIFIED"
 
 
+class RankDeficient(NotCertified, ValueError):
+    """Stacked A_n without full column rank, as rounding leaves them beside entries of 1e209."""
+
+
 class NotContraction(LindynError):
     """Perturbation too large for the contraction-based construction."""
 

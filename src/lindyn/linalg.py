@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -63,29 +63,6 @@ class DenseVector:
         arr.setflags(write=False)
         self.coords = arr
         self.norm_tag = check_norm_tag(norm_tag)
-
-    @classmethod
-    def from_rows(cls, rows: np.ndarray, norm_tag: str) -> tuple["DenseVector", ...]:
-        """Wrap the rows of an (n, d) complex array as n dense vectors.
-
-        The array is validated once, as a whole, and made read-only; each
-        vector's coords is a view of its row, neither copied nor re-checked.
-        """
-        arr = np.ascontiguousarray(rows, dtype=complex)
-        if arr.ndim != 2:
-            raise ValueError("rows must be two-dimensional")
-        if not 1 <= arr.shape[1] <= MAX_DENSE_DIM:
-            raise ValueError(f"dimension must be in 1..{MAX_DENSE_DIM}, got {arr.shape[1]}")
-        check_finite(arr)
-        tag = check_norm_tag(norm_tag)
-        arr.setflags(write=False)
-        out = []
-        for row in arr:
-            v = object.__new__(cls)
-            v.coords = row
-            v.norm_tag = tag
-            out.append(v)
-        return tuple(out)
 
     @property
     def dim(self) -> int:

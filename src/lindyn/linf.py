@@ -37,6 +37,7 @@ from .shadowing import (
     _correction,
     _defect_split,
     _kind,
+    _stored,
     max_defect,
     shad_bounds,
     shadow_window_solve,
@@ -261,7 +262,7 @@ def _bounded_orbit(w: WindowedLinf, k, zs: np.ndarray) -> PseudoOrbit:
     (_correction): 0 is an exact orbit within sup |e|, so no point grows
     past about the shadowing constant times the defects. Its delta is its
     measured largest defect."""
-    points = k.store(-_correction(k, zs, None))
+    points = _stored(-_correction(k, zs))
     tag = w.base.norm_tag
     delta = max_defect(w.base, PseudoOrbit(-w.window_N, points, 1.0, tag))
     return PseudoOrbit(-w.window_N, points, delta, tag)
@@ -280,7 +281,7 @@ def _walked_orbit(w: WindowedLinf, k, start, zs: np.ndarray) -> PseudoOrbit:
             f"{WALK_ROUNDING:g} of its unit defects"
         )
     try:
-        return _certified(w.base, PseudoOrbit(-w.window_N, k.store(points), 1.0, w.base.norm_tag))
+        return _certified(w.base, PseudoOrbit(-w.window_N, _stored(points), 1.0, w.base.norm_tag))
     except ValueError as exc:
         raise NotCertified(f"the sample walk peaks at {peak:.6g}: {exc}") from None
 
@@ -318,9 +319,8 @@ def shad_estimate_linf(w: WindowedLinf) -> float:
     split = _defect_split(dense)
     if split is None:
         k = _kind(w.base, None, zero, tag)
-        start = k.load(zero)[0]
         # every walk is checked before the first solve
-        orbits = [_walked_orbit(w, k, start, k.load(zs)) for zs in _defect_samples(w)]
+        orbits = [_walked_orbit(w, k, zero[0], zs) for zs in _defect_samples(w)]
     else:
         k = _kind(dense, split, zero, tag)
         fixed = [] if tag == LINF else _defect_samples(w)

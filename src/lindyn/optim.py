@@ -26,6 +26,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .errors import RankDeficient
 from .linalg import L1, L2, LINF, max_row_norm
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -433,7 +434,7 @@ def min_max_norm(A: np.ndarray, e: np.ndarray, tag: str) -> MinMaxNorm:
         return MinMaxNorm(np.zeros(m, dtype=complex), 0.0, 0.0)
     sigma = float(np.linalg.svd(A.reshape(N * d, m), compute_uv=False)[-1])
     if not sigma > 0:
-        raise ValueError("the stacked A_n must have full column rank")
+        raise RankDeficient("the stacked A_n must have full column rank")
     kappa = math.sqrt(d) if tag == LINF else 1.0
     # ||A w*||_2 <= ||A w* + e||_2 + ||e||_2 <= 2 sqrt(N) kappa f(0)
     radius = 2.0 * math.sqrt(N) * kappa * f_best / sigma

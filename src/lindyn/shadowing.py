@@ -12,16 +12,17 @@ rows of an (n, d) complex array for a dense orbit, an (n,) object array of
 vectors for a sequence one. Vectors become points once, where they enter
 (pseudo_orbit, generate_pseudo_orbit's seed), with their kind, norm tag,
 dimension and finiteness checked; every entry point compares the orbit's
-tag and width with the operator's once (`_kind`). All orbit arithmetic runs
-on `_Kind`: rows for a DenseOp, vectors for every other operator, where the
-maps are apply, apply_P_S and apply_P_U, called on the vectors of object
-arrays one by one (a dense CompositionOp's rows are wrapped as
-DenseVectors). A walk and the one-step defects take one M @ x per row, as in
-DenseOp.apply, and so round as the vector kind does: rows @ M.T rounds
-differently, by an ulp of images that can pass 1e60. The correction series
-(_series_points) is a doubling scan on rows and a step recursion on vectors,
-and the exactness check batches its images; both are far inside their
-tolerances. Gamma (stability) runs on coordinate arrays instead.
+tag and width, and the split's, with the operator's once (`_kind`). All
+orbit arithmetic runs on `_Kind`: rows of op.dense_matrix() for every dense
+operator (a dense CompositionOp on its product, as Gamma and the window
+solve take it), vectors for a sequence operator, where the maps are apply
+and the coordinate split's apply_P_S and apply_P_U, called on the vectors
+of object arrays one by one. A walk and the one-step defects take one
+M @ x per row, as DenseOp.apply does: rows @ M.T rounds differently, by an
+ulp of images that can pass 1e60. The correction series (_series_points)
+is a doubling scan on rows and a step recursion on vectors, and the
+exactness check batches its images; both are far inside their tolerances.
+Gamma (stability) runs on coordinate arrays of the same matrix.
 
 The one-step defects of an orbit are measured where it is certified: from
 the images its walk kept (generate_pseudo_orbit on rows) or by max_defect.
@@ -43,7 +44,6 @@ from .errors import KindMismatch, LindynError, NonContracting, NotCertified, Not
 from .linalg import (
     DenseVector,
     SparseBiSeq,
-    array_norm,
     check_finite,
     max_row_norm,
     power_stack,
@@ -121,28 +121,14 @@ def _stack(op: LinOp, vectors: Sequence) -> np.ndarray:
 class _Kind:
     """One of the two kinds of point, rows or vectors; Gamma uses neither (see the module docstring)."""
 
-    def __init__(self, op: LinOp, split: Optional[Splitting], rows: bool, wrap: bool):
-        self.op, self.split, self.rows, self.wrap, self.tag = op, split, rows, wrap, op.norm_tag
-        # A maps one point: M @ x on a row, apply on a vector
-        self.A = op.matrix.__matmul__ if rows else op.apply
-
-    def load(self, points: np.ndarray) -> np.ndarray:
-        """The kind's points for stored ones (see _kind for wrap)."""
-        return np.fromiter(DenseVector.from_rows(points, self.tag), object) if self.wrap else points
-
-    def store(self, points: np.ndarray) -> np.ndarray:
-        """The stored form of the kind's points (see _stored)."""
-        return _stored(np.array([p.coords for p in points]) if self.wrap else points)
+    def __init__(self, op: LinOp, split: Optional[Splitting], rows: bool):
+        self.op, self.split, self.rows, self.tag = op, split, rows, op.norm_tag
+        # A maps one point: M @ x on a row, M the dense matrix, apply on a vector
+        self.M = op.dense_matrix() if rows else None
+        self.A = self.M.__matmul__ if rows else op.apply
 
     def finite(self, points: np.ndarray) -> np.ndarray:
         return check_finite(points) if self.rows else points
-
-    def finite_mask(self, points: np.ndarray) -> np.ndarray:
-        """Which points are finite; a vector always is, once built."""
-        return np.isfinite(points).all(axis=1) if self.rows else np.ones(len(points), bool)
-
-    def norm(self, p) -> float:
-        return array_norm(p, self.tag) if self.rows else p.norm()
 
     def norms(self, points: np.ndarray) -> np.ndarray:
         if self.rows:
@@ -161,7 +147,7 @@ class _Kind:
         overflowing walk near its first non-finite row, not at its end."""
         A = self.A
         n = steps + 1
-        points = np.empty((n, self.op.dim), dtype=complex) if self.rows else np.empty(n, object)
+        points = np.empty((n, len(self.M)), dtype=complex) if self.rows else np.empty(n, object)
         points[0] = x = start
         with np.errstate(over="ignore", invalid="ignore"):
             for i in range(steps):
@@ -174,17 +160,19 @@ class _Kind:
 
 
 def _kind(op: LinOp, split: Optional[Splitting], points: np.ndarray, tag: str) -> _Kind:
-    """The kind for the stored points, of norm tag tag, of an orbit of op,
-    once their tag, kind and (for a DenseOp) width match op's. Rows serve a
-    DenseOp with a SpectralSplit of its own or no split; vectors serve the
-    rest, wrapping dense rows, and their arithmetic refuses any mismatch."""
-    dense, rows = points.ndim == 2, isinstance(op, DenseOp)
-    mismatch = tag != op.norm_tag or dense != (op.vector_kind == "dense")
-    if mismatch or rows and points.shape[1] != op.dim:
+    """The kind for the stored points, of norm tag tag, of an orbit of op:
+    rows for a dense operator, vectors for a sequence one. The points' tag,
+    kind and (rows) width must match op's, and split, if given, must be of
+    that tag and a spectral split of that width (rows) or a coordinate split
+    (vectors), or the orbit is refused with KindMismatch."""
+    k = _Kind(op, split, op.vector_kind == "dense")
+    width = len(k.M) if k.rows else None
+    if tag != op.norm_tag or (points.shape[1] if points.ndim == 2 else None) != width:
         raise KindMismatch("orbit disagrees with the operator in norm tag, kind or dimension")
-    if rows and split is not None:
-        rows = isinstance(split, SpectralSplit) and (split.norm_tag, split.dim) == (tag, op.dim)
-    return _Kind(op, split, rows, wrap=dense and not rows)
+    # a CoordinateSplit has no dim, as a sequence orbit has no width
+    if split is not None and (split.norm_tag, getattr(split, "dim", None)) != (tag, width):
+        raise KindMismatch("the split disagrees with the orbit in kind, norm tag or width")
+    return k
 
 
 def _images(A, points: np.ndarray) -> np.ndarray:
@@ -204,7 +192,7 @@ def _defects(k: _Kind, pts: np.ndarray) -> np.ndarray:
 def max_defect(op: LinOp, po: PseudoOrbit) -> float:
     """The largest one-step defect of the orbit po under op."""
     k = _kind(op, None, po.points, po.norm_tag)
-    return k.sup(_defects(k, k.load(po.points)))
+    return k.sup(_defects(k, po.points))
 
 
 def _certified(op: LinOp, po: PseudoOrbit, worst: Optional[float] = None) -> PseudoOrbit:
@@ -275,11 +263,11 @@ def generate_pseudo_orbit(
 
     Perturbation directions are unit vectors from the seeded generator and
     magnitudes are uniform in [0, delta), so the declared delta is certified
-    by construction and re-verified on assembly. On rows (a DenseOp) all
-    directions, then all magnitudes, are drawn at once, and the walk keeps
-    its images (_kicked_walk): the defects certified are the images less
-    the next points, the bits max_defect measures. On vectors each step
-    perturbs the image of the last point.
+    by construction and re-verified on assembly. On rows all directions,
+    then all magnitudes, are drawn at once, and the walk keeps its images
+    (_kicked_walk): the defects certified are the images less the next
+    points, the bits max_defect measures. On vectors each step perturbs the
+    image of the last point.
     """
     n0, n1 = window
     if n1 < n0:
@@ -296,30 +284,21 @@ def generate_pseudo_orbit(
         dirs = unit_dense_rows(seed.dim, seed.norm_tag, steps, rng)
         mags = rng.uniform(0.0, 1.0, size=steps)
         kicks = dirs * (delta * mags).astype(complex)[:, None]
-        points, imgs = _kicked_walk(op.matrix, start[0], kicks, delta, op.norm_tag)
+        points, imgs = _kicked_walk(k.M, start[0], kicks, delta, op.norm_tag)
         worst = max_row_norm(imgs - points[1:], op.norm_tag)
         return _certified(op, PseudoOrbit(n0, _stored(points), delta, op.norm_tag), worst)
-    dirs = None
-    if isinstance(seed, DenseVector):
-        dirs = k.load(unit_dense_rows(seed.dim, seed.norm_tag, steps, rng))
-
-    def unit(i: int, img):
-        if dirs is not None:
-            return dirs[i]
-        sup = img.support()
-        lo = (sup[0] if sup else 0) - 1
-        hi = (sup[-1] if sup else 0) + 1
-        return unit_seq_samples(lo, hi, img.norm_tag, 1, rng, support=2)[0]
 
     def perturb(i: int, img):
-        x = img + unit(i, img) * complex(delta * rng.uniform(0.0, 1.0))
+        sup = img.support() or (0,)
+        unit = unit_seq_samples(sup[0] - 1, sup[-1] + 1, img.norm_tag, 1, rng, support=2)[0]
+        x = img + unit * complex(delta * rng.uniform(0.0, 1.0))
         # once the orbit magnitude reaches delta / ulp the stored sum can
         # round to a defect above delta; drop such a step entirely so the
         # declared delta stays certified
-        return img if k.norm(x - img) > delta else x
+        return img if (x - img).norm() > delta else x
 
-    points = k.walk(k.load(start)[0], steps, perturb)
-    return _certified(op, PseudoOrbit(n0, k.store(points), delta, op.norm_tag))
+    points = k.walk(start[0], steps, perturb)
+    return _certified(op, PseudoOrbit(n0, _stored(points), delta, op.norm_tag))
 
 
 # ---------------------------------------------------------------------------
@@ -462,28 +441,28 @@ class ShadowResult:
 def verify_shadow(op: LinOp, po: PseudoOrbit, res: ShadowResult) -> None:
     """Re-check the two invariants: exact orbit, and the error bound."""
     k = _kind(op, None, po.points, po.norm_tag)
-    traj = res.trajectory
-    if traj.shape != po.points.shape:
+    pts = res.trajectory
+    if pts.shape != po.points.shape:
         raise NotCertified("trajectory shape does not match the window")
-    pts = k.load(traj)
     if k.rows:
         # one batched product; its rounding is far inside the 1e-12 tolerance
         with np.errstate(over="ignore", invalid="ignore"):
-            imgs = pts[:-1] @ k.op.matrix.T
+            imgs = pts[:-1] @ k.M.T
     else:
         imgs = _images(k.A, pts[:-1])
     diffs = pts[1:] - imgs
     defects = k.norms(diffs)
-    # non-finite rows fail too, so the first failing offset decides between
-    # the finiteness error and the exactness error
-    ok = k.finite_mask(diffs) & (defects <= 1e-12 * (1.0 + k.norms(imgs)))
+    # non-finite rows fail too (a vector is finite once built), so the first
+    # failing offset decides between the finiteness and the exactness error
+    finite = np.isfinite(diffs).all(axis=1) if k.rows else True
+    ok = finite & (defects <= 1e-12 * (1.0 + k.norms(imgs)))
     if not ok.all():
         i = int(np.argmin(ok))
         k.finite(diffs[i : i + 1])
         raise NotCertified(
             f"trajectory defect {defects[i]:.3g} at offset {i} breaks orbit exactness"
         )
-    sup = k.sup(k.finite(pts - k.load(po.points)))
+    sup = k.sup(k.finite(pts - po.points))
     if sup > res.constant_used * po.delta + 1e-9:
         raise NotCertified(
             f"sup error {sup:.6g} exceeds {res.constant_used:.6g} * delta + 1e-9"
@@ -506,7 +485,7 @@ def _scan(K: np.ndarray, c: np.ndarray) -> np.ndarray:
     return X
 
 
-def _correction(k: _Kind, zs: np.ndarray, zero) -> np.ndarray:
+def _correction(k: _Kind, zs: np.ndarray) -> np.ndarray:
     """The bounded correction e of the defects zs over the window: e_0 .. e_n
     with e_{i+1} = L(e_i) + z_i, the stable part run forward from 0 and the
     unstable part backward through the inverse from 0. On rows, each part is
@@ -515,19 +494,19 @@ def _correction(k: _Kind, zs: np.ndarray, zero) -> np.ndarray:
     on the other side, so rounding never excites the expanding block. On
     vectors, each part is a step recursion, re-projected every step. A
     non-finite correction is returned as such, for the caller's kind to
-    refuse. zero, the kind's zero point, starts the vector recursions.
+    refuse.
     """
     split = k.split
     with np.errstate(over="ignore", invalid="ignore"):
         if k.rows:
             P_S, P_U = split.P_S, split.P_U
-            K_S, K_U = P_S @ k.op.matrix, P_U @ k.op.inverse().matrix
+            K_S, K_U = P_S @ k.M, P_U @ k.op.inverse().dense_matrix()
             F = _scan(K_S, zs @ P_S.T @ P_S.T)
             Bwd = _scan(K_U, (zs[::-1] @ P_U.T) @ K_U.T)[::-1]
         else:
             A, A_inv, P_S, P_U = k.A, k.op.inverse().apply, split.apply_P_S, split.apply_P_U
             F, Bwd = np.empty(len(zs) + 1, object), np.empty(len(zs) + 1, object)
-            F[0] = Bwd[-1] = f = b = zero
+            F[0] = Bwd[-1] = f = b = SparseBiSeq.zero(k.tag)
             for i, z in enumerate(zs):
                 f = P_S(A(f) + P_S(z))
                 F[i + 1] = f
@@ -547,22 +526,22 @@ def _series_points(k: _Kind, rows: np.ndarray) -> np.ndarray:
     """
     zs = _defects(k, rows)
     with np.errstate(over="ignore", invalid="ignore"):
-        return rows + _correction(k, zs, rows[0] * 0j)
+        return rows + _correction(k, zs)
 
 
-def _series_orbit(k: _Kind, po: PseudoOrbit, rows: np.ndarray) -> np.ndarray:
-    """The splitting-series points of po, whose kind's points are rows,
-    read-only. They are computed once per (op, split) for the last orbit
-    and kind seen, and kept in _series_memo under the orbit's identity
-    (PseudoOrbit compares by identity), so the splitting series and the
-    window solve of one orbit share them bit for bit."""
+def _series_orbit(k: _Kind, po: PseudoOrbit) -> np.ndarray:
+    """The splitting-series points of po, read-only. They are computed once
+    per (op, split) for the last orbit seen, and kept in _series_memo under
+    the orbit's identity (PseudoOrbit compares by identity), so the
+    splitting series and the window solve of one orbit share them bit for
+    bit."""
     memo = _series_memo(k.op, k.split)
     held = memo.get("orbit")
-    if held is None or held[0] is not po or held[1] != k.rows:
-        points = _series_points(k, rows)
+    if held is None or held[0] is not po:
+        points = _series_points(k, po.points)
         points.setflags(write=False)
-        held = memo["orbit"] = (po, k.rows, points)
-    return held[2]
+        held = memo["orbit"] = (po, points)
+    return held[1]
 
 
 def shadow_splitting_series(
@@ -573,12 +552,13 @@ def shadow_splitting_series(
     Needs a Hyperbolic or GeneralizedHyperbolic certificate. On the finite
     window both correction series are finite sums, forward on the stable
     side and backward through the inverse on the unstable side: doubling
-    scans on a DenseOp's rows, step recursions on vectors, both on the
+    scans on rows, step recursions on vectors, both on the
     defects that certified po, measured again under op, once per orbit (see
     _series_orbit). sup_error is the distance of the stored trajectory to
     the points, as verify_shadow measures it. The classification and the
     series constants are computed once per (op, split).
     """
+    k = _kind(op, split, po.points, po.norm_tag)
     memo = _series_memo(op, split)
     if report is None:
         if "report" not in memo:
@@ -590,12 +570,10 @@ def shadow_splitting_series(
         )
     if "constants" not in memo:
         memo["constants"] = series_constants(op, split)
-    k = _kind(op, split, po.points, po.norm_tag)
-    rows = k.load(po.points)
-    points = _series_orbit(k, po, rows)
+    points = _series_orbit(k, po)
     result = ShadowResult(
-        trajectory=k.store(points),
-        sup_error=k.sup(k.finite(points - rows)),
+        trajectory=_stored(points),
+        sup_error=k.sup(k.finite(points - po.points)),
         constant_used=memo["constants"].upper,
         method="splitting_series",
     )
@@ -614,16 +592,15 @@ def shadow_contraction(op: LinOp, po: PseudoOrbit) -> ShadowResult:
             f"operator norm {lam:.6g} is not below 1", ratio=lam, bound=1.0
         )
     k = _kind(op, None, po.points, po.norm_tag)
-    points = k.load(po.points)
-    traj = k.walk(points[0], len(points) - 1)
-    sup_error = k.sup(k.finite(traj - points))
+    traj = k.walk(po.points[0], len(po.points) - 1)
+    sup_error = k.sup(k.finite(traj - po.points))
     constant = 1.0 / (1.0 - lam)
     if sup_error > constant * po.delta + CONTRACTION_SLACK:
         raise NotCertified(
             f"contraction shadow error {sup_error:.6g} exceeds delta/(1-lambda) + tol"
         )
     result = ShadowResult(
-        trajectory=k.store(traj),
+        trajectory=_stored(traj),
         sup_error=sup_error,
         constant_used=constant,
         method="contraction_fixed_point",
@@ -694,7 +671,7 @@ def shadow_window_solve(op: LinOp, po: PseudoOrbit) -> ShadowResult:
         particular = k.walk(rows[0], count - 1)
         A = power_stack(dense.matrix, np.eye(dim), count)
     else:
-        particular = _series_orbit(k, po, rows)
+        particular = _series_orbit(k, po)
         A = np.concatenate(
             [
                 power_stack(split.P_S @ dense.matrix, split.Q_S, count),
@@ -725,7 +702,7 @@ def shadow_window_solve(op: LinOp, po: PseudoOrbit) -> ShadowResult:
     else:
         constant = math.inf
     result = ShadowResult(
-        trajectory=k.store(points),
+        trajectory=_stored(points),
         sup_error=sup_error,
         constant_used=constant,
         method="window_solve",

@@ -33,7 +33,6 @@ from .errors import (
 )
 from .linalg import (
     L2,
-    DenseVector,
     SparseBiSeq,
     array_norm,
     check_norm_tag,
@@ -116,12 +115,6 @@ class SpectralSplit:
     def dim(self) -> int:
         return int(self.P_S.shape[0])
 
-    def apply_P_S(self, v: DenseVector) -> DenseVector:
-        return DenseVector(self.P_S @ v.coords, self.norm_tag)
-
-    def apply_P_U(self, v: DenseVector) -> DenseVector:
-        return DenseVector(self.P_U @ v.coords, self.norm_tag)
-
 
 Splitting = CoordinateSplit | SpectralSplit
 
@@ -181,7 +174,10 @@ def _spectral_split(op: DenseOp, circle_gap_tol: float) -> SpectralSplit:
         P_S = eye * (k == d)
     else:
         z = CAYLEY_POLES[np.abs(lams[None, :] - CAYLEY_POLES[:, None]).min(axis=1).argmax()]
-        P_S = (eye - _cayley_sign(op.matrix, z)) / 2
+        try:
+            P_S = (eye - _cayley_sign(op.matrix, z)) / 2
+        except InvalidSplitting as exc:
+            raise _ill_conditioned(lams, str(exc)) from None
     P_U = eye - P_S
     U_S, s_S, _ = np.linalg.svd(P_S)
     U_U = np.linalg.svd(P_U)[0]
@@ -195,12 +191,19 @@ def _spectral_split(op: DenseOp, circle_gap_tol: float) -> SpectralSplit:
     # the rank of a projection is its trace; eigenvalues that rounding moved
     # across the circle disagree with it, and the side radii come from them
     if abs(np.trace(P_S) - k) > 0.5:
-        raise InvalidSplitting(
-            f"the projection has rank {np.trace(P_S).real:.3g}, "
-            f"against {k} stable eigenvalues"
-        )
+        why = f"the projection has rank {np.trace(P_S).real:.3g}, against {k} stable eigenvalues"
+        raise _ill_conditioned(lams, why)
     return SpectralSplit(
         op.norm_tag, P_S, P_U, U_S[:, :k], lams[stable], U_U[:, : d - k], lams[~stable]
+    )
+
+
+def _ill_conditioned(lams: np.ndarray, why: str) -> InvalidSplitting:
+    """The refusal of a split that fails as a non-normal spectrum nears the unit circle."""
+    gap = np.abs(np.abs(lams) - 1.0).min()
+    return InvalidSplitting(
+        f"the split is ill-conditioned near the unit circle (the spectrum lies {gap:.3g} "
+        f"from it): {why}"
     )
 
 

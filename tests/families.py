@@ -3,14 +3,18 @@
 This module holds no tests. jordan_family draws Jordan blocks beside an
 unstable eigenvalue, random_saddle draws real 2x2 saddles in a random
 basis as the window_estimate benchmark does, and exact_linf_constant sums
-the Green's function of a split.
+the Green's function of a split. reference_walk, reference_max_defect and
+reference_series redo a dense orbit's walk, defects and splitting series
+one step at a time, the references for the batched rows arithmetic of
+lindyn.shadowing.
 """
 
 import math
 
 import numpy as np
 
-from lindyn.sampling import rng_from_seed
+from lindyn.linalg import array_norm
+from lindyn.sampling import rng_from_seed, unit_dense_rows
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 PLASTIC = 1.0 / 1.324717957244746
@@ -78,3 +82,44 @@ def saddle_draw(s):
     its own draws from np.random.default_rng(100 + s)."""
     rng = np.random.default_rng(100 + s)
     return random_saddle(rng.uniform(0.0, 1.0, size=4), s, rng)
+
+
+def reference_walk(op, seed, steps, delta, rng_seed):
+    """The rows of generate_pseudo_orbit's walk on a dense operator, one
+    step at a time: the same draws (every direction first, then one
+    magnitude a step), one M @ x a step, and a kick whose sum lands more
+    than delta from its image dropped."""
+    M, tag = op.dense_matrix(), op.norm_tag
+    rng = rng_from_seed(rng_seed)
+    dirs = unit_dense_rows(len(M), tag, steps, rng)
+    points = [np.asarray(seed.coords, dtype=complex)]
+    for i in range(steps):
+        img = M @ points[-1]
+        x = img + dirs[i] * complex(delta * rng.uniform(0.0, 1.0))
+        points.append(img if array_norm(x - img, tag) > delta else x)
+    return np.array(points)
+
+
+def reference_max_defect(op, points):
+    """The largest one-step defect of the rows points, one M @ x a point."""
+    M, tag = op.dense_matrix(), op.norm_tag
+    return max((array_norm(M @ x - y, tag) for x, y in zip(points, points[1:])), default=0.0)
+
+
+def reference_series(op, split, points):
+    """The splitting-series orbit through the rows points by the step
+    recursion: the defects z_n = M x_n - x_{n+1}, f_{n+1} = P_S(M f_n +
+    P_S z_n) forward from 0, b_n = P_U(M^-1(b_{n+1} + P_U z_n)) backward
+    from 0, and the points x_n + f_n - b_n."""
+    M, M_inv = op.dense_matrix(), op.inverse().dense_matrix()
+    P_S, P_U = split.P_S, split.P_U
+    zs = [M @ x - y for x, y in zip(points, points[1:])]
+    f = b = np.zeros(len(M), dtype=complex)
+    fwd, bwd = [f], [b]
+    for z in zs:
+        f = P_S @ (M @ f + P_S @ z)
+        fwd.append(f)
+    for z in reversed(zs):
+        b = P_U @ (M_inv @ (b + P_U @ z))
+        bwd.append(b)
+    return points + (np.array(fwd) - np.array(bwd[::-1]))

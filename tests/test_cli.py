@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from lindyn import DenseOp, cli, spectral_split
+from lindyn import DenseOp, cli, spectral_split, splitting
 from lindyn.cli import (
     SUITES,
     TASKS,
@@ -146,6 +146,22 @@ def test_gh_weighted_shift_witnesses_and_bounds():
     # the only bundled shadow on a sequence operator, so on object arrays
     series = tasks["shadow"]["result"]["methods"]["splitting_series"]
     assert (series["constant_used"], series["sup_error"]) == (3.0, 0.00014820297883599273)
+
+
+def test_a_scenario_builds_its_split_once(monkeypatch):
+    # classify, bounds and shadow share the scenario's split, and with it
+    # the memo of its sides, so each side is built once
+    built = []
+    init = splitting.RestrictedPowers.__init__
+
+    def counted(self, op, split, side):
+        built.append(side)
+        init(self, op, split, side)
+
+    monkeypatch.setattr(splitting.RestrictedPowers, "__init__", counted)
+    tasks = run_scenario(load_scenario_file("gh_weighted_shift"))["tasks"]
+    assert all(task["ok"] for task in tasks.values())
+    assert sorted(built) == ["S", "U"]
 
 
 def test_run_scenario_rejects_unknown_keys():
@@ -367,6 +383,76 @@ def test_overflowing_draws_leak_no_warning(matrix, norm, task):
     cfg = {"operator": {"kind": "dense", "matrix": matrix, "norm": norm}, "tasks": [task]}
     result = run_scenario(cfg)["tasks"][task]
     assert result["ok"] or result["error"] in _named_codes()
+
+
+# Singular, beside an entry of 9.6e208: the window solve is posed on the
+# seed, and the smallest singular value of the stacked powers rounds to 0.
+RANK_DEFICIENT = [
+    [0.07278502216116363, 0.0010529515304291692, -1.2623538419083224],
+    [0.0, 0.0, 9.576858641436269e208],
+    [0.0, 0.0, 0.0],
+]
+
+
+@pytest.mark.parametrize("window", [[0, 3], [0, 60]])
+def test_shadow_task_codes_a_rank_deficient_window(tmp_path, capsys, window):
+    cfg = {
+        "operator": {"kind": "dense", "matrix": RANK_DEFICIENT, "norm": "linf"},
+        "tasks": ["shadow"],
+        "parameters": {"window": window},
+        "rng_seed": 69,
+    }
+    path = tmp_path / "rank.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["run", str(path)]) == 3
+    out, err = capsys.readouterr()
+    assert json.loads(out)["tasks"]["shadow"]["message"] == (
+        "no shadowing method succeeded out of "
+        "[splitting_series: NOT_INVERTIBLE, window_solve: NOT_CERTIFIED]"
+    )
+    assert "Traceback" not in err
+
+
+def _fuzz_draws(count):
+    """count dense matrices from numpy seed 0: d = 2 or 3, entries
+    +-10^U(-3, 3) with 20% zeros; after a plain draw, one with an entry of
+    10^U(150, 308), an upper-triangular one with diagonal entries from
+    {0.99, 1.01, 0.5, 2}, and one with an entry of 10^U(-320, -150)."""
+    rng = np.random.default_rng(0)
+    out = []
+    for i in range(count):
+        d = int(rng.integers(2, 4))
+        m = rng.choice([-1.0, 1.0], (d, d)) * 10.0 ** rng.uniform(-3.0, 3.0, (d, d))
+        m[rng.random((d, d)) < 0.2] = 0.0
+        if i % 4 == 1:
+            m[rng.integers(d), rng.integers(d)] = 10.0 ** rng.uniform(150.0, 308.0)
+        elif i % 4 == 2:
+            m = np.triu(m)
+            m[np.diag_indices(d)] = rng.choice([0.99, 1.01, 0.5, 2.0], d)
+        elif i % 4 == 3:
+            m[rng.integers(d), rng.integers(d)] = 10.0 ** rng.uniform(-320.0, -150.0)
+        out.append((m.tolist(), ("l1", "l2", "linf")[i % 3], i))
+    return out
+
+
+# (matrix, norm, rng_seed): the first eight draws, two of each form, and the
+# rank-deficient hand case; all six tasks on them take about 6 s
+FUZZ_DRAWS = [*_fuzz_draws(8), (RANK_DEFICIENT, "linf", 69)]
+FUZZ_TASKS = ["classify", "bounds", "shadow", "linf", "expansivity", "conjugacy"]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("matrix, norm, rng_seed", FUZZ_DRAWS)
+def test_seeded_fuzz_draws_end_ok_or_coded(matrix, norm, rng_seed):
+    # each task alone, so one refusal cannot hide another task's escape
+    for task in FUZZ_TASKS:
+        cfg = {
+            "operator": {"kind": "dense", "matrix": matrix, "norm": norm},
+            "tasks": [task],
+            "rng_seed": rng_seed,
+        }
+        result = run_scenario(cfg)["tasks"][task]
+        assert result["ok"] or result["error"] in _named_codes(), (task, result)
 
 
 SINGULAR_STABLE = [[1e-13, 1e-50, -1e-8], [0.0, 0.0, 1e308], [0.0, 0.0, -1e-20]]

@@ -227,18 +227,3 @@ def test_power_stack_refuses_an_overflow_quietly():
     assert power_stack(np.array([[1e200]]), np.eye(1), 2)[1, 0, 0] == 1e200
     with pytest.raises(NonFinite, match="overflow"):
         power_stack(np.array([[1e200]]), np.eye(1), 3)
-
-
-def test_dense_vectors_from_rows_share_one_checked_array():
-    rows = np.array([[1.0, 2.0], [3.0, -4.0]], dtype=complex)
-    vs = DenseVector.from_rows(rows, L1)
-    assert [v.norm() for v in vs] == [3.0, 7.0]
-    assert all(np.shares_memory(v.coords, rows) for v in vs)
-    with pytest.raises(ValueError):
-        vs[0].coords[0] = 5.0
-    with pytest.raises(ValueError, match="coordinates must be finite"):
-        DenseVector.from_rows(np.array([[1.0, 0.0], [math.inf, 0.0]]), L1)
-    with pytest.raises(ValueError):
-        DenseVector.from_rows(np.zeros((3, 33)), L1)
-    with pytest.raises(ValueError):
-        DenseVector.from_rows(np.zeros(3), L1)

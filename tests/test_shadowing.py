@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from families import reference_max_defect, reference_series, reference_walk
+
 from lindyn import (
     L1,
     L2,
@@ -29,7 +31,7 @@ from lindyn import (
     spectral_split,
     verify_shadow,
 )
-from lindyn.errors import KindMismatch, LindynError
+from lindyn.errors import KindMismatch
 from lindyn.gallery import contraction_half, saddle, shifted_weighted_contraction
 from lindyn.linalg import SparseBiSeq, max_row_norm, row_norms
 from lindyn.operators import CompositionOp
@@ -39,7 +41,7 @@ from lindyn.shadowing import PseudoOrbit, ShadowResult, classify, max_defect
 SADDLE = saddle()
 SPLIT = spectral_split(SADDLE)
 # a sequence operator: R o W under l1
-COMP = shifted_weighted_contraction()[2]
+_, _, COMP, COMP_SPLIT = shifted_weighted_contraction()
 
 # diag(1/2, 2) under sup norm: A = sum 2^-k = 2, B = sum_{k>=1} 2^-k = 1,
 # both projections have norm 1, so upper = 3; the resolvent lower bound is 2
@@ -68,7 +70,7 @@ def test_generated_orbit_respects_delta():
 
 def test_generated_orbit_per_step_defects():
     po = generate_pseudo_orbit(SADDLE, DenseVector([1.0, 1.0], LINF), (0, 10), 1e-3, 42)
-    vectors = DenseVector.from_rows(po.points, LINF)
+    vectors = [DenseVector(row, LINF) for row in po.points]
     for cur, nxt in zip(vectors, vectors[1:]):
         assert (nxt - SADDLE.apply(cur)).norm() <= 1e-3
 
@@ -138,12 +140,12 @@ def _dropped_steps(op, po):
     ],
 )
 def test_rows_walk_is_the_vector_walk_bit_for_bit(op, seed, rng_seed):
-    # the rows walk draws all kicks at once and checks them in blocks; a
-    # one-factor composition walks vector by vector, drawing as it goes
+    # the rows walk draws all kicks at once and checks them in blocks; the
+    # reference walks step by step, drawing as it goes
     po = generate_pseudo_orbit(op, seed, (0, 200), 1e-3, rng_seed)
-    ref = generate_pseudo_orbit(CompositionOp([op]), seed, (0, 200), 1e-3, rng_seed)
-    assert po.points.tobytes() == ref.points.tobytes()
-    assert max_defect(op, po) == max_defect(CompositionOp([op]), ref) <= 1e-3
+    ref = reference_walk(op, seed, 200, 1e-3, rng_seed)
+    assert po.points.tobytes() == ref.tobytes()
+    assert max_defect(op, po) == reference_max_defect(op, ref) <= 1e-3
 
 
 def test_rows_walk_drops_a_kick_that_rounds_above_delta():
@@ -155,41 +157,75 @@ def test_rows_walk_drops_a_kick_that_rounds_above_delta():
 
 @pytest.mark.parametrize("tag", [L1, L2, LINF])
 def test_dense_array_path_matches_per_vector_path_bit_for_bit(tag):
-    # a one-factor composition runs DenseOp.apply vector by vector, so it
-    # takes the per-vector code path; the walk and the defects do the same
-    # arithmetic bit for bit, while the series, a doubling scan on rows and
-    # a step recursion on vectors, agree within a bound far below delta
+    # the walk and the defects do the per-step references' arithmetic bit
+    # for bit, while the series, a doubling scan on rows and a step
+    # recursion in the reference, agree within a bound far below delta
     rng = rng_from_seed(1)
     op = DenseOp(random_margin_matrix(3, rng, margin=0.2), tag)
-    ref = CompositionOp([op])
     seed = DenseVector(rng.standard_normal(3), tag)
     split = spectral_split(op)
-    report = classify(op, split)
     delta = 1e-3
     po = generate_pseudo_orbit(op, seed, (0, 200), delta, 3)
+    assert po.points.tobytes() == reference_walk(op, seed, 200, delta, 3).tobytes()
+    assert max_defect(op, po) == reference_max_defect(op, po.points)
+    res = shadow_splitting_series(op, split, po)
+    ref = reference_series(op, split, po.points)
+    assert np.abs(res.trajectory - ref).max() <= 1e-12 * delta
+    assert abs(res.sup_error - max_row_norm(ref - po.points, tag)) <= 1e-12 * res.sup_error
 
-    def raw(points):
-        return points.tobytes()
 
-    def series(o, orbit):
-        return shadow_splitting_series(o, split, orbit, report=report)
+def _two_factor(tag):
+    """A dense composition S T, S T near a random hyperbolic matrix, and
+    the DenseOp of its product."""
+    rng = rng_from_seed(6)
+    H = random_margin_matrix(3, rng, margin=0.2)
+    T = np.eye(3) + 0.3 * rng.standard_normal((3, 3))
+    comp = CompositionOp([DenseOp(H @ np.linalg.inv(T), tag), DenseOp(T, tag)])
+    return comp, DenseOp(comp.dense_matrix(), tag)
 
-    def outcome(solve, o):
-        try:
-            res = solve(o, po)
-        except LindynError as exc:
-            return repr(exc)
-        verify_shadow(ref, po, res)
-        return raw(res.trajectory), res.sup_error
 
-    assert raw(po.points) == raw(generate_pseudo_orbit(ref, seed, (0, 200), delta, 3).points)
-    assert max_defect(op, po) == max_defect(ref, po)
-    # the window solve wraps ref's matrix in a DenseOp, so both run on rows
-    assert outcome(shadow_window_solve, op) == outcome(shadow_window_solve, ref)
-    rows, vecs = series(op, po), series(ref, po)
-    verify_shadow(ref, po, rows)
-    assert np.abs(rows.trajectory - vecs.trajectory).max() <= 1e-12 * delta
-    assert abs(rows.sup_error - vecs.sup_error) <= 1e-12 * vecs.sup_error
+@pytest.mark.parametrize("tag", [L1, L2, LINF])
+def test_dense_composition_runs_on_its_product_bit_for_bit(tag):
+    comp, product = _two_factor(tag)
+    seed = DenseVector([0.3, -0.2, 0.5], tag)
+    po = generate_pseudo_orbit(comp, seed, (0, 120), 1e-3, 2)
+    ref = generate_pseudo_orbit(product, seed, (0, 120), 1e-3, 2)
+    assert po.points.tobytes() == ref.points.tobytes()
+    assert max_defect(comp, po) == max_defect(product, ref) <= 1e-3
+    # the window solve lowers the composition to the same product
+    window = shadow_window_solve(comp, po).trajectory
+    assert window.tobytes() == shadow_window_solve(product, ref).trajectory.tobytes()
+
+
+@pytest.mark.parametrize("tag", [L1, L2, LINF])
+def test_dense_composition_shadows_verify(tag):
+    comp, product = _two_factor(tag)
+    seed = DenseVector([0.3, -0.2, 0.5], tag)
+    po = generate_pseudo_orbit(comp, seed, (0, 120), 1e-3, 2)
+    for res in (shadow_splitting_series(comp, spectral_split(product), po),
+                shadow_window_solve(comp, po)):
+        verify_shadow(comp, po, res)
+    # a sub-stochastic factor after a doubly stochastic one: norm 0.6 under
+    # every tag
+    contraction = CompositionOp([
+        DenseOp([[0.3, 0.2, 0.0], [0.0, 0.4, 0.1], [0.1, 0.0, 0.3]], tag),
+        DenseOp([[0.6, 0.3, 0.1], [0.2, 0.5, 0.3], [0.2, 0.2, 0.6]], tag),
+    ])
+    po = generate_pseudo_orbit(contraction, seed, (0, 120), 1e-3, 2)
+    verify_shadow(contraction, po, shadow_contraction(contraction, po))
+
+
+def test_dense_orbit_refuses_a_split_of_another_tag_or_width():
+    po = orbit_of(SADDLE, DenseVector([0.1, 0.4], LINF), 10, 1e-3)
+    for split in (spectral_split(DenseOp(SADDLE.matrix, L1)),
+                  spectral_split(contraction_half(dim=3)),
+                  COMP_SPLIT):
+        with pytest.raises(KindMismatch, match="split disagrees"):
+            shadow_splitting_series(SADDLE, split, po)
+    # and a sequence orbit a spectral one
+    seq = orbit_of(COMP, SparseBiSeq.basis(0, L1), 10, 1e-3)
+    with pytest.raises(KindMismatch, match="split disagrees"):
+        shadow_splitting_series(COMP, SPLIT, seq)
 
 
 def test_single_point_window_is_vacuous():
@@ -268,23 +304,23 @@ NON_NORMAL_STABLE = NON_NORMAL[:2, :2]
 
 
 def _scan_matches_steps(matrix, tag, seed, steps=200, delta=1e-3):
-    # rows (a DenseOp, the scan) against vectors (a one-factor composition,
-    # the step recursion) on one orbit: the two evaluations of the same
-    # finite sums differ by rounding, bounded by 1e-12 * upper * delta plus
-    # a few ulps of each point, which the correction is added to
+    # the scan against the step recursion (reference_series) on one orbit:
+    # the two evaluations of the same finite sums differ by rounding,
+    # bounded by 1e-12 * upper * delta plus a few ulps of each point, which
+    # the correction is added to
     rng = rng_from_seed(seed)
     op = DenseOp(matrix, tag)
     split = spectral_split(op)
     seed_vec = DenseVector(rng.standard_normal(len(matrix)), tag)
     po = generate_pseudo_orbit(op, seed_vec, (0, steps), delta, seed)
     rows = shadow_splitting_series(op, split, po)
-    vecs = shadow_splitting_series(CompositionOp([op]), split, po)
+    ref = reference_series(op, split, po.points)
     verify_shadow(op, po, rows)
-    gap = row_norms(rows.trajectory - vecs.trajectory, tag)
+    gap = row_norms(rows.trajectory - ref, tag)
     bound = 1e-12 * rows.constant_used * delta + 4 * EPS * row_norms(po.points, tag)
     assert (gap <= bound).all()
-    assert rows.constant_used == vecs.constant_used
-    assert abs(rows.sup_error - vecs.sup_error) <= 1e-12 * rows.constant_used * delta
+    ref_error = max_row_norm(ref - po.points, tag)
+    assert abs(rows.sup_error - ref_error) <= 1e-12 * rows.constant_used * delta
     return rows
 
 
@@ -329,8 +365,8 @@ def test_window_particular_orbit_is_the_series_trajectory_bit_for_bit(monkeypatc
     series = shadow_splitting_series(op, spectral_split(op), po)
     out = []
 
-    def spy(k, po, rows):
-        out.append(series_orbit(k, po, rows))
+    def spy(k, po):
+        out.append(series_orbit(k, po))
         return out[-1]
 
     series_orbit = shadowing._series_orbit

@@ -311,3 +311,31 @@ def test_diagonal_resolvents_sum_each_weight_in_closed_form(tag):
     assert (bounds.lower, bounds.upper) == (2.0, 3.0)
     assert resolvent_norm_S(op, split) == 2.0
     assert resolvent_norm_U_inv(op, split) == 1.0
+
+
+def _rotated_jordan(g, c):
+    """R J R^T for J = [[g, c, 0], [0, g, 0], [0, 0, 0.3]] and R the
+    rotation by 0.7 in the first two coordinates."""
+    cos, sin = np.cos(0.7), np.sin(0.7)
+    R = np.array([[cos, -sin, 0.0], [sin, cos, 0.0], [0.0, 0.0, 1.0]])
+    return R @ np.array([[g, c, 0.0], [0.0, g, 0.0], [0.0, 0.0, 0.3]]) @ R.T
+
+
+@pytest.mark.parametrize(
+    "g, c, why",
+    [
+        (1 + 2e-5, 5e4, "the sign iteration meets a singular iterate"),
+        (1 + 3e-5, 1e5, "the projection has rank 3, against 1 stable eigenvalues"),
+    ],
+)
+def test_near_circle_refusals_say_the_split_is_ill_conditioned(g, c, why):
+    # a Jordan block just outside the circle with a large coupling: its
+    # Green's sum is near c / (g - 1)^2, past 1e14, and no split is trusted
+    with pytest.raises(InvalidSplitting) as info:
+        spectral_split(DenseOp(_rotated_jordan(g, c), L2))
+    message = str(info.value)
+    assert info.value.code == "INVALID_SPLITTING"
+    assert message.startswith("the split is ill-conditioned near the unit circle")
+    assert message.endswith(why)
+    gap = float(message.split("the spectrum lies ")[1].split(" ")[0])
+    assert 0.0 < gap < 1e-4

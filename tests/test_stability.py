@@ -32,6 +32,7 @@ from lindyn import (
     shadow_splitting_series,
     spectral_split,
     verify_contractive_sum,
+    verify_shadow,
 )
 from lindyn import shadowing, stability
 from lindyn.gallery import (
@@ -50,7 +51,6 @@ from lindyn.sampling import (
     rng_from_seed,
     unit_dense_samples,
 )
-from lindyn.splitting import SpectralSplit
 from lindyn.stability import (
     PHI_LIP_MAX,
     ConjugacyField,
@@ -167,9 +167,15 @@ def raw(v):
 def reference_gamma(op, split, alpha, x, horizons, traj_forward=None, traj_backward=None):
     """Gamma on DenseVectors, the reference for gamma_eval: the same Horner
     sums in the same order through op.apply, op.inverse().apply and the
-    split's apply_P_S and apply_P_U, with alpha and the trajectory maps
-    called on coordinates."""
+    split's projections applied to each vector, with alpha and the
+    trajectory maps called on coordinates."""
     tag, inv = op.norm_tag, op.inverse()
+
+    def P_S(v):
+        return DenseVector(split.P_S @ v.coords, tag)
+
+    def P_U(v):
+        return DenseVector(split.P_U @ v.coords, tag)
 
     def vector_map(traj, default):
         return default if traj is None else (lambda v: DenseVector(traj(v.coords), tag))
@@ -188,12 +194,12 @@ def reference_gamma(op, split, alpha, x, horizons, traj_forward=None, traj_backw
 
     acc_f = x * 0j
     backward = vector_map(traj_backward, inv.apply)
-    for v in reversed(values(split.apply_P_S, backward, len(horizons.a_terms), False)):
-        acc_f = split.apply_P_S(op.apply(acc_f)) + v
+    for v in reversed(values(P_S, backward, len(horizons.a_terms), False)):
+        acc_f = P_S(op.apply(acc_f)) + v
     acc_b = x * 0j
     forward = vector_map(traj_forward, op.apply)
-    for u in reversed(values(split.apply_P_U, forward, len(horizons.b_terms), True)):
-        acc_b = split.apply_P_U(inv.apply(acc_b + u))
+    for u in reversed(values(P_U, forward, len(horizons.b_terms), True)):
+        acc_b = P_U(inv.apply(acc_b + u))
     return acc_f - acc_b
 
 
@@ -471,21 +477,24 @@ def test_conjugacies_refuse_a_singular_operator_as_not_invertible():
 
 @pytest.mark.parametrize("name", DENSE_CASES)
 def test_dense_input_never_takes_the_vector_kind(name, monkeypatch):
-    # the vector kind gives the same bits, only slower, so the bit-for-bit
-    # tests cannot see dense input sent down it; its per-vector calls can
+    # a per-vector walk of dense input gives the same bits, only slower, so
+    # the bit-for-bit tests cannot see it; its DenseOp.apply calls can. A
+    # dense composition (here with the identity, so the split is op's) runs
+    # on its product's rows too.
     op, split, bump, points = dense_case(name, LINF)
-    report = classify(op, split)
+    comp = CompositionOp([op, DenseOp(np.eye(op.dim), LINF)])
+    reports = {op: classify(op, split), comp: classify(comp, split)}
     horizons = compute_horizons(op, split, bump.sup_norm)
 
     def refuse(*args):
         raise AssertionError("per-vector call on dense input")
 
     monkeypatch.setattr(DenseOp, "apply", refuse)
-    monkeypatch.setattr(SpectralSplit, "apply_P_S", refuse)
-    monkeypatch.setattr(SpectralSplit, "apply_P_U", refuse)
-    po = generate_pseudo_orbit(op, points[0], (0, 60), 1e-3, 5)
-    res = shadow_splitting_series(op, split, po, report=report)
-    assert res.sup_error <= res.constant_used * po.delta + 1e-9
+    for dense_op, report in reports.items():
+        po = generate_pseudo_orbit(dense_op, points[0], (0, 60), 1e-3, 5)
+        res = shadow_splitting_series(dense_op, split, po, report=report)
+        verify_shadow(dense_op, po, res)
+        assert res.sup_error <= res.constant_used * po.delta + 1e-9
     for x in points:
         gx = gamma_eval(op, split, bump, x, horizons)
         assert gx.norm() <= horizons.upper * bump.sup_norm + 1e-12
