@@ -5,6 +5,14 @@ finite-dimensional work (dimension capped at 32) and finitely supported
 bilateral sequences indexed by the integers, stored as exact index to value
 maps. Every vector carries a norm tag (l1, l2, linf); arithmetic between
 mismatched tags is rejected rather than coerced.
+
+Every vector norm is reduced by tag in one kernel, _tag_norms: row_norms,
+array_norm and SparseBiSeq.norm differ only in how they take the moduli.
+mat_norm is the one-matrix case of mat_norms, and DUAL_TAG and
+_unit_maximizers give dual norms. Outside the kernel only max_row_norm
+(its fast path), optim._line_norm (the descent's Python-scalar line
+evaluator, where numpy calls would cost real time) and optim._blocks (the
+window solver's real pieces) reduce a vector norm by tag.
 """
 
 from __future__ import annotations
@@ -136,18 +144,9 @@ class SparseBiSeq:
         return not self.entries
 
     def norm(self) -> float:
-        if not self.entries:
-            return 0.0
-        vals = np.fromiter((abs(v) for v in self.entries.values()), dtype=float)
-        if self.norm_tag == L1:
-            return float(vals.sum())
-        if self.norm_tag == L2:
-            # Python abs keeps each modulus's bits; only an overflowing sum
-            # of squares is redone, scaled, as array_norm does
-            with np.errstate(over="ignore"):
-                sq = float((vals * vals).sum())
-            return math.sqrt(sq) if math.isfinite(sq) else float(_scaled_l2(vals[None, :])[0])
-        return float(vals.max())
+        # Python abs keeps each modulus's bits
+        vals = np.fromiter((abs(v) for v in self.entries.values()), float, len(self.entries))
+        return float(_tag_norms(vals[None], self.norm_tag)[0])
 
     def _require_same(self, other: "SparseBiSeq") -> None:
         if not isinstance(other, SparseBiSeq):
@@ -188,11 +187,9 @@ class SparseBiSeq:
 
 def _scaled_l2(mags: np.ndarray) -> np.ndarray:
     """l2 norms of the rows of the (n, d) moduli mags, as
-    max * sqrt(sum (m / max)^2): the plain sum of squares overflows from
-    about 1.3e154, this only where the norm itself does. The callers square
-    under np.errstate(over="ignore") and redo here only a row whose sum is
-    not finite, so an overflow is handled, not reported. A row whose max is
-    0, inf or nan keeps it as its norm."""
+    max * sqrt(sum (m / max)^2), finite wherever the norm is: the plain sum
+    of squares overflows from about 1.3e154. A row whose max is 0, inf or
+    nan keeps it as its norm."""
     top = mags.max(axis=1)
     out = top.copy()
     ok = np.isfinite(top) & (top > 0)
@@ -201,34 +198,32 @@ def _scaled_l2(mags: np.ndarray) -> np.ndarray:
     return out
 
 
-def array_norm(arr: np.ndarray, tag: str) -> float:
-    check_norm_tag(tag)
-    if arr.size == 0:
-        return 0.0
-    mags = np.abs(arr)
+def _tag_norms(mags: np.ndarray, tag: str) -> np.ndarray:
+    """The tag norm of each row of the (n, d) moduli mags: the sum (l1), the
+    max, 0 for an empty row (linf), or the root of the sum of squares, a row
+    that overflows redone by _scaled_l2 (l2). The ufunc reductions are those
+    of ndarray.sum and ndarray.max, without their Python wrappers."""
     if tag == L1:
-        return float(mags.sum())
-    if tag == L2:
-        with np.errstate(over="ignore"):
-            sq = (mags * mags).sum()
-        return float(np.sqrt(sq)) if math.isfinite(sq) else float(_scaled_l2(mags.reshape(1, -1))[0])
-    return float(mags.max())
+        return np.add.reduce(mags, -1)
+    if tag == LINF:
+        return np.maximum.reduce(mags, -1, initial=0.0)
+    check_norm_tag(tag)
+    with np.errstate(over="ignore"):
+        out = np.sqrt(np.add.reduce(mags * mags, -1))
+    if not math.isfinite(np.maximum.reduce(out, None, initial=0.0)):
+        over = ~np.isfinite(out)
+        out[over] = _scaled_l2(mags[over])
+    return out
+
+
+def array_norm(arr: np.ndarray, tag: str) -> float:
+    """The norm of all entries of arr, taken as one vector."""
+    return float(_tag_norms(np.abs(arr).reshape(1, -1), tag)[0])
 
 
 def row_norms(rows: np.ndarray, tag: str) -> np.ndarray:
     """Norm of every row of an (n, d) array; entry k equals array_norm(rows[k], tag)."""
-    check_norm_tag(tag)
-    mags = np.abs(rows)
-    if tag == L1:
-        return mags.sum(axis=1)
-    if tag == L2:
-        with np.errstate(over="ignore"):
-            out = np.sqrt((mags * mags).sum(axis=1))
-        over = ~np.isfinite(out)
-        if over.any():
-            out[over] = _scaled_l2(mags[over])
-        return out
-    return mags.max(axis=1)
+    return _tag_norms(np.abs(rows), tag)
 
 
 def max_row_norm(rows: np.ndarray, tag: str) -> float:
@@ -251,6 +246,37 @@ def max_row_norm(rows: np.ndarray, tag: str) -> float:
     return math.sqrt(top) if math.isfinite(top) else float(row_norms(rows, tag).max())
 
 
+# the tag of the dual norm: ||g||_dual = max over unit z (in tag) of Re g z
+DUAL_TAG = {L1: LINF, L2: L2, LINF: L1}
+
+
+def _unit_maximizers(g: np.ndarray, tag: str) -> np.ndarray:
+    """For each row g_j of g, a unit vector z_j (in tag) with Re g_j z_j the
+    dual norm of g_j: the conjugate phases under linf, the phase of the
+    largest entry under l1, g_j^H / ||g_j|| under l2. A zero entry takes
+    the phase 1 (of either sign of zero), and a zero row a unit vector too.
+    Moduli are scaled by the row's largest before they divide, so subnormal
+    entries do not overflow."""
+    mags = np.abs(g)
+    live = mags > 0
+    phases = np.ones_like(g)
+    phases[live] = np.exp(-1j * np.angle(g[live]))
+    if tag == LINF:
+        return phases
+    top = mags.argmax(axis=1)
+    rows = np.arange(len(g))
+    z = np.zeros_like(g)
+    if tag == L1:
+        z[rows, top] = phases[rows, top]
+        return z
+    peak = mags[rows, top]
+    nonzero = peak > 0
+    scaled = mags[nonzero] / peak[nonzero, None]
+    z[nonzero] = phases[nonzero] * scaled / row_norms(scaled, L2)[:, None]
+    z[~nonzero, 0] = 1.0
+    return z
+
+
 def as_square_matrix(rows) -> np.ndarray:
     m = np.array(rows, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -264,14 +290,7 @@ def as_square_matrix(rows) -> np.ndarray:
 
 def mat_norm(m: np.ndarray, tag: str) -> float:
     """Induced operator norm of a (possibly rectangular) matrix."""
-    check_norm_tag(tag)
-    if m.size == 0:
-        return 0.0
-    if tag == L1:
-        return float(np.abs(m).sum(axis=0).max())
-    if tag == LINF:
-        return float(np.abs(m).sum(axis=1).max())
-    return float(np.linalg.norm(m, 2))
+    return mat_norms(m[None], tag)[0]
 
 
 def mat_norms(stack: np.ndarray, tag: str) -> list[float]:
@@ -319,7 +338,7 @@ def _distance(a, b) -> float:
     if isinstance(a, (DenseVector, SparseBiSeq)):
         return (a - b).norm()
     if isinstance(a, np.ndarray):
-        return float(np.max(np.abs(a - b))) if a.size else 0.0
+        return array_norm(a - b, LINF)
     return abs(complex(a) - complex(b))
 
 

@@ -10,17 +10,17 @@ of the shadowing constant.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
 from .errors import KindMismatch, LindynError, NotCertified
 from .linalg import (
-    L1,
-    L2,
+    DUAL_TAG,
     LINF,
     DenseVector,
+    _unit_maximizers,
     dense_eig,
     mat_norm,
     max_row_norm,
@@ -50,20 +50,20 @@ MAX_WINDOW_VARIABLES = 4096
 # within pseudo_orbit's 1e-12 relative tolerance.
 WALK_ROUNDING = 1e-12
 EPS = float(np.finfo(float).eps)
-DUAL_TAG = {L1: LINF, L2: L2, LINF: L1}
 
 
 @dataclass(frozen=True)
 class WindowedLinf:
     """The difference operator restricted to windows indexed -N .. N.
 
-    A base whose powers up to 2N overflow is refused with NonFinite
-    (linalg.power_stack): where the base has no split, the estimate walks
-    pseudo-orbits across the whole window.
+    powers holds the base's powers 0 .. 2N (linalg.power_stack), and a base
+    whose powers overflow is refused there with NonFinite: where the base
+    has no split, the estimate walks pseudo-orbits across the whole window.
     """
 
     base: LinOp
     window_N: int
+    powers: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.base.vector_kind != "dense":
@@ -76,7 +76,8 @@ class WindowedLinf:
                 f"window holds {dim * (2 * self.window_N + 1)} variables, "
                 f"over the cap {MAX_WINDOW_VARIABLES}"
             )
-        power_stack(self.base.dense_matrix(), np.eye(dim), 2 * self.window_N + 1)
+        powers = power_stack(self.base.dense_matrix(), np.eye(dim), 2 * self.window_N + 1)
+        object.__setattr__(self, "powers", powers)
 
     @property
     def dim(self) -> int:
@@ -185,44 +186,16 @@ def _defect_samples(w: WindowedLinf) -> list[np.ndarray]:
     """The fixed defect set: for each basis vector u, in order, the constant
     defects (u at every step) and the resonant ones (M^(i+1) u normalized,
     u again where a power underflows), 2 dim samples in all."""
-    steps, M = 2 * w.window_N, w.base.dense_matrix()
+    steps = 2 * w.window_N
     # column b of M^(i+1) for i = 0 .. steps - 1, one sample per column
-    resonant = power_stack(M, M, steps)
     samples = []
-    for u, rows in zip(np.eye(w.dim, dtype=complex), resonant.transpose(2, 0, 1)):
+    for u, rows in zip(np.eye(w.dim, dtype=complex), w.powers[1:].transpose(2, 0, 1)):
         norms = row_norms(rows, w.base.norm_tag)
         tiny = norms < 1e-300
         rows = rows / np.where(tiny, 1.0, norms)[:, None]
         rows[tiny] = u
         samples += [np.tile(u, (steps, 1)), rows]
     return samples
-
-
-def _unit_maximizers(g: np.ndarray, tag: str) -> np.ndarray:
-    """For each row g_j of g, a unit vector z_j (in tag) with Re g_j z_j the
-    dual norm of g_j: the conjugate phases under linf, the phase of the
-    largest entry under l1, g_j^H / ||g_j|| under l2. A zero entry takes
-    the phase 1 (of either sign of zero), and a zero row a unit vector too.
-    Moduli are scaled by the row's largest before they divide, so subnormal
-    entries do not overflow."""
-    mags = np.abs(g)
-    live = mags > 0
-    phases = np.ones_like(g)
-    phases[live] = np.exp(-1j * np.angle(g[live]))
-    if tag == LINF:
-        return phases
-    top = mags.argmax(axis=1)
-    rows = np.arange(len(g))
-    z = np.zeros_like(g)
-    if tag == L1:
-        z[rows, top] = phases[rows, top]
-        return z
-    peak = mags[rows, top]
-    nonzero = peak > 0
-    scaled = mags[nonzero] / peak[nonzero, None]
-    z[nonzero] = phases[nonzero] * scaled / row_norms(scaled, L2)[:, None]
-    z[~nonzero, 0] = 1.0
-    return z
 
 
 def _extremal_defect(dense: DenseOp, split: SpectralSplit, N: int) -> np.ndarray:

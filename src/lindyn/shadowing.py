@@ -40,7 +40,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import KindMismatch, LindynError, NonContracting, NotCertified, NotInvertible
+from .errors import KindMismatch, LindynError, NonContracting, NotCertified, NotInvertible, RankDeficient
 from .linalg import (
     DenseVector,
     SparseBiSeq,
@@ -55,7 +55,6 @@ from .sampling import rng_from_seed, unit_dense_rows, unit_seq_samples
 from .splitting import (
     GENERALIZED,
     HYPERBOLIC,
-    HyperbolicityReport,
     SpectralSplit,
     Splitting,
     _series_memo,
@@ -544,9 +543,7 @@ def _series_orbit(k: _Kind, po: PseudoOrbit) -> np.ndarray:
     return held[1]
 
 
-def shadow_splitting_series(
-    op: LinOp, split: Splitting, po: PseudoOrbit, report: Optional[HyperbolicityReport] = None
-) -> ShadowResult:
+def shadow_splitting_series(op: LinOp, split: Splitting, po: PseudoOrbit) -> ShadowResult:
     """Correct a pseudo-orbit into an exact orbit through the splitting.
 
     Needs a Hyperbolic or GeneralizedHyperbolic certificate. On the finite
@@ -560,10 +557,9 @@ def shadow_splitting_series(
     """
     k = _kind(op, split, po.points, po.norm_tag)
     memo = _series_memo(op, split)
-    if report is None:
-        if "report" not in memo:
-            memo["report"] = classify(op, split)
-        report = memo["report"]
+    if "report" not in memo:
+        memo["report"] = classify(op, split)
+    report = memo["report"]
     if report.klass not in (HYPERBOLIC, GENERALIZED):
         raise NotCertified(
             f"splitting-series shadowing needs a certificate; classification is {report.klass}"
@@ -625,6 +621,23 @@ def _defect_split(dense: DenseOp) -> Optional[SpectralSplit]:
     return split
 
 
+def _window_solves(A: np.ndarray, offsets: np.ndarray, tag: str):
+    """min_max_norm on A, each with the factors that map its w back: on A,
+    then, where a column's largest modulus lies outside [0.5, 2), on A with
+    each such column scaled exactly into [0.5, 1) by a power of two. On a
+    basis spanning 1 to 3^64 the first stays at w = 0; on others the second
+    stops short. Only the first refuses with RankDeficient."""
+    yield min_max_norm(A, offsets, tag), 1.0
+    top = np.abs(A).max(axis=(0, 1))
+    exps = np.where((top >= 0.5) & (top < 2.0), 0, np.frexp(top)[1])
+    if exps.any():
+        try:
+            factors = np.ldexp(1.0, -np.maximum(exps, -1023))
+            yield min_max_norm(A * factors, offsets, tag), factors
+        except RankDeficient:
+            pass
+
+
 def shadow_window_solve(op: LinOp, po: PseudoOrbit) -> ShadowResult:
     """The best exact orbit over the window, with a certified bracket.
 
@@ -643,7 +656,9 @@ def shadow_window_solve(op: LinOp, po: PseudoOrbit) -> ShadowResult:
     (a spectrum touching the circle), the problem is posed in seed
     coordinates: p is the orbit of the first point and A_n = L^n. Either
     basis is a doubling stack (linalg.power_stack), refused with NonFinite
-    where a power overflows.
+    where a power overflows. A basis with a column far from unit scale is
+    solved again with its columns scaled, and the better point and the
+    larger lower bound are kept (_window_solves).
 
     sup_error is the distance of the returned trajectory to the points, as
     verify_shadow measures it, and never exceeds that of p (w = 0), so in
@@ -680,16 +695,19 @@ def shadow_window_solve(op: LinOp, po: PseudoOrbit) -> ShadowResult:
             axis=2,
         )
     offsets = k.finite(particular - rows)
-    sol = min_max_norm(A, offsets, tag)
     points, sup_error = particular, max_row_norm(offsets, tag)
-    if sol.value < sup_error:
-        if split is None:
-            candidate = k.walk(rows[0] + sol.w, count - 1)
-        else:
-            candidate = particular + A @ sol.w
-        dist = max_row_norm(k.finite(candidate - rows), tag)
-        if dist < sup_error:
-            points, sup_error = candidate, dist
+    lower = 0.0
+    for sol, factors in _window_solves(A, offsets, tag):
+        lower = max(lower, sol.lower)
+        if sol.value < sup_error:
+            w = sol.w * factors
+            if split is None:
+                candidate = k.walk(rows[0] + w, count - 1)
+            else:
+                candidate = particular + A @ w
+            dist = max_row_norm(k.finite(candidate - rows), tag)
+            if dist < sup_error:
+                points, sup_error = candidate, dist
     if sup_error == 0.0:
         constant = 0.0
     elif po.delta > 0.0:
@@ -706,7 +724,7 @@ def shadow_window_solve(op: LinOp, po: PseudoOrbit) -> ShadowResult:
         sup_error=sup_error,
         constant_used=constant,
         method="window_solve",
-        lower=min(sol.lower, sup_error),
+        lower=min(lower, sup_error),
     )
     verify_shadow(op, po, result)
     return result

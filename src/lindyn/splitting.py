@@ -33,13 +33,13 @@ from .errors import (
 )
 from .linalg import (
     L2,
+    LINF,
     SparseBiSeq,
     array_norm,
     check_norm_tag,
     mat_norm,
 )
 from .operators import (
-    CompositionOp,
     DenseOp,
     LinOp,
     MatrixPowers,
@@ -415,7 +415,7 @@ def resolvent_norm_S(op: LinOp, split: Splitting) -> float:
     NotCertified (so does the same side in resolvent_norm_U_inv).
     """
     if isinstance(split, CoordinateSplit):
-        mono, rows = _coordinate_monomial(op), split.norm_tag == "linf"
+        mono, rows = _coordinate_monomial(op), split.norm_tag == LINF
         return _monomial_geom_sum(mono, None, split.cutoff, split.norm_tag, rows)
     return _spectral_resolvent(op, split, side="S")
 
@@ -424,7 +424,7 @@ def resolvent_norm_U_inv(op: LinOp, split: Splitting) -> float:
     """|| (L|_U - I)^{-1} || = || sum_{k>=1} L^{-k}|_U || on the unstable side."""
     if isinstance(split, CoordinateSplit):
         mono = _coordinate_monomial(op.inverse())
-        rows = split.norm_tag == "linf"
+        rows = split.norm_tag == LINF
         return _monomial_geom_sum(mono, split.cutoff + 1, None, split.norm_tag, rows, from_one=True)
     return _spectral_resolvent(op, split, side="U")
 
@@ -474,10 +474,6 @@ class HyperbolicityReport:
     klass: str
     r_S: float
     r_U_inv: float
-    fwd_S_invariant: bool
-    bwd_U_invariant: bool
-    S_in_image: bool
-    U_in_image: bool
     witness: Optional[object]
     circle_gap: float
 
@@ -539,10 +535,6 @@ def classify(op: LinOp, split: Splitting) -> HyperbolicityReport:
         klass=klass,
         r_S=r_S,
         r_U_inv=r_U_inv,
-        fwd_S_invariant=True,
-        bwd_U_invariant=True,
-        S_in_image=shift == 0,
-        U_in_image=shift == 0,
         witness=witness,
         circle_gap=gap,
     )
@@ -599,8 +591,8 @@ def composition_gh_check(w_op: LinOp, r_op: LinOp, split: Splitting) -> Hyperbol
         f"||R|| * ||W|_S|| = {r_norm * w_s:.6g} is not < 1",
     )
 
-    composed = CompositionOp([r_op, w_op])
-    shift_l = composed.monomial.shift
+    if w_op.norm_tag != r_op.norm_tag:
+        raise KindMismatch("composition factors must share a norm tag")
     witness = None
     if mono_r.shift < 0:
         # U is inside W(U), so R(e_k) crossing the cut lands in L(U) and S.
@@ -613,10 +605,6 @@ def composition_gh_check(w_op: LinOp, r_op: LinOp, split: Splitting) -> Hyperbol
         klass=klass,
         r_S=r_norm * w_s,
         r_U_inv=w_inv_u * r_inv,
-        fwd_S_invariant=True,
-        bwd_U_invariant=True,
-        S_in_image=shift_l >= 0,
-        U_in_image=shift_l >= 0,
         witness=witness,
         circle_gap=min(1.0 - r_norm * w_s, 1.0 - w_inv_u * r_inv),
     )

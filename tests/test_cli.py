@@ -413,6 +413,23 @@ def test_shadow_task_codes_a_rank_deficient_window(tmp_path, capsys, window):
     assert "Traceback" not in err
 
 
+def test_window_solve_keeps_the_unscaled_solve_where_it_is_better():
+    # the basis columns top out at 2.1e101 and 1.7e204; solved with them
+    # scaled into [0.5, 1) alone, the window stopped at 1.16e94
+    cfg = {
+        "operator": {
+            "kind": "dense",
+            "matrix": [[-0.4912070649483007, 8.077111400460018e102], [-0.02588801453900706, 0.0]],
+            "norm": "linf",
+        },
+        "tasks": ["shadow"],
+        "parameters": {"window": [0, 3]},
+        "rng_seed": 2,
+    }
+    window = run_scenario(cfg)["tasks"]["shadow"]["result"]["methods"]["window_solve"]
+    assert 0.0 <= window["lower"] <= window["sup_error"] < 0.02
+
+
 def _fuzz_draws(count):
     """count dense matrices from numpy seed 0: d = 2 or 3, entries
     +-10^U(-3, 3) with 20% zeros; after a plain draw, one with an entry of

@@ -227,3 +227,108 @@ def test_power_stack_refuses_an_overflow_quietly():
     assert power_stack(np.array([[1e200]]), np.eye(1), 2)[1, 0, 0] == 1e200
     with pytest.raises(NonFinite, match="overflow"):
         power_stack(np.array([[1e200]]), np.eye(1), 3)
+
+
+# The former per-function norms, each with its own branch per tag. The
+# shared kernel (_tag_norms) must give the same floats, bit for bit.
+
+
+def reference_scaled_l2(mags):
+    top = mags.max(axis=1)
+    out = top.copy()
+    ok = np.isfinite(top) & (top > 0)
+    scaled = mags[ok] / top[ok, None]
+    out[ok] = top[ok] * np.sqrt((scaled * scaled).sum(axis=1))
+    return out
+
+
+def reference_array_norm(arr, tag):
+    if arr.size == 0:
+        return 0.0
+    mags = np.abs(arr)
+    if tag == L1:
+        return float(mags.sum())
+    if tag == L2:
+        with np.errstate(over="ignore"):
+            sq = (mags * mags).sum()
+        return float(np.sqrt(sq)) if math.isfinite(sq) else float(reference_scaled_l2(mags.reshape(1, -1))[0])
+    return float(mags.max())
+
+
+def reference_row_norms(rows, tag):
+    mags = np.abs(rows)
+    if tag == L1:
+        return mags.sum(axis=1)
+    if tag == L2:
+        with np.errstate(over="ignore"):
+            out = np.sqrt((mags * mags).sum(axis=1))
+        over = ~np.isfinite(out)
+        if over.any():
+            out[over] = reference_scaled_l2(mags[over])
+        return out
+    return mags.max(axis=1)
+
+
+def reference_sequence_norm(entries, tag):
+    if not entries:
+        return 0.0
+    vals = np.fromiter((abs(v) for v in entries.values()), dtype=float)
+    if tag == L1:
+        return float(vals.sum())
+    if tag == L2:
+        with np.errstate(over="ignore"):
+            sq = float((vals * vals).sum())
+        return math.sqrt(sq) if math.isfinite(sq) else float(reference_scaled_l2(vals[None, :])[0])
+    return float(vals.max())
+
+
+def reference_mat_norm(m, tag):
+    if m.size == 0:
+        return 0.0
+    if tag == L1:
+        return float(np.abs(m).sum(axis=0).max())
+    if tag == LINF:
+        return float(np.abs(m).sum(axis=1).max())
+    return float(np.linalg.norm(m, 2))
+
+
+def _norm_draw(rng, i):
+    """Complex entries with moduli 10^U(-200, 200), sizes 0 to 400, and an
+    entry of 1e300 in every 7th draw, where a sum of squares overflows."""
+    n = int(rng.integers(0, 401))
+    vals = np.exp(2j * np.pi * rng.random(n)) * 10.0 ** rng.uniform(-200.0, 200.0, n)
+    if i % 7 == 0 and n:
+        vals[rng.integers(n)] = 1e300
+    return vals
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("tag", [L1, L2, LINF])
+def test_vector_norms_match_their_former_bodies_bit_for_bit(tag):
+    rng = np.random.default_rng(25)
+    for i in range(300):
+        vals = _norm_draw(rng, i)
+        assert array_norm(vals, tag).hex() == reference_array_norm(vals, tag).hex(), i
+        entries = {k: complex(v) for k, v in enumerate(vals)}
+        got = SparseBiSeq(entries, tag).norm()
+        assert got.hex() == reference_sequence_norm(entries, tag).hex(), i
+        # rows of d entries, from empty rows to one of all the values
+        d = int(rng.integers(1, 9)) if len(vals) else 0
+        rows = vals[: len(vals) - len(vals) % d].reshape(-1, d) if d else vals.reshape(0, 0)
+        if d:
+            assert row_norms(rows, tag).tobytes() == reference_row_norms(rows, tag).tobytes(), i
+    assert array_norm(np.zeros(0), tag) == 0.0 == SparseBiSeq.zero(tag).norm()
+    assert row_norms(np.zeros((3, 0)), tag).tolist() == [0.0, 0.0, 0.0]
+
+
+def test_mat_norm_matches_its_former_body_bit_for_bit():
+    rng = np.random.default_rng(26)
+    for i in range(300):
+        rows, cols = rng.integers(1, 9, size=2) if i % 3 else (rng.integers(1, 9),) * 2
+        m = (rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))) * 10.0 ** rng.uniform(
+            -100.0, 100.0
+        )
+        for tag in (L1, L2, LINF):
+            assert mat_norm(m, tag).hex() == reference_mat_norm(m, tag).hex(), (i, tag)
+    for tag in (L1, L2, LINF):
+        assert mat_norm(np.zeros((0, 0)), tag) == 0.0

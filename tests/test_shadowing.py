@@ -403,6 +403,19 @@ def test_window_solve_accepts_its_own_fast_growing_orbit():
     verify_shadow(op, po, res)
 
 
+@pytest.mark.parametrize("n", [8, 32, 48, 64])
+def test_seed_window_solve_reaches_the_ramp_midpoint(n):
+    # diag(1, 3) touches the circle, so the solve is posed on the seed, with
+    # basis columns spanning 1 and 3^n: unscaled, the solver stayed at w = 0
+    # (lower 0, sup_error n) for n = 48 and 64. The best exact orbit is the
+    # constant n / 2.
+    op = DenseOp(np.diag([1.0, 3.0]), LINF)
+    po = pseudo_orbit(op, 0, [DenseVector([k, 0.0], LINF) for k in range(n + 1)], 1.0)
+    res = shadow_window_solve(op, po)
+    assert res.lower == pytest.approx(n / 2, rel=1e-12)
+    assert res.sup_error == pytest.approx(n / 2, rel=1e-12)
+
+
 def _reference_bracket(op, po, start, k=64):
     """Independent bounds (lo, hi) on the best exact-orbit distance, posed on
     the seed s (orbits L^n s) and solved by HiGHS. Every optimal seed lies
