@@ -184,8 +184,10 @@ def central_window_growth(
     wherever else their bracket closes to MIN_MAX_RTOL, that is the answer.
     Where it stays open (l1, most of l2, or a solve stopped at its caps), the
     deterministic descent runs from the basis, random unit seeds and the
-    pinned points, and the value is the least it reaches; the lower bound
-    stays the pinned one. The seeds are drawn for every N, whether or not
+    pinned points, and the value is the least it reaches, from the first
+    seed that reaches it; the lower bound stays the pinned one. One descend
+    call takes the seeds of every open N, so that their line searches share
+    each lockstep round. The seeds are drawn for every N, whether or not
     the descent runs. The bracket holds up to the rounding of min_max_norm's
     dual sums. Powers that overflow are refused with NonFinite before any
     solve: one forward and one backward linalg.power_stack serve every N.
@@ -205,19 +207,24 @@ def central_window_growth(
     backward = power_stack(np.linalg.inv(matrix), eye, top + 1) if op.invertible() else forward[:1]
     basis = list(np.eye(dim, dtype=complex))
     rng = rng_from_seed(rng_seed)
-    out: dict[int, MinMaxNorm] = {}
+    # (N, pinned bracket, descent problem or None) in n_list's order
+    brackets = []
     for N in n_list:
         if N == 0:
-            out[0] = MinMaxNorm(basis[0], 1.0, 1.0)
+            brackets.append((0, MinMaxNorm(basis[0], 1.0, 1.0), None))
             continue
         stack = np.concatenate([forward[: N + 1], backward[1 : N + 1]])
         growth = _growth_objective(stack, op.norm_tag)
         random_seeds = list(unit_dense_rows(dim, op.norm_tag, GROWTH_RANDOM_SEEDS, rng))
         best, pinned = _pinned_growth(stack, growth, op.norm_tag)
-        if best.value - best.lower > MIN_MAX_RTOL * best.value:
-            dirs = coordinate_directions(dim) + diagonal_directions(dim)
-            for s in basis + random_seeds + pinned:
-                x, val = descend(growth, s, dirs, scale=0.5)
+        is_open = best.value - best.lower > MIN_MAX_RTOL * best.value
+        brackets.append((N, best, (growth, basis + random_seeds + pinned) if is_open else None))
+    dirs = coordinate_directions(dim) + diagonal_directions(dim)
+    descents = iter(descend([p for _, _, p in brackets if p is not None], dirs, scale=0.5))
+    out: dict[int, MinMaxNorm] = {}
+    for N, best, problem in brackets:
+        if problem is not None:
+            for x, val in next(descents):
                 if val < best.value:
                     best = MinMaxNorm(x / array_norm(x, op.norm_tag), val, best.lower)
         out[N] = best

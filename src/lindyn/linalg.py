@@ -10,9 +10,11 @@ Every vector norm is reduced by tag in one kernel, _tag_norms: row_norms,
 array_norm and SparseBiSeq.norm differ only in how they take the moduli.
 mat_norm is the one-matrix case of mat_norms, and DUAL_TAG and
 _unit_maximizers give dual norms. Outside the kernel only max_row_norm
-(its fast path), optim._line_norm (the descent's Python-scalar line
-evaluator, where numpy calls would cost real time) and optim._blocks (the
-window solver's real pieces) reduce a vector norm by tag.
+(its fast path), optim._Block (the descent's lockstep line evaluator: it
+takes np.hypot moduli and sums l1 rows left to right, as Python's scalar
+arithmetic does, and sums l2 squares in extended precision) and
+optim._blocks (the window solver's real pieces) reduce a vector norm by
+tag.
 """
 
 from __future__ import annotations

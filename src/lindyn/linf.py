@@ -172,14 +172,10 @@ def linf_injectivity_margin(w: WindowedLinf, rng_seed: int = 0) -> float:
     # rank the seeds by raw objective, then spend the descent budget on the
     # best one; taper profiles are near-optimal already so polish is cheap
     ranked = sorted(seeds, key=objective)
-    n_vars = w.window_length * w.dim
-    dirs = []
-    for j in range(n_vars):
-        e = np.zeros(n_vars, dtype=complex)
-        e[j] = 1.0
-        dirs.append(e)
-        dirs.append(1j * e)
-    return descend(objective, ranked[0], dirs, scale=0.25)[1]
+    # e_j, then 1j e_j, for each coordinate j
+    eye = np.eye(w.window_length * w.dim)
+    dirs = np.stack([eye, 1j * eye], axis=1).reshape(-1, len(eye))
+    return descend([(objective, [ranked[0]])], dirs, scale=0.25)[0][0][1]
 
 
 def _defect_samples(w: WindowedLinf) -> list[np.ndarray]:

@@ -7,15 +7,19 @@ serves linf's injectivity margin, and the window growth where its pinned
 min_max_norm bracket stays open; it gives an upper estimate of a minimum
 and certifies nothing. Both of its objectives are a NormRatio, a ratio of
 the largest row norms of two linear maps, so along a line each row is
-affine in the step: a line search builds the rows the direction moves once
-and evaluates them on Python scalars, with every row it does not move
-folded into a constant. min_max_norm solves the
-convex problem min_w max_n ||A_n w + e_n|| of the window solve: a cutting
-plane LP (a revised simplex, warm-started between rounds) polished by
-Newton's method on the active pieces, returning its point with a lower
-bound from the Lagrangian dual, certified up to the rounding of the dual
-sums. The window solve and the window growth call it. There is no restart
-minimizer.
+affine in the step. The descent searches its lines in lockstep: the lines
+of a pass start from the same point until one takes a step, so one numpy
+line search runs them all, over every seed and objective of a call, each
+line holding only the rows its direction moves and a constant for the
+rest. Every line takes the steps it would take searched alone, and under
+linf and l1 it finds the values of the scalar objective bit for bit; under
+l2 it reduces rows in extended precision, within rounding of math.hypot.
+min_max_norm solves the convex problem min_w max_n ||A_n w + e_n|| of the
+window solve: a cutting plane LP (a revised simplex, warm-started between
+rounds) polished by Newton's method on the active pieces, returning its
+point with a lower bound from the Lagrangian dual, certified up to the
+rounding of the dual sums. The window solve and the window growth call it.
+There is no restart minimizer.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import RankDeficient
-from .linalg import L1, L2, LINF, max_row_norm
+from .linalg import L1, L2, LINF, max_row_norm, row_norms
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 # the descent's caps and tolerances: golden-section steps per line search, line
@@ -38,60 +42,9 @@ LINE_TOL_REL = 1e-11
 DESCEND_TOL = 1e-10
 DESCEND_MAX_PASSES = 40
 DIAGONAL_DIRECTIONS_CAP = 24
-
-
-def golden_section(
-    phi: Callable[[float], float], a: float, b: float, tol: float
-) -> tuple[float, float]:
-    """Minimize phi on [a, b]; intended for unimodal slices."""
-    x1 = b - GOLDEN * (b - a)
-    x2 = a + GOLDEN * (b - a)
-    f1, f2 = phi(x1), phi(x2)
-    it = 0
-    while (b - a) > tol and it < GOLDEN_MAX_ITER:
-        it += 1
-        if f1 <= f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - GOLDEN * (b - a)
-            f1 = phi(x1)
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + GOLDEN * (b - a)
-            f2 = phi(x2)
-    t = x1 if f1 <= f2 else x2
-    return t, min(f1, f2)
-
-
-def line_minimize(phi: Callable[[float], float], phi0: float, scale: float) -> tuple[float, float]:
-    """Minimize phi over the real line starting from t = 0.
-
-    Brackets by doubling in whichever direction descends or stays level,
-    then refines with golden section. A level stretch is walked on, not
-    taken for a minimum: a ratio of largest row norms stays level while a
-    move leaves the largest rows alone, and may fall beyond that. Returns
-    (t, phi(t)) with phi(t) <= phi(0).
-    """
-    step = max(scale, 1e-300)
-    fp = phi(step)
-    fm = phi(-step)
-    if fp > phi0 and fm > phi0:
-        lo, hi = -step, step
-    else:
-        sgn = 1.0 if fp <= fm else -1.0
-        best = fp if sgn > 0 else fm
-        t_prev, t_cur = 0.0, sgn * step
-        while True:
-            t_next = t_cur * 2.0
-            f_next = phi(t_next)
-            if f_next > best or abs(t_next) > 1e12 * step:
-                break
-            t_prev, t_cur, best = t_cur, t_next, f_next
-        lo, hi = (t_prev, t_next) if sgn > 0 else (t_next, t_prev)
-    width = hi - lo
-    t, ft = golden_section(phi, lo, hi, tol=max(width * LINE_TOL_REL, 1e-14))
-    if phi0 <= ft:
-        return 0.0, phi0
-    return t, ft
+# directions whose images are held at once, which bounds the memory a long
+# direction list takes
+IMAGE_CHUNK = 16
 
 
 @dataclass(frozen=True)
@@ -114,119 +67,316 @@ class NormRatio:
         ratio = max_row_norm(self.num(x), self.tag) / bottom
         return ratio if ratio < math.inf else math.inf
 
-    def line(self, x: np.ndarray, u: np.ndarray) -> Callable[[float], float]:
-        """phi(t) = self(x + t u) up to rounding, evaluated on Python scalars.
 
-        Along the line each row is affine in t: a_r + t b_r with a = num(x)
-        and b = num(u), and c_r + t e_r with c = den(x) and e = den(u), so
-        phi(t) = max(r_out, max_r ||a_r + t b_r||) / max(r_in, max_r ||c_r + t e_r||)
-        over the rows the direction moves, with the constants r_out and r_in
-        the largest norms of the rows it does not move. All of these are
-        built once per line. Where num(x) or num(u) is not finite, phi is
-        infinite: the row loops would pass over a nan.
-        """
-        a, b = self.num(x), self.num(u)
-        if not (np.isfinite(a).all() and np.isfinite(b).all()):
-            return lambda t: math.inf
-        num = _line_norm(a, b, self.tag)
-        den = _line_norm(self.den(x), self.den(u), self.tag)
-        floor = self.floor
-
-        def phi(t: float) -> float:
-            bottom = den(t)
-            if bottom < floor:
-                return math.inf
-            ratio = num(t) / bottom
-            return ratio if ratio < math.inf else math.inf
-
-        return phi
+def _rows(image: np.ndarray, tag: str) -> np.ndarray:
+    """An image of a NormRatio's num or den as the rows its tag reduces:
+    under linf every entry is a row of its own."""
+    return image.reshape(-1, 1) if tag == LINF else image
 
 
-def _line_norm(a: np.ndarray, b: np.ndarray, tag: str) -> Callable[[float], float]:
-    """t -> max_r ||a_r + t b_r|| on Python scalars, for (rows, d) arrays a
-    and b. Only the rows with b_r != 0 are evaluated; the largest norm of
-    the others is a constant. Under linf every entry is a row of its own,
-    and under l2 the rows are taken in real coordinates, for math.hypot."""
-    if tag == LINF:
-        moving = b != 0
-        rest = float(np.abs(a[~moving]).max(initial=0.0))
-        pairs = list(zip(a[moving].tolist(), b[moving].tolist()))
+class _Lines:
+    """The lines x + t u of one objective along fixed unit directions u.
 
-        def largest_entry(t: float) -> float:
-            top = rest
-            for p, q in pairs:
-                v = abs(p + t * q)
-                if v > top:
-                    top = v
-            return top
+    Along a line each row of num and den is affine in t, a_r + t b_r with
+    a = num(x) and b = num(u) (den alike). A line holds in slots only the
+    rows its direction moves (b_r != 0), padded with zero rows to counts
+    shared by every objective of a descent: the num slots, then the den
+    slots, as (part, slot, entry, line) arrays of real and imaginary parts,
+    so that a block reduces its rows along leading axes. The rows it leaves
+    alone enter as two constants, their largest num and den norms. The
+    moved rows of each direction are taken once, and fit lays out their
+    slots; at(x) builds the slots and constants of a point.
+    """
 
-        return largest_entry
-    moving = b.any(axis=1)
-    rest = max_row_norm(a[~moving], tag)
-    a, b = a[moving], b[moving]
-    if tag == L2:
-        a, b = np.hstack([a.real, a.imag]), np.hstack([b.real, b.imag])
-    rows = [list(zip(ar, br)) for ar, br in zip(a.tolist(), b.tolist())]
-    if tag == L1:
+    def __init__(self, objective: NormRatio, units: Sequence[np.ndarray]):
+        self.objective, self.units = objective, units
+        self.moved, self.values = zip(*(self._moved_rows(f) for f in (objective.num, objective.den)))
+        # at least one slot each, so that a block's reductions are never empty
+        self.counts = [max(1, int(moved.sum(axis=1).max())) for moved in self.moved]
 
-        def largest_l1(t: float) -> float:
-            top = rest
-            for row in rows:
-                v = 0.0
-                for p, q in row:
-                    v += abs(p + t * q)
-                if v > top:
-                    top = v
-            return top
+    def _moved_rows(self, image: Callable[[np.ndarray], np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+        """Which rows of image(u) each direction u moves, and their values
+        in (line, row) order; the images are taken IMAGE_CHUNK at a time."""
+        moved, values = [], []
+        for start in range(0, len(self.units), IMAGE_CHUNK):
+            chunk = self.units[start : start + IMAGE_CHUNK]
+            b = np.stack([_rows(image(u), self.objective.tag) for u in chunk])
+            moved.append(b.any(axis=-1))
+            values.append(b[moved[-1]])
+        return np.concatenate(moved), np.concatenate(values)
 
-        return largest_l1
+    def fit(self, counts: Sequence[int]) -> None:
+        """Lay out counts[0] num and counts[1] den slots per line."""
+        self.gather, slots = [], []
+        for moved, values, k in zip(self.moved, self.values, counts):
+            n, rows = moved.shape
+            line, row = np.nonzero(moved)
+            per_line = moved.sum(axis=1)
+            slot = np.arange(len(line)) - np.repeat(np.cumsum(per_line) - per_line, per_line)
+            gather = np.full((n, k), rows)
+            gather[line, slot] = row
+            self.gather.append(gather)
+            b = np.zeros((n, k, values.shape[1]), dtype=values.dtype)
+            b[line, slot] = values
+            slots.append(b)
+        q = np.concatenate(slots, axis=1)
+        # a line along a direction whose image is not finite is infinite
+        # everywhere: at(x) makes its num constant infinite
+        self.dead = ~np.isfinite(q).all(axis=(1, 2))
+        q[self.dead] = 0.0
+        self.q = _parts(q)
 
-    def largest_l2(t: float) -> float:
-        top = rest
-        for row in rows:
-            v = math.hypot(*[p + t * q for p, q in row])
-            if v > top:
-                top = v
-        return top
+    def at(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The slots a of every line through x, and its (2, line) constants.
+        The constants take numpy moduli, as max_row_norm does."""
+        objective, slots, rest = self.objective, [], []
+        images = [_rows(objective.num(x), objective.tag), _rows(objective.den(x), objective.tag)]
+        for a, moved, gather in zip(images, self.moved, self.gather):
+            # the largest norm a line leaves alone is among the k + 1 largest,
+            # where it moves k rows at most
+            norms = row_norms(a, objective.tag)
+            top = np.argsort(-norms, kind="stable")[: gather.shape[1] + 1]
+            free = ~moved[:, top]
+            rest.append(np.where(free.any(axis=1), norms[top][free.argmax(axis=1)], 0.0))
+            slots.append(np.concatenate([a, np.zeros_like(a[:1])])[gather])
+        p, rest = np.concatenate(slots, axis=1).astype(complex), np.array(rest)
+        dead = self.dead | ~np.isfinite(images[0]).all()
+        p[dead] = 0.0
+        rest[0, dead] = math.inf
+        return _parts(p), rest
 
-    return largest_l2
+
+def _parts(slots: np.ndarray) -> np.ndarray:
+    """(line, slot, entry) complex slots as (part, slot, entry, line) reals."""
+    slots = slots.transpose(1, 2, 0)
+    return np.stack([slots.real, slots.imag])
+
+
+class _Block:
+    """phi_i(t_i) = objective_i(x_i + t_i u_i) on a block of lines at once,
+    from their slots p (at x_i) and q (along u_i), of which the first split
+    are num slots, and their constants rest. A moved complex entry's
+    modulus is np.hypot of its parts, as Python's abs takes it, and an l1
+    row is summed left to right, so that these values are those of the
+    scalar objective bit for bit. An l2 row is the root of its sum of
+    squares in np.longdouble, rounded once. Where that type has a 64-bit
+    mantissa (x86-64) it cannot overflow, and it is math.hypot's value in
+    all but about 3 rows in 10,000; where it is a float64, a row past about
+    1e154 reads as infinite."""
+
+    def __init__(self, p, q, rest, split: int, tag: str, floor: np.ndarray):
+        self.p, self.q, self.rest, self.split, self.tag, self.floor = p, q, rest, split, tag, floor
+        self.cuts = np.array([0, split])
+
+    def take(self, idx: np.ndarray) -> "_Block":
+        p, q, rest = self.p[..., idx], self.q[..., idx], self.rest[:, idx]
+        return _Block(p, q, rest, self.split, self.tag, self.floor[idx])
+
+    def __call__(self, t: np.ndarray) -> np.ndarray:
+        z = self.p + t * self.q
+        if self.tag == L2:
+            z = z.astype(np.longdouble)
+            norms = np.sqrt(np.einsum("psel,psel->sl", z, z)).astype(float)
+        else:
+            # under linf a row is one entry
+            m = np.hypot(z[0], z[1])
+            norms = m[:, 0]
+            for c in range(1, m.shape[1]):
+                norms = norms + m[:, c]
+        top, bottom = np.maximum(np.maximum.reduceat(norms, self.cuts), self.rest)
+        # infinite where bottom < floor, and where the ratio is not finite
+        return np.fmin(top / np.where(bottom >= self.floor, bottom, 0.0), math.inf)
+
+
+def _line_searches(phi: _Block, phi0: np.ndarray, step: float) -> tuple[np.ndarray, np.ndarray]:
+    """The line search of every line of a block at once, from phi(0) = phi0.
+
+    Per line it brackets by doubling in whichever direction descends or
+    stays level, then refines with golden section, and returns (t, phi(t))
+    with phi(t) <= phi0: (0, phi0) unless the search went below phi0. A
+    level stretch is walked on, not taken for a minimum: a ratio of largest
+    row norms stays level while a move leaves the largest rows alone, and
+    may fall beyond that. Each line takes the same steps, and the same
+    values, as it would searched alone.
+    """
+    n = len(phi0)
+    fp, fm = phi(np.full(n, step)), phi(np.full(n, -step))
+    lo, hi = np.full(n, -step), np.full(n, step)
+    walk = np.flatnonzero(~((fp > phi0) & (fm > phi0)))
+    if walk.size:
+        up = fp[walk] <= fm[walk]
+        best = np.where(up, fp[walk], fm[walk])
+        t_prev, t_next = _walk(phi, walk, np.where(up, step, -step), best, step)
+        lo[walk] = np.where(up, t_prev, t_next)
+        hi[walk] = np.where(up, t_next, t_prev)
+    t, ft = _golden_section(phi, lo, hi)
+    keep = phi0 <= ft
+    return np.where(keep, 0.0, t), np.where(keep, phi0, ft)
+
+
+def _walk(phi: _Block, lines: np.ndarray, t_cur: np.ndarray, best: np.ndarray, step: float):
+    """Double t from t_cur while phi stays at or below its last value, at
+    most until |t| passes 1e12 step; returns the points before and at the
+    stop. Each round tries twice the doublings of the last on every line
+    still walking, two at first: most walks stop within two."""
+    t_prev, t_next = np.zeros(len(lines)), np.empty(len(lines))
+    todo, tries = np.arange(len(lines)), 2
+    while todo.size:
+        ladder = t_cur[todo, None] * 2.0 ** np.arange(1, tries + 1)
+        f = phi.take(np.repeat(lines[todo], tries))(ladder.ravel()).reshape(ladder.shape)
+        last = np.concatenate([best[todo, None], f[:, :-1]], axis=1)
+        stop = (f > last) | (np.abs(ladder) > 1e12 * step)
+        hit, at = stop.any(axis=1), stop.argmax(axis=1)
+        path = np.concatenate([t_prev[todo, None], t_cur[todo, None], ladder], axis=1)
+        rows = np.flatnonzero(hit)
+        t_next[todo[rows]] = ladder[rows, at[rows]]
+        t_prev[todo[rows]] = path[rows, at[rows]]
+        todo, rows = todo[~hit], np.flatnonzero(~hit)
+        t_prev[todo], t_cur[todo], best[todo] = ladder[rows, -2], ladder[rows, -1], f[rows, -1]
+        tries *= 2
+    return t_prev, t_next
+
+
+def _golden_section(phi: _Block, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Golden section on every [a_i, b_i] in lockstep, each to its own
+    tolerance (relative to its width) or GOLDEN_MAX_ITER steps; returns the
+    better inner point of each and its value. A line leaves the block once
+    its bracket is within tolerance."""
+    tol = np.maximum((b - a) * LINE_TOL_REL, 1e-14)
+    x1, x2 = b - GOLDEN * (b - a), a + GOLDEN * (b - a)
+    f1, f2 = phi(x1), phi(x2)
+    t, ft = np.empty(len(a)), np.empty(len(a))
+    lines = np.arange(len(a))
+    live = (b - a) > tol
+    for it in range(GOLDEN_MAX_ITER + 1):
+        if it == GOLDEN_MAX_ITER:
+            live[:] = False
+        if np.count_nonzero(live) < len(lines):
+            left, done = f1 <= f2, ~live
+            t[lines[done]] = np.where(left, x1, x2)[done]
+            ft[lines[done]] = np.where(left, f1, f2)[done]
+            if not live.any():
+                break
+            keep = np.flatnonzero(live)
+            phi, lines = phi.take(keep), lines[keep]
+            a, b, x1, x2, f1, f2, tol = (v[keep] for v in (a, b, x1, x2, f1, f2, tol))
+        # f1 <= f2: b, x2, f2 = x2, x1, f1 and x1 is new;
+        # else: a, x1, f1 = x1, x2, f2 and x2 is new
+        left = f1 <= f2
+        a, b = np.where(left, a, x1), np.where(left, x2, b)
+        width = b - a
+        new = np.where(left, b - GOLDEN * width, a + GOLDEN * width)
+        fn = phi(new)
+        x1, x2 = np.where(left, new, x2), np.where(left, x1, new)
+        f1, f2 = np.where(left, fn, f2), np.where(left, f1, fn)
+        live = width > tol
+    return t, ft
+
+
+def _point(x0: np.ndarray) -> np.ndarray:
+    return np.array(x0, dtype=complex if np.iscomplexobj(x0) else float)
+
+
+class _Run:
+    """One descent's state: its point, its place in the pass, its gain, and
+    how many lines its next block holds."""
+
+    def __init__(self, lines: _Lines, x0: np.ndarray):
+        self.lines = lines
+        self.x0 = self.x = _point(x0)
+        self.f0 = self.fx = lines.objective(self.x0)
+        self.p, self.rest = lines.at(self.x)
+        self.pos, self.passes, self.improved, self.done = 0, 0, 0.0, False
+        self.window = len(lines.units)
+
+    def block(self, whole: bool) -> tuple:
+        """The slots p and q, the constants, the floor and phi(0) of the
+        lines of its next block; all the lines left in its pass if whole."""
+        n = len(self.lines.units)
+        lines = slice(self.pos, n if whole else min(self.pos + self.window, n))
+        size = lines.stop - lines.start
+        floor = np.full(size, self.lines.objective.floor)
+        phi0 = np.full(size, self.fx)
+        return self.p[..., lines], self.lines.q[..., lines], self.rest[:, lines], floor, phi0
+
+    def advance(self, t: np.ndarray, ft: np.ndarray) -> None:
+        """Take the first step of the block's lines that goes below fx, if
+        any; the lines after it are searched again from the new point. The
+        next block holds twice the lines this one needed."""
+        hit = np.flatnonzero(ft < self.fx - 1e-16)
+        if hit.size:
+            j = int(hit[0])
+            self.improved += self.fx - float(ft[j])
+            self.x = self.x + t[j] * self.lines.units[self.pos + j]
+            self.fx = float(ft[j])
+            self.pos += j + 1
+            self.window = 2 * (j + 1)
+            self.p, self.rest = self.lines.at(self.x)
+        else:
+            self.pos += len(t)
+            self.window *= 2
+        if self.pos == len(self.lines.units):
+            self.passes += 1
+            ended = self.improved <= DESCEND_TOL * (1.0 + abs(self.fx))
+            self.done = ended or self.passes == DESCEND_MAX_PASSES
+            self.pos, self.improved = 0, 0.0
+
+    def result(self) -> tuple[np.ndarray, float]:
+        fx = self.lines.objective(self.x)
+        return (self.x, fx) if fx <= self.f0 else (self.x0, self.f0)
 
 
 # one errstate per solve: the objective and its lines overflow where powers
 # or cuts pass the largest float, and read an overflow as infinite
-@np.errstate(over="ignore", invalid="ignore")
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def descend(
-    objective: NormRatio,
-    x0: np.ndarray,
+    problems: Sequence[tuple[NormRatio, Sequence[np.ndarray]]],
     directions: Sequence[np.ndarray],
     scale: float,
-) -> tuple[np.ndarray, float]:
-    """Repeated line minimization along a fixed direction list.
+) -> list[list[tuple[np.ndarray, float]]]:
+    """Repeated line minimization along a fixed direction list: for each
+    (objective, seeds) problem, one (x, value) per seed. The objectives
+    share their norm tag and the width of their rows.
 
-    Each direction is normalized once, and each line search minimizes
-    objective.line: the rows the direction moves, on Python scalars. Steps
-    are only accepted when they strictly decrease the line's value. The
-    value returned is the full objective at the point returned: the final
-    point, or x0 where rounding left the final point's value above f(x0).
-    So the result never exceeds f(x0), even on objectives with non-unimodal
-    slices, and it is always the objective at a concrete point.
+    Each direction is normalized once. A pass searches the lines through the
+    current point along every direction, in order, and a step is only
+    accepted when it strictly decreases the line's value. Until one is, the
+    lines of a pass start from the same point, so one lockstep line search
+    (_line_searches, on numpy arrays) takes a block of lines from every
+    seed of every problem: a lone seed's block holds all the lines left in
+    its pass; with several seeds, a block holds twice the lines the seed's
+    last block needed (the first, a whole pass), so that few lines are
+    searched past a step. The first line below the current value takes its
+    step, and the lines after it are searched again from the new point.
+    Every line takes the steps it would take searched alone.
+    The value returned is the full objective at the point returned: the
+    final point, or the seed where rounding left the final point's value
+    above the seed's. So a result never exceeds the objective at its seed,
+    even on objectives with non-unimodal slices, and it is always the
+    objective at a concrete point.
     """
-    x0 = np.array(x0, dtype=complex if np.iscomplexobj(x0) else float)
-    f0 = objective(x0)
     units = [d / dn for d in directions if (dn := float(np.linalg.norm(d))) > 0.0]
-    x, fx = x0, f0
-    for _ in range(DESCEND_MAX_PASSES):
-        improved = 0.0
-        for u in units:
-            t, ft = line_minimize(objective.line(x, u), fx, scale)
-            if ft < fx - 1e-16:
-                improved += fx - ft
-                x = x + t * u
-                fx = ft
-        if improved <= DESCEND_TOL * (1.0 + abs(fx)):
-            break
-    fx = objective(x)
-    return (x, fx) if fx <= f0 else (x0, f0)
+    if not units:
+        return [[(x, objective(x)) for x in map(_point, seeds)] for objective, seeds in problems]
+    lines = [_Lines(objective, units) for objective, _ in problems]
+    counts = np.max([ln.counts for ln in lines], axis=0, initial=0)
+    runs = []
+    for ln, (_, seeds) in zip(lines, problems):
+        ln.fit(counts)
+        runs.append([_Run(ln, s) for s in seeds])
+    step = max(scale, 1e-300)
+    searching = [r for rs in runs for r in rs]
+    while searching:
+        # a lone descent searches all its remaining lines: a block of its
+        # own costs it a whole line search of rounds
+        blocks = [r.block(len(searching) == 1) for r in searching]
+        p, q, rest, floor, phi0 = (np.concatenate(part, axis=-1) for part in zip(*blocks))
+        t, ft = _line_searches(_Block(p, q, rest, int(counts[0]), problems[0][0].tag, floor), phi0, step)
+        cuts = np.cumsum([len(b[-1]) for b in blocks])[:-1]
+        for r, ts, fs in zip(searching, np.split(t, cuts), np.split(ft, cuts)):
+            r.advance(ts, fs)
+        searching = [r for r in searching if not r.done]
+    return [[r.result() for r in rs] for rs in runs]
 
 
 def coordinate_directions(dim: int) -> list[np.ndarray]:

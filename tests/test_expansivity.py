@@ -172,7 +172,8 @@ def _descent_reference(op, n_list, rng_seed=0):
         seeds = [b.coords for b in dense_basis(dim, tag)]
         seeds += [s.coords for s in unit_dense_samples(dim, tag, GROWTH_RANDOM_SEEDS, rng)]
         dirs = coordinate_directions(dim) + diagonal_directions(dim)
-        out[N] = min(descend(growth, s.astype(complex), dirs, scale=0.5)[1] for s in seeds)
+        found = descend([(growth, [s.astype(complex) for s in seeds])], dirs, scale=0.5)[0]
+        out[N] = min(value for _, value in found)
     return out
 
 

@@ -14,12 +14,16 @@ from lindyn import (
     linf_apply,
     linf_injectivity_margin,
 )
+from lindyn import expansivity as expansivity_module
+from lindyn import linf as linf_module
 from lindyn import optim
 from lindyn.expansivity import _growth_objective
-from lindyn.linalg import max_row_norm, power_stack
+from lindyn.linalg import array_norm, max_row_norm, power_stack
 from lindyn.linf import _margin_objective
 from lindyn.optim import min_max_norm
 from lindyn.sampling import random_margin_matrix, rng_from_seed
+
+import scalar_descent
 
 
 def two_sided_powers(M, N):
@@ -183,6 +187,21 @@ def _growth_reference(op, N, v):
     return max(op.apply_power(n, x).norm() for n in range(-N, N + 1)) / x.norm()
 
 
+def _line(objective, x, u):
+    """t -> objective(x + t u) through the descent's block evaluator, as a
+    block of one line."""
+    lines = optim._Lines(objective, [u])
+    lines.fit(lines.counts)
+    p, rest = lines.at(x)
+    phi = optim._Block(p, lines.q, rest, lines.counts[0], objective.tag, np.array([objective.floor]))
+
+    def at(t):
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            return float(phi(np.array([t]))[0])
+
+    return at
+
+
 def _assert_line_matches(phi, reference, t):
     got, want = phi(t), reference
     if math.isinf(want):
@@ -221,7 +240,7 @@ def test_margin_line_equals_the_objective_along_the_line(tag, dim):
             (whole_row, [-1.0, -0.5, 2.0]),
         ]
         for u, ts in cases:
-            phi = objective.line(x, u)
+            phi = _line(objective, x, u)
             for t in ts:
                 _assert_line_matches(phi, _margin_reference(w, x + t * u), t)
 
@@ -239,11 +258,104 @@ def test_growth_line_equals_the_objective_along_the_line(tag, dim):
     eye = np.eye(dim)
     directions = [eye[0], 1j * eye[-1], eye[0] + 1j * eye[-1], eye[0] - eye[-1]]
     for u in directions:
-        phi = objective.line(x, u)
+        phi = _line(objective, x, u)
         for t in (-2.0, -0.3, 0.0, 0.6, 5.0):
             _assert_line_matches(phi, _growth_reference(op, N, x + t * u), t)
     # t = -1 along x itself zeroes the vector: both sides are infinite
-    _assert_line_matches(objective.line(x, x), _growth_reference(op, N, x - x), -1.0)
+    _assert_line_matches(_line(objective, x, x), _growth_reference(op, N, x - x), -1.0)
+
+
+# ---------------------------------------------------------------------------
+# The lockstep descent against the scalar one
+# ---------------------------------------------------------------------------
+
+
+def _scalar_descents(problems, directions, scale):
+    return [[scalar_descent.descend(f, s, directions, scale) for s in seeds] for f, seeds in problems]
+
+
+def _spy(monkeypatch, module):
+    """Record every descend call of module with its results."""
+    calls = []
+
+    def spy(problems, directions, scale):
+        found = optim.descend(problems, directions, scale)
+        calls.append((problems, directions, scale, found))
+        return found
+
+    monkeypatch.setattr(module, "descend", spy)
+    return calls
+
+
+def _assert_same_points(got, want):
+    assert len(got) == len(want)
+    for (x, value), (x_ref, value_ref) in zip(got, want):
+        assert value.hex() == value_ref.hex()
+        assert x.dtype == x_ref.dtype and x.tobytes() == x_ref.tobytes()
+
+
+@pytest.mark.parametrize("tag", [L1, LINF])
+@pytest.mark.parametrize("N", [4, 8])
+def test_margin_descent_is_the_scalar_descent_bit_for_bit(tag, N, monkeypatch):
+    calls = _spy(monkeypatch, linf_module)
+    rng = rng_from_seed(40)
+    for dim in (2, 3, 2):
+        op = DenseOp(random_margin_matrix(dim, rng, margin=0.1), tag)
+        linf_injectivity_margin(WindowedLinf(op, N))
+    assert len(calls) == 3
+    for problems, directions, scale, found in calls:
+        for got, want in zip(found, _scalar_descents(problems, directions, scale)):
+            _assert_same_points(got, want)
+
+
+@pytest.mark.parametrize("seed, n_list", [(302, (1, 2, 4)), (306, (1, 2, 4)), (307, (2, 4))])
+def test_growth_descent_is_the_scalar_descent_bit_for_bit(seed, n_list, monkeypatch):
+    op = DenseOp(random_margin_matrix(2 + seed % 2, rng_from_seed(seed), margin=0.1), L1)
+    calls = _spy(monkeypatch, expansivity_module)
+    table = central_window_growth(op, n_list)
+    # one call for every open bracket, each with its seeds in order
+    (problems, directions, scale, found), = calls
+    assert problems
+    for got, want in zip(found, _scalar_descents(problems, directions, scale)):
+        _assert_same_points(got, want)
+    monkeypatch.setattr(expansivity_module, "descend", _scalar_descents)
+    for N, want in central_window_growth(op, n_list).items():
+        got = table[N]
+        assert (got.value.hex(), got.lower.hex()) == (want.value.hex(), want.lower.hex())
+        assert got.w.tobytes() == want.w.tobytes()
+
+
+def test_descent_falls_back_to_its_seed_where_the_objective_ends_higher():
+    # num is not linear, so a line through x predicts 1 + x^2 + 2 t, which
+    # the descent drives down while the objective at its points rises; it
+    # returns the seed and its value, as the scalar descent does
+    objective = optim.NormRatio(
+        lambda x: np.atleast_2d(1.0 + x * x), lambda x: np.atleast_2d(1.0 - x * x), L1, floor=1e-12
+    )
+    seed = np.zeros(1, dtype=complex)
+    (found,), = optim.descend([(objective, [seed])], [np.ones(1)], scale=0.5)
+    want = scalar_descent.descend(objective, seed, [np.ones(1)], scale=0.5)
+    assert found[1] == 1.0 and not found[0].any()
+    _assert_same_points([found], [want])
+
+
+def test_window_growth_keeps_the_first_seed_with_the_least_value(monkeypatch):
+    firsts = []
+
+    def ties(problems, directions, scale):
+        found = []
+        for _, seeds in problems:
+            # seeds 3 and 5 tie, below every other seed and the pinned value
+            found.append([(s * (k + 1), 0.5 if k in (3, 5) else 0.75) for k, s in enumerate(seeds)])
+            firsts.append(seeds[3] * 4)
+        return found
+
+    monkeypatch.setattr(expansivity_module, "descend", ties)
+    op = DenseOp(random_margin_matrix(2, rng_from_seed(302), margin=0.1), L1)
+    opened = [g for g in central_window_growth(op, (1, 2, 4)).values() if g.value == 0.5]
+    assert len(opened) == len(firsts) == 2
+    for g, x in zip(opened, firsts):
+        assert g.w.tobytes() == (x / array_norm(x, L1)).tobytes()
 
 
 # ---------------------------------------------------------------------------
