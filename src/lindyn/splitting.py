@@ -275,6 +275,12 @@ class RestrictedPowers:
             term = self._term = self._build_term()
         return term(n)
 
+    def memoized(self) -> list:
+        """The terms computed so far on a spectral split, from n = 0 (empty
+        on a coordinate split or an empty side); reading them computes and
+        raises nothing."""
+        return getattr(self._term, "norms", [])
+
     def _build_term(self):
         op, split, side = self.op, self.split, self.side
         if isinstance(split, CoordinateSplit):

@@ -10,6 +10,20 @@ constants (compute_horizons). A field is evaluated only at trajectory points
 within its support_radius; every term past the last such point is an exact
 zero, and the sums skip them.
 
+A walk also ends before its horizon once no later point can come back within
+reach. On the backward walk (R = L^-1, P = P_S, t(k) the memoized Green's
+term >= ||L^k P_S||) and on the forward one (R = L, P = P_U, t(k) >=
+||L^-k P_U||), P commutes with L, so ||P y|| <= t(k) ||R^k y||. At a walked
+point y with K steps left, ||P y|| > 2 far max_{1<=k<=K} t(k) puts every
+later point beyond far: the field's reach, or the radius beyond which a
+trajectory map declares itself to be R (its linear_outside), if larger. The
+walk ends there if also ||y|| > far and log ||y|| + K log ||R|| <
+WALK_EXIT_LOG, so no walk that would overflow is cut short. The bound holds
+up to the rounding of the computed P_S (see SpectralSplit) and of the walk,
+which the factor 2 absorbs. A map that declares nothing is walked whole, as
+is every walk of a field of infinite reach. The exit changes no walked
+point, sum or memo key, so every output is that of the whole walk.
+
 Both directions of the conjugacy are one memoized field, ConjugacyField:
 - the direct one conjugates L to L + beta as the Picard limit of
   h_1 = Gamma(beta), h_{m+1} = Gamma(beta o (id + h_m)), along L;
@@ -20,15 +34,16 @@ matrix; DenseVectors are taken, returned and checked only at the public
 calls (gamma_eval, a ConjugacyField call, the residual checks). A
 ConjugacyField checks its operator, split and field once, when it is built,
 and its recursion evaluates Gamma on coordinates. Fields are evaluated lazily
-at query points, memoized per depth, and one query may walk at most
-QUERY_WALK_CAP trajectory points over its memo misses before it is refused
-with TrajectoryBudget.
+at query points, memoized per depth, and one query may count at most
+QUERY_WALK_CAP horizon steps over its memo misses, however early its walks
+end, before it is refused with TrajectoryBudget.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -43,21 +58,27 @@ from .errors import (
     TrajectoryBudget,
 )
 from .gallery import DifferentiableMap
-from .linalg import DenseVector, array_norm, check_finite, row_norms
+from .linalg import DenseVector, array_norm, check_finite, mat_norm, row_norms
 from .operators import DenseOp, LinOp
 from .sampling import rng_from_seed, unit_dense_samples
 from .shadowing import SERIES_TAIL, SERIES_TERM_CAP, SeriesConstants
 from .shadowing import _sum_until_tail, series_constants
-from .splitting import SpectralSplit, Splitting, spectral_split
+from .splitting import SpectralSplit, Splitting, _series_memo, spectral_split
 
 PHI_LIP_MAX = 8.0 / (3.0 * math.sqrt(3.0))
 MEMO_QUANTUM = 1e-12
 MEMO_COORD_CAP = 1e6
-# Trajectory points one top-level field query may walk. The largest query in
-# the acceptance criteria AC06 and AC07, the bundled scenarios and the
-# conjugacy_field benchmark rounds of seeds 1-5 walks 5,037, so this is
+# Horizon steps one top-level field query may take: each memo miss counts
+# len(a_terms) + len(b_terms), however early its walks end. The largest query
+# in the acceptance criteria AC06 and AC07, the bundled scenarios and the
+# conjugacy_field benchmark rounds of seeds 1-5 counts 5,037, so this is
 # about 20 times the most any of them needs.
 QUERY_WALK_CAP = 100_000
+# A walk tests its exit at every WALK_EXIT_STRIDE-th point, and ends there
+# only if no later point can pass e^WALK_EXIT_LOG, well below the largest
+# float (about e^709.78).
+WALK_EXIT_STRIDE = 4
+WALK_EXIT_LOG = 690.0
 POINTWISE_INVERSE_CAP = 300
 POINTWISE_INVERSE_TOL = 1e-13
 PICARD_MAX_DEPTH = 12
@@ -242,26 +263,62 @@ def _check_point(x, parts: tuple) -> None:
         raise KindMismatch("Gamma's point must be a dense vector of the operator's tag and dimension")
 
 
-def _gamma(parts: tuple, alpha, start, k_fwd: int, k_bwd: int, traj_forward, traj_backward):
+def _walk_bounds(op: LinOp, split: Splitting, parts: tuple) -> tuple:
+    """What the walk exit reads for each walk, backward then forward: the
+    prefix maxima m[K] = max_{1<=k<=K} t(k) of the Green's terms memoized on
+    the split (side "S", then "U"; m[0] is unused) and log ||R|| of the
+    walk's linear map R (A^-1, then A). Only terms already computed are
+    read, so a walk with more steps left than they cover does not exit."""
+    memo = _series_memo(op, split)
+    return tuple(
+        (
+            list(accumulate(memo[side].memoized()[1:], max, initial=0.0)),
+            math.log(mat_norm(R, parts[4])),
+        )
+        for side, R in (("S", parts[1]), ("U", parts[0]))
+    )
+
+
+def _gamma(
+    parts: tuple, bounds: tuple, alpha, start, k_fwd: int, k_bwd: int, traj_forward, traj_backward
+):
     """Gamma(alpha) at the coordinates start: k_fwd terms of the forward
     part, walked back from start, and k_bwd of the backward part, walked
-    forward. parts come from _dense_parts; nothing is checked again."""
+    forward. parts come from _dense_parts and bounds from _walk_bounds;
+    nothing is checked again."""
     A, A_inv, P_S, P_U, tag = parts
     zero = start * 0j
     reach = getattr(alpha, "support_radius", math.inf)
 
-    def horner(P, R, count: int, from_x: bool, step: Callable) -> np.ndarray:
+    def horner(P, M, traj, count: int, from_x: bool, step: Callable, bound: tuple) -> np.ndarray:
         """The Horner sum acc <- step(acc, P @ alpha(pt)) over the first count
         points of x, R x, R^2 x, ... (from_x) or of R x, R^2 x, ..., last
-        point first. Beyond reach alpha is zero: a term past the last point
-        in reach adds exact zeros, so one zero step stands for all of them
-        and keeps the signed zeros of the full sum."""
+        point first, where R is traj, or M when traj is None. Beyond reach
+        alpha is zero: a term past the last point in reach adds exact zeros,
+        so one zero step stands for all of them and keeps the signed zeros
+        of the full sum. The walk ends early by the exit of the module
+        docstring."""
+        R = traj or (lambda p: M @ p)
+        # a map that does not declare where it is M is walked whole
+        matrix, radius = getattr(traj, "linear_outside", (M, 0.0 if traj is None else math.inf))
+        far = max(reach, radius if matrix is M else math.inf)
+        t_max, log_norm = bound
         pts = np.empty((count, start.size), dtype=complex)
         pt = start
         for i in range(count):
             if i or not from_x:
                 pt = R(pt)
             pts[i] = pt
+            left = count - 1 - i
+            if i % WALK_EXIT_STRIDE == WALK_EXIT_STRIDE - 1 and 0 < left < len(t_max):
+                norm = array_norm(pt, tag)
+                if (
+                    norm > far
+                    and array_norm(P @ pt, tag) > 2.0 * far * t_max[left]
+                    and math.log(norm) + left * log_norm < WALK_EXIT_LOG
+                ):
+                    pts = pts[: i + 1]
+                    break
         check_finite(pts)
         near = np.flatnonzero(~(row_norms(pts, tag) > reach))
         p_zero = P @ zero
@@ -276,12 +333,12 @@ def _gamma(parts: tuple, alpha, start, k_fwd: int, k_bwd: int, traj_forward, tra
     # a non-finite step or sum is refused by check_finite
     with np.errstate(over="ignore", invalid="ignore"):
         acc_f = horner(
-            P_S, traj_backward or (lambda p: A_inv @ p), k_fwd, False,
-            lambda acc, v: P_S @ (A @ acc) + v,
+            P_S, A_inv, traj_backward, k_fwd, False,
+            lambda acc, v: P_S @ (A @ acc) + v, bounds[0],
         )
         acc_b = horner(
-            P_U, traj_forward or (lambda p: A @ p), k_bwd, True,
-            lambda acc, u: P_U @ (A_inv @ (acc + u)),
+            P_U, A, traj_forward, k_bwd, True,
+            lambda acc, u: P_U @ (A_inv @ (acc + u)), bounds[1],
         )
         return check_finite(acc_f - acc_b)
 
@@ -304,19 +361,22 @@ def gamma_eval(
     Dense operators only (a dense composition is lowered to its matrix): a
     sequence operator, or a split, point or field not of the operator's tag
     and dimension, is refused with KindMismatch before any work. Each
-    trajectory is walked whole before alpha sees any of its points, so an
-    overflowing one is refused first. alpha is evaluated only at points
-    within its support_radius; the terms past the last such point are exact
-    zeros, and each sum starts at that point. A ConjugacyField makes these
-    checks once, when it is built, and evaluates Gamma on coordinates.
+    trajectory is walked before alpha sees any of its points, so an
+    overflowing one is refused first; a walk ends early once no later point
+    can come back within reach or overflow (see the module docstring). alpha
+    is evaluated only at points within its support_radius; the terms past
+    the last such point are exact zeros, and each sum starts at that point.
+    A ConjugacyField makes these checks once, when it is built, and
+    evaluates Gamma on coordinates.
     """
     parts = _dense_parts(op, split, alpha)
     _check_point(x, parts)
     if horizons is None:
         horizons = compute_horizons(op, split, alpha.sup_norm)
     k_fwd, k_bwd = len(horizons.a_terms), len(horizons.b_terms)
+    bounds = _walk_bounds(op, split, parts)
     return DenseVector(
-        _gamma(parts, alpha, x.coords, k_fwd, k_bwd, traj_forward, traj_backward), parts[4]
+        _gamma(parts, bounds, alpha, x.coords, k_fwd, k_bwd, traj_forward, traj_backward), parts[4]
     )
 
 
@@ -329,7 +389,7 @@ def _memo_key(coords: np.ndarray, depth: int):
     if np.abs(coords).max(initial=0.0) > MEMO_COORD_CAP:
         return None
     scaled = np.round(coords / MEMO_QUANTUM)
-    return (depth, tuple(int(v.real) for v in scaled), tuple(int(v.imag) for v in scaled))
+    return (depth, *(tuple(part.astype(np.int64).tolist()) for part in (scaled.real, scaled.imag)))
 
 
 class ConjugacyField:
@@ -338,9 +398,10 @@ class ConjugacyField:
     default), evaluated lazily at query points with per-depth memoization.
     The operator, split and field are checked once, here, as gamma_eval
     checks them; a call takes and returns a DenseVector of the operator's tag
-    and dimension, and eval and the memo work on coordinates. One call may
-    walk at most QUERY_WALK_CAP trajectory points over its memo misses; past
-    that it raises TrajectoryBudget.
+    and dimension, and eval and the memo work on coordinates. Each memo miss
+    counts its horizons, len(a_terms) + len(b_terms) steps, however early its
+    walks end; one call may count at most QUERY_WALK_CAP of them over its
+    misses, and past that it raises TrajectoryBudget.
     """
 
     def __init__(
@@ -354,6 +415,7 @@ class ConjugacyField:
         traj_backward: Optional[Callable] = None,
     ):
         self._parts = _dense_parts(op, split, beta)
+        self._bounds = _walk_bounds(op, split, self._parts)
         self.op = op
         self.split = split
         self.beta = beta
@@ -382,7 +444,7 @@ class ConjugacyField:
         if depth > 1:
             alpha = _ComposedField(self.beta, lambda y: self.eval(y, depth - 1), self.h_bound)
         fwd, bwd = self.traj_forward, self.traj_backward
-        out = _gamma(self._parts, alpha, x, k_fwd, k_bwd, fwd, bwd)
+        out = _gamma(self._parts, self._bounds, alpha, x, k_fwd, k_bwd, fwd, bwd)
         if key is not None:
             self._memo[key] = out
         return out
@@ -460,7 +522,10 @@ def perturbed_backward_map(op: LinOp, beta) -> Callable:
     """Pointwise inverse of M = L + beta by iterating y <- L^-1(z - beta(y)).
 
     Contracts with factor ||L^-1|| * lip(beta); callers must keep that below
-    one, which conjugacy preconditions already enforce.
+    one, which conjugacy preconditions already enforce. Where L^-1 z lies
+    beyond beta's support_radius, beta vanishes there and the map returns
+    L^-1 z (up to signed zeros); it declares that as its linear_outside,
+    (the matrix of L^-1, that radius), which lets Gamma end its walks early.
     """
     inv, tag = op.inverse().dense_matrix(), op.norm_tag
 
@@ -477,6 +542,7 @@ def perturbed_backward_map(op: LinOp, beta) -> Callable:
             f"pointwise inverse did not settle in {POINTWISE_INVERSE_CAP} iterations"
         )
 
+    backward.linear_outside = (inv, getattr(beta, "support_radius", math.inf))
     return backward
 
 
@@ -495,6 +561,14 @@ def inverse_conjugacy(
     beta,
     tol: float = 1e-8,
 ) -> InverseConjugacy:
+    """The inverse conjugacy: Gamma(-beta) along the trajectories of the
+    perturbed map M = L + beta, forward through M and backward through
+    perturbed_backward_map. Beyond beta's support ball both maps are L and
+    L^-1 (up to signed zeros), and declare it, so Gamma's walks exit there
+    as they do along L. The horizons are those of tol; a pointwise inverse
+    whose factor ||L^-1|| lip(beta) reaches 0.9 is refused with
+    NotContraction, a singular operator with NotInvertible.
+    """
     inv = op.inverse()  # refuse a singular operator as such, first
     horizons = compute_horizons(op, split, beta.sup_norm, tail_tol=tol * 1e-2)
     backward_factor = inv.operator_norm() * beta.lip
@@ -509,6 +583,7 @@ def inverse_conjugacy(
     def forward(y: np.ndarray) -> np.ndarray:
         return matrix @ y + beta(y)
 
+    forward.linear_outside = (matrix, beta.support_radius)
     backward = perturbed_backward_map(op, beta)
     fld = ConjugacyField(op, split, _NegatedField(beta), 1, horizons, forward, backward)
     return InverseConjugacy(field=fld, horizons=horizons, backward_factor=backward_factor)

@@ -403,6 +403,159 @@ def test_gamma_sums_run_from_the_last_point_in_reach(name, tag):
         )
 
 
+@pytest.mark.parametrize("tag", [L1, L2, LINF])
+@pytest.mark.parametrize("backward", [True, False])
+def test_a_walk_that_leaves_reach_and_comes_back_is_walked_past_its_return(backward, tag):
+    # L = V diag(1/2, 2) V^-1 with eigenvectors v_s = (1, 0), v_u = (1, eps).
+    # From x = a v_s + b v_u, with the growing side's coefficient 4^-k0 times
+    # the other's, the walk shrinks by about half a step until step k0, where
+    # its two components cancel to 2^-k0 (0, +-eps), and grows after it. A
+    # spot there is the only point in reach: every point before it, the first
+    # one a walk exit tests included, is out of reach.
+    eps, k0 = 1e-2, 9
+    V = np.array([[1.0, 1.0], [0.0, eps]])
+    op = DenseOp(V @ np.diag([0.5, 2.0]) @ np.linalg.inv(V), tag)
+    split = spectral_split(op)
+    x = DenseVector(V @ np.array([-(4.0**-k0), 1.0] if backward else [1.0, -(4.0**-k0)]), tag)
+    # off both eigenvectors, so both projections keep a part of it
+    value = DenseVector([0.0, 1e-3], tag)
+    horizons = compute_horizons(op, split, value.norm())
+    back, fwd = walks(op, x, horizons)
+    walk, returns_at = (back, k0 - 1) if backward else (fwd, k0)
+    spot = walk[returns_at]
+    norms = [array_norm(p, tag) for p in walk]
+    assert returns_at >= stability.WALK_EXIT_STRIDE and returns_at + 1 < len(walk)
+    assert min(norms[:returns_at] + norms[returns_at + 1 :]) > norms[returns_at]
+    fast, slow = SpotField([spot], value), SpotField([spot], value)
+    gx = gamma_eval(op, split, fast, x, horizons)
+    assert spot.tobytes() in fast.seen
+    assert raw(gx) == raw(reference_gamma(op, split, slow, x, horizons))
+    assert np.any(gx.coords)
+
+
+def hyperbolic_draw(k):
+    """Draw k of the walk-exit property test: a dense hyperbolic operator of
+    dimension 2-4 under l1, l2 or linf, its odd draws with eigenvectors
+    nearly parallel, a bump whose pointwise inverse factor is at most 0.3,
+    three points y, y', y'' of norm below 2 and the points L^m y and L^-m y,
+    whose walks pass through y, with 4 <= m <= 7."""
+    rng = rng_from_seed(2700 + k)
+    dim, tag = 2 + k % 3, (L1, L2, LINF)[k // 3 % 3]
+    V = rng.standard_normal((dim, dim))
+    if k % 2:
+        V = V[:, :1] + 0.05 * V
+    stable = int(rng.integers(1, dim))
+    mods = np.concatenate([rng.uniform(0.3, 0.8, stable), rng.uniform(1.3, 3.0, dim - stable)])
+    lam = mods * rng.choice([-1.0, 1.0], dim)
+    op = DenseOp(V @ np.diag(lam) @ np.linalg.inv(V), tag)
+    u = DenseVector(rng.standard_normal(dim), tag)
+    amplitude = min(0.01, 0.3 * 1.5 / (PHI_LIP_MAX * op.inverse().operator_norm()))
+    bump = BumpPerturbation(
+        DenseVector(0.3 * rng.standard_normal(dim), tag), 1.5, amplitude, u * (1.0 / u.norm())
+    )
+    points = [v * (2.0 * rng.uniform(0.0, 1.0)) for v in unit_dense_samples(dim, tag, 3, rng)]
+    m = 4 + k % 4
+    points += [op.apply_power(m, points[0]), op.apply_power(-m, points[0])]
+    return op, spectral_split(op), bump, points
+
+
+def test_walk_exits_keep_gamma_and_both_conjugacies_bit_for_bit():
+    # the references walk every trajectory whole; the draws hold walks that
+    # leave the bump's reach and come back, which a walk exit must not cut
+    returns = 0
+    for k in range(24):
+        op, split, bump, points = hyperbolic_draw(k)
+        horizons = compute_horizons(op, split, bump.sup_norm, tail_tol=1e-8)
+        for x in points:
+            fast, slow = RecordingField(bump), RecordingField(bump)
+            gx = gamma_eval(op, split, fast, x, horizons)
+            assert raw(gx) == raw(reference_gamma(op, split, slow, x, horizons))
+            assert fast.seen == slow.seen
+            for walk in walks(op, x, horizons):
+                out = [array_norm(p, op.norm_tag) > bump.support_radius for p in walk]
+                returns += True in out and False in out[out.index(True) :]
+        fast = ConjugacyField(op, split, bump, 2 + k % 2, horizons)
+        inv_fast = inverse_conjugacy(op, split, bump, tol=1e-6).field
+        slow, inv_slow = ReferenceConjugacyField(fast), ReferenceConjugacyField(inv_fast)
+        for x in points[::3]:
+            hx = fast(x)
+            assert raw(hx) == raw(slow(x))
+            assert raw(inv_fast(x + hx)) == raw(inv_slow(x + hx))
+        for a, b in ((fast, slow), (inv_fast, inv_slow)):
+            assert list(a._memo) == list(b._memo)
+            assert [raw(v) for v in a._memo.values()] == [raw(v) for v in b._memo.values()]
+    assert returns > 0
+
+
+def test_walks_end_where_no_later_point_comes_back(monkeypatch):
+    # AC06's bump conjugacy on the saddle: a query walks a small share of the
+    # horizon steps its budget counts
+    sol = conjugacy_solve(SADDLE, SPLIT, BUMP, tol=1e-8)
+    x = DenseVector([0.3, -0.2], LINF)
+    walked = []
+    check = stability.check_finite
+
+    def counting_check(arr):
+        if arr.ndim == 2:
+            walked.append(len(arr))
+        return check(arr)
+
+    monkeypatch.setattr(stability, "check_finite", counting_check)
+    sol.field(x)
+    monkeypatch.undo()
+    assert 0 < 4 * sum(walked) < sol.field._walked
+    # the inverse field's perturbed maps declare where they are L and L^-1;
+    # the same maps undeclared are walked whole, to the same bits
+    inv = inverse_conjugacy(SADDLE, SPLIT, BUMP, tol=1e-8).field
+    per_miss = len(inv.horizons.a_terms) + len(inv.horizons.b_terms)
+    out = {}
+    for declared in (True, False):
+        calls = []
+
+        def counted(traj):
+            def walk(p):
+                calls.append(1)
+                return traj(p)
+
+            if declared:
+                walk.linear_outside = traj.linear_outside
+            return walk
+
+        field = ConjugacyField(
+            SADDLE, SPLIT, inv.beta, 1, inv.horizons,
+            counted(inv.traj_forward), counted(inv.traj_backward),
+        )
+        out[declared] = raw(field(x))
+        out[declared, "calls"] = len(calls)
+    assert 0 < 4 * out[True, "calls"] < per_miss
+    assert out[False, "calls"] == per_miss - 1
+    assert out[True] == out[False]
+
+
+def test_memo_keys_are_those_of_the_per_entry_formula():
+    def per_entry_key(coords, depth):
+        if np.abs(coords).max(initial=0.0) > stability.MEMO_COORD_CAP:
+            return None
+        scaled = np.round(coords / stability.MEMO_QUANTUM)
+        return (depth, tuple(int(v.real) for v in scaled), tuple(int(v.imag) for v in scaled))
+
+    rng = rng_from_seed(27)
+    for _ in range(2000):
+        dim = int(rng.integers(1, 5))
+        parts = 10.0 ** rng.uniform(-14.0, 6.0, (2, dim)) * rng.choice([-1.0, 1.0], (2, dim))
+        # signed zeros
+        parts[rng.uniform(size=(2, dim)) < 0.2] *= 0.0
+        coords = parts[0] + 1j * parts[1]
+        for arr in (coords, parts[0]):
+            key, ref = stability._memo_key(arr, 3), per_entry_key(arr, 3)
+            assert key == ref and hash(key) == hash(ref)
+            if key is not None:
+                assert all(type(v) is int for v in key[1] + key[2])
+    cap = stability.MEMO_COORD_CAP
+    for arr in (np.array([cap, -cap], dtype=complex), np.array([0.0, np.nextafter(cap, np.inf)])):
+        assert stability._memo_key(arr, 1) == per_entry_key(arr, 1)
+
+
 def test_conjugacy_field_checks_its_inputs_once_when_built():
     horizons = compute_horizons(SADDLE, SPLIT, BUMP.sup_norm)
     other = DenseOp([[0.5, 0.0, 0.0], [0.0, 2.0, 0.0], [0.0, 0.0, 3.0]], LINF)
