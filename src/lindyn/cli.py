@@ -392,7 +392,6 @@ def _task_conjugacy(sc: Scenario) -> dict:
             NAMED_MAPS[map_name](),
             box_radius=_number(params, "box_radius", 1.0),
             tol=_number(params, "tol", 1e-6),
-            rng_seed=sc.rng_seed,
         )
         rng = rng_from_seed(sc.rng_seed)
         dim = lin.fixed_point.dim

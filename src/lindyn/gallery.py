@@ -6,7 +6,7 @@ Each constructor returns fresh objects so callers can mutate nothing shared.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -66,13 +66,21 @@ def diagonal_sup_one(norm_tag: str = L1) -> tuple[DiagonalOp, CoordinateSplit]:
 
 @dataclass(frozen=True)
 class DifferentiableMap:
-    """A nonlinear map with a fixed point and an analytic Jacobian."""
+    """A nonlinear map with a fixed point and an analytic Jacobian.
+
+    bounds(rho), for rho > 0, returns entrywise bounds (b, B) with
+    b >= |h(z)| and B >= |Dh(z)| on the box |z_i| <= rho, which holds every
+    l1, l2 and linf ball of radius rho. Here h(z) = F(p + z) - p - Jz is the
+    nonlinearity at the fixed point p, with J the Jacobian at p. A map
+    without them cannot be linearized locally.
+    """
 
     name: str
     norm_tag: str
     fn: Callable[[np.ndarray], np.ndarray]
     jac: Callable[[np.ndarray], np.ndarray]
     fixed_point: np.ndarray
+    bounds: Optional[Callable[[float], tuple[np.ndarray, np.ndarray]]] = None
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         return self.fn(np.asarray(x, dtype=complex))
@@ -101,6 +109,9 @@ def saddle_cubic_map(norm_tag: str = LINF) -> DifferentiableMap:
         fn=fn,
         jac=jac,
         fixed_point=np.zeros(2, dtype=complex),
+        bounds=lambda r: (
+            np.array([0.005 * r**2, 0.005 * r**3]), np.diag([0.01 * r, 0.015 * r**2])
+        ),
     )
 
 
@@ -125,6 +136,7 @@ def rotation_cubic_map(norm_tag: str = L2) -> DifferentiableMap:
         fn=fn,
         jac=jac,
         fixed_point=np.zeros(2, dtype=complex),
+        bounds=lambda r: (np.array([0.01 * r**2, 0.0]), np.diag([0.02 * r, 0.0])),
     )
 
 

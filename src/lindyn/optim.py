@@ -355,7 +355,10 @@ def descend(
     even on objectives with non-unimodal slices, and it is always the
     objective at a concrete point.
     """
-    units = [d / dn for d in directions if (dn := float(np.linalg.norm(d))) > 0.0]
+    # each row's re.re + im.im, as np.linalg.norm sums one vector, on views of D
+    D = np.asarray(directions)
+    sq = np.einsum("ij,ij->i", D.real, D.real) + np.einsum("ij,ij->i", D.imag, D.imag)
+    units = [d / dn for d, dn in zip(directions, np.sqrt(sq).tolist()) if dn > 0.0]
     if not units:
         return [[(x, objective(x)) for x in map(_point, seeds)] for objective, seeds in problems]
     lines = [_Lines(objective, units) for objective, _ in problems]

@@ -37,6 +37,11 @@ and its recursion evaluates Gamma on coordinates. Fields are evaluated lazily
 at query points, memoized per depth, and one query may count at most
 QUERY_WALK_CAP horizon steps over its memo misses, however early its walks
 end, before it is refused with TrajectoryBudget.
+
+The local linearization (grobman_hartman_local) cuts a map's nonlinearity
+off between radius r and 2r. Its sup, Lipschitz constant and contraction
+factor are bounds from closed forms the map declares
+(DifferentiableMap.bounds), up to their rounding.
 """
 
 from __future__ import annotations
@@ -199,19 +204,16 @@ class _NegatedField:
 
 
 class _ComposedField:
-    """beta o (id + h) with the escape shortcut: outside the inflated
-    support ball the composite vanishes without ever evaluating h."""
+    """beta o (id + h), supported in beta's ball inflated by h_bound. The
+    caller filters points: Gamma evaluates a field only within its
+    support_radius, so h is never evaluated outside that ball."""
 
     def __init__(self, beta, h: Callable, h_bound: float):
         self.beta = beta
         self.h = h
-        self.norm_tag = beta.norm_tag
-        self.sup_norm = beta.sup_norm
         self.support_radius = beta.support_radius + h_bound
 
     def __call__(self, y: np.ndarray) -> np.ndarray:
-        if array_norm(y, self.norm_tag) > self.support_radius:
-            return y * 0j
         return self.beta(y + self.h(y))
 
 
@@ -614,20 +616,23 @@ def _cutoff(t: float) -> float:
 
 
 class _CutoffField:
-    """chi(|y| / r) * (G(y) - L y): the recentered nonlinearity, killed
-    smoothly between radius r and 2r so it is globally bounded Lipschitz.
-
-    sup and lip are sampled estimates with safety margins, not proofs; the
-    downstream residual check is what certifies the result.
+    """chi(|y| / r) * h(y), h(y) = G(y) - L y: the recentered nonlinearity,
+    killed smoothly between radius r and 2r so it is globally bounded
+    Lipschitz. From the map's entrywise bounds (b, B) = bounds(2r) on |h|
+    and |Dh|, sup_norm = ||b|| and lip = ||B|| + ||b|| PHI_LIP_MAX / r bound
+    it up to the rounding of the closed forms: |chi| <= 1, chi's slope is at
+    most PHI_LIP_MAX (it is the bump's profile), and the l1, l2 and linf
+    norms are monotone in the moduli of the entries.
     """
 
-    def __init__(self, G, matrix, radius, norm_tag, sup_norm, lip):
+    def __init__(self, G, matrix, radius, norm_tag, bounds):
         self.G = G
         self.matrix = matrix
         self.radius = radius
         self.norm_tag = norm_tag
-        self.sup_norm = sup_norm
-        self.lip = lip
+        b, B = bounds(2.0 * radius)
+        self.sup_norm = array_norm(b, norm_tag)
+        self.lip = mat_norm(B, norm_tag) + self.sup_norm * PHI_LIP_MAX / radius
         self.support_radius = 2.0 * radius
 
     def __call__(self, y: np.ndarray) -> np.ndarray:
@@ -637,33 +642,11 @@ class _CutoffField:
         return (self.G(y) - self.matrix @ y) * complex(_cutoff(t))
 
 
-def _sample_field_constants(G, matrix, radius, dim, tag, rng):
-    raw = _CutoffField(G, matrix, radius, tag, sup_norm=math.inf, lip=math.inf)
-    sup = 0.0
-    pts = []
-    for u in unit_dense_samples(dim, tag, 160, rng):
-        y = u * (2.0 * radius * rng.uniform(0.0, 1.0) ** 0.5)
-        pts.append(y)
-        sup = max(sup, array_norm(raw(y.coords), tag))
-    lip = 0.0
-    for i in range(len(pts)):
-        x = pts[i]
-        y = pts[(i + 1) % len(pts)]
-        gap = (x - y).norm()
-        if gap > 1e-9:
-            lip = max(lip, array_norm(raw(x.coords) - raw(y.coords), tag) / gap)
-    for u in unit_dense_samples(dim, tag, 160, rng):
-        y = u * (2.0 * radius * rng.uniform(0.0, 1.0))
-        d = unit_dense_samples(dim, tag, 1, rng)[0] * (radius * 1e-4)
-        gap = d.norm()
-        lip = max(lip, array_norm(raw(y.coords) - raw((y + d).coords), tag) / gap)
-    return sup * 1.25, lip * 1.5
-
-
 @dataclass(frozen=True)
 class LocalLinearization:
-    """Certified-by-residual local conjugacy K with K o G = L o K near the
-    fixed point, in recentered coordinates (z = original - fixed point)."""
+    """Local conjugacy K with K o G = L o K near the fixed point, in
+    recentered coordinates (z = original - fixed point). factor, Gamma's
+    series bound times the bound cutoff_lip, is the contraction factor."""
 
     map: DifferentiableMap
     fixed_point: DenseVector
@@ -695,15 +678,19 @@ class LocalLinearization:
 
 
 def grobman_hartman_local(
-    map_obj: DifferentiableMap, box_radius: float = 1.0, tol: float = 1e-6, rng_seed: int = 0
+    map_obj: DifferentiableMap, box_radius: float = 1.0, tol: float = 1e-6
 ) -> LocalLinearization:
     """Local linearization at the map's hyperbolic fixed point.
 
     Recenters the map, splits the derivative off the unit circle, then
-    shrinks the cutoff radius until the sampled nonlinearity is small enough
-    for the one-pass inverse conjugacy. Near-circle derivative spectrum is
-    not certifiable and raises accordingly.
+    halves the cutoff radius from box_radius until the Lipschitz bound of
+    the cut-off nonlinearity, from the map's declared bounds, is small
+    enough for the one-pass inverse conjugacy. The bounds hold up to the
+    rounding of their closed forms. A map that declares no bounds, and a
+    derivative spectrum near the circle, are refused with NotCertified.
     """
+    if map_obj.bounds is None:
+        raise NotCertified(f"map {map_obj.name!r} declares no bounds on its nonlinearity")
     if map_obj.fixed_point is None:
         raise ValueError("the map declares no fixed point")
     p_arr = np.asarray(map_obj.fixed_point, dtype=complex)
@@ -721,26 +708,21 @@ def grobman_hartman_local(
         ) from exc
     gamma_bound = series_constants(op, split).upper
     inv_norm = op.inverse().operator_norm()
-    rng = rng_from_seed(rng_seed)
-    dim = p_vec.dim
 
     def G(z: np.ndarray) -> np.ndarray:
         return check_finite(map_obj(z + p_arr) - p_arr)
 
     radius = box_radius
     while True:
-        sup_est, lip_est = _sample_field_constants(
-            G, matrix, radius, dim, map_obj.norm_tag, rng
-        )
-        factor = gamma_bound * lip_est
-        if factor <= 0.5 and inv_norm * lip_est <= 0.5:
+        beta = _CutoffField(G, matrix, radius, map_obj.norm_tag, map_obj.bounds)
+        factor = gamma_bound * beta.lip
+        if factor <= 0.5 and inv_norm * beta.lip <= 0.5:
             break
         radius /= 2.0
         if radius < MIN_CUTOFF_RADIUS:
             raise NotCertified(
                 f"no certifiable radius above {MIN_CUTOFF_RADIUS:g}; last factor {factor:.3g}"
             )
-    beta = _CutoffField(G, matrix, radius, map_obj.norm_tag, sup_est, lip_est)
     solution = inverse_conjugacy(op, split, beta, tol=tol)
     return LocalLinearization(
         map=map_obj,
@@ -748,8 +730,8 @@ def grobman_hartman_local(
         op=op,
         radius=radius,
         solution=solution,
-        cutoff_sup=sup_est,
-        cutoff_lip=lip_est,
+        cutoff_sup=beta.sup_norm,
+        cutoff_lip=beta.lip,
         factor=factor,
     )
 

@@ -198,6 +198,13 @@ def test_bundled_examples_present():
         assert expected in names
 
 
+@pytest.mark.parametrize("name", list_examples())
+def test_bundled_scenario_ends_ok(name):
+    tasks = run_scenario(load_scenario_file(name))["tasks"]
+    assert tasks
+    assert all(r["ok"] for r in tasks.values()), tasks
+
+
 def test_load_scenario_by_bundled_name():
     cfg = load_scenario_file("rolewicz")
     assert cfg["tasks"] == ["hypercyclic"]

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -34,7 +35,7 @@ from lindyn import (
     verify_contractive_sum,
     verify_shadow,
 )
-from lindyn import shadowing, stability
+from lindyn import shadowing, splitting, stability
 from lindyn.gallery import (
     contraction_half,
     quarter_rotation,
@@ -43,7 +44,7 @@ from lindyn.gallery import (
     saddle_cubic_map,
     shifted_weighted_contraction,
 )
-from lindyn.linalg import array_norm
+from lindyn.linalg import array_norm, row_norms
 from lindyn.operators import CompositionOp, MonomialPowers, SignWeights
 from lindyn.sampling import (
     random_margin_matrix,
@@ -433,6 +434,34 @@ def test_a_walk_that_leaves_reach_and_comes_back_is_walked_past_its_return(backw
     assert np.any(gx.coords)
 
 
+def test_a_walk_exit_reads_the_largest_green_term_up_to_its_steps_left():
+    # The stable side is the Jordan block J = [[0.9, 1], [0, 0.9]], whose
+    # Green's terms ||J^k|| = 0.9^k (1 + k / 0.9) read 1.0, 1.9, 2.61, 3.16,
+    # ... and peak at 4.26 at k = 9. The backward walk from x = L^13 s, with
+    # s = (1, 1, 0), tests its exit first at its fourth point y = L^9 s,
+    # where ||P_S y|| = 4.26 ||s||. That is above 2 t(1) ||s|| but not above
+    # 2 max_k t(k) ||s||, so only an exit that reads the largest term up to
+    # the steps left walks on to s, nine steps later: the one point in reach.
+    op = DenseOp([[0.9, 1.0, 0.0], [0.0, 0.9, 0.0], [0.0, 0.0, 3.0]], LINF)
+    split = spectral_split(op)
+    value = DenseVector([0.0, 1e-3, 0.0], LINF)
+    horizons = compute_horizons(op, split, value.norm())
+    terms = splitting._series_memo(op, split)["S"].memoized()
+    assert terms[1] < terms[2] < terms[9] and max(terms) == terms[9]
+    x = DenseVector(np.linalg.matrix_power(op.dense_matrix(), 13) @ [1.0, 1.0, 0.0], LINF)
+    back, _ = walks(op, x, horizons)
+    spot = back[12]
+    norms = [array_norm(p, LINF) for p in back]
+    assert min(norms[:12] + norms[13:]) > norms[12]
+    assert 2.0 * norms[12] * terms[1] < array_norm(split.P_S @ back[3], LINF)
+    assert array_norm(split.P_S @ back[3], LINF) < 2.0 * norms[12] * terms[9]
+    fast, slow = SpotField([spot], value), SpotField([spot], value)
+    gx = gamma_eval(op, split, fast, x, horizons)
+    assert fast.seen == [spot.tobytes()]
+    assert raw(gx) == raw(reference_gamma(op, split, slow, x, horizons))
+    assert np.any(gx.coords)
+
+
 def hyperbolic_draw(k):
     """Draw k of the walk-exit property test: a dense hyperbolic operator of
     dimension 2-4 under l1, l2 or linf, its odd draws with eigenvectors
@@ -750,6 +779,61 @@ def test_local_linearization_saddle_cubic():
 def test_local_linearization_rejects_rotation():
     with pytest.raises(NotCertified):
         grobman_hartman_local(rotation_cubic_map(), box_radius=0.5)
+
+
+def cut_off_nonlinearity(map_obj, radius):
+    """chi(|z| / r) h(z) on the rows z of an array, built here from the map,
+    its Jacobian at the fixed point 0 and the cut-off profile."""
+    tag = map_obj.norm_tag
+    J = map_obj.jac(np.zeros(2))
+
+    def f(Z):
+        s = np.clip(row_norms(Z, tag) / radius - 1.0, 0.0, 1.0)
+        return (map_obj(Z.T).T - Z @ J.T) * ((1.0 - s * s) ** 2)[:, None]
+
+    return f
+
+
+@pytest.mark.parametrize("r", [1.0, 0.5])
+@pytest.mark.parametrize("tag", [L1, L2, LINF])
+def test_local_linearization_bounds_a_dense_probe(tag, r):
+    # 20,000 complex finite differences of step 1e-6 r at points of the 2r
+    # ball: each is a lower bound on the Lipschitz constant of the cut-off
+    # nonlinearity, and each value one on its sup
+    map_obj = saddle_cubic_map(tag)
+    lin = grobman_hartman_local(map_obj, box_radius=r)
+    assert lin.radius == r
+    f = cut_off_nonlinearity(map_obj, r)
+    rng = rng_from_seed(28)
+    n = 20_000
+
+    def rows(scale):
+        Z = rng.standard_normal((n, 2)) + 1j * rng.standard_normal((n, 2))
+        return Z * (scale / row_norms(Z, tag))[:, None]
+
+    Z = rows(2.0 * r * rng.uniform(0.0, 1.0, n) ** 0.5)
+    D = rows(np.full(n, 1e-6 * r))
+    fz = f(Z)
+    lip = np.max(row_norms(f(Z + D) - fz, tag) / row_norms(D, tag))
+    assert lin.cutoff_lip >= lip > 0.1 * lin.cutoff_lip
+    assert lin.cutoff_sup >= np.max(row_norms(fz, tag)) > 0.0
+
+
+def test_local_linearization_constants_are_the_closed_forms():
+    # b(2) = (0.02, 0.04) and B(2) = diag(0.02, 0.06) under linf; Gamma's
+    # series bound on diag(1/2, 2) is 2 + 1 = 3
+    lin = grobman_hartman_local(saddle_cubic_map(), box_radius=1.0)
+    lip = 0.06 + 0.04 * 8.0 / (3.0 * math.sqrt(3.0))
+    assert lin.radius == 1.0
+    assert math.isclose(lin.cutoff_sup, 0.04, rel_tol=1e-12)
+    assert math.isclose(lin.cutoff_lip, lip, rel_tol=1e-12)
+    assert math.isclose(lin.factor, 3.0 * lip, rel_tol=1e-12)
+    assert math.isclose(lin.factor, 0.36475, rel_tol=1e-5)
+
+
+def test_local_linearization_refuses_a_map_without_bounds():
+    with pytest.raises(NotCertified, match="declares no bounds"):
+        grobman_hartman_local(dataclasses.replace(saddle_cubic_map(), bounds=None))
 
 
 def test_contractive_sum_half():
