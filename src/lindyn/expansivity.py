@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 from typing import Optional, Sequence
 
 import numpy as np
@@ -132,8 +131,15 @@ def uniform_expansivity_search(
 
 def _growth_objective(stack: np.ndarray, tag: str) -> NormRatio:
     """v -> max_{|n| <= N} ||L^n v|| / ||v|| from the stacked powers
-    L^0, .., L^N, L^-1, .., L^-N (just L^0, .., L^N without an inverse)."""
-    return NormRatio(partial(np.matmul, stack), np.atleast_2d, tag, floor=1e-12)
+    L^0, .., L^N, L^-1, .., L^-N (just L^0, .., L^N without an inverse).
+    Its images are stacked gemv products, one per power and point, with the
+    bits of np.matmul(stack, v)."""
+    return NormRatio(
+        lambda v: np.matmul(stack, v[..., None, :, None])[..., 0],
+        lambda v: v[..., None, :],
+        tag,
+        floor=1e-12,
+    )
 
 
 def _pinned_growth(stack: np.ndarray, growth: NormRatio, tag: str) -> tuple[MinMaxNorm, list]:

@@ -100,13 +100,18 @@ def _margin_objective(w: WindowedLinf) -> NormRatio:
     matrix = w.base.dense_matrix()
     shape = (w.window_length, w.dim)
 
-    def outputs(flat: np.ndarray) -> np.ndarray:
-        xs = flat.reshape(shape)
-        # the interior outputs, then the two boundary outputs that the zero
-        # extension outside the window adds
-        return np.concatenate([xs[1:] - xs[:-1] @ matrix.T, xs[:1], xs[-1:] @ matrix.T])
+    def points(flat: np.ndarray) -> np.ndarray:
+        return flat.reshape(*flat.shape[:-1], *shape)
 
-    return NormRatio(outputs, lambda flat: flat.reshape(shape), w.base.norm_tag, floor=1e-14)
+    def outputs(flat: np.ndarray) -> np.ndarray:
+        xs = points(flat)
+        # the interior outputs, then the two boundary outputs that the zero
+        # extension outside the window adds; on a stack of windows each
+        # product is the gemm of one window, with its bits
+        interior = xs[..., 1:, :] - xs[..., :-1, :] @ matrix.T
+        return np.concatenate([interior, xs[..., :1, :], xs[..., -1:, :] @ matrix.T], axis=-2)
+
+    return NormRatio(outputs, points, w.base.norm_tag, floor=1e-14)
 
 
 def _taper_profile_seeds(w: WindowedLinf) -> list[np.ndarray]:

@@ -310,12 +310,14 @@ class MatrixPowers:
 
     Powers past the memo are computed in blocks: the products one by one, as
     above, then the block's norms in one stacked call (linalg.mat_norms),
-    which gives each norm as mat_norm takes it. A block holds as many powers
-    as were computed before it, from MATRIX_BLOCK_MIN to MATRIX_BLOCK_MAX, so
-    a series that stops early computes at most about twice the terms it
-    reads. A block ends before its first power whose product or norm is not
-    finite, and records its index: reading that power, or any later one,
-    raises NonFinite.
+    which gives each norm as mat_norm takes it, so a norm is the same float
+    whatever block it falls in. A block read by n holds as many powers as
+    were computed before it, from MATRIX_BLOCK_MIN to MATRIX_BLOCK_MAX. A
+    series reads its terms a block at a time (read), and sizes each block to
+    end where it predicts to close (shadowing._sum_until_tail), so it
+    computes few powers past its last term. A block ends before its first
+    power whose product or norm is not finite, and records its index:
+    reading that power, or any later one, raises NonFinite.
     """
 
     def __init__(self, P: np.ndarray, M: np.ndarray, tag: str):
@@ -328,13 +330,22 @@ class MatrixPowers:
 
     def __call__(self, n: int) -> float:
         while len(self.norms) <= n:
-            self._extend()
+            self._extend(len(self.norms) - 1)
         return self.norms[n]
 
-    def _extend(self) -> None:
+    def read(self, n: int, reach: Optional[float] = None) -> list[float]:
+        """The norms from power n on, as far as they are computed once power
+        n is. Blocks computed here end at power reach where it is given, and
+        otherwise double as n's do."""
+        while len(self.norms) <= n:
+            have = len(self.norms)
+            self._extend(have - 1 if reach is None else math.ceil(reach) + 1 - have)
+        return self.norms[n:]
+
+    def _extend(self, size: int) -> None:
         if len(self.norms) == self.end:
             raise NonFinite(f"power {self.end} of the matrix overflows")
-        size = min(max(len(self.norms) - 1, MATRIX_BLOCK_MIN), MATRIX_BLOCK_MAX)
+        size = min(max(size, MATRIX_BLOCK_MIN), MATRIX_BLOCK_MAX)
         stack = np.empty((size, *self.X.shape), dtype=np.result_type(self.step, self.X))
         X = self.X
         with np.errstate(over="ignore", invalid="ignore"):

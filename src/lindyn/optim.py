@@ -50,10 +50,12 @@ IMAGE_CHUNK = 16
 @dataclass(frozen=True)
 class NormRatio:
     """The objective x -> max_r ||num(x)_r|| / max_r ||den(x)_r|| in the norm
-    tag, for linear maps num and den from x to (rows, d) arrays; infinite
-    where the denominator is below floor or the ratio is not finite, so an
-    overflowed value is never a minimum. Its callers silence the overflow
-    warnings, once per solve (see descend)."""
+    tag, for linear maps num and den from x to (rows, d) arrays, which take
+    a leading stack axis: a (c, n) stack of points maps to (c, rows, d), each
+    image the bits of its point's own; infinite where the denominator is
+    below floor or the ratio is not finite, so an overflowed value is never
+    a minimum. Its callers silence the overflow warnings, once per solve
+    (see descend)."""
 
     num: Callable[[np.ndarray], np.ndarray]
     den: Callable[[np.ndarray], np.ndarray]
@@ -68,10 +70,10 @@ class NormRatio:
         return ratio if ratio < math.inf else math.inf
 
 
-def _rows(image: np.ndarray, tag: str) -> np.ndarray:
-    """An image of a NormRatio's num or den as the rows its tag reduces:
-    under linf every entry is a row of its own."""
-    return image.reshape(-1, 1) if tag == LINF else image
+def _rows(image: np.ndarray, tag: str, lead: tuple = ()) -> np.ndarray:
+    """An image of a NormRatio's num or den, or a stack of lead images, as
+    the rows its tag reduces: under linf every entry is a row of its own."""
+    return image.reshape(*lead, -1, 1 if tag == LINF else image.shape[-1])
 
 
 class _Lines:
@@ -96,11 +98,12 @@ class _Lines:
 
     def _moved_rows(self, image: Callable[[np.ndarray], np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
         """Which rows of image(u) each direction u moves, and their values
-        in (line, row) order; the images are taken IMAGE_CHUNK at a time."""
+        in (line, row) order; the images are taken IMAGE_CHUNK at a time,
+        each chunk in one call on its stack of directions."""
         moved, values = [], []
         for start in range(0, len(self.units), IMAGE_CHUNK):
-            chunk = self.units[start : start + IMAGE_CHUNK]
-            b = np.stack([_rows(image(u), self.objective.tag) for u in chunk])
+            chunk = np.stack(self.units[start : start + IMAGE_CHUNK])
+            b = _rows(image(chunk), self.objective.tag, (len(chunk),))
             moved.append(b.any(axis=-1))
             values.append(b[moved[-1]])
         return np.concatenate(moved), np.concatenate(values)

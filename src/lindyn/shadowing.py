@@ -17,11 +17,14 @@ orbit arithmetic runs on `_Kind`: rows of op.dense_matrix() for every dense
 operator (a dense CompositionOp on its product, as Gamma and the window
 solve take it), vectors for a sequence operator, where the maps are apply
 and the coordinate split's apply_P_S and apply_P_U, called on the vectors
-of object arrays one by one. A walk and the one-step defects take one
-M @ x per row, as DenseOp.apply does: rows @ M.T rounds differently, by an
-ulp of images that can pass 1e60. The correction series (_series_points)
-is a doubling scan on rows and a step recursion on vectors, and the
-exactness check batches its images; both are far inside their tolerances.
+of object arrays one by one. A walk and the one-step defects take the
+image of a row as DenseOp.apply does, M @ x: the walk one row at a time,
+the defects all rows of an orbit in one stacked product (_defects), which
+hands every row to the same BLAS gemv and so gives the same bits. rows @
+M.T is a gemm and rounds differently, by an ulp of images that can pass
+1e60. The correction series (_series_points) is a doubling scan on rows
+and a step recursion on vectors, and the exactness check batches its
+images; both are far inside their tolerances.
 Gamma (stability) runs on coordinate arrays of the same matrix.
 
 The one-step defects of an orbit are measured where it is certified: from
@@ -184,8 +187,19 @@ def _images(A, points: np.ndarray) -> np.ndarray:
 
 
 def _defects(k: _Kind, pts: np.ndarray) -> np.ndarray:
-    """The one-step defects z_n = A(x_n) - x_{n+1} of the kind's points."""
-    return k.finite(_images(k.A, pts[:-1]) - pts[1:])
+    """The one-step defects z_n = A(x_n) - x_{n+1} of the kind's points.
+
+    On rows every image is taken in one stacked product,
+    np.matmul(M, rows[:, :, None]): numpy hands each stacked (d, d) @ (d, 1)
+    to the BLAS gemv that a single M @ x takes, so each image has the bits
+    of DenseOp.apply's (tests/test_shadowing.py checks this). Vectors are
+    mapped one by one (_images)."""
+    if k.rows:
+        with np.errstate(over="ignore", invalid="ignore"):
+            images = np.matmul(k.M, pts[:-1, :, None])[:, :, 0]
+    else:
+        images = _images(k.A, pts[:-1])
+    return k.finite(images - pts[1:])
 
 
 def max_defect(op: LinOp, po: PseudoOrbit) -> float:
@@ -218,7 +232,10 @@ WALK_BLOCK = 64
 
 def _kicked_walk(M: np.ndarray, start: np.ndarray, kicks: np.ndarray, delta: float, tag: str):
     """The rows x_0 = start, x_{i+1} = M x_i + kicks[i], and their images
-    M x_i, one M @ x per step as DenseOp.apply takes it.
+    M x_i, one M @ x per step as DenseOp.apply takes it. Each step writes
+    its image and its point in place (matmul and add with out=), which
+    rounds as the expressions M @ x and img + kick do. The walk stays
+    sequential: its defects are measured against its own images.
 
     A kick whose stored sum differs from the image by more than delta (once
     the orbit magnitude reaches delta / ulp, rounding can lift it there) is
@@ -238,8 +255,8 @@ def _kicked_walk(M: np.ndarray, start: np.ndarray, kicks: np.ndarray, delta: flo
             hi = min(lo + WALK_BLOCK, steps)
             x = points[lo]
             for i in range(lo, hi):
-                img = imgs[i] = M @ x
-                x = points[i + 1] = img + kicks[i]
+                img = np.matmul(M, x, out=imgs[i])
+                x = np.add(img, kicks[i], out=points[i + 1])
             check_finite(points[lo + 1 : hi + 1])
             over = row_norms(points[lo + 1 : hi + 1] - imgs[lo:hi], tag) > delta
             if over.any():
@@ -335,13 +352,29 @@ def _sum_until_tail(term_fn, start: int, tail: float):
     times rho / (1 - rho); the series closes when that remainder falls below
     tail. m is the computed index with the smallest rate rho^(1/m) so far,
     and the window sums come from prefix sums, so a term costs O(1).
+
+    A term source with a read method (operators.MatrixPowers) is read a
+    block at a time, each block one list slice. Once m exists the remainder
+    shrinks by about rate a term, so the series asks for a block reaching
+    the index where it predicts to close, k + log(tail / rem) / log(rate);
+    before that (transient growth) the source doubles its blocks. Any other
+    source is called once a term. The terms and the sum are the same floats
+    either way.
     """
+    read = getattr(term_fn, "read", None)
     terms: list[float] = []
     prefix = [0.0]
-    m, rate = 0, 1.0
+    m, rate, rem = 0, 1.0, math.inf
     for k in range(start, start + SERIES_TERM_CAP + 1):
-        t = term_fn(k)
-        terms.append(t)
+        if read is None:
+            t = term_fn(k)
+            terms.append(t)
+        else:
+            if k - start == len(terms):
+                # no prediction before m (rem is inf) or where rem is nan
+                close = tail / rem
+                terms += read(k, k + math.log(close) / math.log(rate) if close > 0.0 else None)
+            t = terms[k - start]
         prefix.append(prefix[-1] + t)
         if k >= 1 and t < 1.0 and t ** (1.0 / k) < rate:
             m, rate = k, t ** (1.0 / k)
@@ -352,7 +385,7 @@ def _sum_until_tail(term_fn, start: int, tail: float):
             window = max(prefix[-1] - prefix[-1 - m], t)
             rem = window * rho / (1.0 - rho)
             if rem < tail:
-                return prefix[-1] + rem, tuple(terms)
+                return prefix[-1] + rem, tuple(terms[: k - start + 1])
     raise NotCertified(
         f"series did not certify convergence within {SERIES_TERM_CAP} terms",
         terms=SERIES_TERM_CAP,
@@ -376,8 +409,8 @@ def series_constants(op: LinOp, split: Splitting, tail: float = SERIES_TAIL) -> 
             raise NotCertified(
                 f"restricted radius on {side} is {r:.6g} >= 1; series cannot converge",
             )
-    A, a_terms = _sum_until_tail(powers_S, 0, tail)
-    B, b_terms = _sum_until_tail(powers_U, 1, tail)
+    A, a_terms = _sum_until_tail(powers_S.source(), 0, tail)
+    B, b_terms = _sum_until_tail(powers_U.source(), 1, tail)
     return SeriesConstants(series_A=A, series_B=B, a_terms=a_terms, b_terms=b_terms)
 
 

@@ -272,8 +272,17 @@ class RestrictedPowers:
         if term is None:
             if n == 0 and isinstance(self.split, CoordinateSplit):
                 return 1.0
-            term = self._term = self._build_term()
+            term = self.source()
         return term(n)
+
+    def source(self):
+        """The side's term function, n -> term, built if it is not yet: the
+        MatrixPowers of a spectral split, which a series reads in blocks,
+        the cached MonomialPowers.sup of a coordinate one (1 at n = 0, as
+        here), or 0 on an empty side."""
+        if self._term is None:
+            self._term = self._build_term()
+        return self._term
 
     def memoized(self) -> list:
         """The terms computed so far on a spectral split, from n = 0 (empty

@@ -405,3 +405,22 @@ def test_descent_on_the_benchmark_saddle_is_not_above_its_pinned_values():
     got = _descent_values(DenseOp(BENCH_SADDLE, LINF), 32, rng_seed=1208825652)
     for value, pinned in zip(got, BENCH_SADDLE_PINNED):
         assert value <= pinned * (1.0 + DESCENT_SLACK)
+
+
+@pytest.mark.parametrize("tag", [L1, L2, LINF])
+def test_stacked_images_are_the_per_direction_images(tag):
+    # a descent takes a chunk of its directions' images in one call: the
+    # margin's stacked gemm and the growth's stacked gemv must give every
+    # direction the bits of its own image
+    for dim in (2, 3, 4):
+        rng = rng_from_seed(dim)
+        op = DenseOp(random_margin_matrix(dim, rng, margin=0.2), tag)
+        cases = [(_margin_objective(WindowedLinf(op, N)), (2 * N + 1) * dim) for N in (8, 16, 32)]
+        cases.append((_growth_objective(two_sided_powers(op.dense_matrix(), 4), tag), dim))
+        for objective, n in cases:
+            eye = np.eye(n)
+            units = [*eye[:20], *(1j * eye[-10:])]
+            units += list(rng.standard_normal((10, n)) + 1j * rng.standard_normal((10, n)))
+            stack = np.stack(units)
+            for image in (objective.num, objective.den):
+                assert image(stack).tobytes() == np.stack([image(u) for u in units]).tobytes()

@@ -33,6 +33,7 @@ from lindyn import (
     NotCertified,
     ShiftOp,
     classify,
+    series_constants,
     shad_bounds,
     spectral_split,
     verify_contractive_sum,
@@ -42,6 +43,7 @@ from lindyn.linalg import array_norm, mat_norm, mat_norms
 from lindyn.operators import (
     ApproachOneWeights,
     InverseWeights,
+    MATRIX_BLOCK_MIN,
     MatrixPowers,
     MonomialPowers,
     SignWeights,
@@ -480,6 +482,65 @@ def test_contractive_sum_of_a_transient_contraction_keeps_its_gamma(tag):
         lambda n, terms=ref_power_norms(np.eye(2), M, tag, 2000): terms[n], 0, SERIES_TAIL
     )
     assert verify_contractive_sum(DenseOp(M, tag), trials=2).gamma.hex() == gamma.hex()
+
+
+def margin_draws():
+    """The 60 draws of certify_bounds' dense items, with the saddle."""
+    draws = [
+        random_margin_matrix(2 + s % 5, rng_from_seed(500 + s), margin=0.05) for s in range(60)
+    ]
+    return [*draws, np.diag([0.5, 2.0])]
+
+
+@pytest.mark.parametrize("tag", [L1, L2, LINF])
+def test_series_blocks_end_where_the_series_closes(tag):
+    # the series sizes its blocks to end where it predicts to close, and
+    # its sums and terms stay those of the per-term products; it computes
+    # at most a tenth more powers than it reads (index 0 of U included)
+    computed = read = 0
+    for M in margin_draws():
+        op = DenseOp(M, tag)
+        split = spectral_split(op)
+        got = series_constants(op, split)
+        memo = splitting._series_memo(op, split)
+        for side, start, P, step, total, terms in (
+            ("S", 0, split.P_S, op.dense_matrix(), got.series_A, got.a_terms),
+            ("U", 1, split.P_U, op.inverse().dense_matrix(), got.series_B, got.b_terms),
+        ):
+            if (split.Q_S if side == "S" else split.Q_U).size == 0:
+                continue
+            norms = memo[side].memoized()
+            ref = ref_power_norms(P, step, split.norm_tag, len(norms) + 8)
+            want, want_terms = _sum_until_tail(ref.__getitem__, start, SERIES_TAIL)
+            assert total.hex() == want.hex()
+            assert_same_floats(terms, want_terms)
+            computed += len(norms)
+            read += start + len(terms)
+    assert read > 0 and computed <= 1.1 * read
+
+
+@pytest.mark.parametrize("tag", [L1, L2, LINF])
+def test_transient_series_takes_no_more_blocks_than_doubling(tag, monkeypatch):
+    # ||L^n|| rises for about 60 terms, where there is no rate to predict
+    # from and the blocks double; after that they end where the series
+    # closes, so neither the block count nor the powers computed grow
+    M = np.array([[0.9, 25.0], [0.0, 0.85]])
+    blocks = []
+    extend = MatrixPowers._extend
+
+    def counted(self, size):
+        blocks.append(size)
+        extend(self, size)
+
+    monkeypatch.setattr(MatrixPowers, "_extend", counted)
+    powers = DenseOp(M, tag).power_norms()
+    _, terms = _sum_until_tail(powers, 0, SERIES_TAIL)
+    taken = len(blocks)
+    blocks.clear()
+    doubling = MatrixPowers(np.eye(2), M, tag)
+    doubling(len(terms) - 1)
+    assert taken <= len(blocks)
+    assert len(powers.norms) <= len(terms) + MATRIX_BLOCK_MIN < len(doubling.norms)
 
 
 def ref_monomial_geom_sum(mono, lo, hi, tag, rows, from_one=False):

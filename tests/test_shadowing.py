@@ -31,12 +31,12 @@ from lindyn import (
     spectral_split,
     verify_shadow,
 )
-from lindyn.errors import KindMismatch
+from lindyn.errors import KindMismatch, NonFinite
 from lindyn.gallery import contraction_half, saddle, shifted_weighted_contraction
 from lindyn.linalg import SparseBiSeq, max_row_norm, row_norms
 from lindyn.operators import CompositionOp
 from lindyn.sampling import random_margin_matrix, rng_from_seed
-from lindyn.shadowing import PseudoOrbit, ShadowResult, classify, max_defect
+from lindyn.shadowing import PseudoOrbit, ShadowResult, _defects, _kind, classify, max_defect
 
 SADDLE = saddle()
 SPLIT = spectral_split(SADDLE)
@@ -638,3 +638,69 @@ def test_calculus_dispatcher():
     assert iv.lower == 1.0 and iv.upper == 6.0
     with pytest.raises(ValueError):
         shad_calculus("nonsense")
+
+
+# ---------------------------------------------------------------------------
+# Stacked row products against the per-row products they replace
+# ---------------------------------------------------------------------------
+
+
+def per_row_defects(k, pts):
+    """_defects on rows as it was: one M @ x per row, then the same check."""
+    images = np.empty_like(pts[:-1])
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j, x in enumerate(pts[:-1]):
+            images[j] = k.M @ x
+    return k.finite(images - pts[1:])
+
+
+def scaled_rows(rng, shape, lo, hi):
+    """Complex rows, each scaled by its own power of ten in [10^lo, 10^hi]."""
+    rows = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    return rows * 10.0 ** rng.uniform(lo, hi, size=(*shape[:-1], 1))
+
+
+@pytest.mark.parametrize("dim", range(1, 7))
+def test_stacked_row_products_are_the_per_row_products(dim):
+    # numpy hands each stacked (d, d) @ (d, 1) to the BLAS gemv that one
+    # M @ x takes, and a walk's matmul with out= rounds as M @ x does; if a
+    # numpy or BLAS release breaks either, this fails instead of every
+    # orbit drifting by an ulp
+    rng = rng_from_seed(40 + dim)
+    overflowed = {"inf": 0, "nan": 0}
+    for _ in range(40):
+        M = scaled_rows(rng, (dim, dim), -5.0, 12.0)
+        # and eight rows near the top of the range, whose images overflow
+        rows = np.concatenate(
+            [scaled_rows(rng, (33, dim), -300.0, 300.0), scaled_rows(rng, (8, dim), 297.0, 300.0)]
+        )
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = np.array([M @ x for x in rows])
+            got = np.matmul(M, rows[:, :, None])[:, :, 0]
+            out = np.empty((len(rows), dim), dtype=complex)
+            for x, img in zip(rows, out):
+                np.matmul(M, x, out=img)
+        assert got.tobytes() == want.tobytes()
+        assert out.tobytes() == want.tobytes()
+        overflowed["inf"] += int(np.isinf(want).any())
+        overflowed["nan"] += int(np.isnan(want).any())
+    # the magnitudes reach past the float range, to inf and to nan
+    assert overflowed["inf"] and overflowed["nan"]
+
+
+@pytest.mark.parametrize("tag", [L1, L2, LINF])
+def test_defects_on_rows_are_the_per_row_loop(tag):
+    rng = rng_from_seed(70)
+    for dim in range(1, 7):
+        for _ in range(4):
+            op = DenseOp(scaled_rows(rng, (dim, dim), -3.0, 3.0), tag)
+            pts = scaled_rows(rng, (65, dim), -300.0, 290.0)
+            k = _kind(op, None, pts, tag)
+            assert _defects(k, pts).tobytes() == per_row_defects(k, pts).tobytes()
+    # an image past the float range is refused by both
+    op = DenseOp([[1e10, 1.0], [0.0, 1.0]], tag)
+    pts = np.array([[1e300, 0.0], [1.0, 1.0], [0.0, 0.0]], dtype=complex)
+    k = _kind(op, None, pts, tag)
+    for defects in (_defects, per_row_defects):
+        with pytest.raises(NonFinite):
+            defects(k, pts)
