@@ -42,7 +42,7 @@ from .shadowing import (
     shad_bounds,
     shadow_window_solve,
 )
-from .splitting import SpectralSplit, spectral_split
+from .splitting import SpectralSplit, _series_memo, spectral_split
 
 MAX_WINDOW_VARIABLES = 4096
 # A sample walk is refused once its rounding, eps times its peak, reaches
@@ -204,18 +204,17 @@ def _extremal_defect(dense: DenseOp, split: SpectralSplit, N: int) -> np.ndarray
 
     Over a window of 2N defects, the correction at offset m (0 .. 2N) is
     e_m = sum_j Gamma(m, j) z_j with Gamma(m, j) = (P_S M)^(m-1-j) P_S for
-    j < m and -(P_U M^-1)^(j-m+1) P_U for j >= m, the re-projected steps of
-    _correction. Row i of e_m sums, over j, the dual norms of the rows
+    j < m and -(P_U M^-1)^(j-m+1) P_U for j >= m, the sides' stacks that
+    _correction scans. Row i of e_m sums, over j, the dual norms of the rows
     Gamma(m, j)[i, :]: m stable powers from the 0th plus 2N - m unstable
     ones from the 1st, so two cumulative sums give every offset. At the
     largest sum (at the midpoint m = N where it ties), z_j is the unit dual
     maximizer of Gamma(m, j)[i, :] (_unit_maximizers), so entry i of e_m is
     that sum: under linf the largest correction that unit defects can force.
     """
-    P_S, P_U = split.P_S, split.P_U
-    K_U = P_U @ dense.inverse().matrix
-    stable = power_stack(P_S @ dense.matrix, P_S, 2 * N)
-    unstable = -power_stack(K_U, K_U @ P_U, 2 * N)
+    memo = _series_memo(dense, split)
+    stable = memo["S"].stack(split.P_S, 2 * N)
+    unstable = -memo["U"].stack(memo["U"].step @ split.P_U, 2 * N)
     dual = DUAL_TAG[dense.norm_tag]
     stable_sums, unstable_sums = (
         np.cumsum(row_norms(G.reshape(-1, G.shape[2]), dual).reshape(G.shape[:2]), axis=0)

@@ -231,11 +231,12 @@ def _power_or_inf(x: float, n: int) -> float:
 
 
 class MonomialPowers:
-    """n-step weight products of a monomial over the anchors in [lo, hi].
-
-    Each anchor keeps its running product and each |coeff(j)| is read once,
-    so power n costs one factor per anchor that power n - 1 had. Products
-    run left to right, |c(j)| * |c(j + s)| * ..., in any order of n.
+    """n-step weight products of a monomial over the anchors in [lo, hi]:
+    the table of a coordinate side (splitting.RestrictedPowers), whose terms
+    (sup) and resolvent walk (abs_coeffs) read each |coeff(j)| once. Each
+    anchor keeps its running product, so power n costs one factor per
+    anchor that power n - 1 had. Products run left to right,
+    |c(j)| * |c(j + s)| * ..., in any order of n.
     """
 
     def __init__(self, mono: MonomialForm, lo: Optional[int] = None, hi: Optional[int] = None):
@@ -256,20 +257,11 @@ class MonomialPowers:
             out.append(c)
         return np.array(out)
 
-    def products(self, n: int, stay: bool = False) -> list[float]:
+    def products(self, n: int) -> list[float]:
         """The n-step product of every candidate anchor, in candidate order,
-        then |limit|^n of each tail that [lo, hi] sticks out into. With stay,
-        anchors whose walk lands outside [lo, hi] after n steps are left out."""
+        then |limit|^n of each tail that [lo, hi] sticks out into."""
         mono, absc, runs = self.mono, self._abs, self._runs
-        lo, hi = self.lo, self.hi
-        cands, into_left, into_right = _candidate_anchors(mono, n, lo, hi)
-        reach = n * mono.shift
-        # only a walk heading for a finite end of [lo, hi] can leave it
-        if stay and ((reach < 0 and lo is not None) or (reach > 0 and hi is not None)):
-            cands = [
-                j for j in cands
-                if (lo is None or j + reach >= lo) and (hi is None or j + reach <= hi)
-            ]
+        cands, into_left, into_right = _candidate_anchors(mono, n, self.lo, self.hi)
         out = []
         for j in cands:
             m, p = runs.get(j, (0, 1.0))
@@ -289,12 +281,10 @@ class MonomialPowers:
             out.append(_power_or_inf(mono.right_limit_abs, n))
         return out
 
-    def sup(self, n: int, stay: bool = False) -> float:
+    def sup(self, n: int) -> float:
         """Operator norm of the n-th power restricted to the span of the basis
-        vectors indexed by [lo, hi], under any of the three norm tags; with
-        stay, of its compression to that span (columns mapped out of it are
-        dropped)."""
-        return 1.0 if n == 0 else max([0.0, *self.products(n, stay)])
+        vectors indexed by [lo, hi], under any of the three norm tags."""
+        return 1.0 if n == 0 else max([0.0, *self.products(n)])
 
 
 # Fewest and most powers a MatrixPowers block computes at once.
@@ -303,10 +293,11 @@ MATRIX_BLOCK_MAX = 64
 
 
 class MatrixPowers:
-    """n -> ||X_n|| for X_0 = P, X_{n+1} = (P M) X_n, memoized, each power one
-    product from the last. With P = I this is ||M^n||; where P projects onto
-    an M-invariant side it is ||M^n P||, and projecting again at every step
-    keeps rounding from exciting the other side.
+    """n -> ||X_n|| for X_0 = P, X_{n+1} = K X_n, memoized, each power one
+    product from the last. With P = I and K = M this is ||M^n||; with the
+    re-projected step K = P M of a side P of M (RestrictedPowers.step) it is
+    ||M^n P||, and projecting again at every step keeps rounding from
+    exciting the other side.
 
     Powers past the memo are computed in blocks: the products one by one, as
     above, then the block's norms in one stacked call (linalg.mat_norms),
@@ -320,11 +311,9 @@ class MatrixPowers:
     reading that power, or any later one, raises NonFinite.
     """
 
-    def __init__(self, P: np.ndarray, M: np.ndarray, tag: str):
+    def __init__(self, P: np.ndarray, K: np.ndarray, tag: str):
         # a non-finite step makes power 1 non-finite, refused where it is read
-        with np.errstate(over="ignore", invalid="ignore"):
-            self.step = P @ M
-        self.X, self.tag = P, tag
+        self.step, self.X, self.tag = np.asarray(K), P, tag
         self.norms = [mat_norm(P, tag)]
         self.end = None
 

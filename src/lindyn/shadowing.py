@@ -4,8 +4,9 @@ A delta-pseudo-orbit is a finite point sequence whose one-step defects stay
 below delta. The central construction corrects such a sequence into an exact
 orbit: split every defect through P_S and P_U, map the stable part forward
 and the unstable part backward. On a finite window with zero extension both
-series are finite sums of re-projected steps (P_S L forward, P_U L^-1
-backward), so roundoff never excites the expanding block.
+series are finite sums of powers of the re-projected steps, P_S L forward
+and P_U L^-1 backward, so roundoff never excites the expanding block. Each
+step is formed once per (op, split), by the side's RestrictedPowers.
 
 PseudoOrbit.points and ShadowResult.trajectory are one read-only array: the
 rows of an (n, d) complex array for a dense orbit, an (n,) object array of
@@ -521,18 +522,17 @@ def _correction(k: _Kind, zs: np.ndarray) -> np.ndarray:
     """The bounded correction e of the defects zs over the window: e_0 .. e_n
     with e_{i+1} = L(e_i) + z_i, the stable part run forward from 0 and the
     unstable part backward through the inverse from 0. On rows, each part is
-    a doubling scan (_scan) of its re-projected step, K_S = P_S M forward on
-    P_S P_S z and K_U = P_U M^-1 backward on K_U P_U z; K_S and K_U vanish
-    on the other side, so rounding never excites the expanding block. On
-    vectors, each part is a step recursion, re-projected every step. A
-    non-finite correction is returned as such, for the caller's kind to
-    refuse.
+    a doubling scan (_scan) of its side's step (RestrictedPowers.step), K_S
+    = P_S M forward on P_S P_S z and K_U = P_U M^-1 backward on K_U P_U z;
+    both vanish on the other side, so rounding never excites the expanding
+    block. On vectors, each part is a step recursion, re-projected every
+    step. A non-finite correction is returned for the caller to refuse.
     """
     split = k.split
     with np.errstate(over="ignore", invalid="ignore"):
         if k.rows:
-            P_S, P_U = split.P_S, split.P_U
-            K_S, K_U = P_S @ k.M, P_U @ k.op.inverse().dense_matrix()
+            P_S, P_U, memo = split.P_S, split.P_U, _series_memo(k.op, split)
+            K_S, K_U = memo["S"].step, memo["U"].step
             F = _scan(K_S, zs @ P_S.T @ P_S.T)
             Bwd = _scan(K_U, (zs[::-1] @ P_U.T) @ K_U.T)[::-1]
         else:
@@ -683,13 +683,13 @@ def shadow_window_solve(op: LinOp, po: PseudoOrbit) -> ShadowResult:
     where the series was taken on po under op, see _series_orbit), and
     A_n w = L^n Q_S a + L^(n-N) Q_U b, with Q_S and Q_U the split's
     orthonormal bases of the ranges of P_S and P_U carried forward by P_S L
-    and backward by P_U L^-1, so the coefficients of a side vector never
-    exceed its l2 norm. The orbit is exact up to the rounding of the
-    computed P_S, within verify_shadow's tolerance. Where there is no split
-    (a spectrum touching the circle), the problem is posed in seed
-    coordinates: p is the orbit of the first point and A_n = L^n. Either
-    basis is a doubling stack (linalg.power_stack), refused with NonFinite
-    where a power overflows. A basis with a column far from unit scale is
+    and backward by P_U L^-1 (RestrictedPowers.stack), so the coefficients
+    of a side vector never exceed its l2 norm. The orbit is exact up to the
+    rounding of the computed P_S, within verify_shadow's tolerance. Where
+    there is no split (a spectrum touching the circle), the problem is posed
+    in seed coordinates: p is the orbit of the first point and A_n = L^n.
+    Either basis is a doubling stack (linalg.power_stack), refused with
+    NonFinite where a power overflows. A basis with a column far from unit scale is
     solved again with its columns scaled, and the better point and the
     larger lower bound are kept (_window_solves).
 
@@ -720,13 +720,8 @@ def shadow_window_solve(op: LinOp, po: PseudoOrbit) -> ShadowResult:
         A = power_stack(dense.matrix, np.eye(dim), count)
     else:
         particular = _series_orbit(k, po)
-        A = np.concatenate(
-            [
-                power_stack(split.P_S @ dense.matrix, split.Q_S, count),
-                power_stack(split.P_U @ dense.inverse().matrix, split.Q_U, count)[::-1],
-            ],
-            axis=2,
-        )
+        S, U = (_series_memo(dense, split)[side] for side in "SU")
+        A = np.concatenate([S.stack(split.Q_S, count), U.stack(split.Q_U, count)[::-1]], axis=2)
     offsets = k.finite(particular - rows)
     points, sup_error = particular, max_row_norm(offsets, tag)
     lower = 0.0

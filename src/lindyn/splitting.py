@@ -38,6 +38,7 @@ from .linalg import (
     array_norm,
     check_norm_tag,
     mat_norm,
+    power_stack,
 )
 from .operators import (
     DenseOp,
@@ -247,24 +248,20 @@ def _coordinate_monomial(op: LinOp) -> MonomialForm:
 
 
 class RestrictedPowers:
-    """The Green's-function terms n -> ||L^n P_S|| (side "S") and
-    n -> ||L^{-n} P_U|| (side "U").
-
-    On a coordinate split the projections have norm 1 and the value is the
-    exact restricted norm ||L^{+-n}|_side||, 1 at n = 0. On a spectral split
-    it is the norm of the re-projected power (see operators.MatrixPowers),
-    which bounds the restricted norm above and is the term the correction
-    series multiplies each defect by; n = 0 gives ||P_side||. Both hold up to
-    the rounding of the computed P_S (see SpectralSplit). Values are memoized
-    per n, and the side's invariants are computed once, at the first n >= 1
-    on a coordinate split and at the first n on a spectral one.
+    """The Green's function L^k P_S (side "S") or -L^{-k} P_U (side "U"),
+    one per (op, split, side) (_series_memo), with its terms n -> ||L^n P_S||
+    or ||L^{-n} P_U||, memoized. On a coordinate split the term is the exact
+    restricted norm, 1 at n = 0, read off table. On a spectral split it is
+    the norm of the n-th power of step, K = P_S M or P_U M^-1, re-projected
+    (operators.MatrixPowers), an upper bound with ||P_side|| at n = 0; stack
+    gives the powers themselves, up to the rounding of the computed P_S (see
+    SpectralSplit). An empty spectral side has term 0 at every n.
     """
 
     def __init__(self, op: LinOp, split: Splitting, side: str):
         self.op, self.split, self.side = op, split, side
         self._term = None
         if isinstance(split, SpectralSplit) and (split.Q_S if side == "S" else split.Q_U).size == 0:
-            # an empty side has norm 0 at every n, n = 0 included
             self._term = lambda n: 0.0
 
     def __call__(self, n: int) -> float:
@@ -276,12 +273,15 @@ class RestrictedPowers:
         return term(n)
 
     def source(self):
-        """The side's term function, n -> term, built if it is not yet: the
-        MatrixPowers of a spectral split, which a series reads in blocks,
-        the cached MonomialPowers.sup of a coordinate one (1 at n = 0, as
-        here), or 0 on an empty side."""
+        """The side's term function, built if it is not yet: the MatrixPowers
+        of a spectral split, which a series reads in blocks, the cached
+        table.sup of a coordinate one (1 at n = 0, as here), or 0."""
         if self._term is None:
-            self._term = self._build_term()
+            if isinstance(self.split, CoordinateSplit):
+                self._term = functools.cache(self.table.sup)
+            else:
+                P = self.split.P_S if self.side == "S" else self.split.P_U
+                self._term = MatrixPowers(P, self.step, self.split.norm_tag)
         return self._term
 
     def memoized(self) -> list:
@@ -290,15 +290,26 @@ class RestrictedPowers:
         raises nothing."""
         return getattr(self._term, "norms", [])
 
-    def _build_term(self):
-        op, split, side = self.op, self.split, self.side
-        if isinstance(split, CoordinateSplit):
-            mono = _coordinate_monomial(op.inverse() if side == "U" else op)
-            lo, hi = (None, split.cutoff) if side == "S" else (split.cutoff + 1, None)
-            return functools.cache(MonomialPowers(mono, lo, hi).sup)
-        if side == "S":
-            return MatrixPowers(split.P_S, op.dense_matrix(), split.norm_tag)
-        return MatrixPowers(split.P_U, op.inverse().dense_matrix(), split.norm_tag)
+    @functools.cached_property
+    def step(self) -> np.ndarray:
+        """K = P_S M on S and P_U M^-1 on U, of a spectral split; rounding
+        that overflows leaves a non-finite K, refused where it is read."""
+        split = self.split
+        op, P = (self.op, split.P_S) if self.side == "S" else (self.op.inverse(), split.P_U)
+        with np.errstate(over="ignore", invalid="ignore"):
+            return P @ op.dense_matrix()
+
+    def stack(self, Q: np.ndarray, count: int) -> np.ndarray:
+        """K^n Q for n = 0 .. count - 1 (linalg.power_stack)."""
+        return power_stack(self.step, Q, count)
+
+    @functools.cached_property
+    def table(self) -> MonomialPowers:
+        """The MonomialPowers of L on S, of L^-1 on U, on a coordinate split."""
+        op, cut = self.op, self.split.cutoff
+        if self.side == "S":
+            return MonomialPowers(_coordinate_monomial(op), None, cut)
+        return MonomialPowers(_coordinate_monomial(op.inverse()), cut + 1, None)
 
     def radius(self) -> float:
         """Spectral radius of L on S (side "S") or of L^{-1} on U (side "U"):
@@ -314,10 +325,11 @@ class RestrictedPowers:
 
 def _series_memo(op: LinOp, split: Splitting) -> dict:
     """Work done once per (op, split), held on the split: both sides'
-    RestrictedPowers ("S", "U"), read by classify and series_constants, and
-    shadowing's results, among them the read-only series points of the last
-    orbit ("orbit", see shadowing._series_orbit). The entry keeps op, so its
-    id is not reused."""
+    RestrictedPowers ("S", "U"), read by classify, series_constants, the
+    resolvents, the correction scans and the window basis, and shadowing's
+    results, among them the read-only series points of the last orbit
+    ("orbit", see shadowing._series_orbit). The entry keeps op, so its id is
+    not reused."""
     held, memo = split.memo.get(id(op), (None, None))
     if held is not op:
         memo = {side: RestrictedPowers(op, split, side) for side in "SU"}
@@ -339,27 +351,18 @@ def _series_memo(op: LinOp, split: Splitting) -> dict:
 
 
 def _monomial_geom_sum(
-    mono: MonomialForm, lo, hi, tag: str, rows: bool, from_one: bool = False
+    powers: MonomialPowers, terms, tag: str, rows: bool, from_one: bool = False
 ) -> float:
-    """Norm data of sum_k (monomial)^k restricted to [lo, hi].
+    """Norm data of sum_k (monomial)^k restricted to [lo, hi], on the
+    monomial's table powers over [lo, hi]; terms(n) is the norm of the n-th
+    power's compression there, on an invariant side its RestrictedPowers.
 
     rows=False sums forward products down each column (l1 and l2 views);
     rows=True sums backward products along each row (linf view). from_one
     drops the k = 0 identity term, giving the series that starts at k = 1.
     """
-    if rows and mono.shift != 0:
-        # Row sums of T equal column sums of the index-reversed monomial:
-        # the backward product over c(r - s), c(r - 2s), ... is the forward
-        # product of coeff'(j) = coeff(j - s) with displacement -s.
-        rev = replace(
-            mono,
-            shift=-mono.shift,
-            coeff=lambda j, _m=mono: _m.coeff(j - _m.shift),
-            features=tuple(f + mono.shift for f in mono.features),
-        )
-        return _monomial_geom_sum(rev, lo, hi, tag, rows=False, from_one=from_one)
-    shift = mono.shift
-    if shift == 0:
+    mono, lo, hi = powers.mono, powers.lo, powers.hi
+    if mono.shift == 0:
         cands, into_left, into_right = _candidate_anchors(mono, 1, lo, hi)
         weights = [mono.coeff(j) for j in cands]
         if into_left:
@@ -378,18 +381,23 @@ def _monomial_geom_sum(
             raise NotCertified(f"resolvent sum runs into a tail of modulus {lim:.6g} >= 1")
     # Window wide enough that any orbit leaving it has decayed below cutoff;
     # a walk that leaves [lo, hi] ends there (see below), so it is not probed.
-    powers = MonomialPowers(mono, lo, hi)
     probe_n = 1
-    while powers.sup(probe_n, stay=True) > 1e-16 and probe_n < RESOLVENT_PROBE_CAP:
+    while terms(probe_n) > 1e-16 and probe_n < RESOLVENT_PROBE_CAP:
         probe_n += 1
-    cands, into_left, into_right = _candidate_anchors(mono, probe_n, lo, hi)
-    # Column sums accumulate forward products p_k = |c(j)...c(j+(k-1)s)|;
-    # row sums accumulate backward products over c(r - s), c(r - 2s), ...
+    # Column sums accumulate forward products p_k = |c(j)...c(j+(k-1)s)|.
+    # Row sums accumulate backward products over c(r - s), c(r - 2s), ...:
+    # forward products of coeff'(j) = coeff(j - s), displacement -s, so the
+    # row view walks with shift -s and reads |coeff| at indices back by s.
     # Term k lands on index anchor + k * shift, and the walk ends where
-    # that index leaves [lo, hi]: the restriction has no entry there. All
-    # anchors walk at once, one elementwise step per k, each with the
-    # float operations of a walk of its own; a walk that ends leaves the
-    # arrays and its total goes into top.
+    # that index leaves [lo, hi]: the restriction has no entry there, and
+    # no weight is read for it. All anchors walk at once, one elementwise
+    # step per k, each with the float operations of a walk of its own; a
+    # walk that ends leaves the arrays and its total goes into top.
+    back = mono.shift if rows else 0
+    shift = mono.shift - 2 * back
+    view = replace(mono, features=tuple(f + back for f in mono.features))
+    cands, into_left, into_right = _candidate_anchors(view, probe_n, lo, hi)
+    low, high = -math.inf if lo is None else lo, math.inf if hi is None else hi
     anchors, total, term = np.array(cands), np.zeros(len(cands)), np.ones(len(cands))
     top = 0.0
     # a product overflows to inf quietly, as the Python floats did
@@ -397,10 +405,7 @@ def _monomial_geom_sum(
         for k in range(RESOLVENT_TERM_CAP):
             landing = anchors + k * shift
             live = term > 1e-16 * np.maximum(1.0, total)
-            if lo is not None:
-                live &= landing >= lo
-            if hi is not None:
-                live &= landing <= hi
+            live &= (landing >= low) & (landing <= high)
             if not live.all():
                 top = max(top, float(total[~live].max()))
                 anchors, total, term, landing = anchors[live], total[live], term[live], landing[live]
@@ -408,7 +413,10 @@ def _monomial_geom_sum(
                 break
             if k > 0 or not from_one:
                 total += term if tag != L2 else term * term
-            term = term * powers.abs_coeffs(landing)
+            # the row view reads at the next landing, which can leave [lo, hi]
+            idx = landing - back
+            read = (idx >= low) & (idx <= high) if back else slice(None)
+            term[read] *= powers.abs_coeffs(idx[read])
     # walks still running at the cap; sqrt is monotone, so the root of the
     # largest sum is the largest root
     top = max(top, float(total.max(initial=0.0)))
@@ -423,25 +431,36 @@ def _monomial_geom_sum(
     return best
 
 
+def _upward_refused(shift: int) -> None:
+    """Refuse a net monomial shift that moves support up, out of the coordinate S."""
+    if shift > 0:
+        raise InvalidSplitting("operator moves support upward; the coordinate S is not invariant")
+
+
 def resolvent_norm_S(op: LinOp, split: Splitting) -> float:
     """|| (I - L|_S)^{-1} || for a splitting already certified contracting on S.
 
-    A coordinate side open toward a weight tail of modulus >= 1 raises
-    NotCertified (so does the same side in resolvent_norm_U_inv).
+    A coordinate split that the operator moves upward raises InvalidSplitting,
+    and a coordinate side open toward a weight tail of modulus >= 1 raises
+    NotCertified (both hold in resolvent_norm_U_inv too).
     """
-    if isinstance(split, CoordinateSplit):
-        mono, rows = _coordinate_monomial(op), split.norm_tag == LINF
-        return _monomial_geom_sum(mono, None, split.cutoff, split.norm_tag, rows)
-    return _spectral_resolvent(op, split, side="S")
+    return _resolvent(op, split, "S")
 
 
 def resolvent_norm_U_inv(op: LinOp, split: Splitting) -> float:
     """|| (L|_U - I)^{-1} || = || sum_{k>=1} L^{-k}|_U || on the unstable side."""
-    if isinstance(split, CoordinateSplit):
-        mono = _coordinate_monomial(op.inverse())
-        rows = split.norm_tag == LINF
-        return _monomial_geom_sum(mono, split.cutoff + 1, None, split.norm_tag, rows, from_one=True)
-    return _spectral_resolvent(op, split, side="U")
+    return _resolvent(op, split, "U")
+
+
+def _resolvent(op: LinOp, split: Splitting, side: str) -> float:
+    """A side's resolvent norm, on a coordinate split from the side's table and terms."""
+    if not isinstance(split, CoordinateSplit):
+        return _spectral_resolvent(op, split, side)
+    powers = _series_memo(op, split)[side]
+    table = powers.table
+    _upward_refused(table.mono.shift if side == "S" else -table.mono.shift)
+    tag = split.norm_tag
+    return _monomial_geom_sum(table, powers.source(), tag, tag == LINF, from_one=side == "U")
 
 
 def _spectral_resolvent(op: LinOp, split: SpectralSplit, side: str) -> float:
@@ -516,16 +535,13 @@ def classify(op: LinOp, split: Splitting) -> HyperbolicityReport:
         raise KindMismatch("operator and splitting disagree in norm tag")
     if not op.invertible():
         raise NotInvertible("classification requires an invertible operator")
-    if shift > 0:
-        raise InvalidSplitting(
-            "operator moves support upward; the coordinate S is not invariant",
-        )
+    _upward_refused(shift)
     memo = _series_memo(op, split)
     r_S, r_U_inv = memo["S"].radius(), memo["U"].radius()
     if isinstance(split, CoordinateSplit):
         gap = min(abs(1.0 - r_S), abs(1.0 - r_U_inv))
     else:
-        moduli = np.abs(np.linalg.eigvals(matrix))
+        moduli = np.abs(np.concatenate([split.lam_S, split.lam_U]))
         gap = float(np.min(np.abs(moduli - 1.0))) if moduli.size else 0.0
         tol = INVARIANCE_RESIDUAL * max(1.0, mat_norm(matrix, split.norm_tag))
         res_fwd = float(np.abs(split.P_U @ matrix @ split.P_S).max())

@@ -385,17 +385,15 @@ def test_resolvent_sums_read_each_weight_once(monkeypatch):
 
 @pytest.mark.parametrize("tag", [L1, LINF])
 def test_classify_then_bounds_take_each_weight_product_once(monkeypatch, tag):
-    # classify's radii and series_constants read one RestrictedPowers per
-    # side, held on the split, so the series sums the envelope's terms
-    # instead of computing them again; the resolvent sums' window probes
-    # (stay=True) keep their own tables and are left out of the count
+    # classify's radii, series_constants and the resolvent sums' window
+    # probes read one RestrictedPowers per side, held on the split, so each
+    # product is taken once, whichever of them reads it first
     taken = []
 
     class CountedPowers(MonomialPowers):
-        def products(self, n, stay=False):
-            if not stay:
-                taken.append((self.lo, self.hi, n))
-            return super().products(n, stay)
+        def products(self, n):
+            taken.append((self.lo, self.hi, n))
+            return super().products(n)
 
     monkeypatch.setattr(splitting, "MonomialPowers", CountedPowers)
     op = CompositionOp([ShiftOp(1, tag), DiagonalOp(SignWeights(neg_and_zero=0.5, pos=3.0), tag)])
@@ -543,8 +541,26 @@ def test_transient_series_takes_no_more_blocks_than_doubling(tag, monkeypatch):
     assert len(powers.norms) <= len(terms) + MATRIX_BLOCK_MIN < len(doubling.norms)
 
 
-def ref_monomial_geom_sum(mono, lo, hi, tag, rows, from_one=False):
-    """The per-anchor resolvent walk, one Python loop per anchor."""
+def compressed_sup(mono, lo, hi):
+    """n -> the norm of the n-th power's compression to [lo, hi]: the
+    largest product over anchors whose n-step walk lands inside, and the
+    tails, as MonomialPowers.sup takes them for the anchors that stay."""
+
+    def sup(n):
+        cands, into_left, into_right = _candidate_anchors(mono, n, lo, hi)
+        low, high = -math.inf if lo is None else lo, math.inf if hi is None else hi
+        out = [ref_product_abs(mono, j, n) for j in cands if low <= j + n * mono.shift <= high]
+        for flag, lim in ((into_left, mono.left_limit_abs), (into_right, mono.right_limit_abs)):
+            if flag:
+                out.append(lim**n)
+        return 1.0 if n == 0 else max([0.0, *out])
+
+    return sup
+
+
+def ref_monomial_geom_sum(mono, lo, hi, terms, tag, rows, from_one=False):
+    """The per-anchor resolvent walk, one Python loop per anchor, with the
+    window probed on terms."""
     if rows and mono.shift != 0:
         rev = replace(
             mono,
@@ -552,14 +568,13 @@ def ref_monomial_geom_sum(mono, lo, hi, tag, rows, from_one=False):
             coeff=lambda j, _m=mono: _m.coeff(j - _m.shift),
             features=tuple(f + mono.shift for f in mono.features),
         )
-        return ref_monomial_geom_sum(rev, lo, hi, tag, rows=False, from_one=from_one)
+        return ref_monomial_geom_sum(rev, lo, hi, terms, tag, rows=False, from_one=from_one)
     for end, lim in ((lo, mono.left_limit_abs), (hi, mono.right_limit_abs)):
         if end is None and lim >= 1.0:
             raise NotCertified("tail of modulus >= 1")
     shift = mono.shift
-    powers = MonomialPowers(mono, lo, hi)
     probe_n = 1
-    while powers.sup(probe_n, stay=True) > 1e-16 and probe_n < 512:
+    while terms(probe_n) > 1e-16 and probe_n < 512:
         probe_n += 1
     cands, into_left, into_right = _candidate_anchors(mono, probe_n, lo, hi)
     best = 0.0
@@ -601,6 +616,9 @@ def test_anchor_walk_matches_per_anchor_loop(rule, tag):
         mono = ops[name].monomial
         for lo, hi in ((None, 0), (1, None), (-3, 5), (-20, 12)):
             for from_one in (False, True):
-                args = (mono, lo, hi, tag, tag == LINF, from_one)
-                want = resolvent_outcome(ref_monomial_geom_sum, *args)
-                assert resolvent_outcome(splitting._monomial_geom_sum, *args) == want
+                # both walks probe their window on the compressed sup
+                terms = compressed_sup(mono, lo, hi)
+                args = (terms, tag, tag == LINF, from_one)
+                want = resolvent_outcome(ref_monomial_geom_sum, mono, lo, hi, *args)
+                table = MonomialPowers(mono, lo, hi)
+                assert resolvent_outcome(splitting._monomial_geom_sum, table, *args) == want

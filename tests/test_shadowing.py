@@ -33,10 +33,27 @@ from lindyn import (
 )
 from lindyn.errors import KindMismatch, NonFinite
 from lindyn.gallery import contraction_half, saddle, shifted_weighted_contraction
-from lindyn.linalg import SparseBiSeq, max_row_norm, row_norms
+from lindyn.linalg import (
+    DUAL_TAG,
+    SparseBiSeq,
+    _unit_maximizers,
+    max_row_norm,
+    power_stack,
+    row_norms,
+)
+from lindyn.linf import _extremal_defect
 from lindyn.operators import CompositionOp
 from lindyn.sampling import random_margin_matrix, rng_from_seed
-from lindyn.shadowing import PseudoOrbit, ShadowResult, _defects, _kind, classify, max_defect
+from lindyn.shadowing import (
+    PseudoOrbit,
+    ShadowResult,
+    _correction,
+    _defects,
+    _kind,
+    _scan,
+    classify,
+    max_defect,
+)
 
 SADDLE = saddle()
 SPLIT = spectral_split(SADDLE)
@@ -704,3 +721,91 @@ def test_defects_on_rows_are_the_per_row_loop(tag):
     for defects in (_defects, per_row_defects):
         with pytest.raises(NonFinite):
             defects(k, pts)
+
+
+# ---------------------------------------------------------------------------
+# The sides' steps and stacks against the products each reader formed
+# ---------------------------------------------------------------------------
+
+
+def ref_correction(k, zs):
+    """_correction on rows as it was, forming P_S M and P_U M^-1 itself."""
+    split = k.split
+    with np.errstate(over="ignore", invalid="ignore"):
+        P_S, P_U = split.P_S, split.P_U
+        K_S, K_U = P_S @ k.M, P_U @ k.op.inverse().dense_matrix()
+        F = _scan(K_S, zs @ P_S.T @ P_S.T)
+        Bwd = _scan(K_U, (zs[::-1] @ P_U.T) @ K_U.T)[::-1]
+        return F - Bwd
+
+
+def ref_window_basis(op, count):
+    """shadow_window_solve's defect-coordinate basis as it was."""
+    dense = DenseOp(op.dense_matrix(), op.norm_tag)
+    split = spectral_split(dense)
+    return np.concatenate(
+        [
+            power_stack(split.P_S @ dense.matrix, split.Q_S, count),
+            power_stack(split.P_U @ dense.inverse().matrix, split.Q_U, count)[::-1],
+        ],
+        axis=2,
+    )
+
+
+def ref_extremal_defect(dense, split, N):
+    """_extremal_defect as it was, forming the sides' steps itself."""
+    P_S, P_U = split.P_S, split.P_U
+    K_U = P_U @ dense.inverse().matrix
+    stable = power_stack(P_S @ dense.matrix, P_S, 2 * N)
+    unstable = -power_stack(K_U, K_U @ P_U, 2 * N)
+    dual = DUAL_TAG[dense.norm_tag]
+    stable_sums, unstable_sums = (
+        np.cumsum(row_norms(G.reshape(-1, G.shape[2]), dual).reshape(G.shape[:2]), axis=0)
+        for G in (stable, unstable)
+    )
+    zero = np.zeros((1, dense.dim))
+    sums = np.concatenate([zero, stable_sums]) + np.concatenate([zero, unstable_sums])[::-1]
+    m, i = divmod(int(sums.argmax()), sums.shape[1])
+    if sums[N].max() >= sums[m, i]:
+        m, i = N, int(sums[N].argmax())
+    G = np.concatenate([stable[:m][::-1], unstable[: 2 * N - m]])
+    return _unit_maximizers(G[:, i, :], dense.norm_tag)
+
+
+def side_step_matrices():
+    """The saddle, margin draws of dims 2-4, an all-stable and an
+    all-unstable matrix."""
+    draws = [random_margin_matrix(dim, rng_from_seed(500 + s), margin=0.05)
+             for dim in (2, 3, 4) for s in range(3)]
+    return [np.diag([0.5, 2.0]), *draws, np.array([[0.5, 3.0], [0.0, -0.4]]),
+            np.array([[2.0, 1.0], [0.0, -3.0]])]
+
+
+@pytest.mark.parametrize("tag", [L1, L2, LINF])
+def test_side_steps_keep_the_readers_bits(tag, monkeypatch):
+    import lindyn.shadowing as shadowing
+
+    bases = []
+    solves = shadowing._window_solves
+
+    def spy(A, offsets, tag):
+        bases.append(A)
+        return solves(A, offsets, tag)
+
+    monkeypatch.setattr(shadowing, "_window_solves", spy)
+    rng = rng_from_seed(90)
+    for M in side_step_matrices():
+        dim = len(M)
+        dense = DenseOp(M, tag)
+        split = spectral_split(dense)
+        # a dense one-factor composition reads its steps off its own memo entry
+        for op in (dense, CompositionOp([DenseOp(M, tag)])):
+            zs = rng.standard_normal((12, dim)) + 1j * rng.standard_normal((12, dim))
+            k = _kind(op, split, zs, tag)
+            assert _correction(k, zs).tobytes() == ref_correction(k, zs).tobytes()
+            po = pseudo_orbit(op, 0, [DenseVector(x, tag) for x in zs], 1e3)
+            shadow_window_solve(op, po)
+            assert bases[-1].tobytes() == ref_window_basis(op, len(zs)).tobytes()
+        for N in (1, 4):
+            assert (_extremal_defect(dense, split, N).tobytes()
+                    == ref_extremal_defect(dense, split, N).tobytes())

@@ -161,6 +161,19 @@ def test_resolvent_refuses_a_side_open_toward_a_unit_tail():
     assert time.perf_counter() - start < 1.0
 
 
+@pytest.mark.parametrize("tag", [L1, L2, LINF])
+def test_resolvents_refuse_a_split_the_operator_moves_upward(tag):
+    # R o W with the right shift carries S = {k <= 0} up into U, so neither
+    # side is invariant and the sides' terms are not the norms of the
+    # compressions that the window probe reads; both sums refuse as
+    # classify does
+    op = CompositionOp([ShiftOp(-1, tag), DiagonalOp(SignWeights(neg_and_zero=0.5, pos=3.0), tag)])
+    split = CoordinateSplit(0, tag)
+    for fn in (classify, resolvent_norm_S, resolvent_norm_U_inv):
+        with pytest.raises(InvalidSplitting, match="moves support upward"):
+            fn(op, split)
+
+
 def test_resolvent_refuses_a_unit_diagonal_weight():
     # I - L is singular on the tail of weights 1, so there is no resolvent
     op = DiagonalOp(TableWeights.from_mapping({0: 0.5}, 1.0), L1)
