@@ -119,7 +119,6 @@ from .stability import (
     verify_contractive_sum,
 )
 from .homoclinic import (
-    HomoclinicEvidence,
     chain_combine,
     chain_scale,
     homoclinic_core_approximate,

@@ -444,8 +444,7 @@ def _task_homoclinic(sc: Scenario) -> dict:
     rep = homoclinic_dichotomy(sc.op, split)
     return {
         "verdict": rep.verdict,
-        "witness": None if rep.witness is None else _vec(rep.witness),
-        "checked": rep.checked,
+        "witness": _vec(rep.witness),
     }
 
 

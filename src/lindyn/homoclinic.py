@@ -1,12 +1,19 @@
 """Homoclinic points of the origin and the core structure that separates
 generalized hyperbolicity from plain hyperbolicity.
 
-A point is homoclinic when both half orbits decay to zero. For weighted
-shift families split along a coordinate cutoff, membership in the core can
-be decided exactly from supports: push the point backward until it lives in
-the unstable side, forward until it lives in the stable side. A verified
-nontrivial homoclinic point rules out hyperbolicity, which is the cheap
-one-sided half of the dichotomy this module automates.
+A point is homoclinic when both half orbits decay to zero. On a sequence
+operator with shift s != 0, every basis vector walks forward into one weight
+tail and backward into the other, so the verdict on every nonzero finitely
+supported point is exact from two limit moduli: the point is homoclinic
+exactly when the tail L's walk runs into and the tail L^-1's walk runs into
+both have modulus below 1 (is_homoclinic). A tail of modulus 1 leaves the
+decay to weights no limit decides, and is refused with NotCertified. At
+shift 0, and on a dense operator, only 0 is homoclinic. For coordinate
+splits, membership in the core can be decided exactly from supports: push
+the point backward until it lives in the unstable side, forward until it
+lives in the stable side. A nontrivial homoclinic point rules out
+hyperbolicity, which is the one-sided half of the dichotomy this module
+automates.
 """
 
 from __future__ import annotations
@@ -16,64 +23,51 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import NotAChain, NotCertified, NotHomoclinic
-from .linalg import SparseBiSeq, check_scalar
+from .errors import KindMismatch, NotAChain, NotCertified, NotHomoclinic, NotInvertible
+from .linalg import DenseVector, SparseBiSeq, check_scalar
 from .operators import LinOp
 from .shadowing import PseudoOrbit, _stack, _stored, max_defect
-from .splitting import CoordinateSplit
-
-# A half orbit decays when its last norm is below HOMOCLINIC_TOL relative to
-# the point; the dichotomy search walks DICHOTOMY_HORIZON steps each way.
-HOMOCLINIC_TOL = 1e-9
-DICHOTOMY_HORIZON = 64
+from .splitting import UNDETERMINED_BAND, CoordinateSplit
 
 
-@dataclass(frozen=True)
-class HomoclinicEvidence:
-    vector: object
-    horizon: int
-    forward_decay: tuple[float, ...]
-    backward_decay: tuple[float, ...]
-    verdict: bool
+def _walk_tails(op: LinOp) -> Optional[tuple[float, float]]:
+    """The limit moduli of the tails that L's and L^-1's walks run into
+    (MonomialForm.walk_limit_abs), or None where no walk moves: at shift 0
+    and on a dense operator."""
+    mono = op.monomial
+    if mono is None or mono.shift == 0:
+        return None
+    return mono.walk_limit_abs, op.inverse().monomial.walk_limit_abs
 
 
-def _envelope_decays(values: Sequence[float]) -> bool:
-    tail = list(values)[-max(2, len(values) // 4):]
-    return all(b <= a * (1.0 + 1e-9) + 1e-15 for a, b in zip(tail, tail[1:]))
+def _tails_text(tails: Optional[tuple[float, float]]) -> str:
+    if tails is None:
+        return "no walk moves (shift 0 or a dense operator)"
+    return f"L's walk tail has modulus {tails[0]:.6g}, L^-1's {tails[1]:.6g}"
 
 
-def is_homoclinic(op: LinOp, x, horizon: int = 40) -> HomoclinicEvidence:
-    """Decay evidence for both half orbits of x.
+def is_homoclinic(op: LinOp, x) -> bool:
+    """Whether both half orbits of x decay to zero, exactly, from the weight
+    tails (see the module docstring); on a dense operator or at shift 0,
+    whether x is 0.
 
-    The verdict requires the final norms to sit below HOMOCLINIC_TOL
-    (relative to x) and the decay envelopes to be monotone over the last
-    quarter, so a transient dip cannot masquerade as convergence.
+    A tail within UNDETERMINED_BAND of modulus 1, with no tail above it,
+    raises NotCertified. An operator that is not invertible has no backward
+    orbit and raises NotInvertible.
     """
-    if horizon < 4:
-        raise ValueError("horizon must be at least 4")
-    inv = op.inverse()
-    fwd = [x.norm()]
-    bwd = [x.norm()]
-    cur_f, cur_b = x, x
-    for _ in range(horizon):
-        cur_f = op.apply(cur_f)
-        cur_b = inv.apply(cur_b)
-        fwd.append(cur_f.norm())
-        bwd.append(cur_b.norm())
-    scale = max(1.0, x.norm())
-    verdict = (
-        fwd[-1] <= HOMOCLINIC_TOL * scale
-        and bwd[-1] <= HOMOCLINIC_TOL * scale
-        and _envelope_decays(fwd)
-        and _envelope_decays(bwd)
-    )
-    return HomoclinicEvidence(
-        vector=x,
-        horizon=horizon,
-        forward_decay=tuple(fwd),
-        backward_decay=tuple(bwd),
-        verdict=verdict,
-    )
+    vector = SparseBiSeq if op.vector_kind == "seq" else DenseVector
+    if not isinstance(x, vector) or x.norm_tag != op.norm_tag:
+        raise KindMismatch("the point disagrees with the operator in kind or norm tag")
+    if not op.invertible():
+        raise NotInvertible("a homoclinic point needs the backward orbit of an invertible operator")
+    tails = _walk_tails(op)
+    if tails is None or x.norm() == 0.0:
+        return x.norm() == 0.0
+    if max(tails) > 1.0 + UNDETERMINED_BAND:
+        return False
+    if max(tails) >= 1.0 - UNDETERMINED_BAND:
+        raise NotCertified(f"a weight tail of modulus 1 leaves the decay undecided: {_tails_text(tails)}")
+    return True
 
 
 def homoclinic_core_member(
@@ -112,15 +106,17 @@ class CoreApproximation:
 
 
 def homoclinic_core_approximate(
-    op: LinOp, split: CoordinateSplit, x: SparseBiSeq, n: int, horizon: int = 40
+    op: LinOp, split: CoordinateSplit, x: SparseBiSeq, n: int
 ) -> CoreApproximation:
+    """The core split of a homoclinic x at distance n; a point that is not
+    homoclinic raises NotHomoclinic (and an undecided one NotCertified, see
+    is_homoclinic)."""
     if not isinstance(split, CoordinateSplit):
         raise ValueError("core approximants are defined against a coordinate splitting")
     if n < 0:
         raise ValueError("n must be nonnegative")
-    evidence = is_homoclinic(op, x, horizon=horizon)
-    if not evidence.verdict:
-        raise NotHomoclinic("the point is not homoclinic at this horizon/tolerance")
+    if not is_homoclinic(op, x):
+        raise NotHomoclinic(f"the point is not homoclinic: {_tails_text(_walk_tails(op))}")
     inv = op.inverse()
     back = inv.apply_power(n, x)
     s_n = op.apply_power(n, split.apply_P_S(back))
@@ -140,35 +136,25 @@ def homoclinic_core_approximate(
 @dataclass(frozen=True)
 class DichotomyReport:
     verdict: str
-    witness: Optional[SparseBiSeq]
-    evidence: Optional[HomoclinicEvidence]
-    checked: int
+    witness: SparseBiSeq
 
 
-def homoclinic_dichotomy(
-    op: LinOp, split: CoordinateSplit, index_range: int = 64
-) -> DichotomyReport:
-    """Search basis vectors for a verified nontrivial homoclinic point.
+def homoclinic_dichotomy(op: LinOp, split: CoordinateSplit) -> DichotomyReport:
+    """A nontrivial homoclinic point, decided from the weight tails.
 
-    Finding one settles the question: the operator cannot be hyperbolic.
-    Finding none proves nothing about the full space, so that outcome is an
-    explicit refusal rather than a verdict.
+    Every nonzero finitely supported point gets the verdict of e_0
+    (is_homoclinic), so e_0 is the witness when there is one, and it settles
+    that the operator cannot be hyperbolic. Otherwise NotCertified names both
+    tail moduli: no finitely supported point is homoclinic, and that decides
+    nothing about hyperbolicity.
     """
-    checked = 0
-    for k in range(0, index_range + 1):
-        for idx in ((k,) if k == 0 else (k, -k)):
-            x = SparseBiSeq.basis(idx, op.norm_tag)
-            checked += 1
-            ev = is_homoclinic(op, x, horizon=DICHOTOMY_HORIZON)
-            if ev.verdict:
-                return DichotomyReport(
-                    verdict="NontrivialHomoclinic",
-                    witness=x,
-                    evidence=ev,
-                    checked=checked,
-                )
+    if not isinstance(split, CoordinateSplit):
+        raise ValueError("the dichotomy is defined against a coordinate splitting")
+    x = SparseBiSeq.basis(0, op.norm_tag)
+    if is_homoclinic(op, x):
+        return DichotomyReport(verdict="NontrivialHomoclinic", witness=x)
     raise NotCertified(
-        f"no homoclinic basis witness among {checked} candidates; "
+        f"no nonzero finitely supported point is homoclinic ({_tails_text(_walk_tails(op))}); "
         "absence here decides nothing"
     )
 

@@ -119,7 +119,8 @@ class ApproachOneWeights:
 
     value(k) = -(|k| + 1) / (|k| + 2), so moduli live in [1/2, 1), the
     supremum 1 is not attained, and no weight is near +1 itself. Useful as a
-    boundary case for classification: the stable radius estimate lands at 1.
+    boundary case for classification: the tail limits have modulus 1, so the
+    stable radius is exactly 1 and classify says Undetermined.
     """
 
     def value(self, k: int) -> complex:
@@ -180,6 +181,13 @@ class MonomialForm:
     # Complex coefficient limits toward -inf / +inf, used by resolvent sums.
     left_limit: complex
     right_limit: complex
+
+    @property
+    def walk_limit_abs(self) -> float:
+        """|coefficient limit| on the tail that every walk j, j + shift, ...
+        runs into: the left one at shift < 0, the right one at shift > 0
+        (meaningless at shift 0, where no walk moves)."""
+        return self.left_limit_abs if self.shift < 0 else self.right_limit_abs
 
 
 def _compose_monomials(outer: MonomialForm, inner: MonomialForm) -> MonomialForm:
@@ -286,6 +294,24 @@ class MonomialPowers:
         vectors indexed by [lo, hi], under any of the three norm tags."""
         return 1.0 if n == 0 else max([0.0, *self.products(n)])
 
+    def radius(self) -> float:
+        """lim sup(n)^(1/n), exactly, from the weight tails. At shift 0 it is
+        sup(1), the largest coefficient modulus over [lo, hi], which the
+        rules make a finite maximum. Otherwise an n-step walk from an anchor
+        in [lo, hi] spends all but a bounded number of its steps in the tail
+        that walks run into or in a tail that [lo, hi] opens into, where the
+        moduli tend to their limits; so it is the largest limit modulus of
+        those tails."""
+        mono = self.mono
+        if mono.shift == 0:
+            return self.sup(1)
+        tails = [mono.walk_limit_abs]
+        if self.lo is None:
+            tails.append(mono.left_limit_abs)
+        if self.hi is None:
+            tails.append(mono.right_limit_abs)
+        return max(tails)
+
 
 # Fewest and most powers a MatrixPowers block computes at once.
 MATRIX_BLOCK_MIN = 4
@@ -363,26 +389,6 @@ def monomial_power_sup(
     return MonomialPowers(mono, lo, hi).sup(n)
 
 
-# Most power norms a spectral radius estimate consults.
-GELFAND_HORIZON = 64
-
-
-def gelfand_envelope(power_fn) -> tuple[float, int]:
-    """min over n <= GELFAND_HORIZON of power_fn(n)^(1/n), with stagnation cutoff."""
-    best = math.inf
-    used = 0
-    stagnant = 0
-    for n in range(1, GELFAND_HORIZON + 1):
-        used = n
-        p = power_fn(n)
-        est = p ** (1.0 / n) if p > 0 else 0.0
-        stagnant = 0 if est < best - 1e-12 else stagnant + 1
-        best = min(best, est)
-        if stagnant >= 8:
-            break
-    return best, used
-
-
 # ---------------------------------------------------------------------------
 # Operator classes
 # ---------------------------------------------------------------------------
@@ -434,18 +440,15 @@ class LinOp:
             out = inv.apply(out)
         return out
 
-    def spectral_radius(self) -> tuple[float, int]:
-        """Spectral radius estimate and the number of power norms consulted.
-
-        Dense operators read the radius off their eigenvalues. Sequence
-        operators take the min envelope of ||L^n||^(1/n) over
-        n <= GELFAND_HORIZON, stopping early once the envelope stagnates.
+    def spectral_radius(self) -> float:
+        """The spectral radius. Dense operators read it off their eigenvalues.
+        A sequence operator's is exact from its weight tails
+        (MonomialPowers.radius over the whole line): the largest weight
+        modulus at shift 0, else the larger of the two tails' limit moduli.
         """
         if self.monomial is None:
-            m = self.dense_matrix()
-            vals = [abs(lam) for lam, _ in dense_eig(m)]
-            return (max(vals), 0)
-        return gelfand_envelope(MonomialPowers(self.monomial).sup)
+            return max(abs(lam) for lam, _ in dense_eig(self.dense_matrix()))
+        return MonomialPowers(self.monomial).radius()
 
     def dense_matrix(self) -> np.ndarray:
         raise KindMismatch(f"{self.kind} operator has no dense matrix")
@@ -729,27 +732,16 @@ class CompositionOp(LinOp):
 class OperatorReport:
     op_norm: float
     inv_norm: Optional[float]
-    spectral_radius_estimate: float
-    gelfand_iterations: int
+    spectral_radius: float
 
 
 def operator_report(op: LinOp) -> OperatorReport:
-    """Norm, inverse norm when available, and a spectral radius estimate.
-
-    The radius estimate never exceeds the norm by more than roundoff.
-    """
+    """Norm, inverse norm when available, and the spectral radius
+    (LinOp.spectral_radius: exact from the weight tails on a sequence
+    operator, from the eigenvalues on a dense one)."""
     op_norm = op.operator_norm()
-    inv_norm = None
-    if op.invertible():
-        inv_norm = op.inverse().operator_norm()
-    radius, used = op.spectral_radius()
-    radius = min(radius, op_norm + 1e-9)
-    return OperatorReport(
-        op_norm=op_norm,
-        inv_norm=inv_norm,
-        spectral_radius_estimate=radius,
-        gelfand_iterations=used,
-    )
+    inv_norm = op.inverse().operator_norm() if op.invertible() else None
+    return OperatorReport(op_norm=op_norm, inv_norm=inv_norm, spectral_radius=op.spectral_radius())
 
 
 # ---------------------------------------------------------------------------

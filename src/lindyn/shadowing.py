@@ -396,11 +396,13 @@ def _sum_until_tail(term_fn, start: int, tail: float):
 def series_constants(op: LinOp, split: Splitting, tail: float = SERIES_TAIL) -> SeriesConstants:
     """Certified sums A = sum_{k>=0} ||L^k P_S|| and B = sum_{k>=1} ||L^-k P_U||.
 
-    Each sum is closed with the block-geometric remainder of _sum_until_tail.
-    Each side's terms form one sequence per (op, split), held by
-    _series_memo and shared by classify, the radius envelope and the sum, so
-    every power is computed once; a power that overflows is refused with
-    NonFinite. On a spectral split the sums hold up to the rounding of the
+    A side radius of 1 or more is refused with NotCertified before any term
+    is read (RestrictedPowers.radius: eigenvalue moduli on a spectral split,
+    exact from the weight tails on a coordinate one). Each sum is closed
+    with the block-geometric remainder of _sum_until_tail. Each side's terms
+    form one sequence per (op, split), held by _series_memo and shared with
+    the resolvents' probes, so every power is computed once; a power that
+    overflows is refused with NonFinite. On a spectral split the sums hold up to the rounding of the
     computed P_S (see SpectralSplit).
     """
     memo = _series_memo(op, split)

@@ -8,7 +8,9 @@ classifier distinguishes four outcomes: Hyperbolic (both subspaces invariant
 in both directions with contracting rates), GeneralizedHyperbolic (forward
 invariance of S and backward invariance of U only, certified by a witness
 vector in L(U) intersected with S when the inclusions are strict), Neither,
-and Undetermined when a rate estimate sits within 1e-6 of 1.
+and Undetermined when a side radius sits within 1e-6 of 1. On a coordinate
+split the radii are exact from the weight tails, so Undetermined there means
+a tail of modulus 1.
 """
 
 from __future__ import annotations
@@ -47,7 +49,6 @@ from .operators import (
     MonomialForm,
     MonomialPowers,
     _candidate_anchors,
-    gelfand_envelope,
     monomial_power_sup,
 )
 
@@ -314,13 +315,16 @@ class RestrictedPowers:
     def radius(self) -> float:
         """Spectral radius of L on S (side "S") or of L^{-1} on U (side "U"):
         the largest eigenvalue modulus of the side (of 1/lam_U on U) on a
-        spectral split, the Gelfand envelope of these terms on a coordinate
-        split."""
+        spectral split. On a coordinate split it is exact from the weight
+        tails (MonomialPowers.radius): the largest weight modulus on the side
+        at shift 0, else the larger limit modulus of the tail the side opens
+        into and the tail its walk runs into. It is 1 only when such a tail
+        has modulus 1, the case classify calls Undetermined."""
         split = self.split
         if isinstance(split, SpectralSplit):
             lam = split.lam_S if self.side == "S" else 1.0 / split.lam_U
             return float(np.abs(lam).max()) if lam.size else 0.0
-        return gelfand_envelope(self)[0]
+        return self.table.radius()
 
 
 def _series_memo(op: LinOp, split: Splitting) -> dict:

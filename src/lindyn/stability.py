@@ -765,7 +765,7 @@ def verify_contractive_sum(
     without a dense matrix is refused before any power is taken.
     """
     dim = op.dense_matrix().shape[0]
-    radius, _ = op.spectral_radius()
+    radius = op.spectral_radius()
     if radius >= 1.0 - 1e-9:
         raise NotContractiveSpectrum(
             f"spectral radius {radius:.9g} is not below 1", radius=radius

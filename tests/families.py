@@ -6,14 +6,18 @@ basis as the window_estimate benchmark does, and exact_linf_constant sums
 the Green's function of a split. reference_walk, reference_max_defect and
 reference_series redo a dense orbit's walk, defects and splitting series
 one step at a time, the references for the batched rows arithmetic of
-lindyn.shadowing.
+lindyn.shadowing. random_monomial draws weighted shifts whose weight tails
+decide their radii and homoclinic points, and late_tails builds one whose
+tails lie past any 64-step horizon.
 """
 
 import math
 
 import numpy as np
 
+from lindyn import CompositionOp, DiagonalOp, ShiftOp
 from lindyn.linalg import array_norm
+from lindyn.operators import InverseWeights, SignWeights, TableWeights
 from lindyn.sampling import rng_from_seed, unit_dense_rows
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -123,3 +127,54 @@ def reference_series(op, split, points):
         b = P_U @ (M_inv @ (b + P_U @ z))
         bwd.append(b)
     return points + (np.array(fwd) - np.array(bwd[::-1]))
+
+
+# weight moduli of random_monomial: 1 among them, so that some tails sit on
+# the unit circle, and the others well off it
+MONOMIAL_MODULI = (0.5, 0.8, 1.0, 1.25, 2.0)
+
+
+def late_tails(tag):
+    """R o W with weights 0.5 on -80..0 and 2 on 1..80 over a default of 1.5:
+    e_0's walks decay as 2^-n for 81 steps each way, and ||L^n|| = 2^n up to
+    n = 80, but both tails have modulus 1.5, so r(L) = 1.5 and no nonzero
+    finitely supported point is homoclinic."""
+    table = {k: 0.5 if k <= 0 else 2.0 for k in range(-80, 81)}
+    return CompositionOp([ShiftOp(1, tag), DiagonalOp(TableWeights.from_mapping(table, 1.5), tag)])
+
+
+def _random_weight(rng, moduli=MONOMIAL_MODULI):
+    """A weight of modulus drawn from moduli, with a random phase."""
+    return complex(rng.choice(moduli) * np.exp(2j * np.pi * rng.choice([0.0, 0.5, rng.uniform()])))
+
+
+def _maybe_inverted(rule, rng):
+    return InverseWeights(rule) if rng.uniform() < 1.0 / 3.0 else rule
+
+
+def random_monomial(rng, tag):
+    """A seeded weighted shift: a shift by +-1 or +-2 after a diagonal of
+    SignWeights, half the time a diagonal of TableWeights whose stretches
+    reach more than 64 steps from index 0, and half the time a finite bump,
+    a diagonal that multiplies indices -5..0 by 3, 10 or 100. Each of the
+    first two rules is inverted (InverseWeights) a third of the time. Half
+    the SignWeights contract on the side the shift walks to and expand on
+    the other, as a generalized hyperbolic shift does."""
+    offset = int(rng.choice([-2, -1, 1, 2]))
+    if rng.uniform() < 0.5:
+        # ShiftOp(offset) walks toward -inf when offset > 0
+        walk_end, other = _random_weight(rng, (0.5, 0.8)), _random_weight(rng, (1.25, 2.0))
+        sign = SignWeights(walk_end, other) if offset > 0 else SignWeights(other, walk_end)
+    else:
+        sign = SignWeights(neg_and_zero=_random_weight(rng), pos=_random_weight(rng))
+    factors = [ShiftOp(offset, tag), DiagonalOp(_maybe_inverted(sign, rng), tag)]
+    if rng.uniform() < 0.5:
+        left, right = (int(rng.integers(65, 100)) for _ in range(2))
+        a, b = _random_weight(rng), _random_weight(rng)
+        table = {k: a if k <= 0 else b for k in range(-left, right + 1)}
+        rule = TableWeights.from_mapping(table, _random_weight(rng))
+        factors.append(DiagonalOp(_maybe_inverted(rule, rng), tag))
+    if rng.uniform() < 0.5:
+        bump = float(rng.choice([3.0, 10.0, 100.0]))
+        factors.append(DiagonalOp(TableWeights.from_mapping({k: bump for k in range(-5, 1)}, 1.0), tag))
+    return CompositionOp(factors)

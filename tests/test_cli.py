@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from lindyn import DenseOp, cli, spectral_split, splitting
+from lindyn import DenseOp, cli, op_to_config, spectral_split, splitting
 from lindyn.cli import (
     SUITES,
     TASKS,
@@ -20,7 +20,7 @@ from lindyn.cli import (
 from lindyn.errors import ConfigInvalid, LindynError, NotCertified
 from lindyn.shadowing import WINDOW_SOLVE_MAX_LEN
 
-from families import exact_linf_constant
+from families import exact_linf_constant, late_tails
 
 SADDLE_CFG = {
     "name": "unit-saddle",
@@ -140,12 +140,28 @@ def test_gh_weighted_shift_witnesses_and_bounds():
     tasks = run_scenario(load_scenario_file("gh_weighted_shift"))["tasks"]
     e0 = {"entries": {"0": 1.0}, "norm": "l1"}
     assert tasks["classify"]["result"]["witness"] == e0
-    assert tasks["homoclinic"]["result"]["witness"] == e0
+    assert tasks["homoclinic"]["result"] == {"verdict": "NontrivialHomoclinic", "witness": e0}
     bounds = tasks["bounds"]["result"]
     assert (bounds["lower"], bounds["upper"]) == (2.0, 3.0)
     # the only bundled shadow on a sequence operator, so on object arrays
     series = tasks["shadow"]["result"]["methods"]["splitting_series"]
     assert (series["constant_used"], series["sup_error"]) == (3.0, 0.00014820297883599273)
+
+
+@pytest.mark.parametrize("norm", ["l1", "l2", "linf"])
+def test_homoclinic_task_refuses_features_past_any_horizon(tmp_path, capsys, norm):
+    cfg = {
+        "operator": op_to_config(late_tails(norm)),
+        "splitting": {"kind": "coordinate", "cutoff": 0},
+        "tasks": ["homoclinic"],
+    }
+    path = tmp_path / "item3.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["run", str(path)]) == 3
+    task = json.loads(capsys.readouterr().out)["tasks"]["homoclinic"]
+    assert not task["ok"]
+    assert task["error"] == "NOT_CERTIFIED"
+    assert "modulus 1.5" in task["message"]
 
 
 def test_a_scenario_builds_its_split_once(monkeypatch):

@@ -31,6 +31,8 @@ from lindyn.operators import (
 )
 from lindyn.errors import ConfigInvalid
 
+from families import late_tails
+
 W, R, COMP, SPLIT = shifted_weighted_contraction()
 
 
@@ -142,9 +144,20 @@ def test_operator_report_radius_below_norm():
     rep = operator_report(COMP)
     assert rep.op_norm == 2.0
     assert rep.inv_norm == 2.0
-    # r(L) = 1 here: ||L^n|| = 2^n only on transient windows, the envelope
-    # min_n ||L^n||^(1/n) stays at 1 from the crossing orbits
-    assert rep.spectral_radius_estimate <= rep.op_norm + 1e-9
+    # the weights tend to 1/2 on the left and 2 on the right, and L^n e_k
+    # for k far right has norm 2^n: r(L) is the right tail's modulus
+    assert rep.spectral_radius == 2.0
+
+
+@pytest.mark.parametrize("tag", [L1, L2, LINF])
+def test_sequence_radii_are_the_tail_moduli(tag):
+    op = late_tails(tag)
+    assert op.spectral_radius() == 1.5
+    assert operator_report(op).spectral_radius == 1.5
+    # shift 0: the largest weight modulus, attained or approached
+    assert DiagonalOp(TableWeights.from_mapping({3: -4.0}, 0.5), tag).spectral_radius() == 4.0
+    assert DiagonalOp(ApproachOneWeights(), tag).spectral_radius() == 1.0
+    assert BackwardScaledOp(0.6, tag).spectral_radius() == 0.6
 
 
 def test_config_round_trip():

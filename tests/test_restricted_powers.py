@@ -60,7 +60,7 @@ from lindyn.splitting import (
     resolvent_norm_U_inv,
 )
 
-from families import exact_linf_constant, jordan_family
+from families import exact_linf_constant, jordan_family, random_monomial
 
 N = 24
 
@@ -385,9 +385,10 @@ def test_resolvent_sums_read_each_weight_once(monkeypatch):
 
 @pytest.mark.parametrize("tag", [L1, LINF])
 def test_classify_then_bounds_take_each_weight_product_once(monkeypatch, tag):
-    # classify's radii, series_constants and the resolvent sums' window
-    # probes read one RestrictedPowers per side, held on the split, so each
-    # product is taken once, whichever of them reads it first
+    # classify reads its radii off the weight tails and takes no product;
+    # series_constants and the resolvent sums' window probes read one
+    # RestrictedPowers per side, held on the split, so each product is taken
+    # once, whichever of them reads it first
     taken = []
 
     class CountedPowers(MonomialPowers):
@@ -399,9 +400,50 @@ def test_classify_then_bounds_take_each_weight_product_once(monkeypatch, tag):
     op = CompositionOp([ShiftOp(1, tag), DiagonalOp(SignWeights(neg_and_zero=0.5, pos=3.0), tag)])
     split = CoordinateSplit(cutoff=0, norm_tag=tag)
     classify(op, split)
-    assert {(lo, hi) for lo, hi, _ in taken} == {(None, 0), (1, None)}
+    assert taken == []
     assert shad_bounds(op, split).upper == 2.5
+    assert {(lo, hi) for lo, hi, _ in taken} == {(None, 0), (1, None)}
     assert max(Counter(taken).values()) == 1
+
+
+def bump_family(b, tag):
+    """R o W with W = diag(0.9 on k <= 0, 1/0.9 on k >= 1), after a bump that
+    multiplies indices -5..0 by b: ||L^n P_S|| <= b^6 0.9^n, so both side
+    radii are 0.9, however far the first 64 powers stay above 1."""
+    bump = TableWeights.from_mapping({k: b for k in range(-5, 1)}, 1.0)
+    return CompositionOp(
+        [ShiftOp(1, tag), DiagonalOp(SignWeights(neg_and_zero=0.9, pos=1.0 / 0.9), tag), DiagonalOp(bump, tag)]
+    )
+
+
+@pytest.mark.parametrize("tag", [L1, L2, LINF])
+@pytest.mark.parametrize("b", [3.0, 10.0, 100.0])
+def test_a_finite_bump_keeps_the_tail_radii(tag, b):
+    op, split = bump_family(b, tag), CoordinateSplit(cutoff=0, norm_tag=tag)
+    rep = classify(op, split)
+    assert rep.klass == splitting.GENERALIZED
+    assert rep.r_S == 0.9
+    assert rep.r_U_inv == pytest.approx(0.9, rel=1e-15)
+    bounds = shad_bounds(op, split)
+    assert bounds.lower <= bounds.upper
+
+
+def test_side_radii_are_bounded_by_every_power():
+    # r(T) = inf_n ||T^n||^(1/n) on an invariant side; a shift that moves
+    # support upward leaves neither coordinate side invariant, so there the
+    # whole-line radius is checked against ||L^n||
+    for seed in range(30):
+        tag = (L1, L2, LINF)[seed % 3]
+        op = random_monomial(np.random.default_rng(700 + seed), tag)
+        split = CoordinateSplit(cutoff=0, norm_tag=tag)
+        if op.monomial.shift < 0:
+            memo = splitting._series_memo(op, split)
+            checks = [(memo[side].radius(), memo[side].table) for side in "SU"]
+        else:
+            checks = [(op.spectral_radius(), MonomialPowers(op.monomial))]
+        for radius, table in checks:
+            for n in range(1, 257):
+                assert radius <= table.sup(n) ** (1.0 / n) * (1.0 + 1e-12)
 
 
 # ---------------------------------------------------------------------------
