@@ -219,8 +219,23 @@ def _tag_norms(mags: np.ndarray, tag: str) -> np.ndarray:
 
 
 def array_norm(arr: np.ndarray, tag: str) -> float:
-    """The norm of all entries of arr, taken as one vector."""
-    return float(_tag_norms(np.abs(arr).reshape(1, -1), tag)[0])
+    """The norm of all entries of arr, taken as one vector: bit for bit the
+    one-row _tag_norms, whose ufunc reductions it makes on the flat moduli.
+    Under l2 a square root of the sum of squares is taken only where no
+    square can overflow, which the largest modulus below 1e150 ensures;
+    otherwise the row goes to _tag_norms."""
+    mags = np.abs(arr)
+    if mags.ndim != 1:
+        mags = mags.reshape(-1)
+    if tag == LINF:
+        return float(np.maximum.reduce(mags, initial=0.0))
+    if tag == L1:
+        return float(np.add.reduce(mags))
+    if tag == L2 and np.maximum.reduce(mags, initial=0.0) < 1e150:
+        total = float(np.add.reduce(mags * mags))
+        if math.isfinite(total):
+            return math.sqrt(total)
+    return float(_tag_norms(mags[None], tag)[0])
 
 
 def row_norms(rows: np.ndarray, tag: str) -> np.ndarray:

@@ -480,17 +480,22 @@ def _simplex(cols, cost, basis, budget: int):
     the multipliers and the basic values. The entering column has the
     largest reduced cost, except after a degenerate pivot, where Bland's
     rule (the lowest index on both sides) keeps the method from cycling.
-    Rounding can still swap two nearly parallel columns back and forth, so
-    a run of len(basis) degenerate pivots ends the solve: it leaves the
-    objective where it is, and every basis is feasible. So does a reduced
-    cost that is not finite."""
-    degenerate = 0
+    Rounding can still swap two nearly parallel columns back and forth, at
+    a zero ratio or a tiny nonzero one, so a run of more than len(basis)
+    pivots that does not raise the objective cost[basis] @ xb above its best
+    so far ends the solve: such a run moves the objective only by rounding,
+    and every basis is feasible. So does a reduced cost that is not
+    finite."""
+    degenerate, stalled, best = False, 0, -math.inf
     for pivots in range(budget + 1):
         inv = np.linalg.inv(cols[:, basis])
         xb = inv[:, -1]
         # rounding leaves zero basics at about +-1e-17; count them as zero,
         # so that a degenerate pivot is seen as one
         xb = np.where(xb > 1e-13 * np.abs(xb).max(), xb, 0.0)
+        value = float(cost[basis] @ xb)
+        stalled = stalled + 1 if value <= best else 0
+        best = max(best, value)
         # pricing overflows where the cuts pass about 1e308 (min_max_norm
         # silences the warnings)
         pi = cost[basis] @ inv
@@ -502,7 +507,7 @@ def _simplex(cols, cost, basis, budget: int):
         reduced[reduced <= noise] = 0.0
         reduced[basis] = 0.0
         j = int(np.argmax(reduced > 0.0) if degenerate else np.argmax(reduced))
-        if reduced[j] == 0.0 or pivots == budget or degenerate > len(basis):
+        if reduced[j] == 0.0 or pivots == budget or stalled > len(basis):
             return pivots, pi, xb
         col = inv @ cols[:, j]
         pos = col > 1e-12 * np.abs(col).max()
@@ -510,7 +515,7 @@ def _simplex(cols, cost, basis, budget: int):
         ratios[pos] = xb[pos] / col[pos]
         ties = np.flatnonzero(ratios == ratios.min())
         leave = ties[np.argmin(np.asarray(basis)[ties])]
-        degenerate = degenerate + 1 if ratios[leave] == 0.0 else 0
+        degenerate = ratios[leave] == 0.0
         basis[leave] = j
     raise AssertionError("unreachable")
 

@@ -38,6 +38,13 @@ at query points, memoized per depth, and one query may count at most
 QUERY_WALK_CAP horizon steps over its memo misses, however early its walks
 end, before it is refused with TrajectoryBudget.
 
+One query walks each distinct start once. A walk (_walk) is a pure function
+of its start's bits, its direction and the reach of the field it serves, so
+the query keeps each walk's points in reach under that key until it ends,
+and the misses of depths 2 and up at one start, whose fields have one
+reach, share its walks. Trajectory maps must therefore be deterministic. A
+refused walk is not kept, and gamma_eval keeps none.
+
 The local linearization (grobman_hartman_local) cuts a map's nonlinearity
 off between radius r and 2r. Its sup, Lipschitz constant and contraction
 factor are bounds from closed forms the map declares
@@ -281,67 +288,85 @@ def _walk_bounds(op: LinOp, split: Splitting, parts: tuple) -> tuple:
     )
 
 
+def _walk(tag: str, bound: tuple, P, M, traj, reach: float, start, count: int, from_x: bool):
+    """The walk of one Horner sum: the first count points of x, R x, R^2 x,
+    ... (from_x) or of R x, R^2 x, ..., where R is traj, or M when traj is
+    None, ended early by the exit of the module docstring. Returns the
+    indices of the walked points within reach and those points, as rows; a
+    walk with a point that is not finite is refused with NonFinite. It is a
+    pure function of its start's bits, its direction and reach, for the
+    operator, split, counts and trajectory maps fixed."""
+    # a map that does not declare where it is M is walked whole
+    matrix, radius = getattr(traj, "linear_outside", (M, 0.0 if traj is None else math.inf))
+    far = max(reach, radius if matrix is M else math.inf)
+    t_max, log_norm = bound
+    pts = np.empty((count, start.size), dtype=complex)
+    pt = start
+    for i in range(count):
+        if i or not from_x:
+            pt = M @ pt if traj is None else traj(pt)
+        pts[i] = pt
+        left = count - 1 - i
+        if i % WALK_EXIT_STRIDE == WALK_EXIT_STRIDE - 1 and 0 < left < len(t_max):
+            norm = array_norm(pt, tag)
+            if (
+                norm > far
+                and array_norm(P @ pt, tag) > 2.0 * far * t_max[left]
+                and math.log(norm) + left * log_norm < WALK_EXIT_LOG
+            ):
+                pts = pts[: i + 1]
+                break
+    check_finite(pts)
+    near = np.flatnonzero(~(row_norms(pts, tag) > reach))
+    return near.tolist(), pts[near]
+
+
 def _gamma(
-    parts: tuple, bounds: tuple, alpha, start, k_fwd: int, k_bwd: int, traj_forward, traj_backward
+    parts: tuple, bounds: tuple, alpha, start, k_fwd: int, k_bwd: int, traj_forward, traj_backward,
+    walks: Optional[dict] = None,
 ):
     """Gamma(alpha) at the coordinates start: k_fwd terms of the forward
     part, walked back from start, and k_bwd of the backward part, walked
     forward. parts come from _dense_parts and bounds from _walk_bounds;
-    nothing is checked again."""
+    nothing is checked again. walks, if given, keeps each walk under its
+    key (direction, reach, start's bytes) past the call, so the walks of
+    equal keys are made once; the caller keeps parts, bounds, counts and
+    maps fixed for the dict's life.
+
+    Each sum is the Horner sum acc <- step(acc, P alpha(pt)) over its walk's
+    points, last point first. Beyond reach alpha is zero: a term past the
+    last point in reach adds exact zeros, so one zero step stands for all of
+    them and keeps the signed zeros of the full sum."""
     A, A_inv, P_S, P_U, tag = parts
     zero = start * 0j
     reach = getattr(alpha, "support_radius", math.inf)
+    start_bytes = start.tobytes()
+    walks = {} if walks is None else walks
 
-    def horner(P, M, traj, count: int, from_x: bool, step: Callable, bound: tuple) -> np.ndarray:
-        """The Horner sum acc <- step(acc, P @ alpha(pt)) over the first count
-        points of x, R x, R^2 x, ... (from_x) or of R x, R^2 x, ..., last
-        point first, where R is traj, or M when traj is None. Beyond reach
-        alpha is zero: a term past the last point in reach adds exact zeros,
-        so one zero step stands for all of them and keeps the signed zeros
-        of the full sum. The walk ends early by the exit of the module
-        docstring."""
-        R = traj or (lambda p: M @ p)
-        # a map that does not declare where it is M is walked whole
-        matrix, radius = getattr(traj, "linear_outside", (M, 0.0 if traj is None else math.inf))
-        far = max(reach, radius if matrix is M else math.inf)
-        t_max, log_norm = bound
-        pts = np.empty((count, start.size), dtype=complex)
-        pt = start
-        for i in range(count):
-            if i or not from_x:
-                pt = R(pt)
-            pts[i] = pt
-            left = count - 1 - i
-            if i % WALK_EXIT_STRIDE == WALK_EXIT_STRIDE - 1 and 0 < left < len(t_max):
-                norm = array_norm(pt, tag)
-                if (
-                    norm > far
-                    and array_norm(P @ pt, tag) > 2.0 * far * t_max[left]
-                    and math.log(norm) + left * log_norm < WALK_EXIT_LOG
-                ):
-                    pts = pts[: i + 1]
-                    break
-        check_finite(pts)
-        near = np.flatnonzero(~(row_norms(pts, tag) > reach))
+    def terms(P, M, traj, count: int, from_x: bool, bound: tuple) -> tuple:
+        """The terms P alpha(pt) up to the walk's last point in reach, with
+        exact zeros P 0 between, and P 0."""
+        key = (from_x, reach, start_bytes)
+        walk = walks.get(key)
+        if walk is None:
+            walk = walks[key] = _walk(tag, bound, P, M, traj, reach, start, count, from_x)
+        near, pts = walk
         p_zero = P @ zero
-        terms = [p_zero] * (near[-1] + 1 if near.size else 0)
-        for i in near:
-            terms[i] = P @ alpha(pts[i])
-        acc = zero if len(terms) == count else step(zero, p_zero)
-        for v in reversed(terms):
-            acc = step(acc, v)
-        return acc
+        out = [p_zero] * (near[-1] + 1 if near else 0)
+        for i, pt in zip(near, pts):
+            out[i] = P @ alpha(pt)
+        return out, p_zero
 
     # a non-finite step or sum is refused by check_finite
     with np.errstate(over="ignore", invalid="ignore"):
-        acc_f = horner(
-            P_S, A_inv, traj_backward, k_fwd, False,
-            lambda acc, v: P_S @ (A @ acc) + v, bounds[0],
-        )
-        acc_b = horner(
-            P_U, A, traj_forward, k_bwd, True,
-            lambda acc, u: P_U @ (A_inv @ (acc + u)), bounds[1],
-        )
+        vs, p_zero = terms(P_S, A_inv, traj_backward, k_fwd, False, bounds[0])
+        acc_f = zero if len(vs) == k_fwd else P_S @ (A @ zero) + p_zero
+        for v in reversed(vs):
+            acc_f = P_S @ (A @ acc_f) + v
+        us, p_zero = terms(P_U, A, traj_forward, k_bwd, True, bounds[1])
+        acc_b = zero if len(us) == k_bwd else P_U @ (A_inv @ (zero + p_zero))
+        for u in reversed(us):
+            acc_b = P_U @ (A_inv @ (acc_b + u))
         return check_finite(acc_f - acc_b)
 
 
@@ -388,10 +413,24 @@ def gamma_eval(
 
 
 def _memo_key(coords: np.ndarray, depth: int):
-    if np.abs(coords).max(initial=0.0) > MEMO_COORD_CAP:
-        return None
-    scaled = np.round(coords / MEMO_QUANTUM)
-    return (depth, *(tuple(part.astype(np.int64).tolist()) for part in (scaled.real, scaled.imag)))
+    """(depth, real parts, imaginary parts) of coords in units of
+    MEMO_QUANTUM, rounded half to even, or None if a coordinate's modulus
+    passes MEMO_COORD_CAP. Worked on coords.tolist(), and bit for bit the
+    key of np.round(coords / MEMO_QUANTUM): numpy divides a complex array by
+    a real scalar as each part times the scalar's reciprocal (the Smith
+    division by q + 0j), and a real array by true division; Python's round
+    of a float is numpy's half to even, exact in int64 below the cap. Only
+    a coordinate near the cap takes numpy's modulus for the test."""
+    vals, scale = coords.tolist(), 1.0 / MEMO_QUANTUM
+    if coords.dtype.kind == "c":
+        re, im = [v.real * scale for v in vals], [v.imag * scale for v in vals]
+    else:
+        re, im = [v / MEMO_QUANTUM for v in vals], [0.0] * len(vals)
+    # below 0.7 * cap in every part, every modulus is below the cap
+    if not max(map(abs, re + im), default=0.0) <= 0.7 * MEMO_COORD_CAP * scale:
+        if np.abs(coords).max(initial=0.0) > MEMO_COORD_CAP:
+            return None
+    return (depth, tuple(map(round, re)), tuple(map(round, im)))
 
 
 class ConjugacyField:
@@ -403,7 +442,9 @@ class ConjugacyField:
     and dimension, and eval and the memo work on coordinates. Each memo miss
     counts its horizons, len(a_terms) + len(b_terms) steps, however early its
     walks end; one call may count at most QUERY_WALK_CAP of them over its
-    misses, and past that it raises TrajectoryBudget.
+    misses, and past that it raises TrajectoryBudget. A call walks each
+    distinct start once (see the module docstring) and keeps its walks only
+    while it runs.
     """
 
     def __init__(
@@ -429,6 +470,8 @@ class ConjugacyField:
         self.norm_tag = beta.norm_tag
         self._memo: dict = {}
         self._walked = 0
+        # the walks of the running call, by _gamma's key
+        self._walks: dict = {}
 
     def eval(self, x: np.ndarray, depth: int) -> np.ndarray:
         if depth <= 0:
@@ -446,7 +489,7 @@ class ConjugacyField:
         if depth > 1:
             alpha = _ComposedField(self.beta, lambda y: self.eval(y, depth - 1), self.h_bound)
         fwd, bwd = self.traj_forward, self.traj_backward
-        out = _gamma(self._parts, self._bounds, alpha, x, k_fwd, k_bwd, fwd, bwd)
+        out = _gamma(self._parts, self._bounds, alpha, x, k_fwd, k_bwd, fwd, bwd, self._walks)
         if key is not None:
             self._memo[key] = out
         return out
@@ -454,7 +497,10 @@ class ConjugacyField:
     def __call__(self, x: DenseVector) -> DenseVector:
         _check_point(x, self._parts)
         self._walked = 0
-        return DenseVector(self.eval(x.coords, self.depth), self.norm_tag)
+        try:
+            return DenseVector(self.eval(x.coords, self.depth), self.norm_tag)
+        finally:
+            self._walks.clear()
 
 
 @dataclass(frozen=True)

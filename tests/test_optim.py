@@ -11,11 +11,14 @@ from lindyn import (
     DenseVector,
     WindowedLinf,
     central_window_growth,
+    generate_pseudo_orbit,
     linf_apply,
     linf_injectivity_margin,
+    shadow_window_solve,
 )
 from lindyn import expansivity as expansivity_module
 from lindyn import linf as linf_module
+from lindyn import shadowing as shadowing_module
 from lindyn import optim
 from lindyn.expansivity import _growth_objective
 from lindyn.linalg import array_norm, max_row_norm, power_stack
@@ -95,6 +98,42 @@ def test_min_max_norm_polish_keeps_its_last_piece(monkeypatch):
         sol = min_max_norm(A, e, tag)
         assert sol.lower <= sol.value
         assert sol.lower <= full.value * (1.0 + 1e-12)
+
+
+def test_a_window_solve_that_swaps_two_columns_ends_its_simplex_run(monkeypatch):
+    # On this pseudo-orbit the simplex swapped two nearly parallel cut
+    # columns at tiny nonzero ratios, so no pivot counted as degenerate and
+    # the solve spent all MIN_MAX_PIVOTS; a run that does not raise the
+    # objective now ends as a degenerate one does, and the bracket closes
+    M = [
+        [-0.26111785325364784, 0.2062315215900583, 0.4591914570875259],
+        [1.1732465399478174, 1.9611151530250048, -0.19571794371365717],
+        [-1.0595713512263232, 0.6762381172404947, 0.2859008948806779],
+    ]
+    op = DenseOp(M, LINF)
+    seed = DenseVector([1.7811617050113566, 0.9706595907481083, 1.1912607735935548], LINF)
+    po = generate_pseudo_orbit(op, seed, (0, 200), 1e-3, rng_seed=1032291746)
+    pivots, solves = [], []
+    simplex = optim._simplex
+
+    def counting(*args):
+        out = simplex(*args)
+        pivots.append(out[0])
+        return out
+
+    def recording(*args):
+        solves.append(min_max_norm(*args))
+        return solves[-1]
+
+    monkeypatch.setattr(optim, "_simplex", counting)
+    monkeypatch.setattr(shadowing_module, "min_max_norm", recording)
+    res = shadow_window_solve(op, po)
+    assert 0 < sum(pivots) <= optim.MIN_MAX_PIVOTS // 10
+    assert [sol.value - sol.lower <= optim.MIN_MAX_RTOL * sol.value for sol in solves] == [True]
+    # the stored orbit's distance is the solve's value up to the rounding
+    # of the stored points, which grow to 4e63
+    assert res.lower == solves[0].lower
+    assert res.sup_error - res.lower <= 1e-6 * res.sup_error
 
 
 def _grid_min(A, e, tag, center, width, points=101):

@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 import math
 
 import numpy as np
@@ -15,6 +16,7 @@ from lindyn import (
     DenseVector,
     DiagonalOp,
     KindMismatch,
+    NonFinite,
     NotCertified,
     NotContraction,
     NotContractiveSpectrum,
@@ -559,6 +561,87 @@ def test_walks_end_where_no_later_point_comes_back(monkeypatch):
     assert 0 < 4 * out[True, "calls"] < per_miss
     assert out[False, "calls"] == per_miss - 1
     assert out[True] == out[False]
+
+
+def test_a_query_walks_each_distinct_start_once(monkeypatch):
+    # AC06's bump conjugacy at its own depth, 5. The fields of depths 2-5
+    # have one reach, so their misses at one start share its walks; every
+    # value, memo key and memo insertion is the reference's, which walks
+    # every miss whole
+    sol = conjugacy_solve(SADDLE, SPLIT, BUMP, tol=1e-8)
+    assert sol.depth == 5
+    fast = ConjugacyField(SADDLE, SPLIT, BUMP, sol.depth, sol.horizons)
+    slow = ReferenceConjugacyField(fast)
+    walked, check = [], stability.check_finite
+
+    def counting_check(arr):
+        walked.append(arr.ndim == 2)
+        return check(arr)
+
+    for x in [DenseVector([0.3, -0.2], LINF)] + sample_points(2, seed=5, scale=1.0):
+        before = len(fast._memo)
+        walked.clear()
+        monkeypatch.setattr(stability, "check_finite", counting_check)
+        hx = fast(x)
+        monkeypatch.undo()
+        # each miss without shared walks would walk two trajectories
+        assert 0 < sum(walked) < len(fast._memo) - before
+        assert raw(hx) == raw(slow(x))
+        assert raw(fast(SADDLE.apply(x))) == raw(slow(SADDLE.apply(x)))
+    assert list(fast._memo) == list(slow._memo)
+    assert [raw(v) for v in fast._memo.values()] == [raw(v) for v in slow._memo.values()]
+    assert {key[0] for key in fast._memo} == {1, 2, 3, 4, 5}
+
+
+@pytest.mark.parametrize("tag", [L1, L2, LINF])
+def test_shared_walks_are_keyed_by_direction_reach_and_start(tag):
+    # Gamma at one start under one walk dict, for fields whose reach takes
+    # in a point of each walk or not: each reach and direction gets its own
+    # walks, and each call equals gamma_eval, which keeps no walks
+    op, split, bump, points = dense_case("saddle", tag)
+    horizons = compute_horizons(op, split, bump.sup_norm)
+    parts = stability._dense_parts(op, split, bump)
+    bounds = stability._walk_bounds(op, split, parts)
+    counts = len(horizons.a_terms), len(horizons.b_terms)
+    x = points[0]
+    back, fwd = walks(op, x, horizons)
+    spots = [back[1], fwd[1]]
+    norms = [array_norm(p, tag) for p in spots]
+    near, far = max(norms), 0.5 * min(norms)
+    shared = {}
+    for radius in (far, near, far, near):
+        fast, slow = (SpotField(spots, bump.direction * 1e-3, radius) for _ in range(2))
+        gx = stability._gamma(parts, bounds, fast, x.coords, *counts, None, None, shared)
+        assert raw(gx) == raw(gamma_eval(op, split, slow, x, horizons))
+        assert fast.seen == slow.seen
+        assert np.any(gx) == (radius == near)
+    assert len(shared) == 4
+
+
+def test_a_query_whose_walk_overflows_is_refused_again_when_repeated():
+    # no refused walk is kept for a later query
+    huge = DenseVector([1e306, 1e306], LINF)
+    sol = conjugacy_solve(SADDLE, SPLIT, BUMP, tol=1e-8)
+    inv = inverse_conjugacy(SADDLE, SPLIT, BUMP, tol=1e-8)
+    for field in (sol.field, inv.field):
+        for _ in range(2):
+            with pytest.raises(NonFinite):
+                field(huge)
+        assert field._memo == {}
+        # the field still answers queries
+        assert field(DenseVector([0.3, -0.2], LINF)).norm() <= field.h_bound
+
+
+def test_conjugacy_field_keeps_the_hooks_of_the_benchmark_trace():
+    # perfbench's trace wraps ConjugacyField.eval(x, depth) and reads the
+    # size of _memo for its memo hit ratio
+    assert list(inspect.signature(ConjugacyField.eval).parameters) == ["self", "x", "depth"]
+    field = conjugacy_solve(SADDLE, SPLIT, BUMP, tol=1e-8).field
+    assert type(field._memo) is dict and not field._memo
+    x = np.array([0.3, -0.2], dtype=complex)
+    out = field.eval(x, 1)
+    assert len(field._memo) == 1
+    assert field.eval(x, 1) is out and len(field._memo) == 1
 
 
 def test_memo_keys_are_those_of_the_per_entry_formula():
